@@ -39,10 +39,10 @@ from .optimizers import (
     PSO,
     PsoParams,
     RandomSearch,
+    StagnationRestart,
     StepReport,
+    SyntheticOverhead,
     make_optimizer,
-    wrap_stagnation_restart,
-    wrap_synthetic_overhead,
 )
 from .problems import ProblemInstance, catalog_names, get_problem, optimum_point
 from .protocol import (
@@ -53,7 +53,6 @@ from .protocol import (
     best_of_restarts,
     build_algorithm,
     derive_seed,
-    restart_count,
     run_plan,
     run_time_fair,
 )

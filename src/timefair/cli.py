@@ -63,15 +63,10 @@ def _check_keys(obj: dict, path: str, required: tuple, optional: tuple) -> None:
         raise ConfigError(f"{path}: missing required key(s): {', '.join(missing)}")
 
 
-def _number(value, path: str, *, positive: bool = False, nonnegative: bool = False) -> float:
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
-    value = float(value)
-    if positive and not value > 0:
-        raise ConfigError(f"{path} must be > 0")
-    if nonnegative and value < 0:
-        raise ConfigError(f"{path} must be >= 0")
-    return value
+    return float(value)
 
 
 def _integer(value, path: str, *, minimum: Optional[int] = None) -> int:
@@ -82,108 +77,103 @@ def _integer(value, path: str, *, minimum: Optional[int] = None) -> int:
     return value
 
 
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be a list")
+    return value
+
+
 def _label_ok(label: str) -> bool:
     return bool(label) and all(c.isalnum() or c in "._-" for c in label) and label[0].isalnum()
 
 
 def validate_config(raw: dict) -> dict:
-    """Strict-schema validation; returns the effective configuration with
-    every default materialized (the dumped copy is what gets hashed)."""
+    """Check the JSON shape of a config (keys by path, value types, safe
+    labels, metric and tuning options) and return the effective
+    configuration with every default materialized; the dumped copy is what
+    gets hashed. Value ranges are checked by the domain types that
+    :func:`plan_from_config` builds."""
     _check_keys(
         raw,
         "config",
         required=("budget", "master_seed", "algorithms", "instances", "clock"),
         optional=("output_dir", "targets", "repetitions", "metrics", "parallel", "tuning"),
     )
+    output_dir = raw.get("output_dir", "timefair-out")
+    if not isinstance(output_dir, str):
+        raise ConfigError("output_dir must be a string")
+
     budget_raw = raw["budget"]
     _check_keys(budget_raw, "budget", required=("wall_time_limit",), optional=("eval_cap",))
     budget = {
-        "wall_time_limit": _number(budget_raw["wall_time_limit"], "budget.wall_time_limit", positive=True),
+        "wall_time_limit": _number(budget_raw["wall_time_limit"], "budget.wall_time_limit"),
         "eval_cap": None
         if budget_raw.get("eval_cap") is None
-        else _integer(budget_raw["eval_cap"], "budget.eval_cap", minimum=1),
+        else _integer(budget_raw["eval_cap"], "budget.eval_cap"),
     }
-    if not math.isfinite(budget["wall_time_limit"]):
-        raise ConfigError("budget.wall_time_limit must be finite")
 
     targets = None
     if raw.get("targets") is not None:
         t = raw["targets"]
         _check_keys(t, "targets", required=("kind",), optional=("values",))
-        kind = t["kind"]
-        if kind not in ("absolute", "relative"):
-            raise ConfigError("targets.kind must be 'absolute' or 'relative'")
         if "values" in t:
-            values = t["values"]
-            if not isinstance(values, list) or not values:
-                raise ConfigError("targets.values must be a non-empty list")
-            values = [_number(v, "targets.values[]") for v in values]
-        elif kind == "relative":
-            values = list(DEFAULT_RELATIVE_LADDER)
+            values = [_number(v, "targets.values[]") for v in _list(t["values"], "targets.values")]
         else:
-            raise ConfigError("targets.values is required for absolute targets")
-        targets = {"kind": kind, "values": values}
-        try:
-            TargetSpec(kind=kind, values=tuple(values))
-        except ValueError as exc:
-            raise ConfigError(f"targets.values: {exc}") from exc
+            values = list(DEFAULT_RELATIVE_LADDER) if t["kind"] == "relative" else []
+        targets = {"kind": t["kind"], "values": values}
 
     clock_raw = raw["clock"]
     _check_keys(
         clock_raw, "clock", required=("mode",), optional=("cost_per_eval", "iteration_overhead")
     )
-    mode = clock_raw["mode"]
-    if mode not in ("real", "virtual"):
-        raise ConfigError("clock.mode must be 'real' or 'virtual'")
     overhead = clock_raw.get("iteration_overhead", {})
     if not isinstance(overhead, dict):
         raise ConfigError("clock.iteration_overhead must be an object")
     clock = {
-        "mode": mode,
-        "cost_per_eval": _number(
-            clock_raw.get("cost_per_eval", 0.0), "clock.cost_per_eval", nonnegative=True
-        ),
+        "mode": clock_raw["mode"],
+        "cost_per_eval": _number(clock_raw.get("cost_per_eval", 0.0), "clock.cost_per_eval"),
         "iteration_overhead": {
-            k: _number(v, f"clock.iteration_overhead.{k}", nonnegative=True)
-            for k, v in overhead.items()
+            k: _number(v, f"clock.iteration_overhead.{k}") for k, v in overhead.items()
         },
     }
-    if mode == "real" and (clock["cost_per_eval"] > 0 or clock["iteration_overhead"]):
-        raise ConfigError("clock: synthetic costs require clock.mode 'virtual'")
 
-    algorithms_raw = raw["algorithms"]
-    if not isinstance(algorithms_raw, list) or not algorithms_raw:
-        raise ConfigError("algorithms must be a non-empty list")
     algorithms = []
-    for i, entry in enumerate(algorithms_raw):
+    for i, entry in enumerate(_list(raw["algorithms"], "algorithms")):
         path = f"algorithms[{i}]"
         _check_keys(entry, path, required=("label", "kind"), optional=("params", "wrappers"))
         label = entry["label"]
         if not isinstance(label, str) or not _label_ok(label):
             raise ConfigError(f"{path}.label must be a filesystem-safe identifier")
         params = entry.get("params", {})
-        wrappers = entry.get("wrappers", {})
         if not isinstance(params, dict):
             raise ConfigError(f"{path}.params must be an object")
-        _check_keys(
-            dict(wrappers), f"{path}.wrappers", required=(), optional=("stagnation_restart", "synthetic_overhead")
-        )
+        for k, v in params.items():
+            _number(v, f"{path}.params.{k}")
+        wrappers = entry.get("wrappers", {})
+        if not isinstance(wrappers, dict):
+            raise ConfigError(f"{path}.wrappers must be an object")
         if "synthetic_overhead" in wrappers:
-            _number(wrappers["synthetic_overhead"], f"{path}.wrappers.synthetic_overhead", nonnegative=True)
+            _number(wrappers["synthetic_overhead"], f"{path}.wrappers.synthetic_overhead")
         if "stagnation_restart" in wrappers:
+            stagnation = wrappers["stagnation_restart"]
+            spath = f"{path}.wrappers.stagnation_restart"
             _check_keys(
-                wrappers["stagnation_restart"],
-                f"{path}.wrappers.stagnation_restart",
+                stagnation,
+                spath,
                 required=("plateau_window", "plateau_epsilon"),
                 optional=("max_restarts",),
             )
+            _integer(stagnation["plateau_window"], f"{spath}.plateau_window")
+            _number(stagnation["plateau_epsilon"], f"{spath}.plateau_epsilon")
+            if stagnation.get("max_restarts") is not None:
+                _integer(stagnation["max_restarts"], f"{spath}.max_restarts")
         algorithms.append(
             {"label": label, "kind": entry["kind"], "params": params, "wrappers": dict(wrappers)}
         )
 
-    instances = raw["instances"]
-    if not isinstance(instances, list) or not instances:
-        raise ConfigError("instances must be a non-empty list")
+    instances = _list(raw["instances"], "instances")
+    if not all(isinstance(instance_id, str) for instance_id in instances):
+        raise ConfigError("instances must be a list of instance ids (strings)")
 
     metrics_raw = raw.get("metrics", {})
     _check_keys(
@@ -211,12 +201,12 @@ def validate_config(raw: dict) -> dict:
         _check_keys(tuning, "tuning", required=("method", "seconds"), optional=("amortization",))
         if not isinstance(tuning["seconds"], dict):
             raise ConfigError("tuning.seconds must map solver labels to seconds")
+        seconds = {k: _number(v, f"tuning.seconds.{k}") for k, v in tuning["seconds"].items()}
+        if not all(math.isfinite(v) and v >= 0 for v in seconds.values()):
+            raise ConfigError("tuning.seconds values must be finite and >= 0")
         tuning = {
             "method": tuning["method"],
-            "seconds": {
-                k: _number(v, f"tuning.seconds.{k}", nonnegative=True)
-                for k, v in tuning["seconds"].items()
-            },
+            "seconds": seconds,
             "amortization": tuning.get("amortization", "uniform over the instance set"),
         }
 
@@ -225,10 +215,10 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError("parallel must be a boolean")
 
     return {
-        "output_dir": raw.get("output_dir", "timefair-out"),
+        "output_dir": output_dir,
         "budget": budget,
         "targets": targets,
-        "repetitions": _integer(raw.get("repetitions", 1), "repetitions", minimum=1),
+        "repetitions": _integer(raw.get("repetitions", 1), "repetitions"),
         "master_seed": _integer(raw["master_seed"], "master_seed", minimum=0),
         "clock": clock,
         "algorithms": algorithms,
@@ -240,6 +230,8 @@ def validate_config(raw: dict) -> dict:
 
 
 def plan_from_config(config: dict) -> ExperimentPlan:
+    """Build the plan from an effective configuration; the domain types'
+    range errors surface as :class:`ConfigError`."""
     try:
         return ExperimentPlan(
             algorithms=tuple(
@@ -268,33 +260,11 @@ def plan_from_config(config: dict) -> ExperimentPlan:
         raise ConfigError(str(exc)) from exc
 
 
-# The bundled demo: the built-in scenario at 3 repetitions, a timed PSO
-# baseline (10 s/run), a 5x-overhead variant (50 s/run), and plain random
-# search, all on Rastrigin d=10 under T = 50 s of virtual time.
-DEMO_CONFIG = {
-    "output_dir": "timefair-demo-out",
-    "budget": {"wall_time_limit": 50.0, "eval_cap": None},
-    "targets": {"kind": "absolute", "values": [100.0, 50.0, 20.0, 10.0, 5.0]},
-    "repetitions": 3,
-    "master_seed": 20260809,
-    "clock": {"mode": "virtual", "cost_per_eval": 0.0078125, "iteration_overhead": {}},
-    "algorithms": [
-        {"label": "pso", "kind": "pso", "params": {"swarm_size": 40, "max_iterations": 32}},
-        {
-            "label": "pso-heavy",
-            "kind": "pso",
-            "params": {"swarm_size": 40, "max_iterations": 32},
-            "wrappers": {"synthetic_overhead": 1.25},
-        },
-        {"label": "random-search", "kind": "random-search", "params": {"max_iterations": 1280}},
-    ],
-    "instances": ["rastrigin-d10"],
-    "metrics": {"time_grid_points": 64, "bootstrap_samples": 200, "confidence": 0.95},
-}
-
-
 def demo_config() -> dict:
-    return json.loads(json.dumps(DEMO_CONFIG))
+    """A fresh parse of the bundled demo, ``configs/demo.json`` in the
+    source checkout (next to ``src/``)."""
+    with open(Path(__file__).resolve().parents[2] / "configs" / "demo.json", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +294,8 @@ def cmd_run(args) -> int:
         raw["output_dir"] = args.out
     if args.parallel:
         raw["parallel"] = True
-    try:
-        config = validate_config(raw)
-        plan = plan_from_config(config)
-        if config["parallel"] and not plan.clock.is_virtual:
-            raise ConfigError("parallel: parallel execution requires clock.mode 'virtual'")
-    except (ConfigError, PlanError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = validate_config(raw)
+    plan = plan_from_config(config)
 
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -347,15 +311,7 @@ def cmd_run(args) -> int:
     with open(out_dir / report.EFFECTIVE_CONFIG_NAME, "w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    manifest = report.build_manifest(
-        plan,
-        grouped,
-        out_dir,
-        effective_config=config,
-        metric_options=config["metrics"],
-        tuning=config["tuning"],
-        parallel=config["parallel"],
-    )
+    manifest = report.build_manifest(plan, grouped, out_dir, effective_config=config)
     report.write_manifest(manifest, out_dir)
     n_runs = sum(len(r) for r in grouped.values())
     _progress(f"wrote {n_runs} run(s) and {report.MANIFEST_NAME} to {out_dir}")
@@ -384,18 +340,14 @@ def _parse_amortize(values: Optional[list[str]]) -> dict[str, float]:
             out[label] = float(seconds)
         except ValueError as exc:
             raise ConfigError(f"--amortize {item!r}: seconds must be a number") from exc
-        if out[label] < 0:
-            raise ConfigError(f"--amortize {item!r}: seconds must be >= 0")
+        if not (math.isfinite(out[label]) and out[label] >= 0):
+            raise ConfigError(f"--amortize {item!r}: seconds must be finite and >= 0")
     return out
 
 
 def cmd_analyze(args) -> int:
     out_dir = Path(args.out_dir)
-    try:
-        amortize = _parse_amortize(args.amortize)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    amortize = _parse_amortize(args.amortize)
     config = _load_experiment(out_dir)
     T = config["budget"]["wall_time_limit"]
     labels = [a["label"] for a in config["algorithms"]]
@@ -403,8 +355,7 @@ def cmd_analyze(args) -> int:
     metric_options = config["metrics"]
     unknown = sorted(set(amortize) - set(labels))
     if unknown:
-        print(f"config error: --amortize names unknown solver(s): {', '.join(unknown)}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--amortize names unknown solver(s): {', '.join(unknown)}")
 
     grouped: dict[tuple[str, str], list] = {}
     total_issues = []
@@ -539,31 +490,14 @@ def cmd_report(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-SCENARIO_SEED = 20260809
-SCENARIO_TARGETS = (100.0, 50.0, 20.0, 10.0, 5.0)
-
-
 def scenario_plan(repetitions: int = 20) -> ExperimentPlan:
-    """PSO baseline at 10 s/run vs a 5x-overhead variant at 50 s/run on
-    Rastrigin d=10 under T = 50 s of virtual time (costs are dyadic, so
-    run durations are float-exact)."""
-    return ExperimentPlan(
-        algorithms=(
-            AlgorithmSpec(label="pso", kind="pso", params={"swarm_size": 40, "max_iterations": 32}),
-            AlgorithmSpec(
-                label="pso-heavy",
-                kind="pso",
-                params={"swarm_size": 40, "max_iterations": 32},
-                wrappers={"synthetic_overhead": 1.25},
-            ),
-        ),
-        instances=("rastrigin-d10",),
-        budget=Budget(wall_time_limit=50.0),
-        targets=TargetSpec(kind="absolute", values=SCENARIO_TARGETS),
-        repetitions=repetitions,
-        master_seed=SCENARIO_SEED,
-        clock=ClockSpec(mode="virtual", cost_per_eval=0.0078125),
-    )
+    """The demo's PSO arms, a baseline at 10 s/run vs a 5x-overhead variant
+    at 50 s/run under T = 50 s of virtual time (costs are dyadic, so run
+    durations are float-exact), at `repetitions` repetitions."""
+    config = demo_config()
+    config["algorithms"] = [a for a in config["algorithms"] if a["kind"] == "pso"]
+    config["repetitions"] = repetitions
+    return plan_from_config(validate_config(config))
 
 
 def _ert_bruteforce(times: list[Optional[float]], T: float) -> float:
@@ -580,14 +514,14 @@ def _ert_bruteforce(times: list[Optional[float]], T: float) -> float:
 
 def cmd_simulate(args) -> int:
     plan = scenario_plan()
-    _progress("simulating: PSO baseline (10 s/run) vs heavy variant (50 s/run), "
-              "T=50 s virtual, Rastrigin d=10, R=20")
-    grouped = run_plan(plan)
     T = plan.budget.wall_time_limit
     instance_id = plan.instances[0]
+    header = (f"T={T:g}s {plan.clock.mode}, {instance_id}, R={plan.repetitions}, targets "
+              + ", ".join(f"{q:g}" for q in plan.targets.values))
+    _progress(f"simulating the demo's PSO arms: {header}")
+    grouped = run_plan(plan)
 
-    print("scenario: T=50s virtual, rastrigin-d10, R=20, targets "
-          + ", ".join(f"{q:g}" for q in SCENARIO_TARGETS))
+    print(f"scenario: {header}")
     print()
     print(f"{'algorithm':<12} {'runs/rep':>9} {'median single-run':>18} {'median best-of-restarts':>24}")
     best_samples = {}
@@ -610,7 +544,7 @@ def cmd_simulate(args) -> int:
     print(f"{'algorithm':<12} {'target':>8} {'ert':>12} {'success':>8}  recheck")
     for spec in plan.algorithms:
         records = grouped[(spec.label, instance_id)]
-        for q in SCENARIO_TARGETS:
+        for q in plan.targets.values:
             times = [metrics.time_to_target(r, q, T) for r in records]
             result = metrics.ert(times, T, target=q)
             oracle = _ert_bruteforce(times, T)
@@ -622,10 +556,11 @@ def cmd_simulate(args) -> int:
                 f"{spec.label:<12} {q:>8g} {ert_text:>12} {result.success_rate:>8.2f}  "
                 f"{'ok' if agree else 'MISMATCH'}"
             )
-    test = metrics.rank_sum_test(best_samples["pso"], best_samples["pso-heavy"])
+    baseline, variant = best_samples
+    test = metrics.rank_sum_test(best_samples[baseline], best_samples[variant])
     print()
     print(
-        f"rank-sum test (best-of-restarts, pso vs pso-heavy): U={test.statistic:g}, "
+        f"rank-sum test (best-of-restarts, {baseline} vs {variant}): U={test.statistic:g}, "
         f"p={test.p_value:.4g} [{test.method}]"
     )
     return EXIT_OK

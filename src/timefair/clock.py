@@ -8,6 +8,7 @@ exactly the same 50.0 on every machine.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -34,10 +35,12 @@ class ClockSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("real", "virtual"):
             raise ValueError(f"unknown clock mode {self.mode!r}")
-        if self.cost_per_eval < 0:
-            raise ValueError("cost_per_eval must be >= 0")
-        if any(v < 0 for v in self.iteration_overhead.values()):
-            raise ValueError("iteration overheads must be >= 0")
+        if not (math.isfinite(self.cost_per_eval) and self.cost_per_eval >= 0):
+            raise ValueError("cost_per_eval must be finite and >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in self.iteration_overhead.values()):
+            raise ValueError("iteration overheads must be finite and >= 0")
+        if self.mode == "real" and (self.cost_per_eval > 0 or self.iteration_overhead):
+            raise ValueError("synthetic costs require clock mode 'virtual'")
         object.__setattr__(self, "iteration_overhead", dict(self.iteration_overhead))
 
     @property

@@ -62,6 +62,8 @@ class TargetSpec:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise ValueError("target values must be non-empty")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError("target values must be finite")
         if any(b >= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("target values must be strictly decreasing")
         if self.kind == "relative" and any(v <= 0 for v in self.values):

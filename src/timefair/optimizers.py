@@ -12,7 +12,8 @@ next step still fits the budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -25,8 +26,6 @@ from .seeds import subseed
 class StepReport:
     """Outcome of one iteration."""
 
-    evals: int
-    new_best: Optional[tuple[np.ndarray, float]] = None
     stop: bool = False  # algorithm declares it is done (InternalStop)
 
 
@@ -41,13 +40,13 @@ class PsoParams:
     velocity_clamp: float = 0.5  # fraction of the per-coordinate bound range
 
     def __post_init__(self) -> None:
-        if self.swarm_size < 2:
-            raise ValueError("swarm_size must be >= 2")
+        if not isinstance(self.swarm_size, numbers.Integral) or self.swarm_size < 2:
+            raise ValueError("swarm_size must be an integer >= 2")
         if not 0.0 <= self.inertia < 1.0:
             raise ValueError("inertia must lie in [0, 1)")
-        if self.cognitive <= 0 or self.social <= 0:
+        if not (self.cognitive > 0 and self.social > 0):
             raise ValueError("cognitive and social coefficients must be > 0")
-        if self.velocity_clamp <= 0:
+        if not self.velocity_clamp > 0:
             raise ValueError("velocity_clamp must be > 0")
 
 
@@ -90,8 +89,10 @@ class RandomSearch(Algorithm):
     evals_per_step = 1
 
     def __init__(self, max_iterations: Optional[int] = None):
-        if max_iterations is not None and max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if max_iterations is not None and not (
+            isinstance(max_iterations, numbers.Integral) and max_iterations >= 1
+        ):
+            raise ValueError("max_iterations must be an integer >= 1")
         self.max_iterations = max_iterations
         self.label = self.kind
 
@@ -106,13 +107,11 @@ class RandomSearch(Algorithm):
     def step(self, state: RandomSearchState, evaluator) -> StepReport:
         x = evaluator.instance.uniform(state.rng)
         f = evaluator.evaluate(x)
-        new_best = None
         if f < state.best_f:
             state.best_x, state.best_f = x, f
-            new_best = (x, f)
         state.iterations += 1
         stop = self.max_iterations is not None and state.iterations >= self.max_iterations
-        return StepReport(evals=1, new_best=new_best, stop=stop)
+        return StepReport(stop=stop)
 
 
 @dataclass
@@ -140,8 +139,10 @@ class PSO(Algorithm):
     kind = "pso"
 
     def __init__(self, params: PsoParams = PsoParams(), max_iterations: Optional[int] = None):
-        if max_iterations is not None and max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if max_iterations is not None and not (
+            isinstance(max_iterations, numbers.Integral) and max_iterations >= 1
+        ):
+            raise ValueError("max_iterations must be an integer >= 1")
         self.params = params
         self.max_iterations = max_iterations
         self.label = self.kind
@@ -180,7 +181,6 @@ class PSO(Algorithm):
     def step(self, state: PsoState, evaluator) -> StepReport:
         p = self.params
         instance = evaluator.instance
-        before = state.best_f
         if state.iterations > 0:
             r1 = state.rng.random(state.x.shape)
             r2 = state.rng.random(state.x.shape)
@@ -202,8 +202,7 @@ class PSO(Algorithm):
             state.best_x = state.pbest_x[i].copy()
         state.iterations += 1
         stop = self.max_iterations is not None and state.iterations >= self.max_iterations
-        new_best = (state.best_x, state.best_f) if state.best_f < before else None
-        return StepReport(evals=p.swarm_size, new_best=new_best, stop=stop)
+        return StepReport(stop=stop)
 
 
 @dataclass
@@ -238,8 +237,10 @@ class StagnationRestart(Algorithm):
     ):
         if plateau_window < 1:
             raise ValueError("plateau_window must be >= 1")
-        if plateau_epsilon < 0:
+        if not plateau_epsilon >= 0:
             raise ValueError("plateau_epsilon must be >= 0")
+        if max_restarts is not None and max_restarts < 0:
+            raise ValueError("max_restarts must be >= 0")
         self.inner = inner
         self.plateau_window = plateau_window
         self.plateau_epsilon = plateau_epsilon
@@ -291,8 +292,7 @@ class StagnationRestart(Algorithm):
                     evaluator.instance, subseed(state.seed, state.restart_count)
                 )
                 state.plateau_count = 0
-        new_best = (state.best_x, state.best_f) if state.best_f < before else None
-        return StepReport(evals=report.evals, new_best=new_best, stop=stop)
+        return StepReport(stop=stop)
 
 
 class SyntheticOverhead(Algorithm):
@@ -306,8 +306,8 @@ class SyntheticOverhead(Algorithm):
     kind = "synthetic-overhead"
 
     def __init__(self, inner: Algorithm, overhead_per_iteration: float):
-        if overhead_per_iteration < 0:
-            raise ValueError("overhead_per_iteration must be >= 0")
+        if not (math.isfinite(overhead_per_iteration) and overhead_per_iteration >= 0):
+            raise ValueError("overhead_per_iteration must be finite and >= 0")
         self.inner = inner
         self.overhead = overhead_per_iteration
         self.label = inner.label
@@ -332,19 +332,6 @@ class SyntheticOverhead(Algorithm):
         return self.inner.step(state, evaluator)
 
 
-def wrap_stagnation_restart(
-    inner: Algorithm,
-    plateau_window: int,
-    plateau_epsilon: float,
-    max_restarts: Optional[int] = None,
-) -> StagnationRestart:
-    return StagnationRestart(inner, plateau_window, plateau_epsilon, max_restarts)
-
-
-def wrap_synthetic_overhead(inner: Algorithm, overhead_per_iteration: float) -> SyntheticOverhead:
-    return SyntheticOverhead(inner, overhead_per_iteration)
-
-
 _KINDS = ("random-search", "pso")
 
 
@@ -354,22 +341,18 @@ def make_optimizer(kind: str, params: Optional[dict] = None, label: Optional[str
     Unknown kinds and unknown parameter keys are errors; defaults are
     materialized so `describe()` echoes the full effective configuration.
     """
-    params = dict(params or {})
-    if kind == "random-search":
-        alg: Algorithm = RandomSearch(max_iterations=params.pop("max_iterations", None))
-    elif kind == "pso":
-        pso_params = PsoParams(
-            swarm_size=params.pop("swarm_size", 40),
-            inertia=params.pop("inertia", 0.7298),
-            cognitive=params.pop("cognitive", 1.49618),
-            social=params.pop("social", 1.49618),
-            velocity_clamp=params.pop("velocity_clamp", 0.5),
-        )
-        alg = PSO(pso_params, max_iterations=params.pop("max_iterations", None))
-    else:
+    if kind not in _KINDS:
         raise KeyError(f"unknown algorithm kind {kind!r}; available: {', '.join(_KINDS)}")
-    if params:
-        raise ValueError(f"unknown parameters for {kind}: {', '.join(sorted(params))}")
+    params = dict(params or {})
+    known = {"max_iterations"} | ({f.name for f in fields(PsoParams)} if kind == "pso" else set())
+    unknown = sorted(set(params) - known)
+    if unknown:
+        raise ValueError(f"unknown parameters for {kind}: {', '.join(unknown)}")
+    max_iterations = params.pop("max_iterations", None)
+    if kind == "pso":
+        alg: Algorithm = PSO(PsoParams(**params), max_iterations=max_iterations)
+    else:
+        alg = RandomSearch(max_iterations=max_iterations)
     if label is not None:
         alg.label = label
     return alg

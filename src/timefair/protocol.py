@@ -25,12 +25,7 @@ import numpy as np
 
 from .clock import ClockSpec, make_clock
 from .core import Budget, RunRecord, TargetSpec, Termination, TrajectoryPoint
-from .optimizers import (
-    Algorithm,
-    make_optimizer,
-    wrap_stagnation_restart,
-    wrap_synthetic_overhead,
-)
+from .optimizers import Algorithm, StagnationRestart, SyntheticOverhead, make_optimizer
 from .problems import ProblemInstance, get_problem
 from .seeds import SEED_SCHEME_ID, derive_seed, subseed  # re-exported; see seeds.py
 
@@ -42,7 +37,6 @@ __all__ = [
     "best_of_restarts",
     "build_algorithm",
     "derive_seed",
-    "restart_count",
     "run_plan",
     "run_time_fair",
     "SEED_SCHEME_ID",
@@ -76,7 +70,7 @@ def build_algorithm(spec: AlgorithmSpec) -> Algorithm:
     wrappers = dict(spec.wrappers)
     stagnation = wrappers.pop("stagnation_restart", None)
     if stagnation is not None:
-        algorithm = wrap_stagnation_restart(
+        algorithm = StagnationRestart(
             algorithm,
             plateau_window=stagnation["plateau_window"],
             plateau_epsilon=stagnation["plateau_epsilon"],
@@ -84,7 +78,7 @@ def build_algorithm(spec: AlgorithmSpec) -> Algorithm:
         )
     overhead = wrappers.pop("synthetic_overhead", None)
     if overhead is not None:
-        algorithm = wrap_synthetic_overhead(algorithm, overhead)
+        algorithm = SyntheticOverhead(algorithm, overhead)
     if wrappers:
         raise PlanError(f"unknown wrappers for {spec.label}: {', '.join(sorted(wrappers))}")
     return algorithm
@@ -159,16 +153,14 @@ class RunEvaluator:
         self.count = 0
         self.n_clamped = 0
         self.best_f = math.inf
-        self.best_x: Optional[np.ndarray] = None
         self.trajectory: list[TrajectoryPoint] = []
 
-    def _account(self, x: np.ndarray, f: float) -> None:
+    def _account(self, f: float) -> None:
         self.count += 1
         if self.clock.is_virtual:
             self.clock.charge(self.cost_per_eval)
         if f < self.best_f:
             self.best_f = f
-            self.best_x = x
             self.trajectory.append(
                 TrajectoryPoint(self.clock.now() - self.origin, self.count, f)
             )
@@ -179,7 +171,7 @@ class RunEvaluator:
         if moved:
             self.n_clamped += 1
         f = self.instance.evaluate(clipped)
-        self._account(clipped, f)
+        self._account(f)
         return f
 
     def evaluate_rows(self, xs: np.ndarray) -> np.ndarray:
@@ -188,8 +180,8 @@ class RunEvaluator:
         moved = clipped != xs
         self.n_clamped += int(np.any(moved, axis=1).sum())
         fs = self.instance.evaluate_rows(clipped)
-        for row, f in zip(clipped, fs):
-            self._account(row, float(f))
+        for f in fs:
+            self._account(float(f))
         return fs
 
     def charge(self, amount: float) -> None:
@@ -307,19 +299,6 @@ def best_of_restarts(records) -> float:
             len(records),
         )
     return best
-
-
-def restart_count(T: float, tau: float) -> int:
-    """Planning helper: how many runs of average duration tau fit into T.
-
-    Diagnostic only; the runner loops on actual measured time rather than
-    an assumed per-run duration.
-    """
-    if T <= 0:
-        raise ValueError("T must be > 0")
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    return int(math.floor(T / tau))
 
 
 def _run_task(args) -> tuple[tuple[str, str], list[RunRecord]]:

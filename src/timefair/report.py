@@ -272,16 +272,6 @@ def emit_median_csv(curves: Mapping[str, MedianCurve], path: Path) -> None:
     _write_csv(path, ("time", "median", "ci_lo", "ci_hi", "solver"), rows)
 
 
-def emit_curves(curves, path: Path) -> None:
-    """Type-dispatching convenience over the three curve emitters."""
-    if isinstance(curves, EcdfCurve):
-        emit_ecdf_csv(curves, path)
-    elif isinstance(curves, Mapping):
-        emit_median_csv(curves, path)
-    else:
-        emit_profile_csv(list(curves), path)
-
-
 def emit_ert_table(rows: Sequence[dict], path: Path) -> None:
     header = ("solver", "instance", "target", "ert", "successes", "runs", "success_rate")
     _write_csv(path, header, [[row[k] for k in header] for row in rows])
@@ -367,12 +357,10 @@ def build_manifest(
     grouped_records: Mapping[tuple[str, str], Sequence[RunRecord]],
     out_dir: Path,
     effective_config: dict,
-    metric_options: Optional[dict] = None,
-    tuning: Optional[dict] = None,
-    parallel: bool = False,
 ) -> dict:
     """Assemble the eight-section reproducibility manifest from a finished
-    (or aborted-with-marker) experiment."""
+    (or aborted-with-marker) experiment; metric options, tuning and the
+    execution mode are read from the effective configuration."""
     out_dir = Path(out_dir)
     T = plan.budget.wall_time_limit
     completed: dict[str, float] = {}
@@ -394,7 +382,8 @@ def build_manifest(
             max_overshoot = max(max_overshoot, used - T)
     max_overshoot = max(0.0, max_overshoot)
 
-    metric_options = metric_options or {}
+    metric_options = effective_config["metrics"]
+    tuning = effective_config["tuning"]
     budget_section = {
         "wall_time_limit_seconds": T,
         "eval_cap": plan.budget.eval_cap,
@@ -440,7 +429,7 @@ def build_manifest(
                     "performance_profile",
                 ],
                 "time_grid": {
-                    "points": metric_options.get("time_grid_points", 64),
+                    "points": metric_options["time_grid_points"],
                     "spacing": "logarithmic from T/1000 to T",
                 },
                 "profile_cost": "ERT per target; all-failed instances excluded",
@@ -451,8 +440,8 @@ def build_manifest(
                 "repetitions": plan.repetitions,
                 "bootstrap": {
                     "method": "percentile",
-                    "samples": metric_options.get("bootstrap_samples", 1000),
-                    "confidence": metric_options.get("confidence", 0.95),
+                    "samples": metric_options["bootstrap_samples"],
+                    "confidence": metric_options["confidence"],
                 },
                 "nonparametric_test": (
                     "two-sided Mann-Whitney U (exact enumeration for pooled n <= 20, "
@@ -461,7 +450,9 @@ def build_manifest(
             },
             "environment": {
                 **probe_environment(plan.clock.is_virtual),
-                "execution": "parallel (virtual clock)" if parallel else "sequential",
+                "execution": (
+                    "parallel (virtual clock)" if effective_config["parallel"] else "sequential"
+                ),
                 "harness_bookkeeping": (
                     "timer covers algorithm iterations only; logging happens "
                     "between runs and is excluded from time_used"

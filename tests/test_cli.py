@@ -1,15 +1,18 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from timefair.cli import (
     ConfigError,
-    DEMO_CONFIG,
     demo_config,
     main,
+    plan_from_config,
     scenario_plan,
     validate_config,
 )
@@ -54,7 +57,7 @@ class TestValidateConfig:
         cfg = demo_config()
         cfg["budget"]["wall_time_limit"] = -1.0
         with pytest.raises(ConfigError, match="wall_time_limit"):
-            validate_config(cfg)
+            plan_from_config(validate_config(cfg))
 
     def test_missing_required_key(self):
         cfg = demo_config()
@@ -72,13 +75,34 @@ class TestValidateConfig:
         cfg = demo_config()
         cfg["clock"] = {"mode": "real", "cost_per_eval": 0.1}
         with pytest.raises(ConfigError, match="virtual"):
-            validate_config(cfg)
+            plan_from_config(validate_config(cfg))
 
     def test_unsafe_label_rejected(self):
         cfg = demo_config()
         cfg["algorithms"][0]["label"] = "../evil"
         with pytest.raises(ConfigError, match="label"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda c: c["clock"].update(cost_per_eval=math.nan), "cost_per_eval"),
+            (lambda c: c["clock"].update(cost_per_eval=math.inf), "cost_per_eval"),
+            (lambda c: c["clock"].update(iteration_overhead={"pso": math.nan}), "overhead"),
+            (lambda c: c["algorithms"][1]["wrappers"].update(synthetic_overhead=math.inf), "overhead"),
+            (lambda c: c["targets"].update(values=[math.inf, 5.0]), "target values"),
+            (lambda c: c["targets"].update(values=[100.0, math.nan]), "target values"),
+            (lambda c: c.update(tuning={"method": "grid", "seconds": {"pso": math.nan}}), "tuning.seconds"),
+            (lambda c: c["algorithms"][2]["params"].update(max_iterations=math.nan), "max_iterations"),
+        ],
+        ids=["nan-cost", "inf-cost", "nan-iteration-overhead", "inf-synthetic-overhead",
+             "inf-target", "nan-target", "nan-tuning-seconds", "nan-max-iterations"],
+    )
+    def test_non_finite_numbers_rejected(self, mutate, field):
+        cfg = demo_config()
+        mutate(cfg)
+        with pytest.raises(ConfigError, match=field):
+            plan_from_config(validate_config(cfg))
 
 
 class TestCmdRun:
@@ -128,6 +152,33 @@ class TestCmdRun:
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda c: c["algorithms"][0].update(wrappers=[1, 2]), "algorithms[0].wrappers"),
+            (lambda c: c.update(instances=[5]), "instances"),
+            (
+                lambda c: c["algorithms"].__setitem__(
+                    0, {"label": "pso", "kind": "pso", "params": {"swarm_size": "40"}}
+                ),
+                "params.swarm_size",
+            ),
+            (
+                lambda c: c["algorithms"][0].update(
+                    wrappers={"stagnation_restart": {"plateau_window": "3", "plateau_epsilon": 0.1}}
+                ),
+                "plateau_window",
+            ),
+            (lambda c: c.update(output_dir=5), "output_dir"),
+        ],
+        ids=["wrappers-list", "instance-int", "swarm-size-string", "plateau-window-string",
+             "output-dir-int"],
+    )
+    def test_malformed_values_exit_2_naming_field(self, tmp_path, capsys, mutate, field):
+        path, _ = write_config(tmp_path, mutate=mutate)
+        assert main(["run", "--config", str(path)]) == 2
+        assert field in capsys.readouterr().err
 
     def test_parallel_requires_virtual(self, tmp_path, capsys):
         def make_real(cfg):
@@ -214,6 +265,8 @@ class TestCmdAnalyze:
     def test_bad_amortize_syntax_exits_2(self, experiment):
         out, _ = experiment
         assert main(["analyze", str(out), "--amortize", "rs-a"]) == 2
+        assert main(["analyze", str(out), "--amortize", "rs-a=nan"]) == 2
+        assert main(["analyze", str(out), "--amortize", "rs-a=inf"]) == 2
 
     def test_missing_directory_is_runtime_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "void")]) == 1
@@ -284,7 +337,38 @@ class TestScenarioProfiles:
                 assert base.rho_at(tau) >= heavy.rho_at(tau)
 
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+DEMO_PATH = REPO_ROOT / "configs" / "demo.json"
+
+
 def test_demo_config_constant_is_not_mutated():
+    # the demo is defined once, in configs/demo.json; every call parses a
+    # fresh copy that callers may mutate freely
+    on_disk = json.loads(DEMO_PATH.read_text(encoding="utf-8"))
     cfg = demo_config()
+    assert cfg == on_disk
     cfg["budget"]["wall_time_limit"] = -5
-    assert DEMO_CONFIG["budget"]["wall_time_limit"] == 50.0
+    assert demo_config() == on_disk
+
+
+def test_scenario_plan_is_the_demos_pso_arms():
+    demo = plan_from_config(validate_config(demo_config()))
+    plan = scenario_plan(repetitions=7)
+    assert plan.algorithms == tuple(a for a in demo.algorithms if a.kind == "pso")
+    assert [a.label for a in plan.algorithms] == ["pso", "pso-heavy"]
+    assert plan.repetitions == 7
+    for name in ("instances", "budget", "targets", "master_seed", "clock"):
+        assert getattr(plan, name) == getattr(demo, name)
+
+
+def test_run_demo_script_passes(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "run_demo.py"), str(tmp_path / "demo-out")],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "checklist verdict: PASS" in proc.stdout

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from timefair.clock import ClockUsageError, RealClock, VirtualClock
-from timefair.optimizers import (
-    PsoParams,
-    make_optimizer,
-    wrap_stagnation_restart,
-    wrap_synthetic_overhead,
-)
+from timefair.optimizers import PsoParams, StagnationRestart, SyntheticOverhead, make_optimizer
 from timefair.problems import ProblemInstance, get_problem
 from timefair.protocol import RunEvaluator
 
@@ -26,6 +21,17 @@ def drive(algorithm, evaluator, seed, steps):
     state = algorithm.init(evaluator.instance, seed)
     reports = [algorithm.step(state, evaluator) for _ in range(steps)]
     return state, reports
+
+
+def eval_deltas(algorithm, evaluator, seed, steps):
+    """Evaluations each step made, read off the evaluator's counter."""
+    state = algorithm.init(evaluator.instance, seed)
+    deltas = []
+    for _ in range(steps):
+        before = evaluator.count
+        algorithm.step(state, evaluator)
+        deltas.append(evaluator.count - before)
+    return deltas
 
 
 class TestInit:
@@ -44,6 +50,8 @@ class TestInit:
     def test_degenerate_swarm_rejected(self):
         with pytest.raises(ValueError):
             make_optimizer("pso", {"swarm_size": 1})
+        with pytest.raises(ValueError, match="integer"):
+            make_optimizer("pso", {"swarm_size": 40.5})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(KeyError):
@@ -63,14 +71,12 @@ class TestInit:
 class TestStep:
     def test_random_search_costs_one_eval(self):
         ev = make_evaluator()
-        _, reports = drive(make_optimizer("random-search"), ev, 1, 5)
-        assert all(r.evals == 1 for r in reports)
+        assert eval_deltas(make_optimizer("random-search"), ev, 1, 5) == [1] * 5
         assert ev.count == 5
 
     def test_pso_costs_one_eval_per_particle(self):
         ev = make_evaluator()
-        _, reports = drive(make_optimizer("pso"), ev, 1, 3)
-        assert all(r.evals == 40 for r in reports)
+        assert eval_deltas(make_optimizer("pso"), ev, 1, 3) == [40] * 3
         assert ev.count == 120
 
     def test_same_seed_gives_identical_step_sequences(self):
@@ -98,9 +104,9 @@ class TestStep:
         assert [r.stop for r in reports] == [False, False, False, True]
 
     def test_fe_accounting_matches_counter(self):
-        ev = make_evaluator()
-        _, reports = drive(make_optimizer("pso", {"swarm_size": 6}), ev, 5, 7)
-        assert sum(r.evals for r in reports) == ev.count
+        # the runner's budget projection relies on the declared per-step count
+        algorithm = make_optimizer("pso", {"swarm_size": 6})
+        assert eval_deltas(algorithm, make_evaluator(), 5, 7) == [algorithm.evals_per_step] * 7
 
 
 FLAT = ProblemInstance(
@@ -153,10 +159,9 @@ class TestStagnationRestart:
                 state.iterations += 1
                 if f < state.best_f:
                     state.best_x, state.best_f = x, f
-                    return StepReport(evals=1, new_best=(x, f))
-                return StepReport(evals=1)
+                return StepReport()
 
-        wrapped = wrap_stagnation_restart(Shrink(), plateau_window=2, plateau_epsilon=1e-12)
+        wrapped = StagnationRestart(Shrink(), plateau_window=2, plateau_epsilon=1e-12)
         ev = make_evaluator()
         state = wrapped.init(SPHERE, 1)
         for _ in range(12):
@@ -164,7 +169,7 @@ class TestStagnationRestart:
         assert state.restart_count == 0
 
     def test_restart_triggers_exactly_after_window_plateau_steps(self):
-        wrapped = wrap_stagnation_restart(
+        wrapped = StagnationRestart(
             make_optimizer("random-search"), plateau_window=3, plateau_epsilon=1e-9
         )
         ev = make_evaluator(FLAT)
@@ -177,7 +182,7 @@ class TestStagnationRestart:
         assert restart_at == [0, 0, 0, 1, 1, 1, 2, 2]
 
     def test_global_best_survives_restarts(self):
-        wrapped = wrap_stagnation_restart(
+        wrapped = StagnationRestart(
             make_optimizer("pso", {"swarm_size": 4}), plateau_window=2, plateau_epsilon=10.0
         )
         ev = make_evaluator()
@@ -190,7 +195,7 @@ class TestStagnationRestart:
         assert all(b2 <= b1 for b1, b2 in zip(bests, bests[1:]))
 
     def test_retry_budget_exhaustion_stops(self):
-        wrapped = wrap_stagnation_restart(
+        wrapped = StagnationRestart(
             make_optimizer("random-search"), plateau_window=1, plateau_epsilon=1e-9, max_restarts=2
         )
         ev = make_evaluator(FLAT)
@@ -201,6 +206,10 @@ class TestStagnationRestart:
                 stopped = True
                 break
         assert stopped and state.restart_count == 2
+
+    def test_negative_max_restarts_rejected(self):
+        with pytest.raises(ValueError, match="max_restarts"):
+            StagnationRestart(make_optimizer("random-search"), 2, 0.1, max_restarts=-1)
 
     def test_restarts_help_on_bimodal_fixture(self):
         # Monte-Carlo comparison, 50 seeds: the wrapped variant's median
@@ -215,7 +224,7 @@ class TestStagnationRestart:
         plain_finals = [final(make_optimizer("pso", {"swarm_size": 8}), s) for s in range(50)]
         wrapped_finals = [
             final(
-                wrap_stagnation_restart(
+                StagnationRestart(
                     make_optimizer("pso", {"swarm_size": 8}), plateau_window=5, plateau_epsilon=1e-2
                 ),
                 s,
@@ -229,7 +238,7 @@ class TestSyntheticOverhead:
     def test_zero_overhead_is_identity(self):
         ev_plain, ev_wrapped = make_evaluator(), make_evaluator()
         plain = make_optimizer("pso", {"swarm_size": 5})
-        wrapped = wrap_synthetic_overhead(make_optimizer("pso", {"swarm_size": 5}), 0.0)
+        wrapped = SyntheticOverhead(make_optimizer("pso", {"swarm_size": 5}), 0.0)
         state_p, _ = drive(plain, ev_plain, 11, 8)
         state_w, _ = drive(wrapped, ev_wrapped, 11, 8)
         assert state_p.best_f == state_w.best_f
@@ -237,8 +246,8 @@ class TestSyntheticOverhead:
 
     def test_overhead_charges_clock_per_iteration(self):
         ev_a, ev_b = make_evaluator(cost_per_eval=0.25), make_evaluator(cost_per_eval=0.25)
-        base = wrap_synthetic_overhead(make_optimizer("random-search"), 1.0)
-        heavier = wrap_synthetic_overhead(make_optimizer("random-search"), 2.0)
+        base = SyntheticOverhead(make_optimizer("random-search"), 1.0)
+        heavier = SyntheticOverhead(make_optimizer("random-search"), 2.0)
         drive(base, ev_a, 2, 4)
         drive(heavier, ev_b, 2, 4)
         assert ev_a.clock.now() == 4 * (1.0 + 0.25)
@@ -248,11 +257,11 @@ class TestSyntheticOverhead:
     def test_search_behavior_is_unchanged(self):
         ev_a, ev_b = make_evaluator(), make_evaluator()
         state_a, _ = drive(make_optimizer("random-search"), ev_a, 3, 10)
-        state_b, _ = drive(wrap_synthetic_overhead(make_optimizer("random-search"), 5.0), ev_b, 3, 10)
+        state_b, _ = drive(SyntheticOverhead(make_optimizer("random-search"), 5.0), ev_b, 3, 10)
         assert state_a.best_f == state_b.best_f
 
     def test_real_clock_rejected(self):
-        wrapped = wrap_synthetic_overhead(make_optimizer("random-search"), 0.5)
+        wrapped = SyntheticOverhead(make_optimizer("random-search"), 0.5)
         ev = make_evaluator(real=True)
         state = wrapped.init(SPHERE, 1)
         with pytest.raises(ClockUsageError):
@@ -260,7 +269,7 @@ class TestSyntheticOverhead:
 
     def test_negative_overhead_rejected(self):
         with pytest.raises(ValueError):
-            wrap_synthetic_overhead(make_optimizer("random-search"), -0.1)
+            SyntheticOverhead(make_optimizer("random-search"), -0.1)
 
 
 def test_describe_echoes_effective_parameters():
@@ -268,8 +277,8 @@ def test_describe_echoes_effective_parameters():
     assert desc["swarm_size"] == 12
     assert desc["inertia"] == 0.7298
     assert desc["max_iterations"] == 9
-    wrapped = wrap_synthetic_overhead(
-        wrap_stagnation_restart(make_optimizer("pso"), 4, 0.5), 1.25
+    wrapped = SyntheticOverhead(
+        StagnationRestart(make_optimizer("pso"), 4, 0.5), 1.25
     )
     desc = wrapped.describe()
     assert desc["synthetic_overhead_per_iteration"] == 1.25

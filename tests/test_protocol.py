@@ -11,7 +11,6 @@ from timefair.protocol import (
     PlanError,
     best_of_restarts,
     derive_seed,
-    restart_count,
     run_plan,
     run_time_fair,
 )
@@ -60,22 +59,6 @@ class TestDeriveSeed:
             for run in range(1000)
         }
         assert len(seeds) == 100_000
-
-
-class TestRestartCount:
-    def test_paper_scenario(self):
-        assert restart_count(50.0, 10.0) == 5
-
-    def test_boundary(self):
-        assert restart_count(50.0, 50.0) == 1
-
-    def test_floor_below_one(self):
-        assert restart_count(9.99, 10.0) == 0
-
-    @pytest.mark.parametrize("T,tau", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
-    def test_nonpositive_inputs_rejected(self, T, tau):
-        with pytest.raises(ValueError):
-            restart_count(T, tau)
 
 
 class TestRunTimeFair:

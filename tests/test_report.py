@@ -22,7 +22,6 @@ from timefair.report import (
     audit_manifest,
     build_manifest,
     config_hash,
-    emit_curves,
     emit_ecdf_csv,
     emit_ert_table,
     emit_median_csv,
@@ -205,21 +204,9 @@ class TestCurveEmission:
             {"sphere-d2": (40.0,), "rastrigin-d5": (40.0,)},
             default_time_grid(3.0),
         )
-        emit_curves(curve, tmp_path / "a.csv")
-        emit_curves(curve, tmp_path / "b.csv")
+        emit_ecdf_csv(curve, tmp_path / "a.csv")
+        emit_ecdf_csv(curve, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-    def test_emit_curves_dispatches_on_type(self, rng, tmp_path):
-        profile = performance_profile(CostMatrix(("A",), ("p1",), ((2.0,),)))
-        emit_curves(profile, tmp_path / "profile.csv")
-        assert read_csv(tmp_path / "profile.csv")[0] == ["tau", "rho", "solver"]
-        med = median_trajectory(
-            [random_record(rng, allow_empty=False) for _ in range(4)],
-            [1.0, 2.0],
-            bootstrap_samples=100,
-        )
-        emit_curves({"alg": med}, tmp_path / "median.csv")
-        assert read_csv(tmp_path / "median.csv")[0] == ["time", "median", "ci_lo", "ci_hi", "solver"]
 
     def test_ert_table_header(self, tmp_path):
         emit_ert_table(
@@ -241,7 +228,7 @@ class TestCurveEmission:
         assert rows[0][3] == "inf" and float(rows[0][3]) == math.inf
 
 
-def _tiny_experiment(tmp_path):
+def _tiny_experiment(tmp_path, **extra):
     from timefair.cli import plan_from_config, validate_config
     from timefair.protocol import run_plan
 
@@ -255,6 +242,7 @@ def _tiny_experiment(tmp_path):
             "clock": {"mode": "virtual", "cost_per_eval": 0.015625},
             "algorithms": [{"label": "rs", "kind": "random-search", "params": {"max_iterations": 8}}],
             "instances": ["sphere-d2"],
+            **extra,
         }
     )
     plan = plan_from_config(config)
@@ -270,7 +258,7 @@ def _tiny_experiment(tmp_path):
 class TestManifest:
     def test_virtual_fixture_passes_completeness(self, tmp_path):
         plan, grouped, out_dir, config = _tiny_experiment(tmp_path)
-        manifest = build_manifest(plan, grouped, out_dir, config, metric_options=config["metrics"])
+        manifest = build_manifest(plan, grouped, out_dir, config)
         assert manifest["checklist"]["environment"]["timer"] == "virtual"
         items = audit_manifest(manifest, out_dir)
         assert all(item.status != "FAIL" for item in items)
@@ -289,9 +277,10 @@ class TestManifest:
         assert avg == expected
 
     def test_tuning_section_is_echoed(self, tmp_path):
-        plan, grouped, out_dir, config = _tiny_experiment(tmp_path)
         tuning = {"method": "grid search", "seconds": {"rs": 12.0}, "amortization": "uniform"}
-        manifest = build_manifest(plan, grouped, out_dir, config, tuning=tuning)
+        plan, grouped, out_dir, config = _tiny_experiment(tmp_path, tuning=tuning)
+        manifest = build_manifest(plan, grouped, out_dir, config)
+        assert manifest["checklist"]["tuning"] == tuning
         items = audit_manifest(manifest, out_dir)
         assert [i.status for i in items if i.number == 7] == ["PASS"]
         assert manifest_verdict(items) == "PASS"
