@@ -9,7 +9,7 @@ experiments replayable bit for bit.
 
 __version__ = "0.1.0"
 
-from .clock import ClockSpec, ClockUsageError, RealClock, VirtualClock, make_clock
+from .clock import CLOCK_SCHEME_ID, ClockSpec, RealClock, VirtualClock
 from .core import (
     Budget,
     CostMatrix,

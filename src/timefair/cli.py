@@ -271,10 +271,6 @@ def demo_config() -> dict:
 # run
 # ---------------------------------------------------------------------------
 
-def _run_log_path(out_dir: Path, label: str, instance_id: str) -> Path:
-    return out_dir / "runs" / label / f"{instance_id}.jsonl"
-
-
 def cmd_run(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -307,7 +303,7 @@ def cmd_run(args) -> int:
         params_echo = build_algorithm(spec).describe()
         for instance_id in plan.instances:
             records = grouped[(spec.label, instance_id)]
-            report.write_run_log(records, _run_log_path(out_dir, spec.label, instance_id), params=params_echo)
+            report.write_run_log(records, report.run_log_path(out_dir, spec.label, instance_id), params=params_echo)
     with open(out_dir / report.EFFECTIVE_CONFIG_NAME, "w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -361,7 +357,7 @@ def cmd_analyze(args) -> int:
     total_issues = []
     for label in labels:
         for instance_id in instances:
-            path = _run_log_path(out_dir, label, instance_id)
+            path = report.run_log_path(out_dir, label, instance_id)
             if not path.exists():
                 raise FileNotFoundError(f"missing run log {path}")
             parsed = report.parse_run_log(path, strict=args.strict_logs)

@@ -1,9 +1,12 @@
 """Timing sources: a real monotonic clock and a deterministic virtual clock.
 
-The virtual clock only advances when computation costs are charged to it,
-so identical operation sequences produce bit-identical timestamps. That is
-what makes time-budgeted experiments replayable: a "50 s" virtual run costs
-exactly the same 50.0 on every machine.
+Virtual elapsed time is a closed-form function of a run's counts,
+``evals * cost_per_eval + iterations * step_overhead``, so identical
+counts produce bit-identical timestamps. That is what makes time-budgeted
+experiments replayable: a "50 s" virtual run costs exactly the same 50.0
+on every machine. The runner's "does the next iteration fit in T" check
+and the evaluator's timestamps evaluate the same `VirtualClock.at`, so the
+projection of an iteration equals the time stamped after it.
 """
 
 from __future__ import annotations
@@ -13,19 +16,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-
-class ClockUsageError(RuntimeError):
-    """Raised when a virtual-only operation is applied to a real clock."""
+# Recorded in the manifest, so that a replay knows how virtual time was derived.
+CLOCK_SCHEME_ID = "evals*cost_per_eval+iterations*step_overhead/v1"
 
 
 @dataclass(frozen=True)
 class ClockSpec:
     """Clock configuration for an experiment plan.
 
-    In virtual mode every function evaluation charges `cost_per_eval`
-    seconds and every iteration of algorithm `a` additionally charges
-    `iteration_overhead[a]` seconds; wrappers may add explicit charges on
-    top. Elapsed virtual time is exactly the sum of those charges.
+    In virtual mode every function evaluation costs `cost_per_eval`
+    seconds and every iteration of algorithm `a` costs
+    `iteration_overhead[a]` seconds plus the algorithm's own
+    `step_overhead` (the synthetic-overhead wrapper).
     """
 
     mode: str = "real"
@@ -49,33 +51,27 @@ class ClockSpec:
 
 
 class RealClock:
-    """Monotonic wall-clock source (perf_counter, never wall-calendar)."""
+    """Monotonic wall-clock time (perf_counter, never wall-calendar) since
+    the clock was made; one clock per run."""
 
-    is_virtual = False
+    def __init__(self) -> None:
+        self.origin = self.now()
 
     def now(self) -> float:
         return time.perf_counter()
 
-    def charge(self, amount: float) -> None:
-        raise ClockUsageError("cannot charge synthetic time to a real clock")
+    def at(self, evals: int, iterations: int) -> float:
+        """Seconds since the run started; measured, so the counts play no part."""
+        return self.now() - self.origin
 
 
+@dataclass(frozen=True)
 class VirtualClock:
-    """Deterministic clock that advances only via explicit charges."""
+    """Elapsed time of a run derived from its counts: each evaluation costs
+    `cost_per_eval`, each iteration `step_overhead`, charged as it starts."""
 
-    is_virtual = True
+    cost_per_eval: float
+    step_overhead: float
 
-    def __init__(self) -> None:
-        self._now = 0.0
-
-    def now(self) -> float:
-        return self._now
-
-    def charge(self, amount: float) -> None:
-        if amount < 0:
-            raise ValueError("cannot charge negative time")
-        self._now += amount
-
-
-def make_clock(spec: ClockSpec):
-    return VirtualClock() if spec.is_virtual else RealClock()
+    def at(self, evals: int, iterations: int) -> float:
+        return evals * self.cost_per_eval + iterations * self.step_overhead

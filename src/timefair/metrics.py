@@ -24,6 +24,7 @@ DEFAULT_RELATIVE_LADDER = (10.0, 1.0, 0.1, 0.01, 0.001)
 DEFAULT_GRID_POINTS = 64
 DEFAULT_BOOTSTRAP_SAMPLES = 1000
 DEFAULT_CONFIDENCE = 0.95
+_BOOTSTRAP_CHUNK = 2**16  # resampled values held at once by median_trajectory
 
 
 def default_time_grid(T: float, points: int = DEFAULT_GRID_POINTS) -> tuple[float, ...]:
@@ -172,7 +173,14 @@ def median_trajectory(
     med = np.median(values, axis=0)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(records), size=(bootstrap_samples, len(records)))
-    boot_medians = np.median(values[idx], axis=1)  # (B, grid)
+    # Resample only the grid columns that differ from the one before them (the
+    # rest repeat its medians), a chunk of _BOOTSTRAP_CHUNK values at a time:
+    # memory O(B·R), not O(B·R·grid), and few median calls when B·R is small.
+    new = np.concatenate(([True], np.any(values[:, 1:] != values[:, :-1], axis=0)))
+    distinct = values[:, new]
+    width = max(1, _BOOTSTRAP_CHUNK // idx.size)
+    chunks = [np.median(distinct[:, j : j + width][idx], axis=1) for j in range(0, new.sum(), width)]
+    boot_medians = np.concatenate(chunks, axis=1)[:, np.cumsum(new) - 1]
     alpha = (1.0 - confidence) / 2.0
     lo = np.quantile(boot_medians, alpha, axis=0, method="lower")
     hi = np.quantile(boot_medians, 1.0 - alpha, axis=0, method="higher")

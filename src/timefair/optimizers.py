@@ -3,10 +3,10 @@
 The protocol drives every algorithm through the same loop: ``init`` builds
 a state without consuming evaluations, ``step`` performs exactly one
 iteration through the run's counting evaluator. Budget checks happen
-between steps, so per-step evaluation counts are declared up front
-(`evals_per_step`) and synthetic per-step charges are enumerable
-(`step_charges`), which lets the virtual-mode runner predict whether the
-next step still fits the budget.
+between steps, so each algorithm declares its evaluations per step
+(`evals_per_step`) and its synthetic per-step cost (`step_overhead`),
+which lets the virtual-mode runner predict whether the next step still
+fits the budget.
 """
 
 from __future__ import annotations
@@ -56,10 +56,7 @@ class Algorithm:
     kind: str = ""
     label: str = ""
     evals_per_step: int = 1
-
-    def step_charges(self) -> list[float]:
-        """Explicit per-step clock charges, outermost wrapper first."""
-        return []
+    step_overhead: float = 0.0  # synthetic virtual seconds per iteration
 
     def describe(self) -> dict:
         """Effective parameters, echoed into run headers and the manifest."""
@@ -246,13 +243,8 @@ class StagnationRestart(Algorithm):
         self.plateau_epsilon = plateau_epsilon
         self.max_restarts = max_restarts
         self.label = inner.label
-
-    @property
-    def evals_per_step(self) -> int:
-        return self.inner.evals_per_step
-
-    def step_charges(self) -> list[float]:
-        return self.inner.step_charges()
+        self.evals_per_step = inner.evals_per_step
+        self.step_overhead = inner.step_overhead
 
     def describe(self) -> dict:
         desc = self.inner.describe()
@@ -296,11 +288,11 @@ class StagnationRestart(Algorithm):
 
 
 class SyntheticOverhead(Algorithm):
-    """Charge a fixed per-iteration cost on top of the inner algorithm.
+    """Add a fixed per-iteration cost to the inner algorithm's step_overhead.
 
     Emulates an expensive variant (surrogate fits, heavy bookkeeping)
-    without changing search behavior. Only meaningful under a virtual
-    clock; charging a real clock raises.
+    without changing search behavior. The virtual clock charges it; plans
+    on the real clock reject it.
     """
 
     kind = "synthetic-overhead"
@@ -311,13 +303,8 @@ class SyntheticOverhead(Algorithm):
         self.inner = inner
         self.overhead = overhead_per_iteration
         self.label = inner.label
-
-    @property
-    def evals_per_step(self) -> int:
-        return self.inner.evals_per_step
-
-    def step_charges(self) -> list[float]:
-        return [self.overhead] + self.inner.step_charges()
+        self.evals_per_step = inner.evals_per_step
+        self.step_overhead = overhead_per_iteration + inner.step_overhead
 
     def describe(self) -> dict:
         desc = self.inner.describe()
@@ -328,7 +315,6 @@ class SyntheticOverhead(Algorithm):
         return self.inner.init(instance, seed)
 
     def step(self, state, evaluator) -> StepReport:
-        evaluator.charge(self.overhead)
         return self.inner.step(state, evaluator)
 
 

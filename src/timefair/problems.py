@@ -60,11 +60,6 @@ class ProblemInstance:
             )
         return self.rows_fn(xs)
 
-    def clamp(self, x: Array) -> tuple[Array, bool]:
-        """Clamp a point into bounds; the flag reports whether anything moved."""
-        clipped = np.clip(x, self.lower, self.upper)
-        return clipped, bool(np.any(clipped != x))
-
     def uniform(self, rng: np.random.Generator, n: int | None = None) -> Array:
         """Uniform in-bounds sample(s)."""
         size = (self.dimension,) if n is None else (n, self.dimension)

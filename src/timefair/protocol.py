@@ -6,11 +6,12 @@ time budget T is spent. A run ends when the hardest target is reached,
 when the algorithm declares it is done, or when the budget cuts it off;
 the final run is truncated at the boundary rather than skipped.
 
-Budget checks happen between iterations. In virtual mode the cost of the
-next iteration is known in advance (declared eval counts and charges), so
-the runner never starts an iteration that would overrun T and the
-aggregate time never exceeds T. In real mode overshoot is bounded by one
-iteration and is reported in the manifest.
+Budget checks happen between iterations. In virtual mode a run's elapsed
+time is `VirtualClock.at(evals, iterations)` and each algorithm declares
+its evaluations per iteration, so the runner projects the next iteration
+with the same expression that stamps it, never starts an iteration that
+would overrun T, and the aggregate time never exceeds T. In real mode
+overshoot is bounded by one iteration and is reported in the manifest.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clock import ClockSpec, make_clock
+from .clock import ClockSpec, RealClock, VirtualClock
 from .core import Budget, RunRecord, TargetSpec, Termination, TrajectoryPoint
 from .optimizers import Algorithm, StagnationRestart, SyntheticOverhead, make_optimizer
 from .problems import ProblemInstance, get_problem
@@ -112,23 +113,14 @@ class ExperimentPlan:
                 self.targets.resolve(instance.f_opt)
         for spec in self.algorithms:
             algorithm = build_algorithm(spec)  # raises for unknown kinds/params
-            self._check_step_cost(algorithm)
-
-    def _check_step_cost(self, algorithm: Algorithm) -> None:
-        if not self.clock.is_virtual:
-            if algorithm.step_charges():
+            if not self.clock.is_virtual and "synthetic_overhead" in spec.wrappers:
+                raise PlanError(f"{spec.label}: synthetic overhead requires the virtual clock")
+            step_cost = _virtual_clock(self, algorithm).at(algorithm.evals_per_step, 1)
+            if self.clock.is_virtual and step_cost <= 0 and self.budget.eval_cap is None:
                 raise PlanError(
-                    f"{algorithm.label}: synthetic overhead requires the virtual clock"
+                    f"{spec.label}: virtual step cost is zero and no eval_cap is set; "
+                    "the time budget could never be exhausted"
                 )
-            return
-        cost = self.clock.iteration_overhead.get(algorithm.label, 0.0)
-        cost += sum(algorithm.step_charges())
-        cost += algorithm.evals_per_step * self.clock.cost_per_eval
-        if cost <= 0 and self.budget.eval_cap is None:
-            raise PlanError(
-                f"{algorithm.label}: virtual step cost is zero and no eval_cap is set; "
-                "the time budget could never be exhausted"
-            )
 
     def algorithm_spec(self, label: str) -> AlgorithmSpec:
         for spec in self.algorithms:
@@ -137,62 +129,59 @@ class ExperimentPlan:
         raise KeyError(f"no algorithm labelled {label!r} in plan")
 
 
+def _virtual_clock(plan: ExperimentPlan, algorithm: Algorithm) -> VirtualClock:
+    """The clock of `algorithm`'s virtual runs; its one per-iteration
+    overhead joins the clock config's and the wrappers'."""
+    overhead = plan.clock.iteration_overhead.get(algorithm.label, 0.0) + algorithm.step_overhead
+    return VirtualClock(plan.clock.cost_per_eval, overhead)
+
+
 class RunEvaluator:
     """Counting wrapper around one run's objective evaluations.
 
-    Clamps out-of-bounds queries (flagged), counts FEs, charges the
-    virtual per-evaluation cost, and records best-so-far improvement
-    events with their timestamps.
+    Clamps out-of-bounds queries (counted in `n_clamped`), counts FEs, and
+    records best-so-far improvement events. The runner counts the
+    iterations. A virtual row is stamped `clock.at` its own count; a real
+    call reads the clock once, after evaluating, for all its improvements.
     """
 
-    def __init__(self, instance: ProblemInstance, clock, cost_per_eval: float, origin: float):
+    def __init__(self, instance: ProblemInstance, clock):
         self.instance = instance
         self.clock = clock
-        self.cost_per_eval = cost_per_eval
-        self.origin = origin
         self.count = 0
+        self.iterations = 0
         self.n_clamped = 0
         self.best_f = math.inf
         self.trajectory: list[TrajectoryPoint] = []
 
-    def _account(self, f: float) -> None:
-        self.count += 1
-        if self.clock.is_virtual:
-            self.clock.charge(self.cost_per_eval)
-        if f < self.best_f:
-            self.best_f = f
-            self.trajectory.append(
-                TrajectoryPoint(self.clock.now() - self.origin, self.count, f)
-            )
+    def elapsed(self) -> float:
+        return self.clock.at(self.count, self.iterations)
 
     def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        clipped, moved = self.instance.clamp(x)
-        if moved:
-            self.n_clamped += 1
-        f = self.instance.evaluate(clipped)
-        self._account(f)
-        return f
+        return float(self._evaluate(np.asarray(x, dtype=float)[None, :])[0])
 
     def evaluate_rows(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+        return self._evaluate(np.asarray(xs, dtype=float))
+
+    def _evaluate(self, xs: np.ndarray) -> np.ndarray:
         clipped = np.clip(xs, self.instance.lower, self.instance.upper)
-        moved = clipped != xs
-        self.n_clamped += int(np.any(moved, axis=1).sum())
+        self.n_clamped += int(np.count_nonzero((clipped != xs).any(axis=1)))
         fs = self.instance.evaluate_rows(clipped)
-        for f in fs:
-            self._account(float(f))
+        first = self.count
+        self.count += len(fs)
+        if len(fs) == 1:
+            improving = (0,) if fs[0] < self.best_f else ()
+        else:
+            # row i improves on the best of everything before it (fmin skips NaN)
+            before = np.fmin.accumulate(np.concatenate(([self.best_f], fs[:-1])))
+            improving = np.flatnonzero(fs < before)
+        now = self.elapsed() if len(improving) and isinstance(self.clock, RealClock) else None
+        for i in improving:
+            count = first + int(i) + 1
+            self.best_f = float(fs[i])
+            elapsed = self.clock.at(count, self.iterations) if now is None else now
+            self.trajectory.append(TrajectoryPoint(elapsed, count, self.best_f))
         return fs
-
-    def charge(self, amount: float) -> None:
-        self.clock.charge(amount)
-
-
-def _step_charge_plan(plan: ExperimentPlan, algorithm: Algorithm) -> list[float]:
-    """Charges applied at the start of each iteration, in execution order."""
-    if not plan.clock.is_virtual:
-        return []
-    return [plan.clock.iteration_overhead.get(algorithm.label, 0.0)] + algorithm.step_charges()
 
 
 def run_time_fair(
@@ -214,8 +203,6 @@ def run_time_fair(
     eval_cap = plan.budget.eval_cap
     hardest = plan.targets.hardest(instance.f_opt) if plan.targets is not None else None
     virtual = plan.clock.is_virtual
-    cost_per_eval = plan.clock.cost_per_eval if virtual else 0.0
-    fixed_charges = _step_charge_plan(plan, algorithm)
     evals_per_step = algorithm.evals_per_step
 
     records: list[RunRecord] = []
@@ -226,40 +213,32 @@ def run_time_fair(
         seed = derive_seed(
             plan.master_seed, algorithm_label, instance_id, repetition_index, run_index
         )
-        run_clock = make_clock(plan.clock)
-        origin = run_clock.now()
-        evaluator = RunEvaluator(instance, run_clock, cost_per_eval, origin)
+        clock = _virtual_clock(plan, algorithm) if virtual else RealClock()
+        evaluator = RunEvaluator(instance, clock)
         state = algorithm.init(instance, seed)
         termination = Termination.BUDGET_EXHAUSTED
         max_step = 0.0
         while True:
-            elapsed = run_clock.now() - origin
+            elapsed = evaluator.elapsed()
             if total_used + elapsed >= T:
                 break
             if eval_cap is not None and total_evals + evaluator.count + evals_per_step > eval_cap:
                 break
-            if virtual:
-                # Fold the exact charge sequence the step would apply, so the
-                # projection matches the post-step clock bit for bit.
-                projected = run_clock.now()
-                for charge in fixed_charges:
-                    projected += charge
-                for _ in range(evals_per_step):
-                    projected += cost_per_eval
-                if total_used + (projected - origin) > T:
-                    break
-            step_start = run_clock.now()
-            if fixed_charges:
-                evaluator.charge(fixed_charges[0])
+            # the projection is the stamp the step will end on, bit for bit
+            if virtual and total_used + clock.at(
+                evaluator.count + evals_per_step, evaluator.iterations + 1
+            ) > T:
+                break
+            evaluator.iterations += 1
             report = algorithm.step(state, evaluator)
-            max_step = max(max_step, run_clock.now() - step_start)
+            max_step = max(max_step, evaluator.elapsed() - elapsed)
             if hardest is not None and state.best_f <= hardest:
                 termination = Termination.TARGET_REACHED
                 break
             if report.stop:
                 termination = Termination.INTERNAL_STOP
                 break
-        elapsed = run_clock.now() - origin
+        elapsed = evaluator.elapsed()
         records.append(
             RunRecord(
                 algorithm_id=algorithm_label,

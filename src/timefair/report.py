@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import __version__
+from .clock import CLOCK_SCHEME_ID
 from .core import RunRecord, Termination, TrajectoryPoint, validate
 from .metrics import EcdfCurve, MedianCurve, ProfileCurve
 from .seeds import SEED_SCHEME_ID
@@ -51,6 +52,10 @@ CHECKLIST_ITEMS = (
     (7, "tuning overhead", "tuning"),
     (8, "reproducibility artifacts", "artifacts"),
 )
+
+
+def run_log_path(out_dir: Path, label: str, instance_id: str) -> Path:
+    return Path(out_dir) / "runs" / label / f"{instance_id}.jsonl"
 
 
 def _dump_line(obj: dict) -> str:
@@ -360,7 +365,9 @@ def build_manifest(
 ) -> dict:
     """Assemble the eight-section reproducibility manifest from a finished
     (or aborted-with-marker) experiment; metric options, tuning and the
-    execution mode are read from the effective configuration."""
+    execution mode are read from the effective configuration. It digests
+    the run log of each (label, instance) key of `grouped_records`, and no
+    other file in `out_dir`."""
     out_dir = Path(out_dir)
     T = plan.budget.wall_time_limit
     completed: dict[str, float] = {}
@@ -394,6 +401,7 @@ def build_manifest(
     if plan.clock.is_virtual:
         budget_section["cost_per_eval"] = plan.clock.cost_per_eval
         budget_section["iteration_overhead"] = dict(plan.clock.iteration_overhead)
+        budget_section["clock_scheme"] = CLOCK_SCHEME_ID
     if plan.targets is not None:
         targets_section = {
             "kind": plan.targets.kind,
@@ -404,7 +412,7 @@ def build_manifest(
     else:
         targets_section = _na("no targets configured")
     log_digests = {}
-    for path in sorted(out_dir.glob("runs/*/*.jsonl")):
+    for path in sorted(run_log_path(out_dir, *key) for key in grouped_records):
         log_digests[str(path.relative_to(out_dir))] = sha256_file(path)
     git_commit = _git_commit()
     manifest = {

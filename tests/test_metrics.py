@@ -173,6 +173,25 @@ class TestAnytimeEcdf:
             anytime_ecdf([], {"sphere-d2": [1.0]}, [1.0])
 
 
+def median_oracle(records, grid, bootstrap_samples, confidence, seed):
+    """The whole-array bootstrap: one B x R x G gather, then medians."""
+    values = np.array(
+        [
+            [min((p.best_f for p in r.trajectory if p.elapsed <= t), default=math.inf) for t in grid]
+            for r in records
+        ]
+    )
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(records), size=(bootstrap_samples, len(records)))
+    boot_medians = np.median(values[idx], axis=1)
+    alpha = (1.0 - confidence) / 2.0
+    lo = np.quantile(boot_medians, alpha, axis=0, method="lower")
+    hi = np.quantile(boot_medians, 1.0 - alpha, axis=0, method="higher")
+    return tuple(
+        tuple(float(v) for v in column) for column in (np.median(values, axis=0), lo, hi)
+    )
+
+
 class TestMedianTrajectory:
     def test_identical_runs_have_zero_width_interval(self):
         record = make_record([(1.0, 1, 5.0), (2.0, 2, 1.0)])
@@ -194,6 +213,29 @@ class TestMedianTrajectory:
     def test_too_few_bootstrap_samples_rejected(self):
         with pytest.raises(ValueError):
             median_trajectory([make_record([(1.0, 1, 0.0)])], [1.0], bootstrap_samples=10)
+
+    def test_equals_whole_array_bootstrap(self, rng):
+        records = [random_record(rng) for _ in range(31)]
+        # the grid runs past every record's last improvement, so later
+        # columns repeat: both the computed and the copied columns are checked
+        grid = default_time_grid(40.0, 24)
+        curve = median_trajectory(records, grid, bootstrap_samples=300, confidence=0.9, seed=7)
+        assert (curve.median, curve.ci_lo, curve.ci_hi) == median_oracle(records, grid, 300, 0.9, 7)
+
+    def test_memory_is_bounded_by_one_grid_column(self, rng):
+        import tracemalloc
+
+        B, R, G = 1000, 100, 64
+        records = [random_record(rng, allow_empty=False) for _ in range(R)]
+        grid = default_time_grid(8.0, G)
+        tracemalloc.start()
+        try:
+            median_trajectory(records, grid, bootstrap_samples=B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few B x R float arrays; the whole B x R x G resample is 64 of them
+        assert peak < 8 * B * R * 8
 
 
 class TestPerformanceProfile:

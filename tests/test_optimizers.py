@@ -4,17 +4,17 @@ import statistics
 import numpy as np
 import pytest
 
-from timefair.clock import ClockUsageError, RealClock, VirtualClock
+from timefair.clock import ClockSpec, VirtualClock
+from timefair.core import Budget
 from timefair.optimizers import PsoParams, StagnationRestart, SyntheticOverhead, make_optimizer
 from timefair.problems import ProblemInstance, get_problem
-from timefair.protocol import RunEvaluator
+from timefair.protocol import AlgorithmSpec, ExperimentPlan, PlanError, RunEvaluator, run_time_fair
 
 SPHERE = get_problem("sphere-d2")
 
 
-def make_evaluator(instance=SPHERE, cost_per_eval=0.001, real=False):
-    clock = RealClock() if real else VirtualClock()
-    return RunEvaluator(instance, clock, 0.0 if real else cost_per_eval, clock.now())
+def make_evaluator(instance=SPHERE, cost_per_eval=0.001):
+    return RunEvaluator(instance, VirtualClock(cost_per_eval, 0.0))
 
 
 def drive(algorithm, evaluator, seed, steps):
@@ -142,9 +142,7 @@ class TestStagnationRestart:
             kind = "shrink"
             label = "shrink"
             evals_per_step = 1
-
-            def step_charges(self):
-                return []
+            step_overhead = 0.0
 
             def init(self, instance, seed):
                 from timefair.optimizers import RandomSearchState
@@ -245,14 +243,25 @@ class TestSyntheticOverhead:
         assert ev_plain.trajectory == ev_wrapped.trajectory
 
     def test_overhead_charges_clock_per_iteration(self):
-        ev_a, ev_b = make_evaluator(cost_per_eval=0.25), make_evaluator(cost_per_eval=0.25)
-        base = SyntheticOverhead(make_optimizer("random-search"), 1.0)
-        heavier = SyntheticOverhead(make_optimizer("random-search"), 2.0)
-        drive(base, ev_a, 2, 4)
-        drive(heavier, ev_b, 2, 4)
-        assert ev_a.clock.now() == 4 * (1.0 + 0.25)
-        assert ev_b.clock.now() == 4 * (2.0 + 0.25)
-        assert ev_b.clock.now() - ev_a.clock.now() == 4 * 1.0
+        def time_used(overhead):
+            plan = ExperimentPlan(
+                algorithms=(
+                    AlgorithmSpec(
+                        "rs", "random-search", {"max_iterations": 4}, {"synthetic_overhead": overhead}
+                    ),
+                ),
+                instances=("sphere-d2",),
+                budget=Budget(wall_time_limit=45.0),
+                targets=None,
+                repetitions=1,
+                master_seed=2,
+                clock=ClockSpec(mode="virtual", cost_per_eval=0.25),
+            )
+            return [r.time_used for r in run_time_fair(plan, "rs", "sphere-d2", 0)]
+
+        # four iterations of (overhead + one 0.25 s evaluation) per run
+        assert time_used(1.0) == [4 * (1.0 + 0.25)] * 9
+        assert time_used(2.0) == [4 * (2.0 + 0.25)] * 5
 
     def test_search_behavior_is_unchanged(self):
         ev_a, ev_b = make_evaluator(), make_evaluator()
@@ -261,11 +270,20 @@ class TestSyntheticOverhead:
         assert state_a.best_f == state_b.best_f
 
     def test_real_clock_rejected(self):
-        wrapped = SyntheticOverhead(make_optimizer("random-search"), 0.5)
-        ev = make_evaluator(real=True)
-        state = wrapped.init(SPHERE, 1)
-        with pytest.raises(ClockUsageError):
-            wrapped.step(state, ev)
+        # the wrapper's presence is the error, even at zero overhead
+        for overhead in (0.5, 0.0):
+            with pytest.raises(PlanError, match="virtual clock"):
+                ExperimentPlan(
+                    algorithms=(
+                        AlgorithmSpec("rs", "random-search", wrappers={"synthetic_overhead": overhead}),
+                    ),
+                    instances=("sphere-d2",),
+                    budget=Budget(wall_time_limit=1.0),
+                    targets=None,
+                    repetitions=1,
+                    master_seed=1,
+                    clock=ClockSpec(mode="real"),
+                )
 
     def test_negative_overhead_rejected(self):
         with pytest.raises(ValueError):

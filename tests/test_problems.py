@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from timefair.clock import VirtualClock
 from timefair.problems import catalog_names, get_problem, optimum_point
+from timefair.protocol import RunEvaluator
 
 
 def test_rastrigin_optimum_is_zero():
@@ -65,10 +67,15 @@ def test_default_bounds_follow_catalog():
 
 def test_clamp_flags_out_of_bounds_queries():
     instance = get_problem("sphere-d2")
-    inside, moved = instance.clamp(np.array([1.0, -1.0]))
-    assert not moved and tuple(inside) == (1.0, -1.0)
-    clipped, moved = instance.clamp(np.array([7.0, -9.0]))
-    assert moved and tuple(clipped) == (5.12, -5.12)
+    evaluator = RunEvaluator(instance, VirtualClock(1.0, 0.0))
+    assert evaluator.evaluate([1.0, -1.0]) == 2.0
+    assert evaluator.n_clamped == 0
+    assert evaluator.evaluate([7.0, -9.0]) == 2 * 5.12**2
+    assert evaluator.n_clamped == 1
+    # one count per clamped row, however many of its coordinates moved
+    fs = evaluator.evaluate_rows(np.array([[0.0, 6.0], [1.0, 1.0], [-6.0, -6.0]]))
+    assert list(fs) == [5.12**2, 2.0, 2 * 5.12**2]
+    assert evaluator.n_clamped == 3
 
 
 def test_uniform_samples_stay_in_bounds(rng):

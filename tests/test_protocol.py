@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from timefair.clock import ClockSpec
+from timefair.clock import ClockSpec, VirtualClock
 from timefair.core import Budget, RunRecord, TargetSpec, Termination, TrajectoryPoint, validate
+from timefair.problems import ProblemInstance
 from timefair.protocol import (
     AlgorithmSpec,
     ExperimentPlan,
     PlanError,
+    RunEvaluator,
     best_of_restarts,
     derive_seed,
     run_plan,
@@ -213,6 +215,53 @@ class TestRunTimeFair:
         assert [r.time_used for r in a] == [r.time_used for r in b]
         assert [r.trajectory for r in a] == [r.trajectory for r in b]
 
+    def test_time_used_is_the_clock_at_the_run_counts(self):
+        # non-dyadic costs from all three sources: each run's time_used is
+        # exactly at(evals_used, iterations), and the budget still holds
+        rng = np.random.default_rng(8)
+        for trial in range(30):
+            cpe = float(rng.uniform(0.001, 0.05))
+            iteration_overhead = float(rng.uniform(0.0, 0.1))
+            synthetic = float(rng.uniform(0.0, 0.1))
+            T = float(rng.uniform(0.5, 4.0))
+            swarm = int(rng.integers(2, 9))
+            wrappers = {"synthetic_overhead": synthetic}
+            if trial % 2:
+                wrappers["stagnation_restart"] = {"plateau_window": 2, "plateau_epsilon": 0.1}
+            plan = ExperimentPlan(
+                algorithms=(
+                    AlgorithmSpec(
+                        "rs", "random-search", {"max_iterations": int(rng.integers(3, 30))}, wrappers
+                    ),
+                    AlgorithmSpec(
+                        "pso", "pso", {"swarm_size": swarm, "max_iterations": 5}, wrappers
+                    ),
+                ),
+                instances=("sphere-d2",),
+                budget=Budget(wall_time_limit=T),
+                targets=None,
+                repetitions=1,
+                master_seed=int(rng.integers(0, 2**32)),
+                clock=ClockSpec(
+                    mode="virtual",
+                    cost_per_eval=cpe,
+                    iteration_overhead={"rs": iteration_overhead, "pso": iteration_overhead},
+                ),
+            )
+            for label, evals_per_step in (("rs", 1), ("pso", swarm)):
+                clock = VirtualClock(cpe, iteration_overhead + synthetic)
+                records = run_time_fair(plan, label, "sphere-d2", 0)
+                total = 0.0
+                for record in records:
+                    iterations = record.evals_used // evals_per_step
+                    assert record.time_used == clock.at(record.evals_used, iterations)
+                    assert all(
+                        p.elapsed == clock.at(p.evals, -(-p.evals // evals_per_step))
+                        for p in record.trajectory
+                    )
+                    total += record.time_used
+                assert total <= T
+
     def test_thousand_protocol_records_validate(self):
         produced = []
         rng = np.random.default_rng(11)
@@ -360,3 +409,63 @@ class TestRunPlan:
         )
         with pytest.raises(PlanError):
             run_plan(plan, parallel=True)
+
+
+def _tabled(values):
+    """A 1-d instance whose objective at x = i is values[i]."""
+    table = np.asarray(values, dtype=float)
+    return ProblemInstance(
+        instance_id="table-d1",
+        dimension=1,
+        lower=np.array([0.0]),
+        upper=np.array([len(values) - 1.0]),
+        f_opt=None,
+        rows_fn=lambda xs: table[xs[:, 0].astype(int)],
+    )
+
+
+class TestRunEvaluator:
+    def _row_by_row(self, instance, batches):
+        evaluator = RunEvaluator(instance, VirtualClock(0.1, 0.3))
+        for batch in batches:
+            evaluator.iterations += 1
+            for x in batch:
+                evaluator.evaluate(x)
+        return evaluator
+
+    def _batched(self, instance, batches):
+        evaluator = RunEvaluator(instance, VirtualClock(0.1, 0.3))
+        for batch in batches:
+            evaluator.iterations += 1
+            evaluator.evaluate_rows(np.asarray(batch, dtype=float))
+        return evaluator
+
+    def test_batch_trajectory_equals_row_by_row(self):
+        values = [5.0, 5.0, 3.0, 3.0, 4.0, 1.0, 1.0, 0.5, 2.0, 0.5, 0.25]
+        instance = _tabled(values)
+        # the second batch opens on a row that does not improve, and ties
+        batches = [[[0], [1], [2], [3]], [[4], [3], [5], [6], [8]], [[7], [9], [10], [10]]]
+        batched = self._batched(instance, batches)
+        expected = [(1, 5.0), (3, 3.0), (7, 1.0), (10, 0.5), (12, 0.25)]
+        assert [(p.evals, p.best_f) for p in batched.trajectory] == expected
+        assert batched.trajectory == self._row_by_row(instance, batches).trajectory
+        assert [p.elapsed for p in batched.trajectory] == [
+            VirtualClock(0.1, 0.3).at(evals, iteration)
+            for evals, iteration in ((1, 1), (3, 1), (7, 2), (10, 3), (12, 3))
+        ]
+
+    def test_random_pso_batches_equal_row_by_row(self):
+        rng = np.random.default_rng(2)
+        instance = _tabled(np.round(rng.uniform(0, 6, size=64)))  # many ties
+        batches = [rng.integers(0, 64, size=(int(rng.integers(2, 12)), 1)) for _ in range(40)]
+        batched = self._batched(instance, batches)
+        one_by_one = self._row_by_row(instance, batches)
+        assert batched.trajectory == one_by_one.trajectory
+        assert batched.count == one_by_one.count == sum(len(b) for b in batches)
+
+    def test_nan_rows_never_improve(self):
+        instance = _tabled([4.0, float("nan"), 3.0, 5.0])
+        batched = self._batched(instance, [[[1], [0], [1], [3], [2]]])
+        assert [(p.evals, p.best_f) for p in batched.trajectory] == [(2, 4.0), (5, 3.0)]
+        assert batched.trajectory == self._row_by_row(instance, [[[1], [0], [1], [3], [2]]]).trajectory
+

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from timefair.clock import CLOCK_SCHEME_ID
 from timefair.core import CostMatrix, RunRecord, Termination, TrajectoryPoint
 from timefair.metrics import (
     EcdfCurve,
@@ -311,6 +312,32 @@ class TestManifest:
         assert budget["wall_time_limit_seconds"] == 0.5
         assert budget["clock_mode"] == "virtual"
         assert budget["max_overshoot_seconds"] == 0.0
+        assert budget["clock_scheme"] == CLOCK_SCHEME_ID
+
+    def test_digests_only_this_runs_logs(self, tmp_path):
+        # a one-arm rerun into a directory that holds a two-arm run: the new
+        # manifest must not attest to the other arm's stale log
+        from timefair.cli import main
+
+        config = {
+            "budget": {"wall_time_limit": 0.5},
+            "repetitions": 1,
+            "master_seed": 3,
+            "clock": {"mode": "virtual", "cost_per_eval": 0.015625},
+            "algorithms": [
+                {"label": "rs", "kind": "random-search", "params": {"max_iterations": 8}},
+                {"label": "pso", "kind": "pso", "params": {"swarm_size": 4}},
+            ],
+            "instances": ["sphere-d2"],
+        }
+        out_dir = tmp_path / "out"
+        for algorithms in (config["algorithms"], config["algorithms"][:1]):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({**config, "algorithms": algorithms}))
+            assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 0
+        assert (out_dir / "runs" / "pso" / "sphere-d2.jsonl").exists()
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert list(manifest["checklist"]["artifacts"]["log_digests"]) == ["runs/rs/sphere-d2.jsonl"]
 
 
 class TestHashing:
