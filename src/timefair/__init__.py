@@ -40,7 +40,6 @@ from .optimizers import (
     PsoParams,
     RandomSearch,
     StagnationRestart,
-    StepReport,
     SyntheticOverhead,
     make_optimizer,
 )

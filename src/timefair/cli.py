@@ -304,9 +304,7 @@ def cmd_run(args) -> int:
         for instance_id in plan.instances:
             records = grouped[(spec.label, instance_id)]
             report.write_run_log(records, report.run_log_path(out_dir, spec.label, instance_id), params=params_echo)
-    with open(out_dir / report.EFFECTIVE_CONFIG_NAME, "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report.write_effective_config(config, out_dir)
     manifest = report.build_manifest(plan, grouped, out_dir, effective_config=config)
     report.write_manifest(manifest, out_dir)
     n_runs = sum(len(r) for r in grouped.values())

@@ -2,11 +2,12 @@
 
 The protocol drives every algorithm through the same loop: ``init`` builds
 a state without consuming evaluations, ``step`` performs exactly one
-iteration through the run's counting evaluator. Budget checks happen
-between steps, so each algorithm declares its evaluations per step
-(`evals_per_step`) and its synthetic per-step cost (`step_overhead`),
-which lets the virtual-mode runner predict whether the next step still
-fits the budget.
+iteration through the run's counting evaluator and returns True once the
+algorithm is done. The evaluator is the one record of the run's best, so a
+state holds search state only. Budget checks happen between steps, so each
+algorithm declares its evaluations per step (`evals_per_step`) and its
+synthetic per-step cost (`step_overhead`), which lets the virtual-mode
+runner predict whether the next step still fits the budget.
 """
 
 from __future__ import annotations
@@ -20,13 +21,6 @@ import numpy as np
 
 from .problems import ProblemInstance
 from .seeds import subseed
-
-
-@dataclass
-class StepReport:
-    """Outcome of one iteration."""
-
-    stop: bool = False  # algorithm declares it is done (InternalStop)
 
 
 @dataclass(frozen=True)
@@ -53,10 +47,20 @@ class PsoParams:
 class Algorithm:
     """Common surface shared by concrete optimizers and wrappers."""
 
-    kind: str = ""
-    label: str = ""
     evals_per_step: int = 1
     step_overhead: float = 0.0  # synthetic virtual seconds per iteration
+
+    def __init__(self, max_iterations: Optional[int] = None):
+        if max_iterations is not None and not (
+            isinstance(max_iterations, numbers.Integral) and max_iterations >= 1
+        ):
+            raise ValueError("max_iterations must be an integer >= 1")
+        self.max_iterations = max_iterations
+
+    def _count(self, state) -> bool:
+        """Count one iteration of `state`; True once max_iterations are done."""
+        state.iterations += 1
+        return self.max_iterations is not None and state.iterations >= self.max_iterations
 
     def describe(self) -> dict:
         """Effective parameters, echoed into run headers and the manifest."""
@@ -65,63 +69,42 @@ class Algorithm:
     def init(self, instance: ProblemInstance, seed: int):
         raise NotImplementedError
 
-    def step(self, state, evaluator) -> StepReport:
+    def step(self, state, evaluator) -> bool:
+        """One iteration; True when the algorithm declares it is done."""
         raise NotImplementedError
 
 
 @dataclass
 class RandomSearchState:
-    algorithm_id: str
-    seed: int
     rng: np.random.Generator
     iterations: int = 0
-    best_x: Optional[np.ndarray] = None
-    best_f: float = math.inf
 
 
 class RandomSearch(Algorithm):
     """Uniform random sampling; one evaluation per step."""
 
     kind = "random-search"
-    evals_per_step = 1
-
-    def __init__(self, max_iterations: Optional[int] = None):
-        if max_iterations is not None and not (
-            isinstance(max_iterations, numbers.Integral) and max_iterations >= 1
-        ):
-            raise ValueError("max_iterations must be an integer >= 1")
-        self.max_iterations = max_iterations
-        self.label = self.kind
 
     def describe(self) -> dict:
         return {"kind": self.kind, "max_iterations": self.max_iterations}
 
     def init(self, instance: ProblemInstance, seed: int) -> RandomSearchState:
-        return RandomSearchState(
-            algorithm_id=self.label, seed=seed, rng=np.random.default_rng(seed)
-        )
+        return RandomSearchState(rng=np.random.default_rng(seed))
 
-    def step(self, state: RandomSearchState, evaluator) -> StepReport:
-        x = evaluator.instance.uniform(state.rng)
-        f = evaluator.evaluate(x)
-        if f < state.best_f:
-            state.best_x, state.best_f = x, f
-        state.iterations += 1
-        stop = self.max_iterations is not None and state.iterations >= self.max_iterations
-        return StepReport(stop=stop)
+    def step(self, state: RandomSearchState, evaluator) -> bool:
+        evaluator.evaluate(evaluator.instance.uniform(state.rng))
+        return self._count(state)
 
 
 @dataclass
 class PsoState:
-    algorithm_id: str
-    seed: int
     rng: np.random.Generator
     x: np.ndarray
     v: np.ndarray
     pbest_x: np.ndarray
     pbest_f: np.ndarray
     iterations: int = 0
-    best_x: Optional[np.ndarray] = None
+    best_x: Optional[np.ndarray] = None  # swarm best: steers velocities, resets with the swarm
     best_f: float = math.inf
 
 
@@ -136,13 +119,8 @@ class PSO(Algorithm):
     kind = "pso"
 
     def __init__(self, params: PsoParams = PsoParams(), max_iterations: Optional[int] = None):
-        if max_iterations is not None and not (
-            isinstance(max_iterations, numbers.Integral) and max_iterations >= 1
-        ):
-            raise ValueError("max_iterations must be an integer >= 1")
+        super().__init__(max_iterations)
         self.params = params
-        self.max_iterations = max_iterations
-        self.label = self.kind
 
     @property
     def evals_per_step(self) -> int:
@@ -166,8 +144,6 @@ class PSO(Algorithm):
         n = self.params.swarm_size
         x = instance.uniform(rng, n)
         return PsoState(
-            algorithm_id=self.label,
-            seed=seed,
             rng=rng,
             x=x,
             v=np.zeros_like(x),
@@ -175,7 +151,7 @@ class PSO(Algorithm):
             pbest_f=np.full(n, math.inf),
         )
 
-    def step(self, state: PsoState, evaluator) -> StepReport:
+    def step(self, state: PsoState, evaluator) -> bool:
         p = self.params
         instance = evaluator.instance
         if state.iterations > 0:
@@ -197,33 +173,26 @@ class PSO(Algorithm):
         if state.pbest_f[i] < state.best_f:
             state.best_f = float(state.pbest_f[i])
             state.best_x = state.pbest_x[i].copy()
-        state.iterations += 1
-        stop = self.max_iterations is not None and state.iterations >= self.max_iterations
-        return StepReport(stop=stop)
+        return self._count(state)
 
 
 @dataclass
 class StagnationRestartState:
-    algorithm_id: str
     seed: int
     inner_state: object
-    iterations: int = 0
     plateau_count: int = 0
     restart_count: int = 0
-    best_x: Optional[np.ndarray] = None
-    best_f: float = math.inf
 
 
 class StagnationRestart(Algorithm):
-    """Reinitialize the inner optimizer when its best value plateaus.
+    """Reinitialize the inner optimizer when the run's best plateaus.
 
     A plateau is `plateau_window` consecutive iterations in which the
-    (global) best improves by less than `plateau_epsilon`. Each restart
-    draws a fresh sub-seed from the run seed's splitmix64 stream, so the
-    inner sequence is never replayed; the global best is retained.
+    run's best (`evaluator.best_f`) improves by less than
+    `plateau_epsilon`. Each restart draws a fresh sub-seed from the run
+    seed's splitmix64 stream, so the inner sequence is never replayed; the
+    evaluator keeps the run's best across restarts.
     """
-
-    kind = "stagnation-restart"
 
     def __init__(
         self,
@@ -242,7 +211,6 @@ class StagnationRestart(Algorithm):
         self.plateau_window = plateau_window
         self.plateau_epsilon = plateau_epsilon
         self.max_restarts = max_restarts
-        self.label = inner.label
         self.evals_per_step = inner.evals_per_step
         self.step_overhead = inner.step_overhead
 
@@ -257,24 +225,17 @@ class StagnationRestart(Algorithm):
 
     def init(self, instance: ProblemInstance, seed: int) -> StagnationRestartState:
         return StagnationRestartState(
-            algorithm_id=self.label,
             seed=seed,
             inner_state=self.inner.init(instance, subseed(seed, 0)),
         )
 
-    def step(self, state: StagnationRestartState, evaluator) -> StepReport:
-        before = state.best_f
-        report = self.inner.step(state.inner_state, evaluator)
-        inner_best = state.inner_state.best_f
-        if inner_best < state.best_f:
-            state.best_f = inner_best
-            state.best_x = state.inner_state.best_x
-        state.iterations += 1
-        if before - state.best_f >= self.plateau_epsilon:
+    def step(self, state: StagnationRestartState, evaluator) -> bool:
+        before = evaluator.best_f
+        stop = self.inner.step(state.inner_state, evaluator)
+        if before - evaluator.best_f >= self.plateau_epsilon:
             state.plateau_count = 0
         else:
             state.plateau_count += 1
-        stop = report.stop
         if state.plateau_count >= self.plateau_window and not stop:
             if self.max_restarts is not None and state.restart_count >= self.max_restarts:
                 stop = True  # retries exhausted: declare convergence
@@ -284,7 +245,7 @@ class StagnationRestart(Algorithm):
                     evaluator.instance, subseed(state.seed, state.restart_count)
                 )
                 state.plateau_count = 0
-        return StepReport(stop=stop)
+        return stop
 
 
 class SyntheticOverhead(Algorithm):
@@ -295,14 +256,11 @@ class SyntheticOverhead(Algorithm):
     on the real clock reject it.
     """
 
-    kind = "synthetic-overhead"
-
     def __init__(self, inner: Algorithm, overhead_per_iteration: float):
         if not (math.isfinite(overhead_per_iteration) and overhead_per_iteration >= 0):
             raise ValueError("overhead_per_iteration must be finite and >= 0")
         self.inner = inner
         self.overhead = overhead_per_iteration
-        self.label = inner.label
         self.evals_per_step = inner.evals_per_step
         self.step_overhead = overhead_per_iteration + inner.step_overhead
 
@@ -314,14 +272,14 @@ class SyntheticOverhead(Algorithm):
     def init(self, instance: ProblemInstance, seed: int):
         return self.inner.init(instance, seed)
 
-    def step(self, state, evaluator) -> StepReport:
+    def step(self, state, evaluator) -> bool:
         return self.inner.step(state, evaluator)
 
 
 _KINDS = ("random-search", "pso")
 
 
-def make_optimizer(kind: str, params: Optional[dict] = None, label: Optional[str] = None) -> Algorithm:
+def make_optimizer(kind: str, params: Optional[dict] = None) -> Algorithm:
     """Build an optimizer from its catalog kind and a parameter dict.
 
     Unknown kinds and unknown parameter keys are errors; defaults are
@@ -336,9 +294,5 @@ def make_optimizer(kind: str, params: Optional[dict] = None, label: Optional[str
         raise ValueError(f"unknown parameters for {kind}: {', '.join(unknown)}")
     max_iterations = params.pop("max_iterations", None)
     if kind == "pso":
-        alg: Algorithm = PSO(PsoParams(**params), max_iterations=max_iterations)
-    else:
-        alg = RandomSearch(max_iterations=max_iterations)
-    if label is not None:
-        alg.label = label
-    return alg
+        return PSO(PsoParams(**params), max_iterations=max_iterations)
+    return RandomSearch(max_iterations=max_iterations)

@@ -2,9 +2,10 @@
 
 Every algorithm in a plan is driven by the identical loop: independent
 runs back to back, each with a fresh derived seed, until the aggregate
-time budget T is spent. A run ends when the hardest target is reached,
-when the algorithm declares it is done, or when the budget cuts it off;
-the final run is truncated at the boundary rather than skipped.
+time budget T is spent. A run ends when its evaluator's best reaches the
+hardest target, when the algorithm's `step` returns done, or when the
+budget cuts it off; the final run is truncated at the boundary rather
+than skipped.
 
 Budget checks happen between iterations. In virtual mode a run's elapsed
 time is `VirtualClock.at(evals, iterations)` and each algorithm declares
@@ -19,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -28,7 +30,7 @@ from .clock import ClockSpec, RealClock, VirtualClock
 from .core import Budget, RunRecord, TargetSpec, Termination, TrajectoryPoint
 from .optimizers import Algorithm, StagnationRestart, SyntheticOverhead, make_optimizer
 from .problems import ProblemInstance, get_problem
-from .seeds import SEED_SCHEME_ID, derive_seed, subseed  # re-exported; see seeds.py
+from .seeds import SEED_SCHEME_ID, derive_seed  # re-exported; see seeds.py
 
 __all__ = [
     "AlgorithmSpec",
@@ -67,7 +69,7 @@ class AlgorithmSpec:
 
 
 def build_algorithm(spec: AlgorithmSpec) -> Algorithm:
-    algorithm = make_optimizer(spec.kind, spec.params, label=spec.label)
+    algorithm = make_optimizer(spec.kind, spec.params)
     wrappers = dict(spec.wrappers)
     stagnation = wrappers.pop("stagnation_restart", None)
     if stagnation is not None:
@@ -115,7 +117,7 @@ class ExperimentPlan:
             algorithm = build_algorithm(spec)  # raises for unknown kinds/params
             if not self.clock.is_virtual and "synthetic_overhead" in spec.wrappers:
                 raise PlanError(f"{spec.label}: synthetic overhead requires the virtual clock")
-            step_cost = _virtual_clock(self, algorithm).at(algorithm.evals_per_step, 1)
+            step_cost = _virtual_clock(self, spec.label, algorithm).at(algorithm.evals_per_step, 1)
             if self.clock.is_virtual and step_cost <= 0 and self.budget.eval_cap is None:
                 raise PlanError(
                     f"{spec.label}: virtual step cost is zero and no eval_cap is set; "
@@ -129,10 +131,11 @@ class ExperimentPlan:
         raise KeyError(f"no algorithm labelled {label!r} in plan")
 
 
-def _virtual_clock(plan: ExperimentPlan, algorithm: Algorithm) -> VirtualClock:
-    """The clock of `algorithm`'s virtual runs; its one per-iteration
-    overhead joins the clock config's and the wrappers'."""
-    overhead = plan.clock.iteration_overhead.get(algorithm.label, 0.0) + algorithm.step_overhead
+def _virtual_clock(plan: ExperimentPlan, label: str, algorithm: Algorithm) -> VirtualClock:
+    """The clock of the virtual runs of `algorithm`, labelled `label` in
+    the plan; its one per-iteration overhead joins the clock config's and
+    the wrappers'."""
+    overhead = plan.clock.iteration_overhead.get(label, 0.0) + algorithm.step_overhead
     return VirtualClock(plan.clock.cost_per_eval, overhead)
 
 
@@ -140,9 +143,11 @@ class RunEvaluator:
     """Counting wrapper around one run's objective evaluations.
 
     Clamps out-of-bounds queries (counted in `n_clamped`), counts FEs, and
-    records best-so-far improvement events. The runner counts the
-    iterations. A virtual row is stamped `clock.at` its own count; a real
-    call reads the clock once, after evaluating, for all its improvements.
+    records best-so-far improvement events; `best_f` is the one record of
+    the run's best, read by the runner's target check and by the
+    wrappers. The runner counts the iterations. A virtual row is stamped
+    `clock.at` its own count; a real call reads the clock once, after
+    evaluating, for all its improvements.
     """
 
     def __init__(self, instance: ProblemInstance, clock):
@@ -213,7 +218,7 @@ def run_time_fair(
         seed = derive_seed(
             plan.master_seed, algorithm_label, instance_id, repetition_index, run_index
         )
-        clock = _virtual_clock(plan, algorithm) if virtual else RealClock()
+        clock = _virtual_clock(plan, algorithm_label, algorithm) if virtual else RealClock()
         evaluator = RunEvaluator(instance, clock)
         state = algorithm.init(instance, seed)
         termination = Termination.BUDGET_EXHAUSTED
@@ -230,12 +235,12 @@ def run_time_fair(
             ) > T:
                 break
             evaluator.iterations += 1
-            report = algorithm.step(state, evaluator)
+            done = algorithm.step(state, evaluator)
             max_step = max(max_step, evaluator.elapsed() - elapsed)
-            if hardest is not None and state.best_f <= hardest:
+            if hardest is not None and evaluator.best_f <= hardest:
                 termination = Termination.TARGET_REACHED
                 break
-            if report.stop:
+            if done:
                 termination = Termination.INTERNAL_STOP
                 break
         elapsed = evaluator.elapsed()
@@ -257,7 +262,7 @@ def run_time_fair(
         total_used += elapsed
         total_evals += evaluator.count
         run_index += 1
-        if evaluator.count == 0 and elapsed == 0.0:
+        if evaluator.iterations == 0:
             break  # no iteration can ever fit; don't spin on empty runs
     return records
 
@@ -309,15 +314,11 @@ def run_plan(
         for spec in plan.algorithms
         for instance_id in plan.instances
     }
-    if parallel and len(tasks) > 1:
-        with ProcessPoolExecutor() as pool:
-            for (key, records), task in zip(pool.map(_run_task, tasks), tasks):
-                grouped[key].extend(records)
-                if progress is not None:
-                    progress(f"{task[1]} on {task[2]} rep {task[3]}: {len(records)} run(s)")
-    else:
-        for task in tasks:
-            key, records = _run_task(task)
+    with ExitStack() as stack:
+        mapper = map
+        if parallel and len(tasks) > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor()).map
+        for (key, records), task in zip(mapper(_run_task, tasks), tasks):
             grouped[key].extend(records)
             if progress is not None:
                 progress(f"{task[1]} on {task[2]} rep {task[3]}: {len(records)} run(s)")

@@ -5,7 +5,9 @@ one ``run_header`` object per run, one ``improvement`` per best-so-far
 event, one ``run_end`` with the termination summary. Objective values and
 times round-trip exactly (shortest-repr decimal serialization). Curves go
 to CSV so any external tool can plot them; the manifest is one JSON file
-answering the eight reporting-checklist items.
+answering the eight reporting-checklist items. Every artifact is written
+to a temporary file next to it and moved into place, so a failed write
+leaves no half-written file under the final name.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 import platform
 import subprocess
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -58,6 +62,22 @@ def run_log_path(out_dir: Path, label: str, instance_id: str) -> Path:
     return Path(out_dir) / "runs" / label / f"{instance_id}.jsonl"
 
 
+@contextmanager
+def _atomic_open(path: Path):
+    """Open a hidden ``.<name>.tmp`` beside `path` for writing (no
+    artifact glob matches it); on success it replaces `path`, on failure
+    it is removed and `path` is left as it was."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _dump_line(obj: dict) -> str:
     return json.dumps(obj, allow_nan=False, separators=(",", ":")) + "\n"
 
@@ -67,56 +87,44 @@ def write_run_log(
     path: Path,
     params: Optional[dict] = None,
 ) -> None:
-    """Write one JSONL log; each line is appended in a single write call.
-
-    On I/O failure a ``<path>.partial`` marker is left behind (best
-    effort) and the error propagates so the experiment aborts visibly.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                header = {
-                    "kind": "run_header",
-                    "algorithm_id": record.algorithm_id,
-                    "instance_id": record.instance_id,
-                    "seed": record.seed,
-                    "repetition": record.repetition,
-                    "run_index": record.run_index,
-                }
-                if params is not None:
-                    header["params"] = params
-                fh.write(_dump_line(header))
-                for point in record.trajectory:
-                    fh.write(
-                        _dump_line(
-                            {
-                                "kind": "improvement",
-                                "elapsed": point.elapsed,
-                                "evals": point.evals,
-                                "best_f": point.best_f,
-                            }
-                        )
-                    )
+    """Write one JSONL log atomically, one write call per line; an error
+    propagates so the experiment aborts visibly."""
+    with _atomic_open(path) as fh:
+        for record in records:
+            header = {
+                "kind": "run_header",
+                "algorithm_id": record.algorithm_id,
+                "instance_id": record.instance_id,
+                "seed": record.seed,
+                "repetition": record.repetition,
+                "run_index": record.run_index,
+            }
+            if params is not None:
+                header["params"] = params
+            fh.write(_dump_line(header))
+            for point in record.trajectory:
                 fh.write(
                     _dump_line(
                         {
-                            "kind": "run_end",
-                            "termination": record.termination.value,
-                            "time_used": record.time_used,
-                            "evals_used": record.evals_used,
-                            "n_clamped": record.n_clamped,
-                            "max_step_seconds": record.max_step_seconds,
+                            "kind": "improvement",
+                            "elapsed": point.elapsed,
+                            "evals": point.evals,
+                            "best_f": point.best_f,
                         }
                     )
                 )
-    except OSError:
-        try:
-            path.with_suffix(path.suffix + ".partial").touch()
-        except OSError:
-            pass
-        raise
+            fh.write(
+                _dump_line(
+                    {
+                        "kind": "run_end",
+                        "termination": record.termination.value,
+                        "time_used": record.time_used,
+                        "evals_used": record.evals_used,
+                        "n_clamped": record.n_clamped,
+                        "max_step_seconds": record.max_step_seconds,
+                    }
+                )
+            )
 
 
 @dataclass
@@ -238,9 +246,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -364,10 +370,9 @@ def build_manifest(
     effective_config: dict,
 ) -> dict:
     """Assemble the eight-section reproducibility manifest from a finished
-    (or aborted-with-marker) experiment; metric options, tuning and the
-    execution mode are read from the effective configuration. It digests
-    the run log of each (label, instance) key of `grouped_records`, and no
-    other file in `out_dir`."""
+    experiment; metric options, tuning and the execution mode are read from
+    the effective configuration. It digests the run log of each (label,
+    instance) key of `grouped_records`, and no other file in `out_dir`."""
     out_dir = Path(out_dir)
     T = plan.budget.wall_time_limit
     completed: dict[str, float] = {}
@@ -481,10 +486,16 @@ def build_manifest(
 
 def write_manifest(manifest: dict, out_dir: Path) -> Path:
     path = Path(out_dir) / MANIFEST_NAME
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         json.dump(manifest, fh, indent=2, allow_nan=False)
         fh.write("\n")
     return path
+
+
+def write_effective_config(config: dict, out_dir: Path) -> None:
+    with _atomic_open(Path(out_dir) / EFFECTIVE_CONFIG_NAME) as fh:
+        json.dump(config, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -496,7 +507,8 @@ class ChecklistItem:
 
 
 def _audit_artifacts(section: dict, out_dir: Optional[Path]) -> Optional[str]:
-    """Returns a failure note, or None if the artifact pointers hold up."""
+    """Returns a failure note, or None if the artifact pointers hold up
+    and every run log under `out_dir` is listed."""
     for key in ("config_hash", "code_version", "log_digests"):
         if key not in section:
             return f"missing field {key!r}"
@@ -515,6 +527,10 @@ def _audit_artifacts(section: dict, out_dir: Optional[Path]) -> Optional[str]:
             return f"log file {rel} is missing"
         if sha256_file(log_path) != digest:
             return f"log digest mismatch for {rel}"
+    on_disk = {str(p.relative_to(out_dir)) for p in Path(out_dir).glob("runs/*/*.jsonl")}
+    unlisted = sorted(on_disk - set(section["log_digests"]))
+    if unlisted:
+        return f"run log(s) not in log_digests: {', '.join(unlisted)}"
     return None
 
 

@@ -1,12 +1,21 @@
 import math
 import statistics
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from timefair import protocol
 from timefair.clock import ClockSpec, VirtualClock
-from timefair.core import Budget
-from timefair.optimizers import PsoParams, StagnationRestart, SyntheticOverhead, make_optimizer
+from timefair.core import Budget, TargetSpec, Termination
+from timefair.optimizers import (
+    Algorithm,
+    PsoParams,
+    RandomSearchState,
+    StagnationRestart,
+    SyntheticOverhead,
+    make_optimizer,
+)
 from timefair.problems import ProblemInstance, get_problem
 from timefair.protocol import AlgorithmSpec, ExperimentPlan, PlanError, RunEvaluator, run_time_fair
 
@@ -19,8 +28,8 @@ def make_evaluator(instance=SPHERE, cost_per_eval=0.001):
 
 def drive(algorithm, evaluator, seed, steps):
     state = algorithm.init(evaluator.instance, seed)
-    reports = [algorithm.step(state, evaluator) for _ in range(steps)]
-    return state, reports
+    done = [algorithm.step(state, evaluator) for _ in range(steps)]
+    return state, done
 
 
 def eval_deltas(algorithm, evaluator, seed, steps):
@@ -37,8 +46,9 @@ def eval_deltas(algorithm, evaluator, seed, steps):
 class TestInit:
     def test_random_search_starts_with_empty_best(self):
         state = make_optimizer("random-search").init(SPHERE, 42)
-        assert state.best_x is None and math.isinf(state.best_f)
         assert state.iterations == 0
+        assert not hasattr(state, "best_f")  # the run's best lives on the evaluator
+        assert math.isinf(make_evaluator().best_f)
 
     def test_pso_swarm_is_in_bounds(self):
         instance = get_problem("rastrigin-d10")
@@ -84,7 +94,7 @@ class TestStep:
             ev_a, ev_b = make_evaluator(), make_evaluator()
             state_a, _ = drive(make_optimizer(kind), ev_a, 99, 10)
             state_b, _ = drive(make_optimizer(kind), ev_b, 99, 10)
-            assert state_a.best_f == state_b.best_f
+            assert ev_a.best_f == ev_b.best_f
             assert [p.best_f for p in ev_a.trajectory] == [p.best_f for p in ev_b.trajectory]
 
     def test_best_is_monotone_nonincreasing(self):
@@ -95,13 +105,13 @@ class TestStep:
             last = math.inf
             for _ in range(30):
                 algorithm.step(state, ev)
-                assert state.best_f <= last
-                last = state.best_f
+                assert ev.best_f <= last
+                last = ev.best_f
 
     def test_max_iterations_raises_stop_flag(self):
-        ev = make_evaluator()
-        _, reports = drive(make_optimizer("random-search", {"max_iterations": 4}), ev, 1, 4)
-        assert [r.stop for r in reports] == [False, False, False, True]
+        for kind in ("random-search", "pso"):
+            _, done = drive(make_optimizer(kind, {"max_iterations": 4}), make_evaluator(), 1, 4)
+            assert done == [False, False, False, True]
 
     def test_fe_accounting_matches_counter(self):
         # the runner's budget projection relies on the declared per-step count
@@ -139,25 +149,16 @@ class TestStagnationRestart:
     def test_no_restart_while_improving(self):
         # shrinking deterministic proposals improve every step on sphere
         class Shrink:
-            kind = "shrink"
-            label = "shrink"
             evals_per_step = 1
             step_overhead = 0.0
 
             def init(self, instance, seed):
-                from timefair.optimizers import RandomSearchState
-
-                return RandomSearchState(algorithm_id="shrink", seed=seed, rng=np.random.default_rng(seed))
+                return RandomSearchState(rng=np.random.default_rng(seed))
 
             def step(self, state, evaluator):
-                from timefair.optimizers import StepReport
-
-                x = np.full(2, 2.0 ** -(state.iterations + 1))
-                f = evaluator.evaluate(x)
+                evaluator.evaluate(np.full(2, 2.0 ** -(state.iterations + 1)))
                 state.iterations += 1
-                if f < state.best_f:
-                    state.best_x, state.best_f = x, f
-                return StepReport()
+                return False
 
         wrapped = StagnationRestart(Shrink(), plateau_window=2, plateau_epsilon=1e-12)
         ev = make_evaluator()
@@ -188,7 +189,7 @@ class TestStagnationRestart:
         bests = []
         for _ in range(20):
             wrapped.step(state, ev)
-            bests.append(state.best_f)
+            bests.append(ev.best_f)
         assert state.restart_count > 0
         assert all(b2 <= b1 for b1, b2 in zip(bests, bests[1:]))
 
@@ -200,7 +201,7 @@ class TestStagnationRestart:
         state = wrapped.init(FLAT, 5)
         stopped = False
         for _ in range(30):
-            if wrapped.step(state, ev).stop:
+            if wrapped.step(state, ev):
                 stopped = True
                 break
         assert stopped and state.restart_count == 2
@@ -217,7 +218,7 @@ class TestStagnationRestart:
             state = algorithm.init(BIMODAL, seed)
             for _ in range(100):
                 algorithm.step(state, ev)
-            return state.best_f
+            return ev.best_f
 
         plain_finals = [final(make_optimizer("pso", {"swarm_size": 8}), s) for s in range(50)]
         wrapped_finals = [
@@ -265,9 +266,9 @@ class TestSyntheticOverhead:
 
     def test_search_behavior_is_unchanged(self):
         ev_a, ev_b = make_evaluator(), make_evaluator()
-        state_a, _ = drive(make_optimizer("random-search"), ev_a, 3, 10)
-        state_b, _ = drive(SyntheticOverhead(make_optimizer("random-search"), 5.0), ev_b, 3, 10)
-        assert state_a.best_f == state_b.best_f
+        drive(make_optimizer("random-search"), ev_a, 3, 10)
+        drive(SyntheticOverhead(make_optimizer("random-search"), 5.0), ev_b, 3, 10)
+        assert ev_a.best_f == ev_b.best_f
 
     def test_real_clock_rejected(self):
         # the wrapper's presence is the error, even at zero overhead
@@ -301,3 +302,61 @@ def test_describe_echoes_effective_parameters():
     desc = wrapped.describe()
     assert desc["synthetic_overhead_per_iteration"] == 1.25
     assert desc["stagnation_restart"]["plateau_window"] == 4
+
+
+@dataclass
+class HalvingState:
+    iterations: int = 0
+
+
+class Halving(Algorithm):
+    """A user-defined algorithm whose state keeps no best: its proposals
+    halve towards the sphere's optimum for `improving` steps, then repeat."""
+
+    def __init__(self, improving: int):
+        self.improving = improving
+
+    def describe(self) -> dict:
+        return {"kind": "halving", "improving": self.improving}
+
+    def init(self, instance, seed):
+        return HalvingState()
+
+    def step(self, state, evaluator) -> bool:
+        exponent = min(state.iterations, self.improving)
+        evaluator.evaluate(np.full(evaluator.instance.dimension, 2.0 ** -exponent))
+        state.iterations += 1
+        return False
+
+
+class TestUserAlgorithmContract:
+    def test_target_reached_through_the_runner(self, monkeypatch):
+        monkeypatch.setattr(protocol, "make_optimizer", lambda kind, params: Halving(20))
+        plan = ExperimentPlan(
+            algorithms=(AlgorithmSpec("halving", "halving"),),
+            instances=("sphere-d2",),
+            budget=Budget(wall_time_limit=3.5),
+            targets=TargetSpec(kind="absolute", values=(0.1, 1e-3)),
+            repetitions=1,
+            master_seed=1,
+            clock=ClockSpec(mode="virtual", cost_per_eval=0.25),
+        )
+        records = run_time_fair(plan, "halving", "sphere-d2", 0)
+        # f = 2 * 4**-k first reaches 1e-3 at k = 6, the seventh evaluation
+        # (1.75 s), so T = 3.5 s holds two runs that reach it
+        assert [r.termination for r in records] == [Termination.TARGET_REACHED] * 2
+        assert [(r.evals_used, r.final_best) for r in records] == [(7, 2 * 4.0**-6)] * 2
+
+    def test_stagnation_restart_on_plateau(self):
+        wrapped = StagnationRestart(Halving(3), plateau_window=2, plateau_epsilon=1e-12)
+        ev = make_evaluator()
+        state = wrapped.init(SPHERE, 1)
+        restarts = []
+        for _ in range(8):
+            wrapped.step(state, ev)
+            restarts.append(state.restart_count)
+        # steps 1-4 improve, 5-6 repeat step 4's value; the restarted inner
+        # algorithm starts over above the run's best, so 7-8 plateau again
+        assert restarts == [0, 0, 0, 0, 0, 1, 1, 2]
+        assert state.inner_state.iterations == 0
+        assert ev.best_f == 2 * 4.0**-3

@@ -156,19 +156,25 @@ class TestRunTimeFair:
             assert record.trajectory[-1].best_f <= hardest
 
     def test_eval_cap_is_never_exceeded(self):
-        plan = ExperimentPlan(
-            algorithms=(AlgorithmSpec("pso", "pso", {"swarm_size": 8}),),
-            instances=("sphere-d2",),
-            budget=Budget(wall_time_limit=100.0, eval_cap=100),
-            targets=None,
-            repetitions=1,
-            master_seed=4,
-            clock=ClockSpec(mode="virtual", cost_per_eval=0.001),
-        )
-        records = run_time_fair(plan, "pso", "sphere-d2", 0)
-        assert sum(r.evals_used for r in records) <= 100
-        # 12 full iterations of 8 evals fit into the cap of 100
-        assert sum(r.evals_used for r in records) == 96
+        for clock, T in ((ClockSpec(mode="virtual", cost_per_eval=0.001), 100.0),
+                         (ClockSpec(mode="real"), 0.25)):
+            plan = ExperimentPlan(
+                algorithms=(AlgorithmSpec("pso", "pso", {"swarm_size": 8}),),
+                instances=("sphere-d2",),
+                budget=Budget(wall_time_limit=T, eval_cap=100),
+                targets=None,
+                repetitions=1,
+                master_seed=4,
+                clock=clock,
+            )
+            records = run_time_fair(plan, "pso", "sphere-d2", 0)
+            assert sum(r.evals_used for r in records) <= 100
+            # the capped run, then at most one empty run that finds no
+            # iteration fits; a real clock must not spin empty runs until T
+            assert len(records) <= 2
+            if clock.is_virtual:
+                # 12 full iterations of 8 evals fit into the cap of 100
+                assert sum(r.evals_used for r in records) == 96
 
     def test_clock_spec_iteration_overhead_is_charged(self):
         # per-algorithm overhead from the clock config: 4 iterations of

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -72,6 +73,21 @@ class TestRoundTrip:
         assert json.loads(lines[0])["kind"] == "run_header"
         assert json.loads(lines[1])["kind"] == "run_end"
         assert parse_run_log(path).records == [record]
+
+    def test_failed_write_leaves_no_half_written_log(self, rng, tmp_path):
+        # NaN is not JSON (allow_nan=False): the write fails on the third run
+        records = [random_record(rng) for _ in range(3)]
+        broken = [*records[:2], dataclasses.replace(records[2], time_used=math.nan)]
+        path = tmp_path / "runs" / "a" / "sphere-d2.jsonl"
+        with pytest.raises(ValueError):
+            write_run_log(broken, path)
+        assert list(path.parent.iterdir()) == []
+        write_run_log(records, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_run_log(broken, path)
+        assert path.read_bytes() == before
+        assert list(path.parent.iterdir()) == [path]
 
     def test_reaggregated_ert_is_identical(self, rng, tmp_path):
         records = [random_record(rng) for _ in range(200)]
@@ -314,9 +330,10 @@ class TestManifest:
         assert budget["max_overshoot_seconds"] == 0.0
         assert budget["clock_scheme"] == CLOCK_SCHEME_ID
 
-    def test_digests_only_this_runs_logs(self, tmp_path):
+    def test_digests_only_this_runs_logs(self, tmp_path, capsys):
         # a one-arm rerun into a directory that holds a two-arm run: the new
-        # manifest must not attest to the other arm's stale log
+        # manifest must not attest to the other arm's stale log, and the
+        # audit must flag that log as unlisted
         from timefair.cli import main
 
         config = {
@@ -338,6 +355,13 @@ class TestManifest:
         assert (out_dir / "runs" / "pso" / "sphere-d2.jsonl").exists()
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert list(manifest["checklist"]["artifacts"]["log_digests"]) == ["runs/rs/sphere-d2.jsonl"]
+        capsys.readouterr()
+        assert main(["report", str(out_dir)]) == 1
+        stdout = capsys.readouterr().out
+        assert (
+            "item 8 (reproducibility artifacts): FAIL — run log(s) not in log_digests: "
+            "runs/pso/sphere-d2.jsonl\n"
+        ) in stdout
 
 
 class TestHashing:
