@@ -40,7 +40,6 @@ from .optimizers import (
     PsoParams,
     RandomSearch,
     StagnationRestart,
-    SyntheticOverhead,
     make_optimizer,
 )
 from .problems import ProblemInstance, catalog_names, get_problem, optimum_point

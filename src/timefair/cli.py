@@ -30,7 +30,6 @@ from .protocol import (
     ExperimentPlan,
     PlanError,
     best_of_restarts,
-    build_algorithm,
     run_plan,
 )
 from .seeds import subseed
@@ -123,18 +122,10 @@ def validate_config(raw: dict) -> dict:
         targets = {"kind": t["kind"], "values": values}
 
     clock_raw = raw["clock"]
-    _check_keys(
-        clock_raw, "clock", required=("mode",), optional=("cost_per_eval", "iteration_overhead")
-    )
-    overhead = clock_raw.get("iteration_overhead", {})
-    if not isinstance(overhead, dict):
-        raise ConfigError("clock.iteration_overhead must be an object")
+    _check_keys(clock_raw, "clock", required=("mode",), optional=("cost_per_eval",))
     clock = {
         "mode": clock_raw["mode"],
         "cost_per_eval": _number(clock_raw.get("cost_per_eval", 0.0), "clock.cost_per_eval"),
-        "iteration_overhead": {
-            k: _number(v, f"clock.iteration_overhead.{k}") for k, v in overhead.items()
-        },
     }
 
     algorithms = []
@@ -234,27 +225,15 @@ def plan_from_config(config: dict) -> ExperimentPlan:
     range errors surface as :class:`ConfigError`."""
     try:
         return ExperimentPlan(
-            algorithms=tuple(
-                AlgorithmSpec(
-                    label=a["label"], kind=a["kind"], params=a["params"], wrappers=a["wrappers"]
-                )
-                for a in config["algorithms"]
-            ),
+            algorithms=tuple(AlgorithmSpec(**a) for a in config["algorithms"]),
             instances=tuple(config["instances"]),
-            budget=Budget(
-                wall_time_limit=config["budget"]["wall_time_limit"],
-                eval_cap=config["budget"]["eval_cap"],
-            ),
+            budget=Budget(**config["budget"]),
             targets=None
             if config["targets"] is None
             else TargetSpec(kind=config["targets"]["kind"], values=tuple(config["targets"]["values"])),
             repetitions=config["repetitions"],
             master_seed=config["master_seed"],
-            clock=ClockSpec(
-                mode=config["clock"]["mode"],
-                cost_per_eval=config["clock"]["cost_per_eval"],
-                iteration_overhead=config["clock"]["iteration_overhead"],
-            ),
+            clock=ClockSpec(**config["clock"]),
         )
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -294,13 +273,15 @@ def cmd_run(args) -> int:
     plan = plan_from_config(config)
 
     out_dir = Path(config["output_dir"])
+    if (out_dir / report.MANIFEST_NAME).exists() or report.run_logs_on_disk(out_dir):
+        raise ConfigError(f"{out_dir} already holds a run; choose a new output directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     _progress(f"running {len(plan.algorithms)} algorithm(s) on {len(plan.instances)} instance(s), "
               f"R={plan.repetitions}, T={plan.budget.wall_time_limit}s ({plan.clock.mode} clock)")
     grouped = run_plan(plan, parallel=config["parallel"], progress=_progress)
 
     for spec in plan.algorithms:
-        params_echo = build_algorithm(spec).describe()
+        params_echo = spec.describe()
         for instance_id in plan.instances:
             records = grouped[(spec.label, instance_id)]
             report.write_run_log(records, report.run_log_path(out_dir, spec.label, instance_id), params=params_echo)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 # Recorded in the manifest, so that a replay knows how virtual time was derived.
 CLOCK_SCHEME_ID = "evals*cost_per_eval+iterations*step_overhead/v1"
@@ -25,25 +24,20 @@ class ClockSpec:
     """Clock configuration for an experiment plan.
 
     In virtual mode every function evaluation costs `cost_per_eval`
-    seconds and every iteration of algorithm `a` costs
-    `iteration_overhead[a]` seconds plus the algorithm's own
-    `step_overhead` (the synthetic-overhead wrapper).
+    seconds; an algorithm's per-iteration cost is its
+    ``synthetic_overhead`` wrapper, which the plan checks and charges.
     """
 
     mode: str = "real"
     cost_per_eval: float = 0.0
-    iteration_overhead: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.mode not in ("real", "virtual"):
             raise ValueError(f"unknown clock mode {self.mode!r}")
         if not (math.isfinite(self.cost_per_eval) and self.cost_per_eval >= 0):
             raise ValueError("cost_per_eval must be finite and >= 0")
-        if not all(math.isfinite(v) and v >= 0 for v in self.iteration_overhead.values()):
-            raise ValueError("iteration overheads must be finite and >= 0")
-        if self.mode == "real" and (self.cost_per_eval > 0 or self.iteration_overhead):
+        if self.mode == "real" and self.cost_per_eval > 0:
             raise ValueError("synthetic costs require clock mode 'virtual'")
-        object.__setattr__(self, "iteration_overhead", dict(self.iteration_overhead))
 
     @property
     def is_virtual(self) -> bool:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .clock import ClockSpec, RealClock, VirtualClock
 from .core import Budget, RunRecord, TargetSpec, Termination, TrajectoryPoint
-from .optimizers import Algorithm, StagnationRestart, SyntheticOverhead, make_optimizer
+from .optimizers import Algorithm, StagnationRestart, make_optimizer
 from .problems import ProblemInstance, get_problem
 from .seeds import SEED_SCHEME_ID, derive_seed  # re-exported; see seeds.py
 
@@ -58,14 +58,22 @@ class AlgorithmSpec:
 
     `label` must be unique within the plan and is the algorithm_id on all
     records. Wrappers: ``stagnation_restart`` (dict with plateau_window,
-    plateau_epsilon, optional max_restarts) applied innermost, then
-    ``synthetic_overhead`` (seconds per iteration).
+    plateau_epsilon, optional max_restarts) and ``synthetic_overhead``
+    (virtual seconds charged per iteration, emulating an expensive variant
+    without changing its search; the plan's virtual clock charges it).
     """
 
     label: str
     kind: str
     params: dict = field(default_factory=dict)
     wrappers: dict = field(default_factory=dict)
+
+    def describe(self) -> dict:
+        """Effective parameters, echoed into run headers."""
+        desc = build_algorithm(self).describe()
+        if "synthetic_overhead" in self.wrappers:
+            desc["synthetic_overhead_per_iteration"] = self.wrappers["synthetic_overhead"]
+        return desc
 
 
 def build_algorithm(spec: AlgorithmSpec) -> Algorithm:
@@ -79,9 +87,7 @@ def build_algorithm(spec: AlgorithmSpec) -> Algorithm:
             plateau_epsilon=stagnation["plateau_epsilon"],
             max_restarts=stagnation.get("max_restarts"),
         )
-    overhead = wrappers.pop("synthetic_overhead", None)
-    if overhead is not None:
-        algorithm = SyntheticOverhead(algorithm, overhead)
+    wrappers.pop("synthetic_overhead", None)  # charged by the clock, see virtual_clock
     if wrappers:
         raise PlanError(f"unknown wrappers for {spec.label}: {', '.join(sorted(wrappers))}")
     return algorithm
@@ -109,15 +115,20 @@ class ExperimentPlan:
         labels = [a.label for a in self.algorithms]
         if len(set(labels)) != len(labels):
             raise PlanError("algorithm labels must be unique")
+        if len(set(self.instances)) != len(self.instances):
+            raise PlanError("instance ids must be unique")
         for instance_id in self.instances:
             instance = get_problem(instance_id)  # raises KeyError for unknown ids
             if self.targets is not None:
                 self.targets.resolve(instance.f_opt)
         for spec in self.algorithms:
             algorithm = build_algorithm(spec)  # raises for unknown kinds/params
+            overhead = spec.wrappers.get("synthetic_overhead", 0.0)
+            if not (math.isfinite(overhead) and overhead >= 0):
+                raise PlanError(f"{spec.label}: synthetic_overhead must be finite and >= 0")
             if not self.clock.is_virtual and "synthetic_overhead" in spec.wrappers:
                 raise PlanError(f"{spec.label}: synthetic overhead requires the virtual clock")
-            step_cost = _virtual_clock(self, spec.label, algorithm).at(algorithm.evals_per_step, 1)
+            step_cost = self.virtual_clock(spec).at(algorithm.evals_per_step, 1)
             if self.clock.is_virtual and step_cost <= 0 and self.budget.eval_cap is None:
                 raise PlanError(
                     f"{spec.label}: virtual step cost is zero and no eval_cap is set; "
@@ -130,13 +141,10 @@ class ExperimentPlan:
                 return spec
         raise KeyError(f"no algorithm labelled {label!r} in plan")
 
-
-def _virtual_clock(plan: ExperimentPlan, label: str, algorithm: Algorithm) -> VirtualClock:
-    """The clock of the virtual runs of `algorithm`, labelled `label` in
-    the plan; its one per-iteration overhead joins the clock config's and
-    the wrappers'."""
-    overhead = plan.clock.iteration_overhead.get(label, 0.0) + algorithm.step_overhead
-    return VirtualClock(plan.clock.cost_per_eval, overhead)
+    def virtual_clock(self, spec: AlgorithmSpec) -> VirtualClock:
+        """The clock of `spec`'s virtual runs: the plan's cost per
+        evaluation, and the spec's ``synthetic_overhead`` per iteration."""
+        return VirtualClock(self.clock.cost_per_eval, spec.wrappers.get("synthetic_overhead", 0.0))
 
 
 class RunEvaluator:
@@ -218,7 +226,7 @@ def run_time_fair(
         seed = derive_seed(
             plan.master_seed, algorithm_label, instance_id, repetition_index, run_index
         )
-        clock = _virtual_clock(plan, algorithm_label, algorithm) if virtual else RealClock()
+        clock = plan.virtual_clock(spec) if virtual else RealClock()
         evaluator = RunEvaluator(instance, clock)
         state = algorithm.init(instance, seed)
         termination = Termination.BUDGET_EXHAUSTED

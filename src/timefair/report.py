@@ -62,6 +62,11 @@ def run_log_path(out_dir: Path, label: str, instance_id: str) -> Path:
     return Path(out_dir) / "runs" / label / f"{instance_id}.jsonl"
 
 
+def run_logs_on_disk(out_dir: Path) -> list[str]:
+    """Every run log under `out_dir`, relative to it, sorted."""
+    return sorted(str(p.relative_to(out_dir)) for p in Path(out_dir).glob("runs/*/*.jsonl"))
+
+
 @contextmanager
 def _atomic_open(path: Path):
     """Open a hidden ``.<name>.tmp`` beside `path` for writing (no
@@ -405,7 +410,9 @@ def build_manifest(
     }
     if plan.clock.is_virtual:
         budget_section["cost_per_eval"] = plan.clock.cost_per_eval
-        budget_section["iteration_overhead"] = dict(plan.clock.iteration_overhead)
+        budget_section["synthetic_overhead"] = {
+            spec.label: plan.virtual_clock(spec).step_overhead for spec in plan.algorithms
+        }
         budget_section["clock_scheme"] = CLOCK_SCHEME_ID
     if plan.targets is not None:
         targets_section = {
@@ -527,8 +534,7 @@ def _audit_artifacts(section: dict, out_dir: Optional[Path]) -> Optional[str]:
             return f"log file {rel} is missing"
         if sha256_file(log_path) != digest:
             return f"log digest mismatch for {rel}"
-    on_disk = {str(p.relative_to(out_dir)) for p in Path(out_dir).glob("runs/*/*.jsonl")}
-    unlisted = sorted(on_disk - set(section["log_digests"]))
+    unlisted = [rel for rel in run_logs_on_disk(out_dir) if rel not in section["log_digests"]]
     if unlisted:
         return f"run log(s) not in log_digests: {', '.join(unlisted)}"
     return None

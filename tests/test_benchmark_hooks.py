@@ -18,9 +18,10 @@ from timefair.protocol import AlgorithmSpec, ExperimentPlan, run_time_fair
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_install_finds_every_traced_name_but_clock_charge():
-    # virtual time has no per-evaluation charge any more: clock.charge is
-    # the one name the tracer may not find (its layer metrics read 0)
+def test_tracer_install_finds_every_traced_name_but_the_retired_ones():
+    # virtual time has no per-evaluation charge, and the synthetic
+    # per-iteration cost is charged by the clock, not by a wrapper's step:
+    # these two are the names the tracer may not find (their layers read 0)
     script = (
         "import json; from tracer import Tracer, install; "
         "t = Tracer(); install(t); print(json.dumps(t.missing))"
@@ -35,8 +36,10 @@ def test_tracer_install_finds_every_traced_name_but_clock_charge():
         timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout.splitlines()[-1]) == ["clock.charge"]
-
+    assert json.loads(out.stdout.splitlines()[-1]) == [
+        "clock.charge",
+        "optimizers.wrapper.synthetic-overhead",
+    ]
 
 
 def test_real_mode_time_follows_real_clock_now(monkeypatch):

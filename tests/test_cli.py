@@ -88,7 +88,11 @@ class TestValidateConfig:
         [
             (lambda c: c["clock"].update(cost_per_eval=math.nan), "cost_per_eval"),
             (lambda c: c["clock"].update(cost_per_eval=math.inf), "cost_per_eval"),
-            (lambda c: c["clock"].update(iteration_overhead={"pso": math.nan}), "overhead"),
+            # overheads are per algorithm (wrappers): the clock key is refused
+            (
+                lambda c: c["clock"].update(iteration_overhead={"pso": math.nan}),
+                r"clock: unknown key\(s\): iteration_overhead",
+            ),
             (lambda c: c["algorithms"][1]["wrappers"].update(synthetic_overhead=math.inf), "overhead"),
             (lambda c: c["targets"].update(values=[math.inf, 5.0]), "target values"),
             (lambda c: c["targets"].update(values=[100.0, math.nan]), "target values"),
@@ -171,14 +175,39 @@ class TestCmdRun:
                 "plateau_window",
             ),
             (lambda c: c.update(output_dir=5), "output_dir"),
+            # overheads belong to the algorithms: a per-label clock overhead
+            # could name a label the plan lacks and go uncharged
+            (
+                lambda c: c["clock"].update(iteration_overhead={"psoo": 100.0}),
+                "clock: unknown key(s): iteration_overhead",
+            ),
         ],
         ids=["wrappers-list", "instance-int", "swarm-size-string", "plateau-window-string",
-             "output-dir-int"],
+             "output-dir-int", "iteration-overhead-key"],
     )
     def test_malformed_values_exit_2_naming_field(self, tmp_path, capsys, mutate, field):
         path, _ = write_config(tmp_path, mutate=mutate)
         assert main(["run", "--config", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_second_run_into_the_same_directory_exits_2(self, tmp_path, capsys):
+        def files(directory):
+            return {p: p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+        path, cfg = write_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        first = files(out)
+        capsys.readouterr()
+        assert main(["run", "--config", str(path), "--seed", "8"]) == 2
+        assert "already holds a run" in capsys.readouterr().err
+        assert files(out) == first
+        # a run log without a manifest is an earlier run too
+        logs_only = tmp_path / "logs-only"
+        (logs_only / "runs" / "rs-a").mkdir(parents=True)
+        (logs_only / "runs" / "rs-a" / "sphere-d2.jsonl").write_text("")
+        assert main(["run", "--config", str(path), "--out", str(logs_only)]) == 2
+        assert files(logs_only) == {logs_only / "runs" / "rs-a" / "sphere-d2.jsonl": b""}
 
     def test_parallel_requires_virtual(self, tmp_path, capsys):
         def make_real(cfg):

@@ -13,7 +13,6 @@ from timefair.optimizers import (
     PsoParams,
     RandomSearchState,
     StagnationRestart,
-    SyntheticOverhead,
     make_optimizer,
 )
 from timefair.problems import ProblemInstance, get_problem
@@ -150,7 +149,6 @@ class TestStagnationRestart:
         # shrinking deterministic proposals improve every step on sphere
         class Shrink:
             evals_per_step = 1
-            step_overhead = 0.0
 
             def init(self, instance, seed):
                 return RandomSearchState(rng=np.random.default_rng(seed))
@@ -233,31 +231,30 @@ class TestStagnationRestart:
         assert statistics.median(wrapped_finals) <= statistics.median(plain_finals)
 
 
+def rs_plan(wrappers, T=45.0, max_iterations=4, clock=None):
+    """A one-arm random-search plan labelled "rs" on sphere-d2."""
+    return ExperimentPlan(
+        algorithms=(
+            AlgorithmSpec("rs", "random-search", {"max_iterations": max_iterations}, wrappers),
+        ),
+        instances=("sphere-d2",),
+        budget=Budget(wall_time_limit=T),
+        targets=None,
+        repetitions=1,
+        master_seed=2,
+        clock=clock or ClockSpec(mode="virtual", cost_per_eval=0.25),
+    )
+
+
 class TestSyntheticOverhead:
     def test_zero_overhead_is_identity(self):
-        ev_plain, ev_wrapped = make_evaluator(), make_evaluator()
-        plain = make_optimizer("pso", {"swarm_size": 5})
-        wrapped = SyntheticOverhead(make_optimizer("pso", {"swarm_size": 5}), 0.0)
-        state_p, _ = drive(plain, ev_plain, 11, 8)
-        state_w, _ = drive(wrapped, ev_wrapped, 11, 8)
-        assert state_p.best_f == state_w.best_f
-        assert ev_plain.trajectory == ev_wrapped.trajectory
+        plain = run_time_fair(rs_plan({}), "rs", "sphere-d2", 0)
+        zero = run_time_fair(rs_plan({"synthetic_overhead": 0.0}), "rs", "sphere-d2", 0)
+        assert plain == zero
 
     def test_overhead_charges_clock_per_iteration(self):
         def time_used(overhead):
-            plan = ExperimentPlan(
-                algorithms=(
-                    AlgorithmSpec(
-                        "rs", "random-search", {"max_iterations": 4}, {"synthetic_overhead": overhead}
-                    ),
-                ),
-                instances=("sphere-d2",),
-                budget=Budget(wall_time_limit=45.0),
-                targets=None,
-                repetitions=1,
-                master_seed=2,
-                clock=ClockSpec(mode="virtual", cost_per_eval=0.25),
-            )
+            plan = rs_plan({"synthetic_overhead": overhead})
             return [r.time_used for r in run_time_fair(plan, "rs", "sphere-d2", 0)]
 
         # four iterations of (overhead + one 0.25 s evaluation) per run
@@ -265,30 +262,28 @@ class TestSyntheticOverhead:
         assert time_used(2.0) == [4 * (2.0 + 0.25)] * 5
 
     def test_search_behavior_is_unchanged(self):
-        ev_a, ev_b = make_evaluator(), make_evaluator()
-        drive(make_optimizer("random-search"), ev_a, 3, 10)
-        drive(SyntheticOverhead(make_optimizer("random-search"), 5.0), ev_b, 3, 10)
-        assert ev_a.best_f == ev_b.best_f
+        # the overhead costs time, never a different search: the heavy arm's
+        # runs evaluate what the plain arm's first runs evaluate, until T
+        # cuts its second run after one iteration (then no iteration fits)
+        def searched(overhead):
+            plan = rs_plan({"synthetic_overhead": overhead}, T=60.0, max_iterations=10)
+            records = run_time_fair(plan, "rs", "sphere-d2", 0)
+            return [(r.evals_used, [(p.evals, p.best_f) for p in r.trajectory]) for r in records]
+
+        plain, heavy = searched(0.0), searched(5.0)
+        assert len(plain) == 24
+        assert heavy == [plain[0], (1, plain[1][1][:1]), (0, [])]
 
     def test_real_clock_rejected(self):
         # the wrapper's presence is the error, even at zero overhead
         for overhead in (0.5, 0.0):
             with pytest.raises(PlanError, match="virtual clock"):
-                ExperimentPlan(
-                    algorithms=(
-                        AlgorithmSpec("rs", "random-search", wrappers={"synthetic_overhead": overhead}),
-                    ),
-                    instances=("sphere-d2",),
-                    budget=Budget(wall_time_limit=1.0),
-                    targets=None,
-                    repetitions=1,
-                    master_seed=1,
-                    clock=ClockSpec(mode="real"),
-                )
+                rs_plan({"synthetic_overhead": overhead}, T=1.0, clock=ClockSpec(mode="real"))
 
     def test_negative_overhead_rejected(self):
-        with pytest.raises(ValueError):
-            SyntheticOverhead(make_optimizer("random-search"), -0.1)
+        for overhead in (-0.1, math.nan, math.inf):
+            with pytest.raises(PlanError, match="synthetic_overhead must be finite and >= 0"):
+                rs_plan({"synthetic_overhead": overhead})
 
 
 def test_describe_echoes_effective_parameters():
@@ -296,12 +291,20 @@ def test_describe_echoes_effective_parameters():
     assert desc["swarm_size"] == 12
     assert desc["inertia"] == 0.7298
     assert desc["max_iterations"] == 9
-    wrapped = SyntheticOverhead(
-        StagnationRestart(make_optimizer("pso"), 4, 0.5), 1.25
+    # the run header's echo: the wrappers' settings follow the optimizer's
+    spec = AlgorithmSpec(
+        "pso",
+        "pso",
+        wrappers={
+            "synthetic_overhead": 1.25,
+            "stagnation_restart": {"plateau_window": 4, "plateau_epsilon": 0.5},
+        },
     )
-    desc = wrapped.describe()
-    assert desc["synthetic_overhead_per_iteration"] == 1.25
+    desc = spec.describe()
     assert desc["stagnation_restart"]["plateau_window"] == 4
+    assert list(desc)[-2:] == ["stagnation_restart", "synthetic_overhead_per_iteration"]
+    assert desc["synthetic_overhead_per_iteration"] == 1.25
+    assert "synthetic_overhead_per_iteration" not in AlgorithmSpec("pso", "pso").describe()
 
 
 @dataclass

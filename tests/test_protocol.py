@@ -176,58 +176,12 @@ class TestRunTimeFair:
                 # 12 full iterations of 8 evals fit into the cap of 100
                 assert sum(r.evals_used for r in records) == 96
 
-    def test_clock_spec_iteration_overhead_is_charged(self):
-        # per-algorithm overhead from the clock config: 4 iterations of
-        # (0.25 eval + 0.5 overhead) = 3.0 s per run, exact
-        plan = ExperimentPlan(
-            algorithms=(AlgorithmSpec("rs", "random-search", {"max_iterations": 4}),),
-            instances=("sphere-d2",),
-            budget=Budget(wall_time_limit=6.0),
-            targets=None,
-            repetitions=1,
-            master_seed=21,
-            clock=ClockSpec(mode="virtual", cost_per_eval=0.25, iteration_overhead={"rs": 0.5}),
-        )
-        records = run_time_fair(plan, "rs", "sphere-d2", 0)
-        assert [r.time_used for r in records] == [3.0, 3.0]
-        assert all(r.termination is Termination.INTERNAL_STOP for r in records)
-
-    def test_clock_overhead_matches_wrapper_overhead(self):
-        # the same surcharge expressed via the clock config or via the
-        # synthetic-overhead wrapper must yield identical timing
-        base = dict(
-            instances=("sphere-d2",),
-            budget=Budget(wall_time_limit=2.0),
-            targets=None,
-            repetitions=1,
-            master_seed=77,
-        )
-        via_clock = ExperimentPlan(
-            algorithms=(AlgorithmSpec("rs", "random-search", {"max_iterations": 3}),),
-            clock=ClockSpec(mode="virtual", cost_per_eval=0.125, iteration_overhead={"rs": 0.25}),
-            **base,
-        )
-        via_wrapper = ExperimentPlan(
-            algorithms=(
-                AlgorithmSpec(
-                    "rs", "random-search", {"max_iterations": 3}, {"synthetic_overhead": 0.25}
-                ),
-            ),
-            clock=ClockSpec(mode="virtual", cost_per_eval=0.125),
-            **base,
-        )
-        a = run_time_fair(via_clock, "rs", "sphere-d2", 0)
-        b = run_time_fair(via_wrapper, "rs", "sphere-d2", 0)
-        assert [r.time_used for r in a] == [r.time_used for r in b]
-        assert [r.trajectory for r in a] == [r.trajectory for r in b]
-
     def test_time_used_is_the_clock_at_the_run_counts(self):
-        # non-dyadic costs from all three sources: each run's time_used is
+        # non-dyadic evaluation and iteration costs: each run's time_used is
         # exactly at(evals_used, iterations), and the budget still holds
         rng = np.random.default_rng(8)
         for trial in range(30):
             cpe = float(rng.uniform(0.001, 0.05))
-            iteration_overhead = float(rng.uniform(0.0, 0.1))
             synthetic = float(rng.uniform(0.0, 0.1))
             T = float(rng.uniform(0.5, 4.0))
             swarm = int(rng.integers(2, 9))
@@ -248,14 +202,10 @@ class TestRunTimeFair:
                 targets=None,
                 repetitions=1,
                 master_seed=int(rng.integers(0, 2**32)),
-                clock=ClockSpec(
-                    mode="virtual",
-                    cost_per_eval=cpe,
-                    iteration_overhead={"rs": iteration_overhead, "pso": iteration_overhead},
-                ),
+                clock=ClockSpec(mode="virtual", cost_per_eval=cpe),
             )
             for label, evals_per_step in (("rs", 1), ("pso", swarm)):
-                clock = VirtualClock(cpe, iteration_overhead + synthetic)
+                clock = VirtualClock(cpe, synthetic)
                 records = run_time_fair(plan, label, "sphere-d2", 0)
                 total = 0.0
                 for record in records:
@@ -345,6 +295,19 @@ class TestPlanValidation:
             ExperimentPlan(
                 algorithms=(AlgorithmSpec("x", "pso"),),
                 instances=("nosuch-d3",),
+                budget=Budget(wall_time_limit=1.0),
+                targets=None,
+                repetitions=1,
+                master_seed=1,
+                clock=VIRTUAL,
+            )
+
+    def test_duplicate_instance_ids_rejected(self):
+        # a repeated id would run every repetition twice under one key
+        with pytest.raises(PlanError, match="instance ids must be unique"):
+            ExperimentPlan(
+                algorithms=(AlgorithmSpec("x", "pso"),),
+                instances=("sphere-d2", "rastrigin-d2", "sphere-d2"),
                 budget=Budget(wall_time_limit=1.0),
                 targets=None,
                 repetitions=1,

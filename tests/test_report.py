@@ -329,11 +329,25 @@ class TestManifest:
         assert budget["clock_mode"] == "virtual"
         assert budget["max_overshoot_seconds"] == 0.0
         assert budget["clock_scheme"] == CLOCK_SCHEME_ID
+        assert budget["synthetic_overhead"] == {"rs": 0.0}
+
+    def test_synthetic_overhead_is_what_each_clock_charged(self, tmp_path):
+        algorithms = [
+            {"label": "rs", "kind": "random-search", "params": {"max_iterations": 8}},
+            {"label": "rs-heavy", "kind": "random-search", "params": {"max_iterations": 8},
+             "wrappers": {"synthetic_overhead": 0.03125}},
+        ]
+        plan, grouped, out_dir, config = _tiny_experiment(tmp_path, algorithms=algorithms)
+        manifest = build_manifest(plan, grouped, out_dir, config)
+        assert manifest["checklist"]["budget"]["synthetic_overhead"] == {"rs": 0.0, "rs-heavy": 0.03125}
+        # each heavy iteration costs one 0.015625 s evaluation plus the overhead
+        records = grouped[("rs-heavy", "sphere-d2")]
+        assert all(r.time_used == r.evals_used * (0.015625 + 0.03125) for r in records)
+        assert max(r.time_used for r in records) == 8 * 0.046875
 
     def test_digests_only_this_runs_logs(self, tmp_path, capsys):
-        # a one-arm rerun into a directory that holds a two-arm run: the new
-        # manifest must not attest to the other arm's stale log, and the
-        # audit must flag that log as unlisted
+        # a stale log of another arm beside a one-arm run: the manifest must
+        # not attest to it, and the audit must flag it as unlisted
         from timefair.cli import main
 
         config = {
@@ -341,18 +355,16 @@ class TestManifest:
             "repetitions": 1,
             "master_seed": 3,
             "clock": {"mode": "virtual", "cost_per_eval": 0.015625},
-            "algorithms": [
-                {"label": "rs", "kind": "random-search", "params": {"max_iterations": 8}},
-                {"label": "pso", "kind": "pso", "params": {"swarm_size": 4}},
-            ],
+            "algorithms": [{"label": "rs", "kind": "random-search", "params": {"max_iterations": 8}}],
             "instances": ["sphere-d2"],
         }
         out_dir = tmp_path / "out"
-        for algorithms in (config["algorithms"], config["algorithms"][:1]):
-            path = tmp_path / "config.json"
-            path.write_text(json.dumps({**config, "algorithms": algorithms}))
-            assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 0
-        assert (out_dir / "runs" / "pso" / "sphere-d2.jsonl").exists()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 0
+        stale = out_dir / "runs" / "pso" / "sphere-d2.jsonl"
+        stale.parent.mkdir()
+        stale.write_text("")
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert list(manifest["checklist"]["artifacts"]["log_digests"]) == ["runs/rs/sphere-d2.jsonl"]
         capsys.readouterr()
