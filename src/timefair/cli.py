@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import __version__, metrics, report
 from .clock import ClockSpec
-from .core import Budget, CostMatrix, TargetSpec
+from .core import Budget, TargetSpec
 from .metrics import (
     DEFAULT_BOOTSTRAP_SAMPLES,
     DEFAULT_CONFIDENCE,
@@ -320,13 +320,17 @@ def _parse_amortize(values: Optional[list[str]]) -> dict[str, float]:
     return out
 
 
+def _targets_by_instance(plan: ExperimentPlan) -> dict[str, tuple[float, ...]]:
+    return {i: plan.targets.resolve(get_problem(i).f_opt) for i in plan.instances}
+
+
 def cmd_analyze(args) -> int:
     out_dir = Path(args.out_dir)
     amortize = _parse_amortize(args.amortize)
     config = _load_experiment(out_dir)
-    T = config["budget"]["wall_time_limit"]
-    labels = [a["label"] for a in config["algorithms"]]
-    instances = list(config["instances"])
+    plan = plan_from_config(config)
+    T = plan.budget.wall_time_limit
+    labels = [spec.label for spec in plan.algorithms]
     metric_options = config["metrics"]
     unknown = sorted(set(amortize) - set(labels))
     if unknown:
@@ -335,7 +339,7 @@ def cmd_analyze(args) -> int:
     grouped: dict[tuple[str, str], list] = {}
     total_issues = []
     for label in labels:
-        for instance_id in instances:
+        for instance_id in plan.instances:
             path = report.run_log_path(out_dir, label, instance_id)
             if not path.exists():
                 raise FileNotFoundError(f"missing run log {path}")
@@ -347,14 +351,15 @@ def cmd_analyze(args) -> int:
     for msg in total_issues:
         _progress(f"log issue: {msg}")
 
-    targets_cfg = config["targets"]
     curves_dir = out_dir / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)
+    for stale in curves_dir.glob("*.csv"):  # an earlier analysis may have had more solvers
+        stale.unlink()
     grid = metrics.default_time_grid(T, metric_options["time_grid_points"])
-    bootstrap_seed = subseed(config["master_seed"], 1)
+    bootstrap_seed = subseed(plan.master_seed, 1)
 
     # median trajectories: one CSV per instance, all solvers
-    for instance_id in instances:
+    for instance_id in plan.instances:
         med_curves = {}
         for label in labels:
             records = grouped[(label, instance_id)]
@@ -368,77 +373,21 @@ def cmd_analyze(args) -> int:
                 )
         report.emit_median_csv(med_curves, curves_dir / f"median_{instance_id}.csv")
 
-    if targets_cfg is None:
+    if plan.targets is None:
         print("no targets configured: wrote median trajectories only")
         return EXIT_OK
 
-    spec = TargetSpec(kind=targets_cfg["kind"], values=tuple(targets_cfg["values"]))
-    targets_by_instance = {
-        instance_id: spec.resolve(get_problem(instance_id).f_opt) for instance_id in instances
-    }
-
-    ert_rows = []
-    ert_by = {}
-    for label in labels:
-        for instance_id in instances:
-            records = grouped[(label, instance_id)]
-            for q in targets_by_instance[instance_id]:
-                times = [metrics.time_to_target(r, q, T) for r in records]
-                result = metrics.ert(times, T, target=q) if times else None
-                if result is None:
-                    continue
-                ert_by[(label, instance_id, q)] = result
-                ert_rows.append(
-                    {
-                        "solver": label,
-                        "instance": instance_id,
-                        "target": q,
-                        "ert": result.ert,
-                        "successes": result.successes,
-                        "runs": result.runs,
-                        "success_rate": result.success_rate,
-                    }
-                )
-    report.emit_ert_table(ert_rows, out_dir / "ert_table.csv")
-
-    for label in labels:
-        all_records = [r for instance_id in instances for r in grouped[(label, instance_id)]]
-        if all_records:
-            curve = metrics.anytime_ecdf(all_records, targets_by_instance, grid)
-            report.emit_ecdf_csv(curve, curves_dir / f"ecdf_{label}.csv")
-
-    # one profile per target position in the ladder (time cost = ERT)
-    n_targets = len(targets_cfg["values"])
-    for k in range(n_targets):
-        rows = []
-        for instance_id in instances:
-            q = targets_by_instance[instance_id][k]
-            rows.append(
-                tuple(
-                    ert_by[(label, instance_id, q)].ert if (label, instance_id, q) in ert_by else math.inf
-                    for label in labels
-                )
-            )
-        if any(c == 0.0 for row in rows for c in row):
-            raise RuntimeError(
-                "time-based profiles need positive time costs; "
-                "got an ERT of zero (virtual cost_per_eval = 0?)"
-            )
-        costs = CostMatrix(solvers=tuple(labels), instances=tuple(instances), costs=tuple(rows))
-        if amortize:
-            costs = metrics.amortize_tuning(costs, amortize)
-        curves = metrics.performance_profile(costs)
-        ladder_value = targets_cfg["values"][k]
+    analysis = metrics.analyze(grouped, T, _targets_by_instance(plan), grid, amortize)
+    report.emit_ert_table(analysis.ert, out_dir / "ert_table.csv")
+    for label, curve in analysis.ecdf.items():
+        report.emit_ecdf_csv(curve, curves_dir / f"ecdf_{label}.csv")
+    for ladder_value, curves in zip(plan.targets.values, analysis.profiles):
         suffix = f"{ladder_value:g}".replace(".", "p").replace("-", "m")
         report.emit_profile_csv(curves, curves_dir / f"profile_target_{suffix}.csv")
-
     print(f"{'solver':<16} {'instance':<18} {'target':>10} {'ert':>12} {'success':>8}")
-    for row in ert_rows:
-        ert_text = "inf" if math.isinf(row["ert"]) else f"{row['ert']:.6g}"
-        print(
-            f"{row['solver']:<16} {row['instance']:<18} {row['target']:>10.6g} "
-            f"{ert_text:>12} {row['success_rate']:>8.2f}"
-        )
+    for (label, instance_id, q), result in analysis.ert.items():
+        ert_text = "inf" if math.isinf(result.ert) else f"{result.ert:.6g}"
+        print(f"{label:<16} {instance_id:<18} {q:>10.6g} {ert_text:>12} {result.success_rate:>8.2f}")
     _progress(f"wrote ert_table.csv and curves/ to {out_dir}")
     return EXIT_OK
 
@@ -475,16 +424,13 @@ def scenario_plan(repetitions: int = 20) -> ExperimentPlan:
     return plan_from_config(validate_config(config))
 
 
-def _ert_bruteforce(times: list[Optional[float]], T: float) -> float:
-    total = 0.0
-    successes = 0
-    for t in times:
-        if t is None:
-            total += T
-        else:
-            total += t if t < T else T
-            successes += 1
-    return total / successes if successes else math.inf
+def _ert_recheck(records, q: float, T: float) -> float:
+    """ERT to `q` straight from the logged trajectories, written apart from
+    :mod:`metrics`: a run succeeds at its first point with best_f <= q if
+    that point lies within T, and a failed run costs T."""
+    hits = [next((p.elapsed for p in r.trajectory if p.best_f <= q), math.inf) for r in records]
+    wins = [t for t in hits if t <= T]
+    return (sum(wins) + T * (len(hits) - len(wins))) / len(wins) if wins else math.inf
 
 
 def cmd_simulate(args) -> int:
@@ -517,20 +463,15 @@ def cmd_simulate(args) -> int:
         )
     print()
     print(f"{'algorithm':<12} {'target':>8} {'ert':>12} {'success':>8}  recheck")
-    for spec in plan.algorithms:
-        records = grouped[(spec.label, instance_id)]
-        for q in plan.targets.values:
-            times = [metrics.time_to_target(r, q, T) for r in records]
-            result = metrics.ert(times, T, target=q)
-            oracle = _ert_bruteforce(times, T)
-            agree = (
-                math.isinf(result.ert) and math.isinf(oracle)
-            ) or math.isclose(result.ert, oracle, rel_tol=1e-12)
-            ert_text = "inf" if math.isinf(result.ert) else f"{result.ert:.4f}"
-            print(
-                f"{spec.label:<12} {q:>8g} {ert_text:>12} {result.success_rate:>8.2f}  "
-                f"{'ok' if agree else 'MISMATCH'}"
-            )
+    analysis = metrics.analyze(grouped, T, _targets_by_instance(plan), metrics.default_time_grid(T))
+    for (label, instance, q), result in analysis.ert.items():
+        oracle = _ert_recheck(grouped[(label, instance)], q, T)
+        agree = math.isclose(result.ert, oracle, rel_tol=1e-12)  # inf is close to inf only
+        ert_text = "inf" if math.isinf(result.ert) else f"{result.ert:.4f}"
+        print(
+            f"{label:<12} {q:>8g} {ert_text:>12} {result.success_rate:>8.2f}  "
+            f"{'ok' if agree else 'MISMATCH'}"
+        )
     baseline, variant = best_samples
     test = metrics.rank_sum_test(best_samples[baseline], best_samples[variant])
     print()

@@ -177,7 +177,7 @@ class CostMatrix:
     """Per (instance, solver) cost table; +inf marks failure on an instance.
 
     Rows with no finite entry are flagged in `all_failed_instances`; the
-    profile computation excludes them from the instance count by default.
+    profile computation excludes them from the instance count.
     """
 
     solvers: tuple[str, ...]

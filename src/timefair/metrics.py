@@ -212,16 +212,13 @@ class ProfileCurve:
         return self.rho[k - 1] if k else 0.0
 
 
-def performance_profile(
-    costs: CostMatrix, include_all_failed: bool = False
-) -> list[ProfileCurve]:
+def performance_profile(costs: CostMatrix) -> list[ProfileCurve]:
     """Dolan-Moré profiles with time as the cost measure.
 
     Instances where every solver failed have no finite ratio reference;
-    they are excluded from the instance count (with a warning) unless
-    `include_all_failed` counts them against all solvers equally.
+    they are excluded from the instance count, with a warning.
     """
-    excluded = set() if include_all_failed else set(costs.all_failed_instances)
+    excluded = set(costs.all_failed_instances)
     if excluded:
         logger.warning(
             "performance_profile: excluding %d all-failed instance(s): %s",
@@ -280,6 +277,66 @@ def amortize_tuning(costs: CostMatrix, tuning_time: Mapping[str, float]) -> Cost
         for row in costs.costs
     )
     return CostMatrix(solvers=costs.solvers, instances=costs.instances, costs=rows)
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """The time-cost metrics of one experiment, as :func:`analyze` builds them."""
+
+    ert: Mapping[tuple[str, str, float], ErtResult]  # (solver, instance, target)
+    ecdf: Mapping[str, EcdfCurve]  # by solver
+    profiles: tuple[list[ProfileCurve], ...]  # by target-ladder position
+
+
+def analyze(
+    grouped: Mapping[tuple[str, str], Sequence[RunRecord]],
+    T: float,
+    targets_by_instance: Mapping[str, Sequence[float]],
+    time_grid: Sequence[float],
+    tuning_time: Mapping[str, float] = {},
+) -> Analysis:
+    """ERT to every target, one anytime ECDF per solver, and one
+    performance profile per target-ladder position whose cost is the ERT
+    plus `tuning_time` amortized over the instances.
+
+    `grouped` holds the records of every (solver, instance) pair, and
+    solvers are reported in the order they first appear in it;
+    `targets_by_instance` holds every instance's ladder, easiest first, all
+    of one length. ERT results are ordered by solver, then instance, then
+    target. A pair with no records has no ERT and costs +inf in the
+    profiles; a solver with no records has no ECDF.
+    """
+    solvers = tuple(dict.fromkeys(solver for solver, _ in grouped))
+    instances = tuple(targets_by_instance)
+    erts: dict[tuple[str, str, float], ErtResult] = {}
+    for solver in solvers:
+        for instance in instances:
+            records = grouped[(solver, instance)]
+            if records:
+                for q in targets_by_instance[instance]:
+                    times = [time_to_target(r, q, T) for r in records]
+                    erts[(solver, instance, q)] = ert(times, T, target=q)
+    ecdf = {}
+    for solver in solvers:
+        records = [r for instance in instances for r in grouped[(solver, instance)]]
+        if records:
+            ecdf[solver] = anytime_ecdf(records, targets_by_instance, time_grid)
+    profiles = []
+    for ladder in zip(*targets_by_instance.values()):
+        rows = tuple(
+            tuple(erts[(s, i, q)].ert if (s, i, q) in erts else math.inf for s in solvers)
+            for i, q in zip(instances, ladder)
+        )
+        if any(c == 0.0 for row in rows for c in row):
+            raise RuntimeError(
+                "time-based profiles need positive time costs; "
+                "got an ERT of zero (virtual cost_per_eval = 0?)"
+            )
+        costs = CostMatrix(solvers=solvers, instances=instances, costs=rows)
+        if tuning_time:
+            costs = amortize_tuning(costs, tuning_time)
+        profiles.append(performance_profile(costs))
+    return Analysis(ert=erts, ecdf=ecdf, profiles=tuple(profiles))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import __version__
 from .clock import CLOCK_SCHEME_ID
-from .core import RunRecord, Termination, TrajectoryPoint, validate
+from .core import ErtResult, RunRecord, Termination, TrajectoryPoint, validate
 from .metrics import EcdfCurve, MedianCurve, ProfileCurve
 from .seeds import SEED_SCHEME_ID
 
@@ -288,9 +288,9 @@ def emit_median_csv(curves: Mapping[str, MedianCurve], path: Path) -> None:
     _write_csv(path, ("time", "median", "ci_lo", "ci_hi", "solver"), rows)
 
 
-def emit_ert_table(rows: Sequence[dict], path: Path) -> None:
+def emit_ert_table(ert: Mapping[tuple[str, str, float], ErtResult], path: Path) -> None:
     header = ("solver", "instance", "target", "ert", "successes", "runs", "success_rate")
-    _write_csv(path, header, [[row[k] for k in header] for row in rows])
+    _write_csv(path, header, [(*key, r.ert, r.successes, r.runs, r.success_rate) for key, r in ert.items()])
 
 
 def sha256_file(path: Path) -> str:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from timefair import metrics
 from timefair.cli import (
     ConfigError,
     demo_config,
@@ -300,6 +301,30 @@ class TestCmdAnalyze:
     def test_missing_directory_is_runtime_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "void")]) == 1
 
+    def test_reanalysis_removes_curves_it_no_longer_writes(self, tmp_path):
+        path, cfg = write_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        assert main(["analyze", str(out)]) == 0
+        assert (out / "curves" / "ecdf_rs-b.csv").exists()
+        # every rs-b run becomes unparsable, so rs-b drops out of the analysis
+        for instance in cfg["instances"]:
+            log = out / "runs" / "rs-b" / f"{instance}.jsonl"
+            lines = [json.loads(line) for line in log.read_text().splitlines()]
+            for obj in lines:
+                if obj["kind"] == "run_end":
+                    obj["time_used"] = "bad"
+            log.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        assert main(["analyze", str(out)]) == 0
+        assert sorted(p.name for p in (out / "curves").glob("*.csv")) == [
+            "ecdf_rs-a.csv",
+            "median_rastrigin-d2.csv",
+            "median_sphere-d2.csv",
+            "profile_target_0p1.csv",
+            "profile_target_1.csv",
+            "profile_target_10.csv",
+        ]
+
 
 class TestCmdReport:
     def test_deleting_seeds_fails_item_5(self, tmp_path, capsys):
@@ -342,26 +367,26 @@ class TestCmdSimulate:
         assert "MISMATCH" not in first
         assert "rank-sum test" in first
 
+    def test_recheck_reads_the_logged_trajectories(self, monkeypatch, capsys):
+        # a wrong first-hit time in metrics must show up against the recheck
+        monkeypatch.setattr(metrics, "time_to_target", lambda record, q, T=math.inf: None)
+        assert main(["simulate"]) == 0
+        assert "MISMATCH" in capsys.readouterr().out
+
 
 class TestScenarioProfiles:
     def test_baseline_profile_weakly_dominates_heavy(self, tmp_path):
         # analyze over the built-in scenario logs: for the hardest target
         # (5.0) and an attainable one (100.0), the restarted baseline's
         # profile must never fall below the heavy variant's.
-        from timefair.metrics import ert as ert_fn, time_to_target
         from timefair.protocol import run_plan
 
         plan = scenario_plan(repetitions=5)
-        grouped = run_plan(plan)
         T = plan.budget.wall_time_limit
+        ladder = plan.targets.values
+        analysis = metrics.analyze(run_plan(plan), T, {"rastrigin-d10": ladder}, metrics.default_time_grid(T))
         for q in (5.0, 100.0):
-            costs = []
-            for label in ("pso", "pso-heavy"):
-                records = grouped[(label, "rastrigin-d10")]
-                result = ert_fn([time_to_target(r, q, T) for r in records], T)
-                costs.append(result.ert)
-            matrix = CostMatrix(("pso", "pso-heavy"), ("rastrigin-d10",), (tuple(costs),))
-            base, heavy = performance_profile(matrix)
+            base, heavy = analysis.profiles[ladder.index(q)]
             for tau in (1.0, 1.5, 2.0, 5.0, 20.0, 1e6):
                 assert base.rho_at(tau) >= heavy.rho_at(tau)
 

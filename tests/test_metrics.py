@@ -9,6 +9,7 @@ from scipy import stats as scipy_stats
 from timefair.core import CostMatrix, RunRecord, Termination, TrajectoryPoint
 from timefair.metrics import (
     amortize_tuning,
+    analyze,
     anytime_ecdf,
     default_time_grid,
     ert,
@@ -267,10 +268,6 @@ class TestPerformanceProfile:
         )
         curves = performance_profile(costs)
         assert all(c.n_instances == 2 and c.n_excluded == 1 for c in curves)
-        included = performance_profile(costs, include_all_failed=True)
-        assert all(c.n_instances == 3 and c.n_excluded == 0 for c in included)
-        # failures never satisfy any finite tau
-        assert included[0].rho_at(1e12) == pytest.approx(2 / 3)
 
     def test_monotone_in_unit_interval(self, rng):
         for _ in range(30):
@@ -346,6 +343,72 @@ class TestAmortizeTuning:
     def test_unknown_solver_rejected(self):
         with pytest.raises(KeyError):
             amortize_tuning(self._matrix(), {"Z": 1.0})
+
+
+class TestAnalyze:
+    T = 10.0
+    TARGETS = {"sphere-d2": (5.0, 1.0), "rastrigin-d5": (5.0, 1.0)}
+
+    def _grouped(self):
+        # instance-major on purpose: ERT order comes from solvers, not insertion
+        return {
+            ("A", "sphere-d2"): [
+                make_record([(1.0, 1, 4.0), (2.0, 2, 0.5)]),
+                make_record([(3.0, 1, 6.0)]),
+            ],
+            ("B", "sphere-d2"): [make_record([(2.0, 1, 3.0)])],
+            ("C", "sphere-d2"): [],
+            ("A", "rastrigin-d5"): [make_record([(4.0, 1, 2.0)], instance_id="rastrigin-d5")],
+            ("B", "rastrigin-d5"): [],
+            ("C", "rastrigin-d5"): [],
+        }
+
+    def _analyze(self, grouped=None, **kwargs):
+        grouped = self._grouped() if grouped is None else grouped
+        return analyze(grouped, self.T, self.TARGETS, default_time_grid(self.T), **kwargs)
+
+    def test_ert_in_solver_instance_target_order(self):
+        result = self._analyze()
+        assert list(result.ert) == [
+            ("A", "sphere-d2", 5.0),
+            ("A", "sphere-d2", 1.0),
+            ("A", "rastrigin-d5", 5.0),
+            ("A", "rastrigin-d5", 1.0),
+            ("B", "sphere-d2", 5.0),
+            ("B", "sphere-d2", 1.0),
+        ]
+        assert result.ert[("A", "sphere-d2", 5.0)] == ert([1.0, None], self.T, target=5.0)
+        assert result.ert[("A", "sphere-d2", 1.0)].ert == 12.0
+
+    def test_empty_pair_has_no_ert_and_costs_inf_in_profile(self):
+        result = self._analyze()
+        assert not any(key[:2] == ("B", "rastrigin-d5") for key in result.ert)
+        assert [c.solver_id for c in result.profiles[0]] == ["A", "B", "C"]
+        a, b, c = result.profiles[0]  # costs (11, 2, inf) on sphere, (4, inf, inf) on rastrigin
+        assert a.ratios == (1.0, 5.5) and a.rho == (0.5, 1.0)
+        assert b.ratios == (1.0,) and b.rho == (0.5,) and b.n_instances == 2
+        assert c.ratios == ()
+        assert all(curve.n_excluded == 1 for curve in result.profiles[1])
+
+    def test_solver_without_records_has_no_ecdf(self):
+        result = self._analyze()
+        assert list(result.ecdf) == ["A", "B"]
+        grouped = self._grouped()
+        records = grouped[("A", "sphere-d2")] + grouped[("A", "rastrigin-d5")]
+        assert result.ecdf["A"] == anytime_ecdf(records, self.TARGETS, default_time_grid(self.T))
+
+    def test_tuning_time_is_amortized_into_profile_costs_only(self):
+        plain = self._analyze()
+        tuned = self._analyze(tuning_time={"A": 2.0})
+        assert tuned.ert == plain.ert and tuned.ecdf == plain.ecdf
+        # A pays 2.0 / 2 instances on each finite cost: (12, 2, inf) and (5, inf, inf)
+        assert tuned.profiles[0][0].ratios == (1.0, 6.0)
+        assert tuned.profiles[0][1:] == plain.profiles[0][1:]
+
+    def test_zero_ert_is_rejected(self):
+        grouped = {("A", "sphere-d2"): [make_record([(0.0, 1, 0.5)])], ("A", "rastrigin-d5"): []}
+        with pytest.raises(RuntimeError, match="got an ERT of zero"):
+            self._analyze(grouped)
 
 
 class TestRankSumTest:

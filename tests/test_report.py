@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from timefair.clock import CLOCK_SCHEME_ID
-from timefair.core import CostMatrix, RunRecord, Termination, TrajectoryPoint
+from timefair.core import CostMatrix, ErtResult, RunRecord, Termination, TrajectoryPoint
 from timefair.metrics import (
     EcdfCurve,
     MedianCurve,
@@ -227,17 +227,7 @@ class TestCurveEmission:
 
     def test_ert_table_header(self, tmp_path):
         emit_ert_table(
-            [
-                {
-                    "solver": "pso",
-                    "instance": "sphere-d2",
-                    "target": 1.0,
-                    "ert": math.inf,
-                    "successes": 0,
-                    "runs": 3,
-                    "success_rate": 0.0,
-                }
-            ],
+            {("pso", "sphere-d2", 1.0): ErtResult(target=1.0, ert=math.inf, successes=0, runs=3, success_rate=0.0)},
             tmp_path / "ert.csv",
         )
         header, rows = read_csv(tmp_path / "ert.csv")
