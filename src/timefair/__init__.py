@@ -50,8 +50,7 @@ from .protocol import (
     RunEvaluator,
     best_of_restarts,
     build_algorithm,
-    derive_seed,
     run_plan,
     run_time_fair,
 )
-from .seeds import SEED_SCHEME_ID, splitmix64, subseed
+from .seeds import SEED_SCHEME_ID, derive_seed, splitmix64, subseed

@@ -195,6 +195,9 @@ def validate_config(raw: dict) -> dict:
         seconds = {k: _number(v, f"tuning.seconds.{k}") for k, v in tuning["seconds"].items()}
         if not all(math.isfinite(v) and v >= 0 for v in seconds.values()):
             raise ConfigError("tuning.seconds values must be finite and >= 0")
+        unknown = sorted(set(seconds) - {a["label"] for a in algorithms})
+        if unknown:
+            raise ConfigError(f"tuning.seconds names unknown solver(s): {', '.join(unknown)}")
         tuning = {
             "method": tuning["method"],
             "seconds": seconds,

@@ -7,16 +7,19 @@ hardest target, when the algorithm's `step` returns done, or when the
 budget cuts it off; the final run is truncated at the boundary rather
 than skipped.
 
-Budget checks happen between iterations. In virtual mode a run's elapsed
-time is `VirtualClock.at(evals, iterations)` and each algorithm declares
-its evaluations per iteration, so the runner projects the next iteration
-with the same expression that stamps it, never starts an iteration that
-would overrun T, and the aggregate time never exceeds T. In real mode
-overshoot is bounded by one iteration and is reported in the manifest.
+Budget checks happen between iterations, with one rule in both clock
+modes: an iteration starts only if the run's clock, asked `at` the counts
+the iteration will end on, still fits the aggregate time into T (and its
+evaluations into the eval cap). A virtual clock answers with the exact
+stamp the iteration will end on, so the aggregate time never exceeds T; a
+real clock answers "now", so overshoot is bounded by one iteration and is
+reported in the manifest. A run in which no iteration fits ends the
+repetition, and is logged only when it is the repetition's only run.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +33,7 @@ from .clock import ClockSpec, RealClock, VirtualClock
 from .core import Budget, RunRecord, TargetSpec, Termination, TrajectoryPoint
 from .optimizers import Algorithm, StagnationRestart, make_optimizer
 from .problems import ProblemInstance, get_problem
-from .seeds import SEED_SCHEME_ID, derive_seed  # re-exported; see seeds.py
+from .seeds import derive_seed
 
 __all__ = [
     "AlgorithmSpec",
@@ -39,10 +42,8 @@ __all__ = [
     "RunEvaluator",
     "best_of_restarts",
     "build_algorithm",
-    "derive_seed",
     "run_plan",
     "run_time_fair",
-    "SEED_SCHEME_ID",
 ]
 
 logger = logging.getLogger(__name__)
@@ -87,7 +88,7 @@ def build_algorithm(spec: AlgorithmSpec) -> Algorithm:
             plateau_epsilon=stagnation["plateau_epsilon"],
             max_restarts=stagnation.get("max_restarts"),
         )
-    wrappers.pop("synthetic_overhead", None)  # charged by the clock, see virtual_clock
+    wrappers.pop("synthetic_overhead", None)  # charged by the clock, see run_clock
     if wrappers:
         raise PlanError(f"unknown wrappers for {spec.label}: {', '.join(sorted(wrappers))}")
     return algorithm
@@ -128,8 +129,11 @@ class ExperimentPlan:
                 raise PlanError(f"{spec.label}: synthetic_overhead must be finite and >= 0")
             if not self.clock.is_virtual and "synthetic_overhead" in spec.wrappers:
                 raise PlanError(f"{spec.label}: synthetic overhead requires the virtual clock")
-            step_cost = self.virtual_clock(spec).at(algorithm.evals_per_step, 1)
-            if self.clock.is_virtual and step_cost <= 0 and self.budget.eval_cap is None:
+            if (
+                self.clock.is_virtual
+                and self.budget.eval_cap is None
+                and self.run_clock(spec).at(algorithm.evals_per_step, 1) <= 0
+            ):
                 raise PlanError(
                     f"{spec.label}: virtual step cost is zero and no eval_cap is set; "
                     "the time budget could never be exhausted"
@@ -141,9 +145,12 @@ class ExperimentPlan:
                 return spec
         raise KeyError(f"no algorithm labelled {label!r} in plan")
 
-    def virtual_clock(self, spec: AlgorithmSpec) -> VirtualClock:
-        """The clock of `spec`'s virtual runs: the plan's cost per
-        evaluation, and the spec's ``synthetic_overhead`` per iteration."""
+    def run_clock(self, spec: AlgorithmSpec) -> RealClock | VirtualClock:
+        """A fresh clock for one run of `spec`: a real clock started now,
+        or a virtual one charging the plan's cost per evaluation and the
+        spec's ``synthetic_overhead`` per iteration."""
+        if not self.clock.is_virtual:
+            return RealClock()
         return VirtualClock(self.clock.cost_per_eval, spec.wrappers.get("synthetic_overhead", 0.0))
 
 
@@ -153,9 +160,8 @@ class RunEvaluator:
     Clamps out-of-bounds queries (counted in `n_clamped`), counts FEs, and
     records best-so-far improvement events; `best_f` is the one record of
     the run's best, read by the runner's target check and by the
-    wrappers. The runner counts the iterations. A virtual row is stamped
-    `clock.at` its own count; a real call reads the clock once, after
-    evaluating, for all its improvements.
+    wrappers. The runner counts the iterations. Each improvement is
+    stamped `clock.at` its own count when it is recorded.
     """
 
     def __init__(self, instance: ProblemInstance, clock):
@@ -188,12 +194,12 @@ class RunEvaluator:
             # row i improves on the best of everything before it (fmin skips NaN)
             before = np.fmin.accumulate(np.concatenate(([self.best_f], fs[:-1])))
             improving = np.flatnonzero(fs < before)
-        now = self.elapsed() if len(improving) and isinstance(self.clock, RealClock) else None
         for i in improving:
             count = first + int(i) + 1
             self.best_f = float(fs[i])
-            elapsed = self.clock.at(count, self.iterations) if now is None else now
-            self.trajectory.append(TrajectoryPoint(elapsed, count, self.best_f))
+            self.trajectory.append(
+                TrajectoryPoint(self.clock.at(count, self.iterations), count, self.best_f)
+            )
         return fs
 
 
@@ -213,66 +219,62 @@ def run_time_fair(
     algorithm = build_algorithm(spec)
     instance = get_problem(instance_id)
     T = plan.budget.wall_time_limit
-    eval_cap = plan.budget.eval_cap
     hardest = plan.targets.hardest(instance.f_opt) if plan.targets is not None else None
-    virtual = plan.clock.is_virtual
+    eval_cap = math.inf if plan.budget.eval_cap is None else plan.budget.eval_cap
     evals_per_step = algorithm.evals_per_step
 
     records: list[RunRecord] = []
     total_used = 0.0
     total_evals = 0
-    run_index = 0
-    while total_used < T and (eval_cap is None or total_evals < eval_cap):
+    for run_index in itertools.count():
         seed = derive_seed(
             plan.master_seed, algorithm_label, instance_id, repetition_index, run_index
         )
-        clock = plan.virtual_clock(spec) if virtual else RealClock()
+        clock = plan.run_clock(spec)
         evaluator = RunEvaluator(instance, clock)
         state = algorithm.init(instance, seed)
         termination = Termination.BUDGET_EXHAUSTED
         max_step = 0.0
+        last = evaluator.elapsed()
         while True:
-            elapsed = evaluator.elapsed()
-            if total_used + elapsed >= T:
+            # the one stopping rule: the next iteration's evaluations fit the
+            # cap, and the clock at its counts fits T. A virtual clock answers
+            # the stamp the iteration will end on, a real one answers now.
+            stamp = clock.at(evaluator.count + evals_per_step, evaluator.iterations + 1)
+            if total_evals + evaluator.count + evals_per_step > eval_cap or total_used + stamp > T:
                 break
-            if eval_cap is not None and total_evals + evaluator.count + evals_per_step > eval_cap:
-                break
-            # the projection is the stamp the step will end on, bit for bit
-            if virtual and total_used + clock.at(
-                evaluator.count + evals_per_step, evaluator.iterations + 1
-            ) > T:
-                break
+            max_step, last = max(max_step, stamp - last), stamp
             evaluator.iterations += 1
             done = algorithm.step(state, evaluator)
-            max_step = max(max_step, evaluator.elapsed() - elapsed)
             if hardest is not None and evaluator.best_f <= hardest:
                 termination = Termination.TARGET_REACHED
                 break
             if done:
                 termination = Termination.INTERNAL_STOP
                 break
-        elapsed = evaluator.elapsed()
-        records.append(
-            RunRecord(
-                algorithm_id=algorithm_label,
-                instance_id=instance_id,
-                seed=seed,
-                trajectory=tuple(evaluator.trajectory),
-                time_used=elapsed,
-                evals_used=evaluator.count,
-                termination=termination,
-                repetition=repetition_index,
-                run_index=run_index,
-                n_clamped=evaluator.n_clamped,
-                max_step_seconds=max_step,
-            )
+        time_used = evaluator.elapsed()
+        record = RunRecord(
+            algorithm_id=algorithm_label,
+            instance_id=instance_id,
+            seed=seed,
+            trajectory=tuple(evaluator.trajectory),
+            time_used=time_used,
+            evals_used=evaluator.count,
+            termination=termination,
+            repetition=repetition_index,
+            run_index=run_index,
+            n_clamped=evaluator.n_clamped,
+            # consecutive stamps: exact steps on a virtual clock; on a real
+            # one, the time between stopping checks, which bounds overshoot
+            max_step_seconds=max(max_step, time_used - last),
         )
-        total_used += elapsed
-        total_evals += evaluator.count
-        run_index += 1
         if evaluator.iterations == 0:
-            break  # no iteration can ever fit; don't spin on empty runs
-    return records
+            # no iteration fits: the repetition ends, without an empty run
+            # unless no iteration could ever fit
+            return records or [record]
+        records.append(record)
+        total_used += time_used
+        total_evals += evaluator.count
 
 
 def best_of_restarts(records) -> float:

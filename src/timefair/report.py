@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .clock import CLOCK_SCHEME_ID
 from .core import ErtResult, RunRecord, Termination, TrajectoryPoint, validate
@@ -137,7 +139,6 @@ class ParseResult:
     records: list[RunRecord]
     issues: list[str]
     skipped_runs: int
-    params: Optional[dict] = None
 
 
 def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
@@ -182,8 +183,6 @@ def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
                     issue(f"line {header_line}: run_end missing for run {run_name(header)}")
                     result.skipped_runs += 1
                 header, header_line, points, run_broken = obj, lineno, [], False
-                if result.params is None and "params" in obj:
-                    result.params = obj["params"]
             elif kind == "improvement":
                 if header is None:
                     issue(f"line {lineno}: improvement outside of a run")
@@ -323,12 +322,7 @@ def probe_environment(virtual: bool) -> dict:
         "os": platform.platform(),
         "python": platform.python_version(),
     }
-    try:
-        import numpy
-
-        env["numpy"] = numpy.__version__
-    except ImportError:
-        env["numpy"] = _na("numpy not importable")
+    env["numpy"] = np.__version__
     cpu_model = None
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -411,7 +405,7 @@ def build_manifest(
     if plan.clock.is_virtual:
         budget_section["cost_per_eval"] = plan.clock.cost_per_eval
         budget_section["synthetic_overhead"] = {
-            spec.label: plan.virtual_clock(spec).step_overhead for spec in plan.algorithms
+            spec.label: plan.run_clock(spec).step_overhead for spec in plan.algorithms
         }
         budget_section["clock_scheme"] = CLOCK_SCHEME_ID
     if plan.targets is not None:
@@ -515,7 +509,7 @@ class ChecklistItem:
 
 def _audit_artifacts(section: dict, out_dir: Optional[Path]) -> Optional[str]:
     """Returns a failure note, or None if the artifact pointers hold up
-    and every run log under `out_dir` is listed."""
+    and `log_digests` lists exactly the run logs under `out_dir`."""
     for key in ("config_hash", "code_version", "log_digests"):
         if key not in section:
             return f"missing field {key!r}"
@@ -528,15 +522,14 @@ def _audit_artifacts(section: dict, out_dir: Optional[Path]) -> Optional[str]:
                 return "config_hash does not match the stored effective config"
     else:
         return f"effective config {config_path.name} is missing"
+    listed, on_disk = set(section["log_digests"]), set(run_logs_on_disk(out_dir))
+    if listed - on_disk:
+        return f"log file {min(listed - on_disk)} is missing"
+    if on_disk - listed:
+        return f"run log(s) not in log_digests: {', '.join(sorted(on_disk - listed))}"
     for rel, digest in section["log_digests"].items():
-        log_path = Path(out_dir) / rel
-        if not log_path.exists():
-            return f"log file {rel} is missing"
-        if sha256_file(log_path) != digest:
+        if sha256_file(Path(out_dir) / rel) != digest:
             return f"log digest mismatch for {rel}"
-    unlisted = [rel for rel in run_logs_on_disk(out_dir) if rel not in section["log_digests"]]
-    if unlisted:
-        return f"run log(s) not in log_digests: {', '.join(unlisted)}"
     return None
 
 

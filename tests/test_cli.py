@@ -155,6 +155,15 @@ class TestCmdRun:
         assert main(["run", "--config", str(path)]) == 2
         assert "extra_knob" in capsys.readouterr().err
 
+    def test_tuning_seconds_for_unknown_solver_exits_2(self, tmp_path, capsys):
+        # tuning time attested for a label the plan does not run is a typo
+        path, _ = write_config(
+            tmp_path, lambda c: c.update(tuning={"method": "grid", "seconds": {"rs-a": 5.0, "psoo": 100.0}})
+        )
+        assert main(["run", "--config", str(path)]) == 2
+        assert "tuning.seconds names unknown solver(s): psoo" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

