@@ -330,7 +330,7 @@ def _targets_by_instance(plan: ExperimentPlan) -> dict[str, tuple[float, ...]]:
 def cmd_analyze(args) -> int:
     out_dir = Path(args.out_dir)
     amortize = _parse_amortize(args.amortize)
-    config = _load_experiment(out_dir)
+    config = validate_config(_load_experiment(out_dir))
     plan = plan_from_config(config)
     T = plan.budget.wall_time_limit
     labels = [spec.label for spec in plan.algorithms]

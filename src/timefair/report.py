@@ -47,16 +47,17 @@ MANIFEST_SCHEMA = "timefair-manifest/v1"
 MANIFEST_NAME = "manifest.json"
 EFFECTIVE_CONFIG_NAME = "effective_config.json"
 
-# (item number, checklist name, manifest section key)
+# (item number, checklist name, manifest section key, required fields):
+# the one definition of the reporting checklist that the audit walks
 CHECKLIST_ITEMS = (
-    (1, "budget specification", "budget"),
-    (2, "restart policies", "restart_policy"),
-    (3, "target definitions", "targets"),
-    (4, "performance metrics", "metrics"),
-    (5, "statistical rigor", "statistics"),
-    (6, "computational environment", "environment"),
-    (7, "tuning overhead", "tuning"),
-    (8, "reproducibility artifacts", "artifacts"),
+    (1, "budget specification", "budget", ("wall_time_limit_seconds", "clock_mode")),
+    (2, "restart policies", "restart_policy", ("policy", "average_completed_runs")),
+    (3, "target definitions", "targets", ("kind", "values", "success_rule")),
+    (4, "performance metrics", "metrics", ("produced",)),
+    (5, "statistical rigor", "statistics", ("master_seed", "seed_scheme", "repetitions")),
+    (6, "computational environment", "environment", ("timer", "os", "python")),
+    (7, "tuning overhead", "tuning", ()),
+    (8, "reproducibility artifacts", "artifacts", ("config_hash", "code_version", "log_digests")),
 )
 
 
@@ -215,10 +216,10 @@ def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
                         time_used=float(obj["time_used"]),
                         evals_used=int(obj["evals_used"]),
                         termination=Termination(obj["termination"]),
-                        repetition=int(header.get("repetition", 0)),
-                        run_index=int(header.get("run_index", 0)),
-                        n_clamped=int(obj.get("n_clamped", 0)),
-                        max_step_seconds=float(obj.get("max_step_seconds", 0.0)),
+                        repetition=int(header["repetition"]),
+                        run_index=int(header["run_index"]),
+                        n_clamped=int(obj["n_clamped"]),
+                        max_step_seconds=float(obj["max_step_seconds"]),
                     )
                 except (KeyError, TypeError, ValueError):
                     issue(f"line {lineno}: malformed run_end for run {run_name(header)}")
@@ -309,10 +310,6 @@ def _na(reason: str) -> dict:
     return {"status": "NA", "reason": reason}
 
 
-def _is_na(section) -> bool:
-    return isinstance(section, dict) and section.get("status") == "NA"
-
-
 def probe_environment(virtual: bool) -> dict:
     """Best-effort hardware/software probe; unknown fields are NA with a
     reason, never guessed."""
@@ -350,16 +347,23 @@ def probe_environment(virtual: bool) -> dict:
 
 
 def _git_commit() -> Optional[str]:
+    """HEAD of the checkout that holds this code (the directory above
+    ``src/``), or None when that directory is not a git work tree's top,
+    whatever directory the command runs in."""
+    checkout = Path(__file__).resolve().parents[2]
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "HEAD"],
             capture_output=True,
             text=True,
             timeout=5,
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    return out.stdout.strip() if out.returncode == 0 else None
+    lines = out.stdout.splitlines()
+    if out.returncode != 0 or len(lines) != 2 or Path(lines[0]).resolve() != checkout:
+        return None
+    return lines[1]
 
 
 def build_manifest(
@@ -507,81 +511,54 @@ class ChecklistItem:
     note: str = ""
 
 
-def _audit_artifacts(section: dict, out_dir: Optional[Path]) -> Optional[str]:
-    """Returns a failure note, or None if the artifact pointers hold up
-    and `log_digests` lists exactly the run logs under `out_dir`."""
-    for key in ("config_hash", "code_version", "log_digests"):
-        if key not in section:
-            return f"missing field {key!r}"
-    if out_dir is None:
-        return None
-    config_path = Path(out_dir) / section.get("config_file", EFFECTIVE_CONFIG_NAME)
-    if config_path.exists():
-        with open(config_path, encoding="utf-8") as fh:
-            if config_hash(json.load(fh)) != section["config_hash"]:
-                return "config_hash does not match the stored effective config"
-    else:
-        return f"effective config {config_path.name} is missing"
+def _audit_artifacts(section: dict, out_dir: Path) -> Optional[str]:
+    """Returns a failure note, or None if `out_dir`'s own effective config
+    matches `config_hash` and `log_digests` lists exactly the run logs
+    under `out_dir`, each with its digest."""
+    config_path = out_dir / EFFECTIVE_CONFIG_NAME
+    if not config_path.exists():
+        return f"effective config {EFFECTIVE_CONFIG_NAME} is missing"
+    with open(config_path, encoding="utf-8") as fh:
+        if config_hash(json.load(fh)) != section["config_hash"]:
+            return "config_hash does not match the stored effective config"
     listed, on_disk = set(section["log_digests"]), set(run_logs_on_disk(out_dir))
     if listed - on_disk:
         return f"log file {min(listed - on_disk)} is missing"
     if on_disk - listed:
         return f"run log(s) not in log_digests: {', '.join(sorted(on_disk - listed))}"
     for rel, digest in section["log_digests"].items():
-        if sha256_file(Path(out_dir) / rel) != digest:
+        if sha256_file(out_dir / rel) != digest:
             return f"log digest mismatch for {rel}"
     return None
 
 
-def audit_manifest(manifest: dict, out_dir: Optional[Path] = None) -> list[ChecklistItem]:
-    """Check the eight checklist items; every item is PASS, justified NA,
-    or FAIL with a note. Integrity checks (item 8) recompute digests when
-    the output directory is available."""
+def _audit_section(key: str, section, fields: tuple, out_dir: Path) -> tuple[str, str]:
+    """(status, note) of one checklist section."""
+    if section is None:
+        return "FAIL", f"section {key!r} missing"
+    if isinstance(section, dict) and section.get("status") == "NA":
+        reason = section.get("reason", "")
+        return ("NA", reason) if reason else ("FAIL", "NA without a reason")
+    missing = [f for f in fields if f not in section]
+    if missing:
+        return "FAIL", f"missing field(s): {', '.join(missing)}"
+    if key == "budget":
+        T = section["wall_time_limit_seconds"]
+        if not (isinstance(T, (int, float)) and T > 0 and math.isfinite(T)):
+            return "FAIL", "wall_time_limit must be > 0"
+    note = _audit_artifacts(section, out_dir) if key == "artifacts" else None
+    return ("PASS", "") if note is None else ("FAIL", note)
+
+
+def audit_manifest(manifest: dict, out_dir: Path) -> list[ChecklistItem]:
+    """Check the eight checklist items of :data:`CHECKLIST_ITEMS`; every
+    item is PASS, justified NA, or FAIL with a note. Item 8 reads only the
+    files of `out_dir` (`effective_config.json` and `runs/*/*.jsonl`)."""
     checklist = manifest.get("checklist", {})
-    required_fields = {
-        "budget": ("wall_time_limit_seconds", "clock_mode"),
-        "restart_policy": ("policy", "average_completed_runs"),
-        "targets": ("kind", "values", "success_rule"),
-        "metrics": ("produced",),
-        "statistics": ("master_seed", "seed_scheme", "repetitions"),
-        "environment": ("timer", "os", "python"),
-        "tuning": (),
-        "artifacts": (),
-    }
-    items = []
-    for number, name, key in CHECKLIST_ITEMS:
-        section = checklist.get(key)
-        if section is None:
-            items.append(ChecklistItem(number, name, "FAIL", f"section {key!r} missing"))
-            continue
-        if _is_na(section):
-            reason = section.get("reason", "")
-            if reason:
-                items.append(ChecklistItem(number, name, "NA", reason))
-            else:
-                items.append(ChecklistItem(number, name, "FAIL", "NA without a reason"))
-            continue
-        if key == "artifacts":
-            note = _audit_artifacts(section, out_dir)
-            if note is None:
-                items.append(ChecklistItem(number, name, "PASS"))
-            else:
-                items.append(ChecklistItem(number, name, "FAIL", note))
-            continue
-        missing = [f for f in required_fields[key] if f not in section]
-        if missing:
-            items.append(
-                ChecklistItem(number, name, "FAIL", f"missing field(s): {', '.join(missing)}")
-            )
-        elif key == "budget" and not (
-            isinstance(section.get("wall_time_limit_seconds"), (int, float))
-            and section["wall_time_limit_seconds"] > 0
-            and math.isfinite(section["wall_time_limit_seconds"])
-        ):
-            items.append(ChecklistItem(number, name, "FAIL", "wall_time_limit must be > 0"))
-        else:
-            items.append(ChecklistItem(number, name, "PASS"))
-    return items
+    return [
+        ChecklistItem(number, name, *_audit_section(key, checklist.get(key), fields, Path(out_dir)))
+        for number, name, key, fields in CHECKLIST_ITEMS
+    ]
 
 
 def manifest_verdict(items: Sequence[ChecklistItem]) -> str:

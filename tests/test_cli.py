@@ -334,6 +334,30 @@ class TestCmdAnalyze:
             "profile_target_10.csv",
         ]
 
+    def test_stored_config_is_validated_like_run(self, tmp_path, capsys):
+        path, cfg = write_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        stored = json.loads((out / "effective_config.json").read_text())
+        stored["metrics"]["bootstrap_samples"] = "200"
+        (out / "effective_config.json").write_text(json.dumps(stored))
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 2
+        assert "metrics.bootstrap_samples" in capsys.readouterr().err
+
+    def test_no_targets_writes_median_curves_only(self, tmp_path, capsys):
+        path, cfg = write_config(tmp_path, mutate=lambda c: c.pop("targets"))
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 0
+        assert capsys.readouterr().out == "no targets configured: wrote median trajectories only\n"
+        assert sorted(p.name for p in (out / "curves").iterdir()) == [
+            "median_rastrigin-d2.csv",
+            "median_sphere-d2.csv",
+        ]
+        assert not (out / "ert_table.csv").exists()
+
 
 class TestCmdReport:
     def test_deleting_seeds_fails_item_5(self, tmp_path, capsys):
@@ -359,6 +383,30 @@ class TestCmdReport:
 
     def test_unreadable_directory_is_runtime_error(self, tmp_path):
         assert main(["report", str(tmp_path / "void")]) == 1
+
+    def test_item_8_reads_the_run_directorys_own_config(self, tmp_path, capsys):
+        # an edited effective config, and a manifest whose config_file points
+        # at an untouched copy outside the run directory: item 8 must audit
+        # the file that analyze reads
+        path, cfg = write_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        stored = out / "effective_config.json"
+        (tmp_path / "untouched.json").write_bytes(stored.read_bytes())
+        edited = json.loads(stored.read_text())
+        edited["budget"]["wall_time_limit"] = 5000.0
+        stored.write_text(json.dumps(edited))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["checklist"]["artifacts"]["config_file"] = "../untouched.json"
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert (
+            "item 8 (reproducibility artifacts): FAIL — "
+            "config_hash does not match the stored effective config\n"
+        ) in stdout
+        assert stdout.endswith("checklist verdict: FAIL\n")
 
 
 class TestCmdSimulate:

@@ -2,11 +2,14 @@ import csv
 import dataclasses
 import json
 import math
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import timefair
 from timefair.clock import CLOCK_SCHEME_ID
 from timefair.core import CostMatrix, ErtResult, RunRecord, Termination, TrajectoryPoint
 from timefair.metrics import (
@@ -139,7 +142,8 @@ class TestParsing:
             json.dumps({"kind": "improvement", "elapsed": 2.0, "evals": 5, "best_f": 3.0}),
             json.dumps({"kind": "improvement", "elapsed": 1.0, "evals": 9, "best_f": 2.0}),
             json.dumps(
-                {"kind": "run_end", "termination": "InternalStop", "time_used": 2.0, "evals_used": 9}
+                {"kind": "run_end", "termination": "InternalStop", "time_used": 2.0, "evals_used": 9,
+                 "n_clamped": 0, "max_step_seconds": 1.0}
             ),
         ]
         path = tmp_path / "bad.jsonl"
@@ -156,6 +160,60 @@ class TestParsing:
         assert result.records == records
         n_lines = len(path.read_text().splitlines())
         assert any(f"line {n_lines}" in msg for msg in result.issues)
+
+    # (lines between two valid runs, issue message at the first of them,
+    # runs skipped); the message's line number n is the fragment's line n
+    HEADER = ('{"kind":"run_header","algorithm_id":"x","instance_id":"sphere-d2","seed":1,'
+              '"repetition":0,"run_index":0}')
+    END = ('{"kind":"run_end","termination":"InternalStop","time_used":1.0,"evals_used":1,'
+           '"n_clamped":0,"max_step_seconds":1.0}')
+    ISSUE_CASES = {
+        "run_end-missing": ([HEADER], "line {0}: run_end missing for run x/sphere-d2 rep=0 run=0", 1),
+        "improvement-outside": (
+            ['{"kind":"improvement","elapsed":1.0,"evals":1,"best_f":1.0}'],
+            "line {0}: improvement outside of a run", 0,
+        ),
+        "malformed-improvement": (
+            [HEADER, '{"kind":"improvement","elapsed":1.0,"best_f":1.0}', END],
+            "line {1}: malformed improvement in run x/sphere-d2 rep=0 run=0", 1,
+        ),
+        "run_end-outside": ([END], "line {0}: run_end outside of a run", 0),
+        "run_end-after-malformed-line": ([HEADER, "garbage", END], "line {1}: malformed log line", 1),
+        "unknown-kind": (['{"kind":"note"}'], "line {0}: unknown record kind 'note'", 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ISSUE_CASES))
+    def test_issue_names_its_line_and_keeps_neighbouring_runs(self, tmp_path, case):
+        fragment, message, skipped = self.ISSUE_CASES[case]
+        records, path = self._write_valid(tmp_path, n=2)
+        lines = path.read_text().splitlines()
+        cut = max(i for i, line in enumerate(lines) if '"run_header"' in line)
+        first, second = lines[:cut], lines[cut:]
+        path.write_text("\n".join([*first, *fragment, *second]) + "\n")
+        result = parse_run_log(path)
+        assert result.records == records
+        assert result.skipped_runs == skipped
+        numbers = range(len(first) + 1, len(first) + len(fragment) + 1)
+        assert result.issues == [message.format(*numbers)]
+
+    @pytest.mark.parametrize(
+        "kind,field",
+        [("run_header", "repetition"), ("run_header", "run_index"),
+         ("run_end", "n_clamped"), ("run_end", "max_step_seconds")],
+    )
+    def test_missing_writer_field_is_a_malformed_run_end(self, tmp_path, kind, field):
+        # a log lacking a field the writer always writes is not read with a
+        # default (a missing repetition would merge repetitions)
+        records, path = self._write_valid(tmp_path, n=1)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        next(obj for obj in lines if obj["kind"] == kind).pop(field)
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        result = parse_run_log(path)
+        assert result.records == [] and result.skipped_runs == 1
+        [message] = result.issues
+        assert message.startswith(f"line {len(lines)}: malformed run_end for run {records[0].algorithm_id}/")
+        with pytest.raises(LogParseError, match="malformed run_end"):
+            parse_run_log(path, strict=True)
 
 
 def read_csv(path):
@@ -314,6 +372,42 @@ class TestManifest:
         item8 = next(i for i in items if i.number == 8)
         assert item8.status == "FAIL"
         assert item8.note == "log file ../elsewhere.jsonl is missing"
+
+    def test_edited_effective_config_fails_item_8(self, tmp_path):
+        plan, grouped, out_dir, config = _tiny_experiment(tmp_path)
+        manifest = build_manifest(plan, grouped, out_dir, config)
+        edited = {**config, "repetitions": 3}
+        (out_dir / "effective_config.json").write_text(json.dumps(edited, indent=2, sort_keys=True))
+        items = audit_manifest(manifest, out_dir)
+        item8 = next(i for i in items if i.number == 8)
+        assert item8.status == "FAIL"
+        assert item8.note == "config_hash does not match the stored effective config"
+
+    def test_artifacts_missing_a_field_names_it(self, tmp_path):
+        plan, grouped, out_dir, config = _tiny_experiment(tmp_path)
+        manifest = build_manifest(plan, grouped, out_dir, config)
+        del manifest["checklist"]["artifacts"]["log_digests"]
+        items = audit_manifest(manifest, out_dir)
+        item8 = next(i for i in items if i.number == 8)
+        assert item8.status == "FAIL" and item8.note == "missing field(s): log_digests"
+
+    def test_git_commit_is_the_checkouts_head(self, tmp_path, monkeypatch):
+        # run from inside another repository: the manifest attests the
+        # checkout that holds the code, not the working directory's HEAD
+        checkout = Path(timefair.__file__).resolve().parents[2]
+        head = subprocess.run(
+            ["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "HEAD"],
+            capture_output=True, text=True,
+        )
+        if head.returncode != 0 or Path(head.stdout.splitlines()[0]).resolve() != checkout:
+            pytest.skip("the code is not in a git checkout")
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+        subprocess.run([*git, "init", "-q", str(tmp_path)], check=True)
+        subprocess.run([*git, "-C", str(tmp_path), "commit", "-q", "--allow-empty", "-m", "x"], check=True)
+        monkeypatch.chdir(tmp_path)
+        plan, grouped, out_dir, config = _tiny_experiment(tmp_path)
+        manifest = build_manifest(plan, grouped, out_dir, config)
+        assert manifest["checklist"]["artifacts"]["git_commit"] == head.stdout.splitlines()[1]
 
     def test_missing_section_fails_its_item(self, tmp_path):
         plan, grouped, out_dir, config = _tiny_experiment(tmp_path)
