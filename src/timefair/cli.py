@@ -189,7 +189,9 @@ def validate_config(raw: dict) -> dict:
 
     tuning = raw.get("tuning")
     if tuning is not None:
-        _check_keys(tuning, "tuning", required=("method", "seconds"), optional=("amortization",))
+        _check_keys(tuning, "tuning", required=("method", "seconds"), optional=())
+        if not isinstance(tuning["method"], str):
+            raise ConfigError("tuning.method must be a string")
         if not isinstance(tuning["seconds"], dict):
             raise ConfigError("tuning.seconds must map solver labels to seconds")
         seconds = {k: _number(v, f"tuning.seconds.{k}") for k, v in tuning["seconds"].items()}
@@ -198,11 +200,7 @@ def validate_config(raw: dict) -> dict:
         unknown = sorted(set(seconds) - {a["label"] for a in algorithms})
         if unknown:
             raise ConfigError(f"tuning.seconds names unknown solver(s): {', '.join(unknown)}")
-        tuning = {
-            "method": tuning["method"],
-            "seconds": seconds,
-            "amortization": tuning.get("amortization", "uniform over the instance set"),
-        }
+        tuning = {"method": tuning["method"], "seconds": seconds}
 
     parallel = raw.get("parallel", False)
     if not isinstance(parallel, bool):
@@ -308,36 +306,17 @@ def _load_experiment(out_dir: Path) -> dict:
         return json.load(fh)
 
 
-def _parse_amortize(values: Optional[list[str]]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for item in values or []:
-        label, sep, seconds = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--amortize expects <solver>=<seconds>, got {item!r}")
-        try:
-            out[label] = float(seconds)
-        except ValueError as exc:
-            raise ConfigError(f"--amortize {item!r}: seconds must be a number") from exc
-        if not (math.isfinite(out[label]) and out[label] >= 0):
-            raise ConfigError(f"--amortize {item!r}: seconds must be finite and >= 0")
-    return out
-
-
 def _targets_by_instance(plan: ExperimentPlan) -> dict[str, tuple[float, ...]]:
     return {i: plan.targets.resolve(get_problem(i).f_opt) for i in plan.instances}
 
 
 def cmd_analyze(args) -> int:
     out_dir = Path(args.out_dir)
-    amortize = _parse_amortize(args.amortize)
     config = validate_config(_load_experiment(out_dir))
     plan = plan_from_config(config)
     T = plan.budget.wall_time_limit
     labels = [spec.label for spec in plan.algorithms]
     metric_options = config["metrics"]
-    unknown = sorted(set(amortize) - set(labels))
-    if unknown:
-        raise ConfigError(f"--amortize names unknown solver(s): {', '.join(unknown)}")
 
     grouped: dict[tuple[str, str], list] = {}
     total_issues = []
@@ -380,7 +359,8 @@ def cmd_analyze(args) -> int:
         print("no targets configured: wrote median trajectories only")
         return EXIT_OK
 
-    analysis = metrics.analyze(grouped, T, _targets_by_instance(plan), grid, amortize)
+    tuning_time = config["tuning"]["seconds"] if config["tuning"] is not None else {}
+    analysis = metrics.analyze(grouped, T, _targets_by_instance(plan), grid, tuning_time)
     report.emit_ert_table(analysis.ert, out_dir / "ert_table.csv")
     for label, curve in analysis.ecdf.items():
         report.emit_ecdf_csv(curve, curves_dir / f"ecdf_{label}.csv")
@@ -510,12 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("out_dir", help="experiment output directory")
     p_analyze.add_argument(
         "--strict-logs", action="store_true", help="abort on the first malformed log line"
-    )
-    p_analyze.add_argument(
-        "--amortize",
-        action="append",
-        metavar="SOLVER=SECONDS",
-        help="add amortized tuning time to a solver's profile costs (repeatable)",
     )
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -259,6 +259,9 @@ def performance_profile(costs: CostMatrix) -> list[ProfileCurve]:
     return curves
 
 
+TUNING_AMORTIZATION = "uniform over the instance set"  # the rule of amortize_tuning
+
+
 def amortize_tuning(costs: CostMatrix, tuning_time: Mapping[str, float]) -> CostMatrix:
     """Spread per-solver tuning time uniformly over the instance set.
 

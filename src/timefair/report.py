@@ -30,13 +30,8 @@ import numpy as np
 from . import __version__
 from .clock import CLOCK_SCHEME_ID
 from .core import ErtResult, RunRecord, Termination, TrajectoryPoint, validate
-from .metrics import EcdfCurve, MedianCurve, ProfileCurve
+from .metrics import TUNING_AMORTIZATION, EcdfCurve, MedianCurve, ProfileCurve
 from .seeds import SEED_SCHEME_ID
-
-try:
-    import psutil
-except ImportError:  # best-effort probe; fields become NA
-    psutil = None
 
 
 class LogParseError(RuntimeError):
@@ -321,27 +316,30 @@ def probe_environment(virtual: bool) -> dict:
     }
     env["numpy"] = np.__version__
     cpu_model = None
+    physical_id, cores = None, set()  # distinct (physical id, core id) pairs
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
             for line in fh:
-                if line.lower().startswith("model name"):
-                    cpu_model = line.split(":", 1)[1].strip()
-                    break
+                key, _, value = line.partition(":")
+                key, value = key.strip().lower(), value.strip()
+                if key == "model name" and cpu_model is None:
+                    cpu_model = value
+                elif key == "physical id":
+                    physical_id = value
+                elif key == "core id":
+                    cores.add((physical_id, value))
     except OSError:
         pass
     if cpu_model is None:
         cpu_model = platform.processor() or None
     env["cpu_model"] = cpu_model if cpu_model else _na("could not determine CPU model")
-    if psutil is not None:
-        physical = psutil.cpu_count(logical=False)
-        logical = psutil.cpu_count(logical=True)
-        env["physical_cores"] = physical if physical else _na("unknown")
-        env["logical_cores"] = logical if logical else _na("unknown")
-        env["memory_gb"] = round(psutil.virtual_memory().total / 2**30, 2)
-    else:
-        env["physical_cores"] = _na("psutil unavailable")
-        env["logical_cores"] = _na("psutil unavailable")
-        env["memory_gb"] = _na("psutil unavailable")
+    env["physical_cores"] = len(cores) if cores else _na("no core ids in /proc/cpuinfo")
+    logical = os.cpu_count()
+    env["logical_cores"] = logical if logical else _na("os.cpu_count() is unknown")
+    try:
+        env["memory_gb"] = round(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30, 2)
+    except (AttributeError, ValueError, OSError):
+        env["memory_gb"] = _na("os.sysconf lacks SC_PAGE_SIZE or SC_PHYS_PAGES")
     env["optimization_flags"] = _na("interpreted Python; no build flags recorded")
     return env
 
@@ -476,7 +474,11 @@ def build_manifest(
                     "between runs and is excluded from time_used"
                 ),
             },
-            "tuning": tuning if tuning is not None else _na("no tuning performed"),
+            "tuning": (
+                {**tuning, "amortization": TUNING_AMORTIZATION}
+                if tuning is not None
+                else _na("no tuning performed")
+            ),
             "artifacts": {
                 "config_hash": config_hash(effective_config),
                 "config_file": EFFECTIVE_CONFIG_NAME,
@@ -499,7 +501,7 @@ def write_manifest(manifest: dict, out_dir: Path) -> Path:
 
 def write_effective_config(config: dict, out_dir: Path) -> None:
     with _atomic_open(Path(out_dir) / EFFECTIVE_CONFIG_NAME) as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
+        json.dump(config, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -98,10 +99,11 @@ class TestValidateConfig:
             (lambda c: c["targets"].update(values=[math.inf, 5.0]), "target values"),
             (lambda c: c["targets"].update(values=[100.0, math.nan]), "target values"),
             (lambda c: c.update(tuning={"method": "grid", "seconds": {"pso": math.nan}}), "tuning.seconds"),
+            (lambda c: c.update(tuning={"method": "grid", "seconds": {"pso": math.inf}}), "tuning.seconds"),
             (lambda c: c["algorithms"][2]["params"].update(max_iterations=math.nan), "max_iterations"),
         ],
         ids=["nan-cost", "inf-cost", "nan-iteration-overhead", "inf-synthetic-overhead",
-             "inf-target", "nan-target", "nan-tuning-seconds", "nan-max-iterations"],
+             "inf-target", "nan-target", "nan-tuning-seconds", "inf-tuning-seconds", "nan-max-iterations"],
     )
     def test_non_finite_numbers_rejected(self, mutate, field):
         cfg = demo_config()
@@ -184,7 +186,36 @@ class TestCmdRun:
                 ),
                 "plateau_window",
             ),
+            (
+                lambda c: c["algorithms"][0].update(
+                    wrappers={"stagnation_restart": {"plateau_window": 3, "plateau_epsilon": "0.1"}}
+                ),
+                "stagnation_restart.plateau_epsilon must be a number",
+            ),
+            (
+                lambda c: c["algorithms"][0].update(
+                    wrappers={
+                        "stagnation_restart": {"plateau_window": 3, "plateau_epsilon": 0.1, "max_restarts": 1.5}
+                    }
+                ),
+                "stagnation_restart.max_restarts must be an integer",
+            ),
+            (lambda c: c["algorithms"][0].update(wrappers={"warm_start": 1}), "unknown wrappers for rs-a: warm_start"),
+            (lambda c: c["algorithms"][0].update(params=[]), "algorithms[0].params must be an object"),
             (lambda c: c.update(output_dir=5), "output_dir"),
+            (lambda c: c.update(budget=[]), "budget must be an object"),
+            (lambda c: c.update(instances="sphere-d2"), "instances must be a list"),
+            (lambda c: c.update(parallel="yes"), "parallel must be a boolean"),
+            (lambda c: c["metrics"].update(confidence=1.0), "metrics.confidence must lie in (0, 1)"),
+            (lambda c: c["metrics"].update(bootstrap_samples=50), "metrics.bootstrap_samples must be >= 100"),
+            (lambda c: c.update(tuning={"method": "grid", "seconds": []}), "tuning.seconds must map"),
+            # a NaN method would pass to the end of the run and then fail the manifest's JSON dump
+            (lambda c: c.update(tuning={"method": math.nan, "seconds": {"rs-a": 5.0}}), "tuning.method"),
+            (lambda c: c.update(tuning={"method": 3, "seconds": {"rs-a": 5.0}}), "tuning.method"),
+            (
+                lambda c: c.update(tuning={"method": "grid", "seconds": {"rs-a": 5.0}, "amortization": "uniform"}),
+                "tuning: unknown key(s): amortization",
+            ),
             # overheads belong to the algorithms: a per-label clock overhead
             # could name a label the plan lacks and go uncharged
             (
@@ -193,12 +224,27 @@ class TestCmdRun:
             ),
         ],
         ids=["wrappers-list", "instance-int", "swarm-size-string", "plateau-window-string",
-             "output-dir-int", "iteration-overhead-key"],
+             "plateau-epsilon-string", "max-restarts-float", "unknown-wrapper", "params-list",
+             "output-dir-int", "budget-list", "instances-string", "parallel-string", "confidence-one",
+             "bootstrap-samples-50", "tuning-seconds-list", "tuning-method-nan", "tuning-method-int",
+             "tuning-amortization-key", "iteration-overhead-key"],
     )
     def test_malformed_values_exit_2_naming_field(self, tmp_path, capsys, mutate, field):
         path, _ = write_config(tmp_path, mutate=mutate)
         assert main(["run", "--config", str(path)]) == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{\"budget\": ", "is not valid JSON"), ("[]", "top-level config must be a JSON object")],
+        ids=["invalid-json", "top-level-list"],
+    )
+    def test_config_that_is_not_a_json_object_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_second_run_into_the_same_directory_exits_2(self, tmp_path, capsys):
         def files(directory):
@@ -265,47 +311,70 @@ class TestCmdAnalyze:
         for path, content in before.items():
             assert path.read_bytes() == content
 
-    def test_amortize_passes_through_to_profiles(self, experiment, tmp_path):
-        out, cfg = experiment
+    def test_amortize_passes_through_to_profiles(self, tmp_path):
+        # tuning.seconds is the one declaration of tuning time; analyze charges it
+        tuning = {"method": "grid", "seconds": {"rs-a": 100}}
+        path, cfg = write_config(tmp_path, mutate=lambda c: c.update(tuning=tuning))
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        assert main(["analyze", str(out)]) == 0
         labels = [a["label"] for a in cfg["algorithms"]]
         instances = cfg["instances"]
         # reconstruct the profile input from the (round-trip exact) ERT table
         with open(out / "ert_table.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        hardest = min(float(r["target"]) for r in rows)
-        cost_of = {
-            (r["solver"], r["instance"]): float(r["ert"])
-            for r in rows
-            if float(r["target"]) == hardest
+        for target, suffix in zip(cfg["targets"]["values"], ("10", "1", "0p1")):
+            cost_of = {
+                (r["solver"], r["instance"]): float(r["ert"])
+                for r in rows
+                if float(r["target"]) == target
+            }
+            costs = CostMatrix(
+                tuple(labels),
+                tuple(instances),
+                tuple(tuple(cost_of[(s, p)] for s in labels) for p in instances),
+            )
+            expected = performance_profile(amortize_tuning(costs, {"rs-a": 100.0}))
+            with open(out / "curves" / f"profile_target_{suffix}.csv", newline="") as fh:
+                emitted = list(csv.DictReader(fh))
+            for curve in expected:
+                post_values = [
+                    (float(r["tau"]), float(r["rho"]))
+                    for r in emitted
+                    if r["solver"] == curve.solver_id
+                ][1::2]  # boundary pairs: second of each pair is the post-step value
+                assert post_values == list(zip(curve.ratios, curve.rho))
+
+    def test_tuning_changes_profiles_only(self, experiment, tmp_path):
+        # the same runs with tuning declared: ERT, ECDF and median curves
+        # never see tuning time, and the profiles do
+        out, cfg = experiment
+        tuned = tmp_path / "tuned"
+        shutil.copytree(out, tuned)
+        stored = json.loads((tuned / "effective_config.json").read_text())
+        stored["tuning"] = {"method": "grid", "seconds": {"rs-a": 100.0}}
+        (tuned / "effective_config.json").write_text(json.dumps(stored))
+        assert main(["analyze", str(tuned)]) == 0
+        changed = {
+            p.name for p in [out / "ert_table.csv", *out.glob("curves/*.csv")]
+            if p.read_bytes() != (tuned / p.relative_to(out)).read_bytes()
         }
-        costs = CostMatrix(
-            tuple(labels),
-            tuple(instances),
-            tuple(tuple(cost_of[(s, p)] for s in labels) for p in instances),
-        )
-        expected = performance_profile(amortize_tuning(costs, {"rs-a": 100.0}))
-        assert main(["analyze", str(out), "--amortize", "rs-a=100"]) == 0
-        with open(out / "curves" / "profile_target_0p1.csv", newline="") as fh:
-            emitted = list(csv.DictReader(fh))
-        for curve in expected:
-            post_values = [
-                (float(r["tau"]), float(r["rho"]))
-                for r in emitted
-                if r["solver"] == curve.solver_id
-            ][1::2]  # boundary pairs: second of each pair is the post-step value
-            assert post_values == list(zip(curve.ratios, curve.rho))
-        # restore unamortized outputs for sibling tests
-        assert main(["analyze", str(out)]) == 0
+        assert changed and all(name.startswith("profile_target_") for name in changed)
 
-    def test_amortize_unknown_solver_exits_2(self, experiment):
+    def test_amortize_flag_is_a_usage_error(self, experiment):
         out, _ = experiment
-        assert main(["analyze", str(out), "--amortize", "nosuch=5"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(out), "--amortize", "rs-a=1"])
+        assert exc.value.code == 2
 
-    def test_bad_amortize_syntax_exits_2(self, experiment):
-        out, _ = experiment
-        assert main(["analyze", str(out), "--amortize", "rs-a"]) == 2
-        assert main(["analyze", str(out), "--amortize", "rs-a=nan"]) == 2
-        assert main(["analyze", str(out), "--amortize", "rs-a=inf"]) == 2
+    def test_missing_run_log_is_runtime_error_naming_it(self, tmp_path, capsys):
+        path, cfg = write_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        (out / "runs" / "rs-b" / "sphere-d2.jsonl").unlink()
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 1
+        assert f"missing run log {out / 'runs' / 'rs-b' / 'sphere-d2.jsonl'}" in capsys.readouterr().err
 
     def test_missing_directory_is_runtime_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "void")]) == 1
@@ -383,6 +452,18 @@ class TestCmdReport:
 
     def test_unreadable_directory_is_runtime_error(self, tmp_path):
         assert main(["report", str(tmp_path / "void")]) == 1
+
+    def test_deleted_effective_config_fails_item_8(self, tmp_path, capsys):
+        path, cfg = write_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        (out / "effective_config.json").unlink()
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        assert (
+            "item 8 (reproducibility artifacts): FAIL — effective config effective_config.json is missing\n"
+        ) in stdout
 
     def test_item_8_reads_the_run_directorys_own_config(self, tmp_path, capsys):
         # an edited effective config, and a manifest whose config_file points

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import subprocess
 from pathlib import Path
 
@@ -341,10 +342,11 @@ class TestManifest:
         assert avg == expected
 
     def test_tuning_section_is_echoed(self, tmp_path):
-        tuning = {"method": "grid search", "seconds": {"rs": 12.0}, "amortization": "uniform"}
+        tuning = {"method": "grid search", "seconds": {"rs": 12.0}}
         plan, grouped, out_dir, config = _tiny_experiment(tmp_path, tuning=tuning)
         manifest = build_manifest(plan, grouped, out_dir, config)
-        assert manifest["checklist"]["tuning"] == tuning
+        # the amortization rule is the one analyze applies, not a config key
+        assert manifest["checklist"]["tuning"] == {**tuning, "amortization": "uniform over the instance set"}
         items = audit_manifest(manifest, out_dir)
         assert [i.status for i in items if i.number == 7] == ["PASS"]
         assert manifest_verdict(items) == "PASS"
@@ -408,6 +410,14 @@ class TestManifest:
         plan, grouped, out_dir, config = _tiny_experiment(tmp_path)
         manifest = build_manifest(plan, grouped, out_dir, config)
         assert manifest["checklist"]["artifacts"]["git_commit"] == head.stdout.splitlines()[1]
+
+    def test_zero_wall_time_limit_fails_item_1(self, tmp_path):
+        plan, grouped, out_dir, config = _tiny_experiment(tmp_path)
+        manifest = build_manifest(plan, grouped, out_dir, config)
+        manifest["checklist"]["budget"]["wall_time_limit_seconds"] = 0
+        items = audit_manifest(manifest, out_dir)
+        item1 = next(i for i in items if i.number == 1)
+        assert (item1.status, item1.note) == ("FAIL", "wall_time_limit must be > 0")
 
     def test_missing_section_fails_its_item(self, tmp_path):
         plan, grouped, out_dir, config = _tiny_experiment(tmp_path)
@@ -489,3 +499,7 @@ def test_environment_probe_has_required_fields():
     env = probe_environment(virtual=False)
     assert env["timer"].startswith("perf_counter")
     assert "os" in env and "python" in env and "timer_resolution_seconds" in env
+    assert env["logical_cores"] == os.cpu_count()
+    names = getattr(os, "sysconf_names", {})
+    if "SC_PAGE_SIZE" in names and "SC_PHYS_PAGES" in names:
+        assert isinstance(env["memory_gb"], float) and env["memory_gb"] > 0
