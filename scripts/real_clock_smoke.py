@@ -3,7 +3,9 @@
 
 Runs random search and PSO for 2 wall-clock seconds each on sphere-d5,
 then prints the measured budget overshoot from the manifest (bounded by
-one iteration, since budget checks happen between iterations).
+one iteration, since budget checks happen between iterations) and, per
+arm, the microseconds charged per evaluation: sum(time_used) /
+sum(evals_used) over its runs, read back from the run logs.
 
 Usage: python scripts/real_clock_smoke.py [output_dir]
 """
@@ -14,6 +16,7 @@ from pathlib import Path
 from tempfile import TemporaryDirectory
 
 from timefair.cli import main
+from timefair.report import parse_run_log, run_log_path
 
 CONFIG = {
     "budget": {"wall_time_limit": 2.0},
@@ -45,6 +48,15 @@ def run() -> int:
     avg = manifest["checklist"]["restart_policy"]["average_total_runs"]
     for key, value in avg.items():
         print(f"runs within T for {key}: {value:g}")
+    for arm in CONFIG["algorithms"]:
+        records = [
+            record
+            for instance_id in CONFIG["instances"]
+            for record in parse_run_log(run_log_path(out, arm["label"], instance_id)).records
+        ]
+        used = sum(r.time_used for r in records)
+        evals = sum(r.evals_used for r in records)
+        print(f"charged per evaluation for {arm['label']}: {used / evals * 1e6:.2f} us")
     return main(["analyze", out])
 
 

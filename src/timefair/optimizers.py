@@ -73,14 +73,26 @@ class Algorithm:
         raise NotImplementedError
 
 
+# points drawn per refill; one (k, d) draw gives the same doubles, in the
+# same order, as k single draws, at a fraction of the per-call cost
+RANDOM_SEARCH_BLOCK = 64
+
+
 @dataclass
 class RandomSearchState:
     rng: np.random.Generator
     iterations: int = 0
+    block: Optional[np.ndarray] = None  # drawn, not yet evaluated points
+    cursor: int = 0  # next row of `block`
 
 
 class RandomSearch(Algorithm):
-    """Uniform random sampling; one evaluation per step."""
+    """Uniform random sampling; one evaluation per step.
+
+    Points are drawn from the run's generator in blocks of up to
+    `RANDOM_SEARCH_BLOCK` rows, never past `max_iterations`; the stream is
+    the one a draw per point would give.
+    """
 
     kind = "random-search"
 
@@ -91,7 +103,14 @@ class RandomSearch(Algorithm):
         return RandomSearchState(rng=np.random.default_rng(seed))
 
     def step(self, state: RandomSearchState, evaluator) -> bool:
-        evaluator.evaluate(evaluator.instance.uniform(state.rng))
+        if state.block is None or state.cursor == len(state.block):
+            k = RANDOM_SEARCH_BLOCK
+            if self.max_iterations is not None:
+                k = min(k, self.max_iterations - state.iterations)
+            state.block = evaluator.instance.uniform(state.rng, k)
+            state.cursor = 0
+        evaluator.evaluate_rows(state.block[state.cursor : state.cursor + 1])
+        state.cursor += 1
         return self._count(state)
 
 
@@ -102,6 +121,7 @@ class PsoState:
     v: np.ndarray
     pbest_x: np.ndarray
     pbest_f: np.ndarray
+    vmax: np.ndarray  # per-coordinate velocity bound
     iterations: int = 0
     best_x: Optional[np.ndarray] = None  # swarm best: steers velocities, resets with the swarm
     best_f: float = math.inf
@@ -148,25 +168,29 @@ class PSO(Algorithm):
             v=np.zeros_like(x),
             pbest_x=x.copy(),
             pbest_f=np.full(n, math.inf),
+            vmax=self.params.velocity_clamp * (instance.upper - instance.lower),
         )
 
     def step(self, state: PsoState, evaluator) -> bool:
         p = self.params
-        instance = evaluator.instance
+        x, v = state.x, state.v
         if state.iterations > 0:
-            r1 = state.rng.random(state.x.shape)
-            r2 = state.rng.random(state.x.shape)
-            vmax = p.velocity_clamp * (instance.upper - instance.lower)
-            v = (
-                p.inertia * state.v
-                + p.cognitive * r1 * (state.pbest_x - state.x)
-                + p.social * r2 * (state.best_x - state.x)
-            )
-            state.v = np.clip(v, -vmax, vmax)
-            state.x = np.clip(state.x + state.v, instance.lower, instance.upper)
-        fs = evaluator.evaluate_rows(state.x)
+            # in place, with the operations and their order of
+            # v = w*v + (c1*r1)*(pbest - x) + (c2*r2)*(best - x)
+            r = state.rng.random((2, *x.shape))  # r1, then r2
+            r[0] *= p.cognitive
+            r[0] *= state.pbest_x - x
+            r[1] *= p.social
+            r[1] *= state.best_x - x
+            v *= p.inertia
+            v += r[0]
+            v += r[1]
+            np.clip(v, -state.vmax, state.vmax, out=v)
+            x += v
+            np.clip(x, evaluator.instance.lower, evaluator.instance.upper, out=x)
+        fs = evaluator.evaluate_rows(x)
         improved = fs < state.pbest_f
-        state.pbest_x[improved] = state.x[improved]
+        state.pbest_x[improved] = x[improved]
         state.pbest_f[improved] = fs[improved]
         i = int(np.argmin(state.pbest_f))
         if state.pbest_f[i] < state.best_f:

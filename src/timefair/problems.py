@@ -54,11 +54,12 @@ class ProblemInstance:
         """Objective values for a (n, d) batch of points."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dimension:
-            raise ValueError(
-                f"{self.instance_id}: expected (n, {self.dimension}) batch, "
-                f"got shape {xs.shape}"
-            )
+            raise ValueError(self.shape_error(xs))
         return self.rows_fn(xs)
+
+    def shape_error(self, xs: Array) -> str:
+        """The message rejecting `xs`, which is not a (n, d) batch."""
+        return f"{self.instance_id}: expected (n, {self.dimension}) batch, got shape {xs.shape}"
 
     def uniform(self, rng: np.random.Generator, n: int | None = None) -> Array:
         """Uniform in-bounds sample(s)."""

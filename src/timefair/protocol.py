@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -154,10 +155,19 @@ class ExperimentPlan:
         return VirtualClock(self.clock.cost_per_eval, spec.wrappers.get("synthetic_overhead", 0.0))
 
 
+def _inside(lower: list, row: list, upper: list) -> bool:
+    """Every ``lower[i] < row[i] < upper[i]``; False for a NaN coordinate.
+
+    Strict: on a bound of 0.0, np.clip turns -0.0 into the bound's zero.
+    """
+    return all(map(operator.lt, lower, row)) and all(map(operator.lt, row, upper))
+
+
 class RunEvaluator:
     """Counting wrapper around one run's objective evaluations.
 
-    Clamps out-of-bounds queries (counted in `n_clamped`), counts FEs, and
+    Rejects points of the wrong shape before anything is counted, clamps
+    out-of-bounds queries (counted in `n_clamped`), counts FEs, and
     records best-so-far improvement events; `best_f` is the one record of
     the run's best, read by the runner's target check and by the
     wrappers. The runner counts the iterations. Each improvement is
@@ -172,20 +182,31 @@ class RunEvaluator:
         self.n_clamped = 0
         self.best_f = math.inf
         self.trajectory: list[TrajectoryPoint] = []
+        # Python floats: one in-bounds row is checked without numpy calls
+        self._lower = instance.lower.tolist()
+        self._upper = instance.upper.tolist()
 
     def elapsed(self) -> float:
         return self.clock.at(self.count, self.iterations)
 
     def evaluate(self, x) -> float:
-        return float(self._evaluate(np.asarray(x, dtype=float)[None, :])[0])
+        return float(self._evaluate(np.asarray(x, dtype=float)[None])[0])
 
     def evaluate_rows(self, xs: np.ndarray) -> np.ndarray:
         return self._evaluate(np.asarray(xs, dtype=float))
 
     def _evaluate(self, xs: np.ndarray) -> np.ndarray:
-        clipped = np.clip(xs, self.instance.lower, self.instance.upper)
-        self.n_clamped += int(np.count_nonzero((clipped != xs).any(axis=1)))
-        fs = self.instance.evaluate_rows(clipped)
+        instance = self.instance
+        if xs.ndim != 2 or xs.shape[1] != instance.dimension:
+            raise ValueError(instance.shape_error(xs))
+        # np.clip returns a single row strictly inside the bounds unchanged,
+        # so it is evaluated as it is; any other batch is clipped
+        if len(xs) == 1 and _inside(self._lower, xs[0].tolist(), self._upper):
+            fs = instance.evaluate_rows(xs)
+        else:
+            clipped = np.clip(xs, instance.lower, instance.upper)
+            self.n_clamped += int(np.count_nonzero((clipped != xs).any(axis=1)))
+            fs = instance.evaluate_rows(clipped)
         first = self.count
         self.count += len(fs)
         if len(fs) == 1:

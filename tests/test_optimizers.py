@@ -1,6 +1,8 @@
+import copy
 import math
 import statistics
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from timefair.optimizers import (
 )
 from timefair.problems import ProblemInstance, get_problem
 from timefair.protocol import AlgorithmSpec, ExperimentPlan, PlanError, RunEvaluator, run_time_fair
+from timefair.seeds import subseed
 
 SPHERE = get_problem("sphere-d2")
 
@@ -116,6 +119,105 @@ class TestStep:
         # the runner's budget projection relies on the declared per-step count
         algorithm = make_optimizer("pso", {"swarm_size": 6})
         assert eval_deltas(algorithm, make_evaluator(), 5, 7) == [algorithm.evals_per_step] * 7
+
+
+def recording(instance):
+    """`instance`, with every row its objective sees appended to `.seen`."""
+    seen = []
+
+    def rows_fn(xs):
+        seen.extend(xs.copy())
+        return instance.rows_fn(xs)
+
+    recorder = ProblemInstance(
+        instance.instance_id, instance.dimension, instance.lower, instance.upper,
+        instance.f_opt, rows_fn,
+    )
+    object.__setattr__(recorder, "seen", seen)
+    return recorder
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def pso_oracle_step(params, state, evaluator):
+    """PSO's step in its out-of-place form: new arrays every iteration."""
+    instance = evaluator.instance
+    if state.iterations > 0:
+        r1 = state.rng.random(state.x.shape)
+        r2 = state.rng.random(state.x.shape)
+        vmax = params.velocity_clamp * (instance.upper - instance.lower)
+        v = (
+            params.inertia * state.v
+            + params.cognitive * r1 * (state.pbest_x - state.x)
+            + params.social * r2 * (state.best_x - state.x)
+        )
+        state.v = np.clip(v, -vmax, vmax)
+        state.x = np.clip(state.x + state.v, instance.lower, instance.upper)
+    fs = evaluator.evaluate_rows(state.x)
+    improved = fs < state.pbest_f
+    state.pbest_x[improved] = state.x[improved]
+    state.pbest_f[improved] = fs[improved]
+    i = int(np.argmin(state.pbest_f))
+    if state.pbest_f[i] < state.best_f:
+        state.best_f = float(state.pbest_f[i])
+        state.best_x = state.pbest_x[i].copy()
+    state.iterations += 1
+
+
+class TestReferenceStreams:
+    """Block draws and in-place updates replay the per-point formulas bit for bit."""
+
+    @pytest.mark.parametrize("max_iterations, steps", [(None, 150), (70, 70)])
+    def test_random_search_points_equal_one_draw_per_point(self, max_iterations, steps):
+        instance = recording(get_problem("rastrigin-d3"))
+        algorithm = make_optimizer("random-search", {"max_iterations": max_iterations})
+        state, done = drive(algorithm, make_evaluator(instance), 11, steps)
+        oracle = np.random.default_rng(11)
+        assert same_bits(instance.seen, [instance.uniform(oracle) for _ in range(steps)])
+        assert done[-1] == (max_iterations is not None)
+        if max_iterations is not None:
+            # a partial last block: the run drew no point it does not evaluate
+            assert state.rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_random_search_points_inside_stagnation_restart(self):
+        instance = recording(FLAT)
+        wrapped = StagnationRestart(
+            make_optimizer("random-search"), plateau_window=5, plateau_epsilon=1e-9
+        )
+        evaluator = make_evaluator(instance)
+        state = wrapped.init(instance, 3)
+        oracle = np.random.default_rng(subseed(3, 0))
+        expected = []
+        for _ in range(150):
+            expected.append(instance.uniform(oracle))
+            restarts = state.restart_count
+            wrapped.step(state, evaluator)
+            if state.restart_count != restarts:
+                oracle = np.random.default_rng(subseed(3, state.restart_count))
+        assert state.restart_count == 29  # restarts abandon partly used blocks
+        assert same_bits(instance.seen, expected)
+
+    def test_pso_in_place_step_equals_out_of_place_formula(self):
+        instance = get_problem("rastrigin-d5")
+        algorithm = make_optimizer("pso", {"swarm_size": 12})
+        state = algorithm.init(instance, 4)
+        oracle = SimpleNamespace(**vars(copy.deepcopy(state)))
+        evaluator, oracle_evaluator = make_evaluator(instance), make_evaluator(instance)
+        on_bound = on_vmax = 0
+        for _ in range(10):
+            algorithm.step(state, evaluator)
+            pso_oracle_step(algorithm.params, oracle, oracle_evaluator)
+            for name in ("x", "v", "pbest_x", "pbest_f", "best_x"):
+                assert same_bits(getattr(state, name), getattr(oracle, name)), name
+            assert state.best_f == oracle.best_f
+            assert not np.shares_memory(state.pbest_x, state.x)
+            on_bound += np.count_nonzero((state.x == instance.lower) | (state.x == instance.upper))
+            on_vmax += np.count_nonzero(np.abs(state.v) == state.vmax)
+        assert on_bound > 0 and on_vmax > 0  # both clips were exercised
+        assert evaluator.trajectory == oracle_evaluator.trajectory
 
 
 FLAT = ProblemInstance(

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from timefair.cli import demo_config, plan_from_config, validate_config
 from timefair.clock import ClockSpec, RealClock, VirtualClock
 from timefair.core import Budget, RunRecord, TargetSpec, Termination, TrajectoryPoint, validate
-from timefair.problems import ProblemInstance
+from timefair.problems import ProblemInstance, get_problem
 from timefair.protocol import (
     AlgorithmSpec,
     ExperimentPlan,
@@ -485,3 +486,73 @@ class TestRunEvaluator:
         assert [(p.evals, p.best_f) for p in batched.trajectory] == [(2, 4.0), (5, 3.0)]
         assert batched.trajectory == self._row_by_row(instance, [[[1], [0], [1], [3], [2]]]).trajectory
 
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ev: ev.evaluate([1.0]),
+            lambda ev: ev.evaluate([1.0, 2.0, 3.0, 4.0]),
+            lambda ev: ev.evaluate(np.ones((1, 5))),
+            lambda ev: ev.evaluate(1.0),
+            lambda ev: ev.evaluate_rows(np.ones((3, 1))),
+            lambda ev: ev.evaluate_rows(np.ones((2, 6))),
+            lambda ev: ev.evaluate_rows(np.ones(5)),
+        ],
+    )
+    def test_mis_shaped_points_are_rejected_uncounted(self, call):
+        evaluator = RunEvaluator(get_problem("sphere-d5"), VirtualClock(0.1, 0.0))
+        with pytest.raises(ValueError, match=r"^sphere-d5: expected \(n, 5\) batch, got shape"):
+            call(evaluator)
+        assert (evaluator.count, evaluator.n_clamped, evaluator.trajectory) == (0, 0, [])
+        assert math.isinf(evaluator.best_f)
+
+
+# ±0.0 sit on a bound in the first two coordinates and inside the third; the
+# objective tells -0.0 from 0.0, so a changed sign bit would show in its value
+SIGNED = ProblemInstance(
+    instance_id="signed-d3",
+    dimension=3,
+    lower=np.array([0.0, -1.0, -2.0]),
+    upper=np.array([1.0, 0.0, 2.0]),
+    f_opt=None,
+    rows_fn=lambda xs: np.sum(xs**2 + np.copysign(0.5, xs) * np.arange(1.0, 4.0), axis=1),
+)
+
+
+def _coordinate(lo, hi):
+    return st.one_of(
+        st.floats(lo, hi),
+        st.sampled_from([lo, hi, 0.0, -0.0, math.inf, -math.inf, math.nan]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(*(_coordinate(lo, hi) for lo, hi in zip(SIGNED.lower, SIGNED.upper))),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_single_row_evaluation_matches_a_clip_oracle(points):
+    clock = VirtualClock(0.1, 0.3)
+    evaluator = RunEvaluator(SIGNED, clock)
+    evaluator.iterations = 1
+    values = [evaluator.evaluate(x) for x in points]
+
+    best, n_clamped, expected_values, expected_trajectory = math.inf, 0, [], []
+    for count, x in enumerate(points, start=1):
+        row = np.array([x], dtype=float)
+        clipped = np.clip(row, SIGNED.lower, SIGNED.upper)
+        n_clamped += int((clipped != row).any())
+        f = float(SIGNED.rows_fn(clipped)[0])
+        expected_values.append(f)
+        if f < best:
+            best = f
+            expected_trajectory.append(TrajectoryPoint(clock.at(count, 1), count, f))
+
+    assert np.array(values).tobytes() == np.array(expected_values).tobytes()
+    assert evaluator.n_clamped == n_clamped
+    assert evaluator.count == len(points)
+    assert evaluator.trajectory == expected_trajectory
