@@ -486,7 +486,6 @@ class TestRunEvaluator:
         assert [(p.evals, p.best_f) for p in batched.trajectory] == [(2, 4.0), (5, 3.0)]
         assert batched.trajectory == self._row_by_row(instance, [[[1], [0], [1], [3], [2]]]).trajectory
 
-
     @pytest.mark.parametrize(
         "call",
         [
