@@ -9,48 +9,7 @@ experiments replayable bit for bit.
 
 __version__ = "0.1.0"
 
-from .clock import CLOCK_SCHEME_ID, ClockSpec, RealClock, VirtualClock
-from .core import (
-    Budget,
-    CostMatrix,
-    ErtResult,
-    RunRecord,
-    TargetSpec,
-    Termination,
-    TrajectoryPoint,
-    validate,
-)
-from .metrics import (
-    EcdfCurve,
-    MedianCurve,
-    ProfileCurve,
-    RankSumResult,
-    amortize_tuning,
-    anytime_ecdf,
-    default_time_grid,
-    ert,
-    median_trajectory,
-    performance_profile,
-    rank_sum_test,
-    time_to_target,
-)
-from .optimizers import (
-    Algorithm,
-    PSO,
-    PsoParams,
-    RandomSearch,
-    StagnationRestart,
-    make_optimizer,
-)
-from .problems import ProblemInstance, catalog_names, get_problem, optimum_point
-from .protocol import (
-    AlgorithmSpec,
-    ExperimentPlan,
-    PlanError,
-    RunEvaluator,
-    best_of_restarts,
-    build_algorithm,
-    run_plan,
-    run_time_fair,
-)
-from .seeds import SEED_SCHEME_ID, derive_seed, splitmix64, subseed
+from .clock import ClockSpec
+from .core import Budget, TargetSpec
+from .metrics import ert, time_to_target
+from .protocol import AlgorithmSpec, ExperimentPlan, run_time_fair

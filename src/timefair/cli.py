@@ -303,7 +303,10 @@ def _load_experiment(out_dir: Path) -> dict:
     if not config_path.exists():
         raise FileNotFoundError(f"{config_path} not found; run the experiment first")
     with open(config_path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{config_path} is not valid JSON: {exc}") from exc
 
 
 def _targets_by_instance(plan: ExperimentPlan) -> dict[str, tuple[float, ...]]:

@@ -38,10 +38,10 @@ class PsoParams:
             raise ValueError("swarm_size must be an integer >= 2")
         if not 0.0 <= self.inertia < 1.0:
             raise ValueError("inertia must lie in [0, 1)")
-        if not (self.cognitive > 0 and self.social > 0):
-            raise ValueError("cognitive and social coefficients must be > 0")
-        if not self.velocity_clamp > 0:
-            raise ValueError("velocity_clamp must be > 0")
+        if not (0 < self.cognitive < math.inf and 0 < self.social < math.inf):
+            raise ValueError("cognitive and social coefficients must be finite and > 0")
+        if not 0 < self.velocity_clamp < math.inf:
+            raise ValueError("velocity_clamp must be finite and > 0")
 
 
 class Algorithm:
@@ -226,8 +226,8 @@ class StagnationRestart(Algorithm):
     ):
         if plateau_window < 1:
             raise ValueError("plateau_window must be >= 1")
-        if not plateau_epsilon >= 0:
-            raise ValueError("plateau_epsilon must be >= 0")
+        if not 0 <= plateau_epsilon < math.inf:
+            raise ValueError("plateau_epsilon must be finite and >= 0")
         if max_restarts is not None and max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
         self.inner = inner

@@ -40,6 +40,7 @@ class ProblemInstance:
         self.lower.setflags(write=False)
         self.upper.setflags(write=False)
 
+    # perfbench/child.py calibrates the bare objective through this method
     def evaluate(self, x) -> float:
         """Objective value at one point. Raises on dimension mismatch."""
         x = np.asarray(x, dtype=float)

@@ -166,12 +166,13 @@ def _inside(lower: list, row: list, upper: list) -> bool:
 class RunEvaluator:
     """Counting wrapper around one run's objective evaluations.
 
-    Rejects points of the wrong shape before anything is counted, clamps
-    out-of-bounds queries (counted in `n_clamped`), counts FEs, and
-    records best-so-far improvement events; `best_f` is the one record of
-    the run's best, read by the runner's target check and by the
-    wrappers. The runner counts the iterations. Each improvement is
-    stamped `clock.at` its own count when it is recorded.
+    `evaluate_rows` is the one entry point. It rejects batches of the
+    wrong shape before anything is counted, clamps out-of-bounds queries
+    (counted in `n_clamped`), counts FEs, and records best-so-far
+    improvement events; `best_f` is the one record of the run's best,
+    read by the runner's target check and by the wrappers. The runner
+    counts the iterations. Each improvement is stamped `clock.at` its own
+    count when it is recorded.
     """
 
     def __init__(self, instance: ProblemInstance, clock):
@@ -189,13 +190,9 @@ class RunEvaluator:
     def elapsed(self) -> float:
         return self.clock.at(self.count, self.iterations)
 
-    def evaluate(self, x) -> float:
-        return float(self._evaluate(np.asarray(x, dtype=float)[None])[0])
-
-    def evaluate_rows(self, xs: np.ndarray) -> np.ndarray:
-        return self._evaluate(np.asarray(xs, dtype=float))
-
-    def _evaluate(self, xs: np.ndarray) -> np.ndarray:
+    def evaluate_rows(self, xs) -> np.ndarray:
+        """Objective values for a (n, d) batch; a point is a 1-row batch."""
+        xs = np.asarray(xs, dtype=float)
         instance = self.instance
         if xs.ndim != 2 or xs.shape[1] != instance.dimension:
             raise ValueError(instance.shape_error(xs))

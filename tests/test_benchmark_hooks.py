@@ -1,8 +1,9 @@
 """The names the benchmark (perfbench/) looks up in the program.
 
-perfbench traces layers by wrapping attributes by name, and hides its
-sampler's time from real-clock runs by patching ``RealClock.now``. These
-tests keep both working when the program changes.
+perfbench traces layers by wrapping attributes by name, calls a few
+functions directly (its child process), and hides its sampler's time from
+real-clock runs by patching ``RealClock.now``. These tests keep all three
+working when the program changes.
 """
 
 import json
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from timefair.clock import ClockSpec, RealClock
 from timefair.core import Budget
@@ -19,9 +22,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_tracer_install_finds_every_traced_name_but_the_retired_ones():
-    # virtual time has no per-evaluation charge, and the synthetic
-    # per-iteration cost is charged by the clock, not by a wrapper's step:
-    # these two are the names the tracer may not find (their layers read 0)
+    # virtual time has no per-evaluation charge, the synthetic per-iteration
+    # cost is charged by the clock, not by a wrapper's step, and a point is
+    # evaluated as a 1-row batch: these three are the names the tracer may
+    # not find (their layers read 0)
     script = (
         "import json; from tracer import Tracer, install; "
         "t = Tracer(); install(t); print(json.dumps(t.missing))"
@@ -37,9 +41,40 @@ def test_tracer_install_finds_every_traced_name_but_the_retired_ones():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout.splitlines()[-1]) == [
+        "protocol.RunEvaluator.evaluate",
         "clock.charge",
         "optimizers.wrapper.synthetic-overhead",
     ]
+
+
+def _perfbench(args, tmp_path):
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": f"{ROOT / 'src'}:{ROOT / 'perfbench'}"},
+        cwd=tmp_path,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("mode", [["probe"], ["setup", str(ROOT / "configs" / "demo.json"), "1"]])
+def test_child_modes_call_the_program_directly(mode, tmp_path):
+    # besides the traced names, perfbench's child calls the program itself:
+    # the CLI import, the environment probe, the config path, and
+    # ProblemInstance.evaluate through its calibration
+    out = _perfbench([str(ROOT / "perfbench" / "child.py"), "result.json", *mode], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert json.loads((tmp_path / "result.json").read_text())["exit_code"] == 0
+
+
+def test_child_calibration_times_the_bare_objective(tmp_path):
+    script = "import json, child; print(json.dumps(child._calibrate('sphere-d5', 40)))"
+    out = _perfbench(["-c", script], tmp_path)
+    assert out.returncode == 0, out.stderr
+    timings = json.loads(out.stdout.splitlines()[-1])
+    assert sorted(timings) == ["batch_us", "single_us"]
+    assert all(len(values) == 5 and min(values) > 0 for values in timings.values())
 
 
 def test_real_mode_time_follows_real_clock_now(monkeypatch):

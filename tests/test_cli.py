@@ -102,9 +102,18 @@ class TestValidateConfig:
             (lambda c: c.update(tuning={"method": "grid", "seconds": {"pso": math.nan}}), "tuning.seconds"),
             (lambda c: c.update(tuning={"method": "grid", "seconds": {"pso": math.inf}}), "tuning.seconds"),
             (lambda c: c["algorithms"][2]["params"].update(max_iterations=math.nan), "max_iterations"),
+            (lambda c: c["algorithms"][0]["params"].update(cognitive=math.inf), "cognitive"),
+            (lambda c: c["algorithms"][0]["params"].update(velocity_clamp=math.inf), "velocity_clamp"),
+            (
+                lambda c: c["algorithms"][0].update(
+                    wrappers={"stagnation_restart": {"plateau_window": 3, "plateau_epsilon": math.inf}}
+                ),
+                "plateau_epsilon",
+            ),
         ],
         ids=["nan-cost", "inf-cost", "nan-iteration-overhead", "inf-synthetic-overhead",
-             "inf-target", "nan-target", "nan-tuning-seconds", "inf-tuning-seconds", "nan-max-iterations"],
+             "inf-target", "nan-target", "nan-tuning-seconds", "inf-tuning-seconds", "nan-max-iterations",
+             "inf-cognitive", "inf-velocity-clamp", "inf-plateau-epsilon"],
     )
     def test_non_finite_numbers_rejected(self, mutate, field):
         cfg = demo_config()
@@ -414,6 +423,12 @@ class TestCmdAnalyze:
         capsys.readouterr()
         assert main(["analyze", str(out)]) == 2
         assert "metrics.bootstrap_samples" in capsys.readouterr().err
+
+    def test_stored_config_that_is_not_json_is_a_config_error_naming_it(self, tmp_path, capsys):
+        stored = tmp_path / "effective_config.json"
+        stored.write_text('{"a": 1,\n')
+        assert main(["analyze", str(tmp_path)]) == 2
+        assert f"config error: {stored} is not valid JSON: " in capsys.readouterr().err
 
     def test_no_targets_writes_median_curves_only(self, tmp_path, capsys):
         path, cfg = write_config(tmp_path, mutate=lambda c: c.pop("targets"))

@@ -251,7 +251,7 @@ class TestStagnationRestart:
                 return RandomSearchState(rng=np.random.default_rng(seed))
 
             def step(self, state, evaluator):
-                evaluator.evaluate(np.full(2, 2.0 ** -(state.iterations + 1)))
+                evaluator.evaluate_rows(np.full((1, 2), 2.0 ** -(state.iterations + 1)))
                 state.iterations += 1
                 return False
 
@@ -424,7 +424,7 @@ class Halving(Algorithm):
 
     def step(self, state, evaluator) -> bool:
         exponent = min(state.iterations, self.improving)
-        evaluator.evaluate(np.full(evaluator.instance.dimension, 2.0 ** -exponent))
+        evaluator.evaluate_rows(np.full((1, evaluator.instance.dimension), 2.0 ** -exponent))
         state.iterations += 1
         return False
 

@@ -68,9 +68,9 @@ def test_default_bounds_follow_catalog():
 def test_clamp_flags_out_of_bounds_queries():
     instance = get_problem("sphere-d2")
     evaluator = RunEvaluator(instance, VirtualClock(1.0, 0.0))
-    assert evaluator.evaluate([1.0, -1.0]) == 2.0
+    assert list(evaluator.evaluate_rows([[1.0, -1.0]])) == [2.0]
     assert evaluator.n_clamped == 0
-    assert evaluator.evaluate([7.0, -9.0]) == 2 * 5.12**2
+    assert list(evaluator.evaluate_rows([[7.0, -9.0]])) == [2 * 5.12**2]
     assert evaluator.n_clamped == 1
     # one count per clamped row, however many of its coordinates moved
     fs = evaluator.evaluate_rows(np.array([[0.0, 6.0], [1.0, 1.0], [-6.0, -6.0]]))

@@ -446,8 +446,8 @@ class TestRunEvaluator:
         evaluator = RunEvaluator(instance, VirtualClock(0.1, 0.3))
         for batch in batches:
             evaluator.iterations += 1
-            for x in batch:
-                evaluator.evaluate(x)
+            for x in np.asarray(batch, dtype=float):
+                evaluator.evaluate_rows(x[None])
         return evaluator
 
     def _batched(self, instance, batches):
@@ -489,10 +489,10 @@ class TestRunEvaluator:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda ev: ev.evaluate([1.0]),
-            lambda ev: ev.evaluate([1.0, 2.0, 3.0, 4.0]),
-            lambda ev: ev.evaluate(np.ones((1, 5))),
-            lambda ev: ev.evaluate(1.0),
+            lambda ev: ev.evaluate_rows([1.0]),
+            lambda ev: ev.evaluate_rows([1.0, 2.0, 3.0, 4.0]),
+            lambda ev: ev.evaluate_rows(np.ones((1, 1, 5))),
+            lambda ev: ev.evaluate_rows(1.0),
             lambda ev: ev.evaluate_rows(np.ones((3, 1))),
             lambda ev: ev.evaluate_rows(np.ones((2, 6))),
             lambda ev: ev.evaluate_rows(np.ones(5)),
@@ -538,7 +538,7 @@ def test_single_row_evaluation_matches_a_clip_oracle(points):
     clock = VirtualClock(0.1, 0.3)
     evaluator = RunEvaluator(SIGNED, clock)
     evaluator.iterations = 1
-    values = [evaluator.evaluate(x) for x in points]
+    values = [float(evaluator.evaluate_rows([x])[0]) for x in points]
 
     best, n_clamped, expected_values, expected_trajectory = math.inf, 0, [], []
     for count, x in enumerate(points, start=1):
