@@ -368,9 +368,10 @@ def _midranks(pooled: Sequence[float]) -> list[float]:
 def rank_sum_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> RankSumResult:
     """Two-sided Mann-Whitney U test.
 
-    Exact permutation enumeration (tie-aware) when the pooled size is at
-    most 20; tie-corrected normal approximation (no continuity
-    correction) otherwise. All-equal samples are degenerate: p = 1.
+    Exact permutation distribution (tie-aware, counted by rank sum) when
+    the pooled size is at most 20; tie-corrected normal approximation (no
+    continuity correction) otherwise. All-equal samples are degenerate:
+    p = 1.
     """
     a = [float(v) for v in sample_a]
     b = [float(v) for v in sample_b]
@@ -384,16 +385,25 @@ def rank_sum_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> RankS
     if len(set(pooled)) == 1:
         return RankSumResult(statistic=u_obs, p_value=1.0, method="exact", degenerate=True)
     if n1 + n2 <= 20:
+        # every n1-subset of the pooled midranks is equally likely under H0;
+        # doubled midranks are integers, so counting subsets by their doubled
+        # rank sum (a 0/1 knapsack over subset sizes) keeps ties exact
+        doubled = [int(2 * r) for r in ranks]
+        top = sum(doubled)
+        ways = np.zeros((n1 + 1, top + 1), dtype=np.int64)  # [size, doubled sum]
+        ways[0, 0] = 1
+        for r in doubled:
+            ways[1:, r:] += ways[:-1, : top + 1 - r].copy()
         d_obs = abs(u_obs - mu)
-        hits = 0
-        total = 0
-        for combo in itertools.combinations(range(n1 + n2), n1):
-            u = sum(ranks[i] for i in combo) - n1 * (n1 + 1) / 2.0
-            # tolerance absorbs float noise in midrank sums
-            if abs(u - mu) >= d_obs - 1e-9:
-                hits += 1
-            total += 1
-        return RankSumResult(statistic=u_obs, p_value=hits / total, method="exact")
+        # tolerance absorbs float noise in midrank sums
+        hits = sum(
+            int(count)
+            for s, count in enumerate(ways[n1])
+            if count and abs(s / 2 - n1 * (n1 + 1) / 2.0 - mu) >= d_obs - 1e-9
+        )
+        return RankSumResult(
+            statistic=u_obs, p_value=hits / math.comb(n1 + n2, n1), method="exact"
+        )
     n = n1 + n2
     tie_counts = [len(list(g)) for _, g in itertools.groupby(sorted(pooled))]
     tie_term = sum(t**3 - t for t in tie_counts) / (n * (n - 1))

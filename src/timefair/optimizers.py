@@ -119,11 +119,24 @@ class PsoState:
     rng: np.random.Generator
     x: np.ndarray
     v: np.ndarray
-    pbest_x: np.ndarray
+    # (2, n, d): row 0 is `pbest_x`, row 1 the swarm best on every particle,
+    # so one subtraction gives the differences of both pulls
+    attract: np.ndarray
+    pbest_x: np.ndarray  # view of `attract[0]`
     pbest_f: np.ndarray
+    # the step's constant operands, (n, d) on every particle and read-only,
+    # shared by every state of one PSO on one instance
+    inertia: np.ndarray
+    coefficients: np.ndarray  # (2, n, d): c1, then c2
+    neg_vmax: np.ndarray
     vmax: np.ndarray  # per-coordinate velocity bound
+    lower: np.ndarray
+    upper: np.ndarray
+    r: np.ndarray  # (2, n, d) scratch: r1 and r2, then the two pulls
+    diff: np.ndarray  # (2, n, d) scratch: attract - x
     iterations: int = 0
-    best_x: Optional[np.ndarray] = None  # swarm best: steers velocities, resets with the swarm
+    # swarm best, a view of `attract[1, 0]`: steers velocities, resets with the swarm
+    best_x: Optional[np.ndarray] = None
     best_f: float = math.inf
 
 
@@ -140,6 +153,7 @@ class PSO(Algorithm):
     def __init__(self, params: PsoParams = PsoParams(), max_iterations: Optional[int] = None):
         super().__init__(max_iterations)
         self.params = params
+        self._constants_for: tuple = (None, None)  # (instance, its constants)
 
     @property
     def evals_per_step(self) -> int:
@@ -158,44 +172,77 @@ class PSO(Algorithm):
             "max_iterations": self.max_iterations,
         }
 
+    def _constants(self, instance: ProblemInstance) -> dict:
+        """The `PsoState` constants for `instance`, built once per instance
+        because restarts re-init often. numpy updates an (n, d) array
+        several times faster with same-shape operands than with broadcast
+        ones, and the products and clips are the same bit for bit."""
+        cached, constants = self._constants_for
+        if cached is not instance:
+            p = self.params
+            block = np.empty((7, p.swarm_size, instance.dimension))
+            block[0] = p.inertia
+            block[1] = p.cognitive
+            block[2] = p.social
+            block[4] = p.velocity_clamp * (instance.upper - instance.lower)
+            np.negative(block[4], out=block[3])
+            block[5] = instance.lower
+            block[6] = instance.upper
+            block.setflags(write=False)
+            constants = dict(
+                inertia=block[0],
+                coefficients=block[1:3],
+                neg_vmax=block[3],
+                vmax=block[4],
+                lower=block[5],
+                upper=block[6],
+            )
+            self._constants_for = (instance, constants)
+        return constants
+
     def init(self, instance: ProblemInstance, seed: int) -> PsoState:
         rng = np.random.default_rng(seed)
-        n = self.params.swarm_size
-        x = instance.uniform(rng, n)
+        x = instance.uniform(rng, self.params.swarm_size)
+        attract = np.empty((2, *x.shape))
+        attract[...] = x  # row 1: the initial swarm until a best exists
         return PsoState(
             rng=rng,
             x=x,
             v=np.zeros_like(x),
-            pbest_x=x.copy(),
-            pbest_f=np.full(n, math.inf),
-            vmax=self.params.velocity_clamp * (instance.upper - instance.lower),
+            attract=attract,
+            pbest_x=attract[0],
+            pbest_f=np.full(len(x), math.inf),
+            r=np.empty_like(attract),
+            diff=np.empty_like(attract),
+            **self._constants(instance),
         )
 
     def step(self, state: PsoState, evaluator) -> bool:
-        p = self.params
-        x, v = state.x, state.v
+        x, v, attract = state.x, state.v, state.attract
         if state.iterations > 0:
             # in place, with the operations and their order of
             # v = w*v + (c1*r1)*(pbest - x) + (c2*r2)*(best - x)
-            r = state.rng.random((2, *x.shape))  # r1, then r2
-            r[0] *= p.cognitive
-            r[0] *= state.pbest_x - x
-            r[1] *= p.social
-            r[1] *= state.best_x - x
-            v *= p.inertia
+            r = state.r
+            state.rng.random(out=r)  # r1, then r2
+            np.subtract(attract, x, out=state.diff)
+            r *= state.coefficients
+            r *= state.diff
+            v *= state.inertia
             v += r[0]
             v += r[1]
-            np.clip(v, -state.vmax, state.vmax, out=v)
+            # the method np.clip calls, without its dispatch layer
+            v.clip(state.neg_vmax, state.vmax, out=v)
             x += v
-            np.clip(x, evaluator.instance.lower, evaluator.instance.upper, out=x)
+            x.clip(state.lower, state.upper, out=x)
         fs = evaluator.evaluate_rows(x)
         improved = fs < state.pbest_f
-        state.pbest_x[improved] = x[improved]
-        state.pbest_f[improved] = fs[improved]
-        i = int(np.argmin(state.pbest_f))
+        np.copyto(state.pbest_x, x, where=improved[:, None])
+        np.copyto(state.pbest_f, fs, where=improved)
+        i = int(state.pbest_f.argmin())
         if state.pbest_f[i] < state.best_f:
             state.best_f = float(state.pbest_f[i])
-            state.best_x = state.pbest_x[i].copy()
+            attract[1] = state.pbest_x[i]
+            state.best_x = attract[1, 0]
         return self._count(state)
 
 

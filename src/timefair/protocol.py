@@ -201,23 +201,28 @@ class RunEvaluator:
         if len(xs) == 1 and _inside(self._lower, xs[0].tolist(), self._upper):
             fs = instance.evaluate_rows(xs)
         else:
-            clipped = np.clip(xs, instance.lower, instance.upper)
-            self.n_clamped += int(np.count_nonzero((clipped != xs).any(axis=1)))
+            clipped = xs.clip(instance.lower, instance.upper)
+            changed = clipped != xs
+            if changed.any():
+                self.n_clamped += int(np.count_nonzero(changed.any(axis=1)))
             fs = instance.evaluate_rows(clipped)
         first = self.count
         self.count += len(fs)
         if len(fs) == 1:
-            improving = (0,) if fs[0] < self.best_f else ()
+            candidates = (0,) if fs[0] < self.best_f else ()
+        elif not np.fmin.reduce(fs, initial=math.inf) < self.best_f:
+            candidates = ()  # no value below the best (fmin skips NaN)
         else:
-            # row i improves on the best of everything before it (fmin skips NaN)
-            before = np.fmin.accumulate(np.concatenate(([self.best_f], fs[:-1])))
-            improving = np.flatnonzero(fs < before)
-        for i in improving:
-            count = first + int(i) + 1
-            self.best_f = float(fs[i])
-            self.trajectory.append(
-                TrajectoryPoint(self.clock.at(count, self.iterations), count, self.best_f)
-            )
+            # only a row below the best before the batch can improve on it
+            candidates = (fs < self.best_f).nonzero()[0].tolist()
+        for i in candidates:
+            f = float(fs[i])
+            if f < self.best_f:  # below the running best: rows in order
+                count = first + i + 1
+                self.best_f = f
+                self.trajectory.append(
+                    TrajectoryPoint(self.clock.at(count, self.iterations), count, f)
+                )
         return fs
 
 

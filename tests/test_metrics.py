@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -449,6 +450,41 @@ class TestRankSumTest:
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError):
             rank_sum_test([1.0, 2.0], [3.0, 4.0, 5.0])
+
+    def test_exact_p_equals_subset_enumeration_on_tied_samples(self, rng):
+        for _ in range(60):
+            n1 = int(rng.integers(3, 12))
+            n2 = int(rng.integers(3, 15 - n1))
+            # few distinct values, so most samples carry ties
+            values = rng.integers(0, int(rng.integers(2, 8)), size=n1 + n2).astype(float)
+            a, b = list(values[:n1]), list(values[n1:])
+            result = rank_sum_test(a, b)
+            if result.degenerate:
+                continue
+            assert result.method == "exact"
+            assert result.p_value == rank_sum_enumeration_p(a, b)
+
+    def test_exact_p_at_the_pooled_size_limit(self):
+        # the largest exact case, 10 + 10 with ties, against the enumeration
+        a = [1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 5.0, 8.0, 9.0, 9.0]
+        b = [2.0, 4.0, 5.0, 6.0, 7.0, 8.0, 8.0, 9.0, 10.0, 11.0]
+        result = rank_sum_test(a, b)
+        assert result.method == "exact"
+        assert result.p_value == rank_sum_enumeration_p(a, b)
+
+
+def rank_sum_enumeration_p(a, b) -> float:
+    """Two-sided exact p of the rank-sum test by enumerating every subset."""
+    n1 = len(a)
+    ranks = scipy_stats.rankdata(a + b).tolist()
+    mu = n1 * len(b) / 2.0
+    d_obs = abs(sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0 - mu)
+    hits = total = 0
+    for combo in itertools.combinations(range(len(ranks)), n1):
+        u = sum(ranks[i] for i in combo) - n1 * (n1 + 1) / 2.0
+        hits += abs(u - mu) >= d_obs - 1e-9
+        total += 1
+    return hits / total
 
 
 class TestTimeGrid:

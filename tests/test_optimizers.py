@@ -1,4 +1,3 @@
-import copy
 import math
 import statistics
 from dataclasses import dataclass, replace
@@ -137,6 +136,22 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def pso_oracle_init(params, instance, seed):
+    """PSO's initial state in its plain form: separate arrays, nothing shared."""
+    rng = np.random.default_rng(seed)
+    x = instance.uniform(rng, params.swarm_size)
+    return SimpleNamespace(
+        rng=rng,
+        x=x,
+        v=np.zeros_like(x),
+        pbest_x=x.copy(),
+        pbest_f=np.full(params.swarm_size, math.inf),
+        best_x=None,
+        best_f=math.inf,
+        iterations=0,
+    )
+
+
 def pso_oracle_step(params, state, evaluator):
     """PSO's step in its out-of-place form: new arrays every iteration."""
     instance = evaluator.instance
@@ -160,6 +175,38 @@ def pso_oracle_step(params, state, evaluator):
         state.best_f = float(state.pbest_f[i])
         state.best_x = state.pbest_x[i].copy()
     state.iterations += 1
+
+
+def check_pso_against_the_oracle(instance_id, restarts):
+    """60 steps of PSO, plain or inside StagnationRestart, against the oracle."""
+    instance = get_problem(instance_id)
+    pso = make_optimizer("pso", {"swarm_size": 12})
+    algorithm = pso
+    if restarts:
+        algorithm = StagnationRestart(pso, plateau_window=2, plateau_epsilon=0.5)
+    state = algorithm.init(instance, 4)
+    swarm_of = (lambda s: s.inner_state) if restarts else (lambda s: s)
+    oracle = pso_oracle_init(pso.params, instance, subseed(4, 0) if restarts else 4)
+    evaluator, oracle_evaluator = make_evaluator(instance), make_evaluator(instance)
+    vmax = pso.params.velocity_clamp * (instance.upper - instance.lower)
+    on_bound = on_vmax = restart_count = 0
+    for _ in range(60):
+        algorithm.step(state, evaluator)
+        pso_oracle_step(pso.params, oracle, oracle_evaluator)
+        if restarts and state.restart_count != restart_count:
+            restart_count = state.restart_count
+            oracle = pso_oracle_init(pso.params, instance, subseed(4, restart_count))
+        swarm = swarm_of(state)
+        for name in ("x", "v", "pbest_x", "pbest_f", "best_x"):
+            assert same_bits(getattr(swarm, name), getattr(oracle, name)), name
+        assert swarm.best_f == oracle.best_f
+        assert not np.shares_memory(swarm.pbest_x, swarm.x)
+        assert evaluator.n_clamped == oracle_evaluator.n_clamped
+        assert evaluator.trajectory == oracle_evaluator.trajectory
+        on_bound += np.count_nonzero((swarm.x == instance.lower) | (swarm.x == instance.upper))
+        on_vmax += np.count_nonzero(np.abs(swarm.v) == vmax)
+    assert on_bound > 0 and on_vmax > 0  # both clips were exercised
+    assert restart_count >= (3 if restarts else 0)
 
 
 class TestReferenceStreams:
@@ -196,23 +243,40 @@ class TestReferenceStreams:
         assert same_bits(seen, expected)
 
     def test_pso_in_place_step_equals_out_of_place_formula(self):
-        instance = get_problem("rastrigin-d5")
-        algorithm = make_optimizer("pso", {"swarm_size": 12})
-        state = algorithm.init(instance, 4)
-        oracle = SimpleNamespace(**vars(copy.deepcopy(state)))
-        evaluator, oracle_evaluator = make_evaluator(instance), make_evaluator(instance)
-        on_bound = on_vmax = 0
-        for _ in range(10):
-            algorithm.step(state, evaluator)
-            pso_oracle_step(algorithm.params, oracle, oracle_evaluator)
-            for name in ("x", "v", "pbest_x", "pbest_f", "best_x"):
-                assert same_bits(getattr(state, name), getattr(oracle, name)), name
-            assert state.best_f == oracle.best_f
-            assert not np.shares_memory(state.pbest_x, state.x)
-            on_bound += np.count_nonzero((state.x == instance.lower) | (state.x == instance.upper))
-            on_vmax += np.count_nonzero(np.abs(state.v) == state.vmax)
-        assert on_bound > 0 and on_vmax > 0  # both clips were exercised
-        assert evaluator.trajectory == oracle_evaluator.trajectory
+        # rosenbrock's bounds (-5, 10) are asymmetric; inside StagnationRestart,
+        # each restart's init rebuilds the swarm's buffers
+        for instance_id in ("rastrigin-d5", "rosenbrock-d10"):
+            for restarts in (False, True):
+                check_pso_against_the_oracle(instance_id, restarts)
+
+    def test_pso_constants_follow_the_instance(self):
+        pso = make_optimizer("pso", {"swarm_size": 6, "velocity_clamp": 0.25})
+        p = pso.params
+        for instance_id in ("rosenbrock-d10", "sphere-d2", "rosenbrock-d10"):
+            instance = get_problem(instance_id)
+            state = pso.init(instance, 1)
+            span = instance.upper - instance.lower
+            expected = {
+                "inertia": p.inertia,
+                "coefficients": np.array([p.cognitive, p.social])[:, None, None],
+                "neg_vmax": -0.25 * span,
+                "vmax": 0.25 * span,
+                "lower": instance.lower,
+                "upper": instance.upper,
+            }
+            for name, value in expected.items():
+                constant = getattr(state, name)
+                assert constant.shape[-2:] == state.x.shape, name
+                assert same_bits(constant, np.broadcast_to(value, constant.shape)), name
+                assert not constant.flags.writeable, name
+
+    def test_pso_steps_on_while_no_particle_has_a_value(self):
+        void = replace(SPHERE, rows_fn=lambda xs: np.full(len(xs), math.nan))
+        algorithm = make_optimizer("pso", {"swarm_size": 5})
+        evaluator = make_evaluator(void)
+        state, _ = drive(algorithm, evaluator, 2, 4)
+        assert state.best_x is None and math.isinf(state.best_f)
+        assert evaluator.count == 20 and evaluator.trajectory == []
 
 
 FLAT = ProblemInstance(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from timefair.cli import demo_config, plan_from_config, validate_config
 from timefair.clock import ClockSpec, RealClock, VirtualClock
@@ -555,3 +555,75 @@ def test_single_row_evaluation_matches_a_clip_oracle(points):
     assert evaluator.n_clamped == n_clamped
     assert evaluator.count == len(points)
     assert evaluator.trajectory == expected_trajectory
+
+
+# a row that evaluates to NaN, and one on bounds whose value recurs
+NAN_ROW = (math.nan, math.nan, math.nan)
+CORNER_ROW = (0.0, -0.0, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.one_of(
+                st.tuples(*(_coordinate(lo, hi) for lo, hi in zip(SIGNED.lower, SIGNED.upper))),
+                st.sampled_from([NAN_ROW, CORNER_ROW]),
+            ),
+            min_size=2,
+            max_size=8,
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+@example([[NAN_ROW, NAN_ROW], [CORNER_ROW, NAN_ROW, CORNER_ROW], [NAN_ROW, CORNER_ROW]])
+@example(
+    [
+        [(1.0, -1.0, 2.0), (0.5, -0.5, 0.0)],
+        [(0.5, -0.5, 0.0), (1.0, -1.0, 2.0), (-0.0, 0.0, -0.0)],
+    ]
+)
+def test_batch_evaluation_matches_a_row_by_row_clip_oracle(batches):
+    clock = VirtualClock(0.1, 0.3)
+    evaluator = RunEvaluator(SIGNED, clock)
+    values = []
+    for iteration, batch in enumerate(batches, start=1):
+        evaluator.iterations = iteration
+        values.extend(evaluator.evaluate_rows(batch).tolist())
+
+    best, count, n_clamped, expected_values, expected_trajectory = math.inf, 0, 0, [], []
+    for iteration, batch in enumerate(batches, start=1):
+        for x in batch:
+            count += 1
+            row = np.array(x, dtype=float)
+            clipped = np.clip(row, SIGNED.lower, SIGNED.upper)
+            n_clamped += int((clipped != row).any())
+            f = float(SIGNED.rows_fn(clipped[None])[0])
+            expected_values.append(f)
+            if f < best:
+                best = f
+                expected_trajectory.append(TrajectoryPoint(clock.at(count, iteration), count, f))
+
+    assert np.array(values).tobytes() == np.array(expected_values).tobytes()
+    assert evaluator.n_clamped == n_clamped
+    assert evaluator.count == count
+    assert evaluator.trajectory == expected_trajectory
+    assert evaluator.best_f == best
+
+
+@pytest.mark.parametrize("rows", [1, 40])
+def test_evaluation_goes_through_the_instance_seam_once(monkeypatch, rows):
+    # perfbench traces ProblemInstance.evaluate_rows as the objective layer
+    calls = []
+    seam = ProblemInstance.evaluate_rows
+
+    def counted(self, xs):
+        calls.append(len(xs))
+        return seam(self, xs)
+
+    monkeypatch.setattr(ProblemInstance, "evaluate_rows", counted)
+    instance = get_problem("sphere-d5")
+    evaluator = RunEvaluator(instance, VirtualClock(0.1, 0.0))
+    evaluator.evaluate_rows(instance.uniform(np.random.default_rng(3), rows))
+    assert calls == [rows]
