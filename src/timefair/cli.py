@@ -240,11 +240,25 @@ def plan_from_config(config: dict) -> ExperimentPlan:
         raise ConfigError(str(exc)) from exc
 
 
+def _read_config(path) -> dict:
+    """The JSON object in the file at `path`; a file that cannot be read,
+    is not JSON or holds no object is a :class:`ConfigError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("top-level config must be a JSON object")
+    return raw
+
+
 def demo_config() -> dict:
     """A fresh parse of the bundled demo, ``configs/demo.json`` in the
     source checkout (next to ``src/``)."""
-    with open(Path(__file__).resolve().parents[2] / "configs" / "demo.json", encoding="utf-8") as fh:
-        return json.load(fh)
+    return _read_config(Path(__file__).resolve().parents[2] / "configs" / "demo.json")
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +266,7 @@ def demo_config() -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
-        print(f"config error: {args.config} is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not isinstance(raw, dict):
-        print("config error: top-level config must be a JSON object", file=sys.stderr)
-        return EXIT_CONFIG
+    raw = _read_config(args.config)
     if args.seed is not None:
         raw["master_seed"] = args.seed
     if args.out is not None:
@@ -298,24 +301,16 @@ def cmd_run(args) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _load_experiment(out_dir: Path) -> dict:
-    config_path = out_dir / report.EFFECTIVE_CONFIG_NAME
-    if not config_path.exists():
-        raise FileNotFoundError(f"{config_path} not found; run the experiment first")
-    with open(config_path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{config_path} is not valid JSON: {exc}") from exc
-
-
 def _targets_by_instance(plan: ExperimentPlan) -> dict[str, tuple[float, ...]]:
     return {i: plan.targets.resolve(get_problem(i).f_opt) for i in plan.instances}
 
 
 def cmd_analyze(args) -> int:
     out_dir = Path(args.out_dir)
-    config = validate_config(_load_experiment(out_dir))
+    config_path = out_dir / report.EFFECTIVE_CONFIG_NAME
+    if not config_path.exists():
+        raise FileNotFoundError(f"{config_path} not found; run the experiment first")
+    config = validate_config(_read_config(config_path))
     plan = plan_from_config(config)
     T = plan.budget.wall_time_limit
     labels = [spec.label for spec in plan.algorithms]
@@ -386,7 +381,12 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     manifest_path = out_dir / report.MANIFEST_NAME
     with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path} must hold a JSON object")
     items = report.audit_manifest(manifest, out_dir)
     for item in items:
         note = f" — {item.note}" if item.note else ""

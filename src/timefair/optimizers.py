@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -124,20 +124,16 @@ class PsoState:
     attract: np.ndarray
     pbest_x: np.ndarray  # view of `attract[0]`
     pbest_f: np.ndarray
-    # the step's constant operands, (n, d) on every particle and read-only,
-    # shared by every state of one PSO on one instance
-    inertia: np.ndarray
-    coefficients: np.ndarray  # (2, n, d): c1, then c2
-    neg_vmax: np.ndarray
-    vmax: np.ndarray  # per-coordinate velocity bound
-    lower: np.ndarray
-    upper: np.ndarray
     r: np.ndarray  # (2, n, d) scratch: r1 and r2, then the two pulls
     diff: np.ndarray  # (2, n, d) scratch: attract - x
     iterations: int = 0
-    # swarm best, a view of `attract[1, 0]`: steers velocities, resets with the swarm
-    best_x: Optional[np.ndarray] = None
+    # swarm best: steers velocities, resets with the swarm; `attract[1]` holds its position
     best_f: float = math.inf
+
+    @property
+    def best_x(self) -> Optional[np.ndarray]:
+        """The swarm best's position, None until a particle has a value."""
+        return self.attract[1, 0] if self.best_f < math.inf else None
 
 
 class PSO(Algorithm):
@@ -160,23 +156,20 @@ class PSO(Algorithm):
         return self.params.swarm_size
 
     def describe(self) -> dict:
-        p = self.params
         return {
             "kind": self.kind,
-            "swarm_size": p.swarm_size,
-            "inertia": p.inertia,
-            "cognitive": p.cognitive,
-            "social": p.social,
-            "velocity_clamp": p.velocity_clamp,
+            **asdict(self.params),
             "topology": "global-best",
             "max_iterations": self.max_iterations,
         }
 
-    def _constants(self, instance: ProblemInstance) -> dict:
-        """The `PsoState` constants for `instance`, built once per instance
-        because restarts re-init often. numpy updates an (n, d) array
-        several times faster with same-shape operands than with broadcast
-        ones, and the products and clips are the same bit for bit."""
+    def _constants(self, instance: ProblemInstance) -> tuple:
+        """The step's constant operands for `instance`: w, (c1, c2), -vmax,
+        vmax, lower and upper, read-only views of one (7, n, d) block, built
+        once per instance because restarts re-init often. numpy updates an
+        (n, d) array several times faster with same-shape operands than
+        with broadcast ones, and the products and clips are the same bit
+        for bit."""
         cached, constants = self._constants_for
         if cached is not instance:
             p = self.params
@@ -189,14 +182,7 @@ class PSO(Algorithm):
             block[5] = instance.lower
             block[6] = instance.upper
             block.setflags(write=False)
-            constants = dict(
-                inertia=block[0],
-                coefficients=block[1:3],
-                neg_vmax=block[3],
-                vmax=block[4],
-                lower=block[5],
-                upper=block[6],
-            )
+            constants = (block[0], block[1:3], *block[3:])
             self._constants_for = (instance, constants)
         return constants
 
@@ -214,7 +200,6 @@ class PSO(Algorithm):
             pbest_f=np.full(len(x), math.inf),
             r=np.empty_like(attract),
             diff=np.empty_like(attract),
-            **self._constants(instance),
         )
 
     def step(self, state: PsoState, evaluator) -> bool:
@@ -222,18 +207,19 @@ class PSO(Algorithm):
         if state.iterations > 0:
             # in place, with the operations and their order of
             # v = w*v + (c1*r1)*(pbest - x) + (c2*r2)*(best - x)
+            inertia, coefficients, neg_vmax, vmax, lower, upper = self._constants(evaluator.instance)
             r = state.r
             state.rng.random(out=r)  # r1, then r2
             np.subtract(attract, x, out=state.diff)
-            r *= state.coefficients
+            r *= coefficients
             r *= state.diff
-            v *= state.inertia
+            v *= inertia
             v += r[0]
             v += r[1]
             # the method np.clip calls, without its dispatch layer
-            v.clip(state.neg_vmax, state.vmax, out=v)
+            v.clip(neg_vmax, vmax, out=v)
             x += v
-            x.clip(state.lower, state.upper, out=x)
+            x.clip(lower, upper, out=x)
         fs = evaluator.evaluate_rows(x)
         improved = fs < state.pbest_f
         np.copyto(state.pbest_x, x, where=improved[:, None])
@@ -242,7 +228,6 @@ class PSO(Algorithm):
         if state.pbest_f[i] < state.best_f:
             state.best_f = float(state.pbest_f[i])
             attract[1] = state.pbest_x[i]
-            state.best_x = attract[1, 0]
         return self._count(state)
 
 

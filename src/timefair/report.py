@@ -520,9 +520,13 @@ def _audit_artifacts(section: dict, out_dir: Path) -> Optional[str]:
     config_path = out_dir / EFFECTIVE_CONFIG_NAME
     if not config_path.exists():
         return f"effective config {EFFECTIVE_CONFIG_NAME} is missing"
-    with open(config_path, encoding="utf-8") as fh:
-        if config_hash(json.load(fh)) != section["config_hash"]:
-            return "config_hash does not match the stored effective config"
+    try:
+        with open(config_path, encoding="utf-8") as fh:
+            stored = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        return f"effective config {EFFECTIVE_CONFIG_NAME} is not valid JSON: {exc}"
+    if config_hash(stored) != section["config_hash"]:
+        return "config_hash does not match the stored effective config"
     listed, on_disk = set(section["log_digests"]), set(run_logs_on_disk(out_dir))
     if listed - on_disk:
         return f"log file {min(listed - on_disk)} is missing"

@@ -106,3 +106,31 @@ def test_real_mode_time_follows_real_clock_now(monkeypatch):
         (r.time_used, r.max_step_seconds, [(p.elapsed, p.evals, p.best_f) for p in r.trajectory])
         for r in quarter
     ]
+
+
+def test_cli_calls_the_traced_config_functions_as_its_own_globals(monkeypatch, tmp_path, capsys):
+    # perfbench's cli.validate_config_s and cli.plan_from_config_s come from
+    # wrappers set on the cli module: each command must look the two up there
+    from timefair import cli
+
+    calls = {}
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    counting("validate_config")
+    counting("plan_from_config")
+    config = cli.demo_config()
+    config.update(repetitions=1, instances=config["instances"][:1], output_dir=str(tmp_path / "out"))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    commands = (["run", "--config", str(tmp_path / "config.json")], ["analyze", str(tmp_path / "out")], ["simulate"])
+    for argv in commands:
+        calls.clear()
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert calls == {"validate_config": 1, "plan_from_config": 1}, argv[0]

@@ -246,6 +246,48 @@ class TestCmdRun:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda c, x: c["budget"].update(wall_time_limit=x), "wall_time_limit"),
+            (lambda c, x: c["budget"].update(eval_cap=x), "eval_cap"),
+            (lambda c, x: c["targets"].update(values=[10.0, x]), "target values"),
+            (lambda c, x: c["clock"].update(cost_per_eval=x), "cost_per_eval"),
+            *[
+                (lambda c, x, k=k: c["algorithms"][0].update(kind="pso", params={k: x}), k)
+                for k in ("swarm_size", "inertia", "cognitive", "social", "velocity_clamp", "max_iterations")
+            ],
+            (lambda c, x: c["algorithms"][0].update(wrappers={"synthetic_overhead": x}), "synthetic_overhead"),
+            *[
+                (
+                    lambda c, x, k=k: c["algorithms"][0].update(
+                        wrappers={"stagnation_restart": {"plateau_window": 3, "plateau_epsilon": 0.1, k: x}}
+                    ),
+                    k,
+                )
+                for k in ("plateau_window", "plateau_epsilon", "max_restarts")
+            ],
+            (lambda c, x: c.update(repetitions=x), "repetitions"),
+            (lambda c, x: c.update(master_seed=x), "master_seed"),
+            *[
+                (lambda c, x, k=k: c["metrics"].update({k: x}), f"metrics.{k}")
+                for k in ("time_grid_points", "bootstrap_samples", "confidence")
+            ],
+            (lambda c, x: c.update(tuning={"method": "grid", "seconds": {"rs-a": x}}), "tuning.seconds"),
+        ],
+        ids=["wall-time-limit", "eval-cap", "target-value", "cost-per-eval", "swarm-size", "inertia",
+             "cognitive", "social", "velocity-clamp", "max-iterations", "synthetic-overhead",
+             "plateau-window", "plateau-epsilon", "max-restarts", "repetitions", "master-seed",
+             "time-grid-points", "bootstrap-samples", "confidence", "tuning-seconds"],
+    )
+    def test_every_numeric_field_rejects_nan_and_infinity(self, tmp_path, capsys, mutate, field):
+        # json.dumps writes the NaN, Infinity and -Infinity tokens that Python's parser reads back
+        for value in (math.nan, math.inf, -math.inf):
+            path, _ = write_config(tmp_path, mutate=lambda c: mutate(c, value))
+            assert main(["run", "--config", str(path)]) == 2, value
+            assert field in capsys.readouterr().err, value
+            assert not (tmp_path / "out").exists(), value
+
+    @pytest.mark.parametrize(
         "text, message",
         [("{\"budget\": ", "is not valid JSON"), ("[]", "top-level config must be a JSON object")],
         ids=["invalid-json", "top-level-list"],
@@ -468,6 +510,33 @@ class TestCmdReport:
 
     def test_unreadable_directory_is_runtime_error(self, tmp_path):
         assert main(["report", str(tmp_path / "void")]) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"checklist": ', "is not valid JSON: "), ("[]", "must hold a JSON object")],
+        ids=["invalid-json", "top-level-list"],
+    )
+    def test_manifest_that_is_not_a_json_object_is_runtime_error_naming_it(
+        self, tmp_path, capsys, text, message
+    ):
+        (tmp_path / "manifest.json").write_text(text)
+        assert main(["report", str(tmp_path)]) == 1
+        assert f"error: {tmp_path / 'manifest.json'} {message}" in capsys.readouterr().err
+
+    def test_unparseable_effective_config_fails_item_8_only(self, tmp_path, capsys):
+        path, cfg = write_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        (out / "effective_config.json").write_text('{"budget": ')
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[7].startswith(
+            "item 8 (reproducibility artifacts): FAIL — effective config effective_config.json "
+            "is not valid JSON: "
+        )
+        assert [line.split(": ")[1] for line in lines[:7]] == ["PASS"] * 6 + ["NA — no tuning performed"]
+        assert lines[8:] == ["checklist verdict: FAIL"]
 
     def test_deleted_effective_config_fails_item_8(self, tmp_path, capsys):
         path, cfg = write_config(tmp_path)

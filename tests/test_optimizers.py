@@ -254,21 +254,27 @@ class TestReferenceStreams:
         p = pso.params
         for instance_id in ("rosenbrock-d10", "sphere-d2", "rosenbrock-d10"):
             instance = get_problem(instance_id)
-            state = pso.init(instance, 1)
             span = instance.upper - instance.lower
-            expected = {
-                "inertia": p.inertia,
-                "coefficients": np.array([p.cognitive, p.social])[:, None, None],
-                "neg_vmax": -0.25 * span,
-                "vmax": 0.25 * span,
-                "lower": instance.lower,
-                "upper": instance.upper,
-            }
-            for name, value in expected.items():
-                constant = getattr(state, name)
-                assert constant.shape[-2:] == state.x.shape, name
-                assert same_bits(constant, np.broadcast_to(value, constant.shape)), name
-                assert not constant.flags.writeable, name
+            expected = (
+                p.inertia,
+                np.array([p.cognitive, p.social])[:, None, None],
+                -0.25 * span,
+                0.25 * span,
+                instance.lower,
+                instance.upper,
+            )
+            constants = pso._constants(instance)
+            assert len(constants) == len(expected)
+            for k, (constant, value) in enumerate(zip(constants, expected)):
+                assert constant.shape[-2:] == (p.swarm_size, instance.dimension), k
+                assert same_bits(constant, np.broadcast_to(value, constant.shape)), k
+                assert not constant.flags.writeable, k
+            # the cache: every state of this PSO on this instance steps with the one block
+            evaluator = make_evaluator(instance)
+            for seed in (1, 2):
+                drive(pso, evaluator, seed, 2)
+                assert all(a is b for a, b in zip(pso._constants(instance), constants))
+            assert all(c.base is constants[0].base for c in constants)
 
     def test_pso_steps_on_while_no_particle_has_a_value(self):
         void = replace(SPHERE, rows_fn=lambda xs: np.full(len(xs), math.nan))
