@@ -24,7 +24,7 @@ DEFAULT_RELATIVE_LADDER = (10.0, 1.0, 0.1, 0.01, 0.001)
 DEFAULT_GRID_POINTS = 64
 DEFAULT_BOOTSTRAP_SAMPLES = 1000
 DEFAULT_CONFIDENCE = 0.95
-_BOOTSTRAP_CHUNK = 2**16  # resampled values held at once by median_trajectory
+_BOOTSTRAP_CHUNK = 2**16  # cumulative resample counts held at once by median_trajectory
 
 
 def default_time_grid(T: float, points: int = DEFAULT_GRID_POINTS) -> tuple[float, ...]:
@@ -158,6 +158,18 @@ def median_trajectory(
     """Per-grid-point median of best-so-far values with a percentile
     bootstrap CI over runs.
 
+    Each of the B resamples draws R runs with replacement. Its median is
+    read from how often it drew each run, not from the drawn values: with
+    a grid column's runs sorted by value, the middle order statistics of a
+    resample are the values at the first sorted runs whose cumulative
+    count exceeds (R-1)//2 and R//2. Their mean is taken as ``np.median``
+    takes it, so the bits are those of ``np.median`` on the drawn values:
+    the pair's mean for even R, and +0.0 for a median of -0.0 (so the
+    order of tied runs does not matter). A resample that drew a NaN has a
+    NaN median. Memory: R·B int32 counts, plus one chunk of cumulative
+    counts, at most ``_BOOTSTRAP_CHUNK`` of them or one column's R·B when
+    that is more.
+
     Quantiles of the bootstrap medians use order statistics (no
     interpolation) so +inf sentinels never produce NaN.
     """
@@ -171,16 +183,7 @@ def median_trajectory(
     grid = tuple(float(t) for t in time_grid)
     values = _best_so_far_matrix(records, grid)
     med = np.median(values, axis=0)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(records), size=(bootstrap_samples, len(records)))
-    # Resample only the grid columns that differ from the one before them (the
-    # rest repeat its medians), a chunk of _BOOTSTRAP_CHUNK values at a time:
-    # memory O(B·R), not O(B·R·grid), and few median calls when B·R is small.
-    new = np.concatenate(([True], np.any(values[:, 1:] != values[:, :-1], axis=0)))
-    distinct = values[:, new]
-    width = max(1, _BOOTSTRAP_CHUNK // idx.size)
-    chunks = [np.median(distinct[:, j : j + width][idx], axis=1) for j in range(0, new.sum(), width)]
-    boot_medians = np.concatenate(chunks, axis=1)[:, np.cumsum(new) - 1]
+    boot_medians = _bootstrap_medians(values, bootstrap_samples, seed)
     alpha = (1.0 - confidence) / 2.0
     lo = np.quantile(boot_medians, alpha, axis=0, method="lower")
     hi = np.quantile(boot_medians, 1.0 - alpha, axis=0, method="higher")
@@ -190,6 +193,38 @@ def median_trajectory(
         ci_lo=tuple(float(v) for v in lo),
         ci_hi=tuple(float(v) for v in hi),
     )
+
+
+def _bootstrap_medians(values: np.ndarray, bootstrap_samples: int, seed: int) -> np.ndarray:
+    """[resample, column] medians of `bootstrap_samples` resamples of the
+    rows of the R x G `values`, counted as :func:`median_trajectory` says."""
+    R, B = values.shape[0], bootstrap_samples
+    idx = np.random.default_rng(seed).integers(0, R, size=(B, R))
+    idx *= B
+    idx += np.arange(B)[:, None]
+    counts = np.bincount(idx.ravel(), minlength=R * B)  # [r * B + b]: draws of run r in resample b
+    del idx
+    counts = counts.astype(np.int32).reshape(R, B)
+    # Resample only the grid columns that differ from the one before them (the
+    # rest repeat its medians), as many at a time as _BOOTSTRAP_CHUNK allows.
+    new = np.concatenate(([True], np.any(values[:, 1:] != values[:, :-1], axis=0)))
+    distinct = values[:, new].T
+    order = np.argsort(distinct, axis=1)  # [column, rank]: run
+    ranked = np.take_along_axis(distinct, order, axis=1)  # [column, rank]: value
+    width = max(1, _BOOTSTRAP_CHUNK // counts.size)
+    chunks = []
+    for j in range(0, len(order), width):
+        cum = counts[order[j : j + width]]  # [column, rank, resample]
+        np.add.accumulate(cum, axis=1, out=cum)
+        middle = [  # one order statistic for odd R, two for even R
+            np.take_along_axis(ranked[j : j + width], np.count_nonzero(cum <= k, axis=1), axis=1)
+            for k in range((R - 1) // 2, R // 2 + 1)
+        ]
+        chunks.append(np.mean(middle, axis=0))
+    boot_medians = np.concatenate(chunks).T
+    for j in np.flatnonzero(np.isnan(distinct).any(axis=1)):
+        boot_medians[counts[np.isnan(distinct[j])].any(axis=0), j] = math.nan
+    return boot_medians[:, np.cumsum(new) - 1]
 
 
 @dataclass(frozen=True)

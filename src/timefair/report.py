@@ -542,7 +542,9 @@ def _audit_section(key: str, section, fields: tuple, out_dir: Path) -> tuple[str
     """(status, note) of one checklist section."""
     if section is None:
         return "FAIL", f"section {key!r} missing"
-    if isinstance(section, dict) and section.get("status") == "NA":
+    if not isinstance(section, dict):
+        return "FAIL", f"section {key!r} is not a JSON object"
+    if section.get("status") == "NA":
         reason = section.get("reason", "")
         return ("NA", reason) if reason else ("FAIL", "NA without a reason")
     missing = [f for f in fields if f not in section]
@@ -561,6 +563,11 @@ def audit_manifest(manifest: dict, out_dir: Path) -> list[ChecklistItem]:
     item is PASS, justified NA, or FAIL with a note. Item 8 reads only the
     files of `out_dir` (`effective_config.json` and `runs/*/*.jsonl`)."""
     checklist = manifest.get("checklist", {})
+    if not isinstance(checklist, dict):
+        return [
+            ChecklistItem(number, name, "FAIL", f"section {key!r}: checklist is not a JSON object")
+            for number, name, key, _ in CHECKLIST_ITEMS
+        ]
     return [
         ChecklistItem(number, name, *_audit_section(key, checklist.get(key), fields, Path(out_dir)))
         for number, name, key, fields in CHECKLIST_ITEMS

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import json
 import math
@@ -363,6 +364,51 @@ class TestCmdAnalyze:
         for path, content in before.items():
             assert path.read_bytes() == content
 
+    def test_restart_heavy_analysis_matches_its_pinned_digests(self, tmp_path, capsys):
+        # 483 short virtual runs (181, 180, 62 and 60 per pair): odd and even
+        # R, with R * B above the bootstrap chunk for random search and below
+        # it for the restarted PSO. The digests are those of the gather
+        # bootstrap that the count bootstrap replaced.
+        cfg = {
+            "budget": {"wall_time_limit": 30.0},
+            "targets": {"kind": "relative", "values": [100.0, 30.0, 10.0, 3.0]},
+            "repetitions": 3,
+            "master_seed": 11,
+            "clock": {"mode": "virtual", "cost_per_eval": 0.125},
+            "algorithms": [
+                {"label": "random-search", "kind": "random-search", "params": {"max_iterations": 4}},
+                {
+                    "label": "pso-restart",
+                    "kind": "pso",
+                    "params": {"swarm_size": 4, "max_iterations": 3},
+                    "wrappers": {"stagnation_restart": {"plateau_window": 2, "plateau_epsilon": 1e-3}},
+                },
+            ],
+            "instances": ["sphere-d5", "rastrigin-d5"],
+            "metrics": {"time_grid_points": 24, "bootstrap_samples": 400, "confidence": 0.9},
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path)]) == 0
+        assert main(["analyze", str(out)]) == 0
+        digests = {
+            p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in [*out.glob("curves/*.csv"), out / "ert_table.csv"]
+        }
+        assert digests == {
+            "curves/ecdf_pso-restart.csv": "65840146020364339fed5e3b6916663be5ed62db1108c4fdf8269e230f8cc9f8",
+            "curves/ecdf_random-search.csv": "9b85064a55fc2cf6bc0dfb40e3cad6dba7f759682f08eb04b57a7e302be23d1c",
+            "curves/median_rastrigin-d5.csv": "552446f25e7b626a781285b5d3cada14784b7c801470307a0eb046b5e51422a1",
+            "curves/median_sphere-d5.csv": "f4fb4eff52f0a4d89c50b733bd2b7f66569fcc476812848974a136098d541393",
+            "curves/profile_target_10.csv": "c04ab9baf13c9e757951e8355f9df074e3b3c78f89dc644e7ff5366ef62efd2b",
+            "curves/profile_target_100.csv": "0be1c9931a965268a50b75d35d0e134dc65a736f172dff59c80cafc75100af1c",
+            "curves/profile_target_3.csv": "efb8612879cde9822f2dfceb7be609fc8410dccfaf75e84e004230f246747142",
+            "curves/profile_target_30.csv": "84a748a4c0ede993346762f0efdc198b8a2d36fdf2b85cb8cc80dae588eb1e53",
+            "ert_table.csv": "1bbc4964370d2002cde54a99f0741fb0d1004906315967549aec112118af4683",
+        }
+
     def test_amortize_passes_through_to_profiles(self, tmp_path):
         # tuning.seconds is the one declaration of tuning time; analyze charges it
         tuning = {"method": "grid", "seconds": {"rs-a": 100}}
@@ -522,6 +568,36 @@ class TestCmdReport:
         (tmp_path / "manifest.json").write_text(text)
         assert main(["report", str(tmp_path)]) == 1
         assert f"error: {tmp_path / 'manifest.json'} {message}" in capsys.readouterr().err
+
+    def test_checklist_that_is_a_list_fails_every_item(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text('{"checklist": []}')
+        assert main(["report", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        sections = ["budget", "restart_policy", "targets", "metrics", "statistics", "environment",
+                    "tuning", "artifacts"]
+        assert [line.split(": ", 1)[1] for line in lines[:8]] == [
+            f"FAIL — section {key!r}: checklist is not a JSON object" for key in sections
+        ]
+        assert lines[8:] == ["checklist verdict: FAIL"]
+
+    @pytest.mark.parametrize(
+        "budget",
+        [["wall_time_limit_seconds", "clock_mode"], 5],
+        ids=["list-of-field-names", "number"],
+    )
+    def test_section_that_is_not_an_object_fails_its_own_item(self, tmp_path, capsys, budget):
+        path, cfg = write_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["checklist"]["budget"] = budget
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "item 1 (budget specification): FAIL — section 'budget' is not a JSON object"
+        assert [line.split(": ")[1] for line in lines[1:8]] == ["PASS"] * 5 + ["NA — no tuning performed", "PASS"]
+        assert lines[8:] == ["checklist verdict: FAIL"]
 
     def test_unparseable_effective_config_fails_item_8_only(self, tmp_path, capsys):
         path, cfg = write_config(tmp_path)

@@ -9,6 +9,7 @@ from scipy import stats as scipy_stats
 
 from timefair.core import CostMatrix, RunRecord, Termination, TrajectoryPoint
 from timefair.metrics import (
+    _bootstrap_medians,
     amortize_tuning,
     analyze,
     anytime_ecdf,
@@ -176,16 +177,14 @@ class TestAnytimeEcdf:
 
 
 def median_oracle(records, grid, bootstrap_samples, confidence, seed):
-    """The whole-array bootstrap: one B x R x G gather, then medians."""
+    """Median and percentile interval over the whole-array bootstrap."""
     values = np.array(
         [
             [min((p.best_f for p in r.trajectory if p.elapsed <= t), default=math.inf) for t in grid]
             for r in records
         ]
     )
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(records), size=(bootstrap_samples, len(records)))
-    boot_medians = np.median(values[idx], axis=1)
+    boot_medians = bootstrap_oracle(values, bootstrap_samples, seed)
     alpha = (1.0 - confidence) / 2.0
     lo = np.quantile(boot_medians, alpha, axis=0, method="lower")
     hi = np.quantile(boot_medians, 1.0 - alpha, axis=0, method="higher")
@@ -194,7 +193,66 @@ def median_oracle(records, grid, bootstrap_samples, confidence, seed):
     )
 
 
+def bootstrap_oracle(values, bootstrap_samples, seed):
+    """The gather bootstrap: the B x R x G resample itself, then np.median."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, values.shape[0], size=(bootstrap_samples, values.shape[0]))
+    return np.median(values[idx], axis=1)
+
+
+# values whose medians test the bits: ties, zeros of both signs, both
+# infinities, and pairs whose sum overflows (1e308 + 1e308 is inf)
+EDGE_VALUES = (math.inf, 1e308, 1e308, 2.5, 1.0, 1.0, 0.0, -0.0, -0.0, -1.0, -1e308, -math.inf)
+
+# (R, B): R of 1 and 2, odd and even R; R * B of 707 and 6,060 puts many
+# grid columns in one chunk, 70,700 and 70,801 one column per chunk
+BOOTSTRAP_SHAPES = [(1, 101), (2, 101), (7, 101), (60, 101), (61, 100), (700, 101), (701, 101)]
+
+
+def edge_records(rng, R, grid):
+    """R runs whose best-so-far steps through EDGE_VALUES, so that the first
+    grid column is all +inf and later columns mix ties, signed zeros and
+    overflowing pairs."""
+    records = []
+    for _ in range(R):
+        steps = sorted(rng.choice(len(grid), size=int(rng.integers(0, 4)), replace=False))
+        picks = sorted(rng.choice(len(EDGE_VALUES) - 1, size=len(steps), replace=False) + 1)
+        points, last = [], math.inf
+        for k, (step, pick) in enumerate(zip(steps, picks)):
+            value = EDGE_VALUES[pick]
+            if value < last and step > 0:
+                points.append((grid[step], k + 1, value))
+                last = value
+        records.append(make_record(points))
+    return records
+
+
 class TestMedianTrajectory:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("R, B", BOOTSTRAP_SHAPES)
+    def test_bootstrap_medians_are_the_gathered_medians_bit_for_bit(self, rng, R, B):
+        # tobytes, because == takes -0.0 for 0.0; NaN stands in for a corrupt log
+        pool = np.array(EDGE_VALUES + (math.nan,))
+        matrices = [
+            np.full((R, 4), math.inf),
+            rng.choice(pool, size=(R, 9)),
+            rng.choice(pool[6:9], size=(R, 9)),  # zeros of both signs and 1.0 only
+            np.repeat(rng.choice(pool[:-1], size=(R, 1)), 5, axis=1),  # one distinct column
+            np.round(rng.standard_normal((R, 12)), 1),
+        ]
+        for seed, values in enumerate(matrices):
+            expected = bootstrap_oracle(values, B, seed)
+            assert _bootstrap_medians(values, B, seed).tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("R, B", BOOTSTRAP_SHAPES)
+    def test_interval_is_the_gather_oracles_bit_for_bit(self, rng, R, B):
+        grid = tuple(float(t) for t in range(1, 17))
+        records = edge_records(rng, R, grid)
+        curve = median_trajectory(records, grid, bootstrap_samples=B, confidence=0.9, seed=3)
+        expected = median_oracle(records, grid, B, 0.9, 3)
+        assert np.array([curve.median, curve.ci_lo, curve.ci_hi]).tobytes() == np.array(expected).tobytes()
+
     def test_identical_runs_have_zero_width_interval(self):
         record = make_record([(1.0, 1, 5.0), (2.0, 2, 1.0)])
         curve = median_trajectory([record] * 4, [0.5, 1.5, 2.5], bootstrap_samples=200)
