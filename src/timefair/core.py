@@ -146,6 +146,14 @@ def validate(record: RunRecord) -> list[str]:
             violations.append("time_used < last trajectory elapsed")
         if record.evals_used < traj[-1].evals:
             violations.append("evals_used < last trajectory evals")
+        if not all(math.isfinite(p.elapsed) for p in traj):
+            violations.append("elapsed non-finite")
+        if not all(math.isfinite(p.best_f) for p in traj):
+            violations.append("best_f non-finite")
+    if not math.isfinite(record.time_used):
+        violations.append("time_used non-finite")
+    if not math.isfinite(record.max_step_seconds):
+        violations.append("max_step_seconds non-finite")
     if record.time_used < 0:
         violations.append("time_used negative")
     if record.evals_used < 0:

@@ -268,25 +268,14 @@ def performance_profile(costs: CostMatrix) -> list[ProfileCurve]:
     n = len(kept_rows)
     curves = []
     for j, solver in enumerate(costs.solvers):
-        finite_ratios = []
-        for row in kept_rows:
-            best = min(row)
-            if math.isfinite(row[j]) and math.isfinite(best):
-                finite_ratios.append(row[j] / best)
-        finite_ratios.sort()
-        ratios: list[float] = []
-        rho: list[float] = []
-        for k, r in enumerate(finite_ratios, start=1):
-            if ratios and r == ratios[-1]:
-                rho[-1] = k / n
-            else:
-                ratios.append(r)
-                rho.append(k / n)
+        # a kept row has a finite entry, so its minimum is finite
+        finite = [row[j] / min(row) for row in kept_rows if math.isfinite(row[j])]
+        ratios, counts = np.unique(finite, return_counts=True)  # sorted, ties merged
         curves.append(
             ProfileCurve(
                 solver_id=solver,
-                ratios=tuple(ratios),
-                rho=tuple(rho),
+                ratios=tuple(ratios.tolist()),
+                rho=tuple((np.cumsum(counts) / n).tolist()),
                 n_instances=n,
                 n_excluded=len(excluded),
             )
@@ -294,27 +283,7 @@ def performance_profile(costs: CostMatrix) -> list[ProfileCurve]:
     return curves
 
 
-TUNING_AMORTIZATION = "uniform over the instance set"  # the rule of amortize_tuning
-
-
-def amortize_tuning(costs: CostMatrix, tuning_time: Mapping[str, float]) -> CostMatrix:
-    """Spread per-solver tuning time uniformly over the instance set.
-
-    Each finite cost of solver s gains tuning_time[s] / n_instances;
-    failures stay failures.
-    """
-    for solver, seconds in tuning_time.items():
-        if solver not in costs.solvers:
-            raise KeyError(f"unknown solver {solver!r} in tuning_time")
-        if seconds < 0:
-            raise ValueError("tuning_time must be >= 0")
-    n = len(costs.instances)
-    surcharge = [tuning_time.get(s, 0.0) / n for s in costs.solvers]
-    rows = tuple(
-        tuple(c + surcharge[j] if math.isfinite(c) else c for j, c in enumerate(row))
-        for row in costs.costs
-    )
-    return CostMatrix(solvers=costs.solvers, instances=costs.instances, costs=rows)
+TUNING_AMORTIZATION = "uniform over the instance set"  # how analyze charges tuning_time
 
 
 @dataclass(frozen=True)
@@ -335,14 +304,15 @@ def analyze(
 ) -> Analysis:
     """ERT to every target, one anytime ECDF per solver, and one
     performance profile per target-ladder position whose cost is the ERT
-    plus `tuning_time` amortized over the instances.
+    plus the solver's `tuning_time` (finite seconds >= 0, as
+    ``cli.validate_config`` checks them) divided by the number of instances.
 
     `grouped` holds the records of every (solver, instance) pair, and
     solvers are reported in the order they first appear in it;
     `targets_by_instance` holds every instance's ladder, easiest first, all
     of one length. ERT results are ordered by solver, then instance, then
     target. A pair with no records has no ERT and costs +inf in the
-    profiles; a solver with no records has no ECDF.
+    profiles, whatever its tuning; a solver with no records has no ECDF.
     """
     solvers = tuple(dict.fromkeys(solver for solver, _ in grouped))
     instances = tuple(targets_by_instance)
@@ -354,25 +324,24 @@ def analyze(
                 for q in targets_by_instance[instance]:
                     times = [time_to_target(r, q, T) for r in records]
                     erts[(solver, instance, q)] = ert(times, T, target=q)
+    if any(result.ert == 0.0 for result in erts.values()):
+        raise RuntimeError(
+            "time-based profiles need positive time costs; "
+            "got an ERT of zero (virtual cost_per_eval = 0?)"
+        )
     ecdf = {}
     for solver in solvers:
         records = [r for instance in instances for r in grouped[(solver, instance)]]
         if records:
             ecdf[solver] = anytime_ecdf(records, targets_by_instance, time_grid)
+    share = {s: tuning_time.get(s, 0.0) / len(instances) for s in solvers}
     profiles = []
     for ladder in zip(*targets_by_instance.values()):
-        rows = tuple(
-            tuple(erts[(s, i, q)].ert if (s, i, q) in erts else math.inf for s in solvers)
+        rows = [
+            [(erts[s, i, q].ert if (s, i, q) in erts else math.inf) + share[s] for s in solvers]
             for i, q in zip(instances, ladder)
-        )
-        if any(c == 0.0 for row in rows for c in row):
-            raise RuntimeError(
-                "time-based profiles need positive time costs; "
-                "got an ERT of zero (virtual cost_per_eval = 0?)"
-            )
+        ]
         costs = CostMatrix(solvers=solvers, instances=instances, costs=rows)
-        if tuning_time:
-            costs = amortize_tuning(costs, tuning_time)
         profiles.append(performance_profile(costs))
     return Analysis(ert=erts, ecdf=ecdf, profiles=tuple(profiles))
 
@@ -386,18 +355,8 @@ class RankSumResult:
 
 
 def _midranks(pooled: Sequence[float]) -> list[float]:
-    order = sorted(range(len(pooled)), key=pooled.__getitem__)
-    ranks = [0.0] * len(pooled)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        mid = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mid
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group].tolist()  # mean rank of each tie group
 
 
 def rank_sum_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> RankSumResult:
@@ -406,7 +365,7 @@ def rank_sum_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> RankS
     Exact permutation distribution (tie-aware, counted by rank sum) when
     the pooled size is at most 20; tie-corrected normal approximation (no
     continuity correction) otherwise. All-equal samples are degenerate:
-    p = 1.
+    p = 1. A NaN in either sample is a ValueError.
     """
     a = [float(v) for v in sample_a]
     b = [float(v) for v in sample_b]
@@ -414,6 +373,8 @@ def rank_sum_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> RankS
         raise ValueError("each sample needs at least 3 values")
     n1, n2 = len(a), len(b)
     pooled = a + b
+    if any(math.isnan(v) for v in pooled):
+        raise ValueError("samples must not hold NaN")
     ranks = _midranks(pooled)
     u_obs = sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0
     mu = n1 * n2 / 2.0

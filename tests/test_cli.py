@@ -21,7 +21,7 @@ from timefair.cli import (
     validate_config,
 )
 from timefair.core import CostMatrix
-from timefair.metrics import amortize_tuning, performance_profile
+from timefair.metrics import performance_profile
 
 
 def write_config(tmp_path, mutate=None, name="config.json"):
@@ -299,6 +299,17 @@ class TestCmdRun:
         assert main(["run", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["run", "--config", "{dir}/effective_config.json"], ["analyze", "{dir}"]]
+    )
+    def test_config_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys, argv):
+        path = tmp_path / "effective_config.json"
+        path.write_bytes(b'{"budget": "\xff"}')
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+        assert f"{path} is not valid JSON: 'utf-8' codec can't decode byte 0xff" in (
+            capsys.readouterr().err
+        )
+
     def test_second_run_into_the_same_directory_exits_2(self, tmp_path, capsys):
         def files(directory):
             return {p: p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
@@ -418,6 +429,7 @@ class TestCmdAnalyze:
         assert main(["analyze", str(out)]) == 0
         labels = [a["label"] for a in cfg["algorithms"]]
         instances = cfg["instances"]
+        share = {"rs-a": 100.0 / len(instances), "rs-b": 0.0}  # seconds spread over instances
         # reconstruct the profile input from the (round-trip exact) ERT table
         with open(out / "ert_table.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -430,9 +442,9 @@ class TestCmdAnalyze:
             costs = CostMatrix(
                 tuple(labels),
                 tuple(instances),
-                tuple(tuple(cost_of[(s, p)] for s in labels) for p in instances),
+                tuple(tuple(cost_of[(s, p)] + share[s] for s in labels) for p in instances),
             )
-            expected = performance_profile(amortize_tuning(costs, {"rs-a": 100.0}))
+            expected = performance_profile(costs)
             with open(out / "curves" / f"profile_target_{suffix}.csv", newline="") as fh:
                 emitted = list(csv.DictReader(fh))
             for curve in expected:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -62,6 +63,21 @@ class TestValidate:
     def test_first_point_needs_an_evaluation(self):
         rec = _record([(0.0, 0, 5.0)])
         assert "first point evals < 1" in validate(rec)
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (_record([(1.0, 1, math.nan)]), "best_f"),
+            (_record([(1.0, 1, 5.0), (2.0, 2, -math.inf)]), "best_f"),
+            (_record([(1.0, 1, 5.0), (math.nan, 2, 4.0)], time_used=3.0), "elapsed"),
+            (_record([(1.0, 1, 5.0)], time_used=math.nan), "time_used"),
+            (_record([], time_used=math.inf, termination=Termination.BUDGET_EXHAUSTED), "time_used"),
+            (dataclasses.replace(_record([(1.0, 1, 5.0)]), max_step_seconds=math.nan), "max_step_seconds"),
+        ],
+    )
+    def test_non_finite_number_flagged(self, record, field):
+        # comparisons with NaN are all false, so no ordering check sees it
+        assert f"{field} non-finite" in validate(record)
 
     def test_random_records_are_valid(self, rng):
         for _ in range(200):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
+from timefair import metrics
 from timefair.core import CostMatrix, RunRecord, Termination, TrajectoryPoint
 from timefair.metrics import (
     _bootstrap_medians,
-    amortize_tuning,
+    _midranks,
     analyze,
     anytime_ecdf,
     default_time_grid,
@@ -367,8 +368,80 @@ class TestPerformanceProfile:
             for tau in probe_taus:
                 assert b.rho_at(tau) == s.rho_at(tau)
 
+    def test_matches_the_loop_oracle_bit_for_bit(self, rng):
+        for _ in range(300):
+            costs = random_costs(rng, int(rng.integers(1, 5)), int(rng.integers(1, 9)))
+            if rng.random() < 0.5:
+                costs = amortize_oracle(costs, random_shares(rng, costs))
+            curves, expected = performance_profile(costs), profile_oracle(costs)
+            assert len(curves) == len(expected)
+            for curve, (ratios, rho, n, n_excluded) in zip(curves, expected):
+                assert hexed(curve.ratios) == hexed(ratios)
+                assert hexed(curve.rho) == hexed(rho)
+                assert (curve.n_instances, curve.n_excluded) == (n, n_excluded)
 
-class TestAmortizeTuning:
+
+def profile_oracle(costs):
+    """Dolan-More profiles as a sort and an append-or-overwrite tie loop."""
+    kept_rows = [row for row in costs.costs if any(math.isfinite(c) for c in row)]
+    n = len(kept_rows)
+    curves = []
+    for j in range(len(costs.solvers)):
+        finite_ratios = []
+        for row in kept_rows:
+            best = min(row)
+            if math.isfinite(row[j]) and math.isfinite(best):
+                finite_ratios.append(row[j] / best)
+        finite_ratios.sort()
+        ratios, rho = [], []
+        for k, r in enumerate(finite_ratios, start=1):
+            if ratios and r == ratios[-1]:
+                rho[-1] = k / n
+            else:
+                ratios.append(r)
+                rho.append(k / n)
+        curves.append((tuple(ratios), tuple(rho), n, len(costs.costs) - n))
+    return curves
+
+
+def amortize_oracle(costs, tuning_time):
+    """Each finite cost of solver s gains tuning_time[s] / n_instances."""
+    n = len(costs.instances)
+    surcharge = [tuning_time.get(s, 0.0) / n for s in costs.solvers]
+    rows = tuple(
+        tuple(c + surcharge[j] if math.isfinite(c) else c for j, c in enumerate(row))
+        for row in costs.costs
+    )
+    return CostMatrix(solvers=costs.solvers, instances=costs.instances, costs=rows)
+
+
+def hexed(values):
+    return [float(v).hex() for v in values]
+
+
+def random_costs(rng, n_solvers, n_instances):
+    # few distinct finite costs, so ratios tie; inf marks failures and whole failed rows
+    pool = rng.uniform(0.1, 50.0, size=int(rng.integers(1, 5)))
+    rows = [
+        [math.inf if rng.random() < 0.25 else float(rng.choice(pool)) for _ in range(n_solvers)]
+        for _ in range(n_instances)
+    ]
+    if rng.random() < 0.3:
+        rows[int(rng.integers(n_instances))] = [math.inf] * n_solvers
+    return CostMatrix(
+        tuple(f"s{j}" for j in range(n_solvers)), tuple(f"p{i}" for i in range(n_instances)), rows
+    )
+
+
+def random_shares(rng, costs):
+    return {s: float(rng.uniform(0, 100)) for s in costs.solvers if rng.random() < 0.5}
+
+
+class TestTuningThroughAnalyze:
+    """analyze's tuning charge, read off the cost matrix it profiles."""
+
+    T = 100.0
+
     def _matrix(self):
         return CostMatrix(
             ("A", "B"),
@@ -376,32 +449,54 @@ class TestAmortizeTuning:
             tuple((float(i + 1), math.inf if i == 3 else float(2 * i + 1)) for i in range(10)),
         )
 
-    def test_zero_surcharge_is_identity(self):
-        costs = self._matrix()
-        assert amortize_tuning(costs, {"A": 0.0}) == costs
+    def _analyze(self, costs, tuning_time):
+        # one run per pair, hitting target 1.0 at its cost (so ERT == cost) or never
+        grouped = {
+            (s, p): [make_record([(c, 1, 0.5)] if math.isfinite(c) else [(1.0, 1, 5.0)], p)]
+            for j, s in enumerate(costs.solvers)
+            for p, c in zip(costs.instances, (row[j] for row in costs.costs))
+        }
+        targets = {p: (1.0,) for p in costs.instances}
+        return analyze(grouped, self.T, targets, default_time_grid(self.T), tuning_time)
 
-    def test_uniform_spread_over_instances(self):
+    def _profiled_costs(self, monkeypatch, costs, tuning_time):
+        seen = []
+        monkeypatch.setattr(metrics, "performance_profile", seen.append)
+        self._analyze(costs, tuning_time)
+        (profiled,) = seen
+        return profiled
+
+    def test_zero_share_keeps_the_bits(self, monkeypatch):
         costs = self._matrix()
-        amortized = amortize_tuning(costs, {"A": 100.0})
-        for before, after in zip(costs.costs, amortized.costs):
+        for tuning_time in ({}, {"A": 0.0}):
+            profiled = self._profiled_costs(monkeypatch, costs, tuning_time)
+            assert [hexed(row) for row in profiled.costs] == [hexed(row) for row in costs.costs]
+
+    def test_share_is_spread_uniformly_over_instances(self, monkeypatch):
+        costs = self._matrix()
+        profiled = self._profiled_costs(monkeypatch, costs, {"A": 100.0})
+        for before, after in zip(costs.costs, profiled.costs):
             assert after[0] == before[0] + 10.0
             assert after[1] == before[1]  # untouched solver
 
-    def test_failures_stay_failures(self):
-        amortized = amortize_tuning(self._matrix(), {"B": 50.0})
-        assert math.isinf(amortized.costs[3][1])
+    def test_failures_stay_failures(self, monkeypatch):
+        profiled = self._profiled_costs(monkeypatch, self._matrix(), {"B": 50.0})
+        assert math.isinf(profiled.costs[3][1])
 
-    def test_amortized_profile_never_beats_original(self, rng):
+    def test_tuned_profile_never_beats_untuned(self, rng):
         costs = self._matrix()
-        amortized = amortize_tuning(costs, {"A": float(rng.uniform(1, 200))})
-        base_a = performance_profile(costs)[0]
-        amortized_a = performance_profile(amortized)[0]
+        base_a = self._analyze(costs, {}).profiles[0][0]
+        tuned_a = self._analyze(costs, {"A": float(rng.uniform(1, 200))}).profiles[0][0]
         for tau in (1.0, 1.5, 2.0, 4.0, 10.0, 1e4):
-            assert amortized_a.rho_at(tau) <= base_a.rho_at(tau)
+            assert tuned_a.rho_at(tau) <= base_a.rho_at(tau)
 
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(KeyError):
-            amortize_tuning(self._matrix(), {"Z": 1.0})
+    def test_costs_match_the_amortize_oracle_bit_for_bit(self, rng, monkeypatch):
+        for _ in range(50):
+            costs = random_costs(rng, int(rng.integers(1, 4)), int(rng.integers(1, 7)))
+            shares = random_shares(rng, costs)
+            profiled = self._profiled_costs(monkeypatch, costs, shares)
+            expected = amortize_oracle(costs, shares)
+            assert [hexed(row) for row in profiled.costs] == [hexed(row) for row in expected.costs]
 
 
 class TestAnalyze:
@@ -522,6 +617,21 @@ class TestRankSumTest:
             assert result.method == "exact"
             assert result.p_value == rank_sum_enumeration_p(a, b)
 
+    def test_midranks_match_the_loop_oracle_bit_for_bit(self, rng):
+        specials = [0.0, -0.0, math.inf, -math.inf]
+        for _ in range(3000):
+            n = int(rng.integers(2, 41))
+            pool = [float(v) for v in rng.integers(-3, 4, size=int(rng.integers(1, 6)))] + specials
+            pooled = [
+                float(rng.choice(pool)) if rng.random() < 0.7 else float(rng.normal())
+                for _ in range(n)
+            ]
+            assert hexed(_midranks(pooled)) == hexed(midranks_oracle(pooled))
+
+    def test_nan_sample_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            rank_sum_test([1.0, math.nan, 2.0], [3.0, 4.0, 5.0])
+
     def test_exact_p_at_the_pooled_size_limit(self):
         # the largest exact case, 10 + 10 with ties, against the enumeration
         a = [1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 5.0, 8.0, 9.0, 9.0]
@@ -529,6 +639,21 @@ class TestRankSumTest:
         result = rank_sum_test(a, b)
         assert result.method == "exact"
         assert result.p_value == rank_sum_enumeration_p(a, b)
+
+
+def midranks_oracle(pooled):
+    """1-based ranks, each tie group given the mean of the ranks it spans."""
+    order = sorted(range(len(pooled)), key=pooled.__getitem__)
+    ranks = [0.0] * len(pooled)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and pooled[order[j + 1]] == pooled[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def rank_sum_enumeration_p(a, b) -> float:

@@ -128,6 +128,25 @@ class TestParsing:
         with pytest.raises(LogParseError):
             parse_run_log(path, strict=True)
 
+    @pytest.mark.parametrize(
+        "kind, field",
+        [("improvement", "best_f"), ("improvement", "elapsed"),
+         ("run_end", "time_used"), ("run_end", "max_step_seconds")],
+    )
+    def test_non_finite_number_skips_the_run(self, tmp_path, kind, field):
+        # the writer refuses NaN, but json.loads reads it back
+        path = tmp_path / "log.jsonl"
+        write_run_log([random_record(np.random.default_rng(0), allow_empty=False)], path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        next(obj for obj in lines if obj["kind"] == kind)[field] = math.nan
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        result = parse_run_log(path)
+        assert result.records == [] and result.skipped_runs == 1
+        [message] = result.issues
+        assert f"{field} non-finite" in message
+        with pytest.raises(LogParseError, match=f"{field} non-finite"):
+            parse_run_log(path, strict=True)
+
     def test_out_of_order_improvements_name_the_run(self, tmp_path):
         lines = [
             json.dumps(
