@@ -12,6 +12,7 @@ import json
 import math
 import statistics
 import sys
+from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -256,9 +257,10 @@ def _read_config(path) -> dict:
 
 
 def demo_config() -> dict:
-    """A fresh parse of the bundled demo, ``configs/demo.json`` in the
-    source checkout (next to ``src/``)."""
-    return _read_config(Path(__file__).resolve().parents[2] / "configs" / "demo.json")
+    """A fresh parse of the bundled demo, the package's ``demo.json``
+    (``configs/demo.json`` in the source checkout links to it)."""
+    with resources.as_file(resources.files(__package__) / "demo.json") as path:
+        return _read_config(path)
 
 
 # ---------------------------------------------------------------------------

@@ -137,14 +137,13 @@ class MedianCurve:
 
 
 def _best_so_far_matrix(records: Sequence[RunRecord], grid: Sequence[float]) -> np.ndarray:
-    values = np.full((len(records), len(grid)), math.inf)
+    grid = np.asarray(grid, dtype=float)
+    values = np.empty((len(records), len(grid)))
     for i, record in enumerate(records):
         elapsed = [p.elapsed for p in record.trajectory]
-        best = [p.best_f for p in record.trajectory]
-        for j, t in enumerate(grid):
-            k = bisect_right(elapsed, t)
-            if k:
-                values[i, j] = best[k - 1]  # carry last improvement forward
+        # +inf before the first improvement, then the last one carried forward
+        best = np.array([math.inf, *(p.best_f for p in record.trajectory)])
+        values[i] = best[np.searchsorted(elapsed, grid, side="right")]
     return values
 
 

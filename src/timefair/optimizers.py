@@ -73,6 +73,12 @@ class Algorithm:
         raise NotImplementedError
 
 
+def _generator(seed: int) -> np.random.Generator:
+    """The generator ``np.random.default_rng(seed)`` builds, without its
+    argument dispatch: one is built per run."""
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 # points drawn per refill; one (k, d) draw gives the same doubles, in the
 # same order, as k single draws, at a fraction of the per-call cost
 RANDOM_SEARCH_BLOCK = 64
@@ -100,7 +106,7 @@ class RandomSearch(Algorithm):
         return {"kind": self.kind, "max_iterations": self.max_iterations}
 
     def init(self, instance: ProblemInstance, seed: int) -> RandomSearchState:
-        return RandomSearchState(rng=np.random.default_rng(seed))
+        return RandomSearchState(rng=_generator(seed))
 
     def step(self, state: RandomSearchState, evaluator) -> bool:
         if state.block is None or state.cursor == len(state.block):
@@ -177,7 +183,7 @@ class PSO(Algorithm):
             block[0] = p.inertia
             block[1] = p.cognitive
             block[2] = p.social
-            block[4] = p.velocity_clamp * (instance.upper - instance.lower)
+            block[4] = p.velocity_clamp * instance.span
             np.negative(block[4], out=block[3])
             block[5] = instance.lower
             block[6] = instance.upper
@@ -187,7 +193,7 @@ class PSO(Algorithm):
         return constants
 
     def init(self, instance: ProblemInstance, seed: int) -> PsoState:
-        rng = np.random.default_rng(seed)
+        rng = _generator(seed)
         x = instance.uniform(rng, self.params.swarm_size)
         attract = np.empty((2, *x.shape))
         attract[...] = x  # row 1: the initial swarm until a best exists

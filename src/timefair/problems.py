@@ -7,7 +7,7 @@ by string id, e.g. ``rastrigin-d10``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,16 +29,25 @@ class ProblemInstance:
     upper: Array
     f_opt: float | None
     rows_fn: Callable[[Array], Array]
+    span: Array = field(init=False, repr=False, compare=False)  # upper - lower
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if self.lower.shape != (self.dimension,) or self.upper.shape != (self.dimension,):
             raise ValueError("bounds must have one (lower, upper) pair per coordinate")
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = self.upper - self.lower
+        # `uniform` draws lower + span * u: an inf or NaN bound, or a span
+        # that overflows, would give inf or NaN points
+        if not all(np.isfinite(a).all() for a in (self.lower, self.upper, span)):
+            raise ValueError(f"{self.instance_id}: bounds and upper - lower must be finite")
         if np.any(self.lower >= self.upper):
             raise ValueError("lower bound must be < upper bound per coordinate")
         self.lower.setflags(write=False)
         self.upper.setflags(write=False)
+        span.setflags(write=False)
+        object.__setattr__(self, "span", span)
 
     # perfbench/child.py calibrates the bare objective through this method
     def evaluate(self, x) -> float:
@@ -63,9 +72,14 @@ class ProblemInstance:
         return f"{self.instance_id}: expected (n, {self.dimension}) batch, got shape {xs.shape}"
 
     def uniform(self, rng: np.random.Generator, n: int | None = None) -> Array:
-        """Uniform in-bounds sample(s)."""
-        size = (self.dimension,) if n is None else (n, self.dimension)
-        return rng.uniform(self.lower, self.upper, size=size)
+        """Uniform in-bounds sample(s): the doubles that
+        ``rng.uniform(lower, upper, size)`` returns (``lower + span * u``
+        over the same stream), without its per-call broadcasting and range
+        checks."""
+        x = rng.random((self.dimension,) if n is None else (n, self.dimension))
+        x *= self.span
+        x += self.lower
+        return x
 
 
 def _sphere(xs: Array) -> Array:

@@ -23,7 +23,6 @@ import itertools
 import logging
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -350,6 +349,9 @@ def run_plan(
     with ExitStack() as stack:
         mapper = map
         if parallel and len(tasks) > 1:
+            # imported here: it loads multiprocessing, which sequential runs never use
+            from concurrent.futures import ProcessPoolExecutor
+
             mapper = stack.enter_context(ProcessPoolExecutor()).map
         for (key, records), task in zip(mapper(_run_task, tasks), tasks):
             grouped[key].extend(records)

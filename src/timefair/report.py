@@ -22,6 +22,7 @@ import subprocess
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -81,8 +82,21 @@ def _atomic_open(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, allow_nan=False, separators=(",", ":")) + "\n"
+def _json(value) -> str:
+    """`value` as ``json.dumps(value, allow_nan=False, separators=(",", ":"))``
+    writes it. Strings, ints and finite floats are formatted as ``json``
+    formats them; anything else goes through ``json.dumps``, which also
+    raises its errors (``ValueError`` for inf or NaN, ``TypeError`` for an
+    unsupported type)."""
+    kind = type(value)
+    if kind is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+    elif kind is int:
+        return int.__repr__(value)
+    elif kind is str:
+        return encode_basestring_ascii(value)
+    return json.dumps(value, allow_nan=False, separators=(",", ":"))
 
 
 def write_run_log(
@@ -91,42 +105,33 @@ def write_run_log(
     params: Optional[dict] = None,
 ) -> None:
     """Write one JSONL log atomically, one write call per line; an error
-    propagates so the experiment aborts visibly."""
+    propagates so the experiment aborts visibly.
+
+    Each line is the compact ``json.dumps`` of its object, formatted field
+    by field, so a field that ``json`` rejects raises the same error, at the
+    same line. `params` is formatted once, at the first header.
+    """
+    header_end = "}\n" if params is None else None
     with _atomic_open(path) as fh:
         for record in records:
-            header = {
-                "kind": "run_header",
-                "algorithm_id": record.algorithm_id,
-                "instance_id": record.instance_id,
-                "seed": record.seed,
-                "repetition": record.repetition,
-                "run_index": record.run_index,
-            }
-            if params is not None:
-                header["params"] = params
-            fh.write(_dump_line(header))
+            header = (
+                f'{{"kind":"run_header","algorithm_id":{_json(record.algorithm_id)},'
+                f'"instance_id":{_json(record.instance_id)},"seed":{_json(record.seed)},'
+                f'"repetition":{_json(record.repetition)},"run_index":{_json(record.run_index)}'
+            )
+            if header_end is None:
+                header_end = f',"params":{_json(params)}}}\n'
+            fh.write(header + header_end)
             for point in record.trajectory:
                 fh.write(
-                    _dump_line(
-                        {
-                            "kind": "improvement",
-                            "elapsed": point.elapsed,
-                            "evals": point.evals,
-                            "best_f": point.best_f,
-                        }
-                    )
+                    f'{{"kind":"improvement","elapsed":{_json(point.elapsed)},'
+                    f'"evals":{_json(point.evals)},"best_f":{_json(point.best_f)}}}\n'
                 )
             fh.write(
-                _dump_line(
-                    {
-                        "kind": "run_end",
-                        "termination": record.termination.value,
-                        "time_used": record.time_used,
-                        "evals_used": record.evals_used,
-                        "n_clamped": record.n_clamped,
-                        "max_step_seconds": record.max_step_seconds,
-                    }
-                )
+                f'{{"kind":"run_end","termination":{_json(record.termination.value)},'
+                f'"time_used":{_json(record.time_used)},"evals_used":{_json(record.evals_used)},'
+                f'"n_clamped":{_json(record.n_clamped)},'
+                f'"max_step_seconds":{_json(record.max_step_seconds)}}}\n'
             )
 
 

@@ -137,6 +137,21 @@ class TestCmdRun:
         stdout = capsys.readouterr().out
         assert "checklist verdict: PASS" in stdout
 
+    def test_demo_run_logs_match_their_pinned_digests(self, tmp_path):
+        # the digests of sampling through `Generator.uniform` and of writing
+        # each line through `json.dumps`
+        out = tmp_path / "demo"
+        assert main(["run", "--config", str(DEMO_PATH), "--seed", "1", "--out", str(out)]) == 0
+        digests = {
+            p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.glob("runs/*/*.jsonl")
+        }
+        assert digests == {
+            "runs/pso/rastrigin-d10.jsonl": "e8d9527a9e14f48c0221b8641642daebeaf0662025f6501b949c5e9ce8080d62",
+            "runs/pso-heavy/rastrigin-d10.jsonl": "553dfc5ef7a634e595b171354e37c87779d3561195616c1e1a5f6c2fff6e2090",
+            "runs/random-search/rastrigin-d10.jsonl": "29ad85d2935aea182c43ff04563b55e233966b6854ae365185437ca3b45c592c",
+        }
+
     def test_same_seed_twice_is_byte_identical(self, tmp_path):
         path, cfg = write_config(tmp_path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "one")]) == 0
@@ -378,8 +393,10 @@ class TestCmdAnalyze:
     def test_restart_heavy_analysis_matches_its_pinned_digests(self, tmp_path, capsys):
         # 483 short virtual runs (181, 180, 62 and 60 per pair): odd and even
         # R, with R * B above the bootstrap chunk for random search and below
-        # it for the restarted PSO. The digests are those of the gather
-        # bootstrap that the count bootstrap replaced.
+        # it for the restarted PSO. The curve digests are those of the gather
+        # bootstrap that the count bootstrap replaced; the run-log digests
+        # those of sampling through `Generator.uniform` and of writing each
+        # line through `json.dumps`.
         cfg = {
             "budget": {"wall_time_limit": 30.0},
             "targets": {"kind": "relative", "values": [100.0, 30.0, 10.0, 3.0]},
@@ -406,9 +423,13 @@ class TestCmdAnalyze:
         assert main(["analyze", str(out)]) == 0
         digests = {
             p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in [*out.glob("curves/*.csv"), out / "ert_table.csv"]
+            for p in [*out.glob("runs/*/*.jsonl"), *out.glob("curves/*.csv"), out / "ert_table.csv"]
         }
         assert digests == {
+            "runs/pso-restart/rastrigin-d5.jsonl": "bd4619f8b3647d33f8e821634e0da3f40e5e71f2aaedfa1d0d7217436d5fd0dc",
+            "runs/pso-restart/sphere-d5.jsonl": "7886a234868218bbf67c353f0179499c2a91739047c26c1226be7893d3a08adb",
+            "runs/random-search/rastrigin-d5.jsonl": "8107cd56f58a444bf8df0cd3be103fd3ee71af02fea2d116fe8facd38760e33a",
+            "runs/random-search/sphere-d5.jsonl": "7dc83a67f1703ab331497362106a579023193822025727fd74ce4fb7bf8bcebe",
             "curves/ecdf_pso-restart.csv": "65840146020364339fed5e3b6916663be5ed62db1108c4fdf8269e230f8cc9f8",
             "curves/ecdf_random-search.csv": "9b85064a55fc2cf6bc0dfb40e3cad6dba7f759682f08eb04b57a7e302be23d1c",
             "curves/median_rastrigin-d5.csv": "552446f25e7b626a781285b5d3cada14784b7c801470307a0eb046b5e51422a1",
@@ -707,8 +728,8 @@ DEMO_PATH = REPO_ROOT / "configs" / "demo.json"
 
 
 def test_demo_config_constant_is_not_mutated():
-    # the demo is defined once, in configs/demo.json; every call parses a
-    # fresh copy that callers may mutate freely
+    # the demo is defined once, in the package's demo.json (configs/demo.json
+    # links to it); every call parses a fresh copy that callers may mutate freely
     on_disk = json.loads(DEMO_PATH.read_text(encoding="utf-8"))
     cfg = demo_config()
     assert cfg == on_disk

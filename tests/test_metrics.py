@@ -1,5 +1,6 @@
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import stats as scipy_stats
 from timefair import metrics
 from timefair.core import CostMatrix, RunRecord, Termination, TrajectoryPoint
 from timefair.metrics import (
+    _best_so_far_matrix,
     _bootstrap_medians,
     _midranks,
     analyze,
@@ -228,6 +230,19 @@ def edge_records(rng, R, grid):
     return records
 
 
+def best_so_far_oracle(records, grid):
+    """The per-(run, grid point) bisect loop that one searchsorted per run replaced."""
+    values = np.full((len(records), len(grid)), math.inf)
+    for i, record in enumerate(records):
+        elapsed = [p.elapsed for p in record.trajectory]
+        best = [p.best_f for p in record.trajectory]
+        for j, t in enumerate(grid):
+            k = bisect_right(elapsed, t)
+            if k:
+                values[i, j] = best[k - 1]
+    return values
+
+
 class TestMedianTrajectory:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("R, B", BOOTSTRAP_SHAPES)
@@ -253,6 +268,18 @@ class TestMedianTrajectory:
         curve = median_trajectory(records, grid, bootstrap_samples=B, confidence=0.9, seed=3)
         expected = median_oracle(records, grid, B, 0.9, 3)
         assert np.array([curve.median, curve.ci_lo, curve.ci_hi]).tobytes() == np.array(expected).tobytes()
+
+    def test_best_so_far_matrix_is_the_bisect_oracles_bit_for_bit(self, rng):
+        # empty runs, hits exactly on grid points, tied elapsed times and
+        # signed zeros; the grid reaches before the first and past the last hit
+        grid = tuple(float(t) for t in range(17))
+        cases = [[], [make_record([])], edge_records(rng, 40, grid[1:])]
+        cases.append([make_record([(2.0, 1, 0.0), (2.0, 2, -0.0), (5.5, 3, -1.0)])])
+        cases.append([random_record(rng) for _ in range(200)])
+        for records in cases:
+            for g in (grid, default_time_grid(8.0, 24), (0.5,)):
+                expected = best_so_far_oracle(records, g)
+                assert _best_so_far_matrix(records, g).tobytes() == expected.tobytes()
 
     def test_identical_runs_have_zero_width_interval(self):
         record = make_record([(1.0, 1, 5.0), (2.0, 2, 1.0)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from timefair.clock import VirtualClock
-from timefair.problems import catalog_names, get_problem, optimum_point
+from timefair.problems import ProblemInstance, catalog_names, get_problem, optimum_point
 from timefair.protocol import RunEvaluator
 
 
@@ -82,3 +82,39 @@ def test_uniform_samples_stay_in_bounds(rng):
     instance = get_problem("ackley-d3")
     xs = instance.uniform(rng, 100)
     assert np.all(xs >= instance.lower) and np.all(xs <= instance.upper)
+
+
+def test_uniform_is_generator_uniform_bit_for_bit():
+    # every catalog problem at two dimensions, one point, one row and a
+    # block of rows, drawn in turn from one stream per seed
+    instances = [get_problem(f"{name}-d{d}") for name in catalog_names() for d in (2, 10)]
+    for seed in range(1000):
+        expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for instance in instances:
+            for n in (None, 1, 64):
+                size = (instance.dimension,) if n is None else (n, instance.dimension)
+                expected = expected_rng.uniform(instance.lower, instance.upper, size=size)
+                assert instance.uniform(rng, n).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [
+        (-np.inf, 1.0),
+        (0.0, np.inf),
+        (np.nan, 1.0),
+        (0.0, np.nan),
+        (np.inf, np.inf),
+        (-1e308, 1e308),  # finite, but upper - lower overflows
+    ],
+)
+def test_non_finite_bounds_rejected_naming_the_instance(lower, upper):
+    with pytest.raises(ValueError, match="odd-d2: bounds and upper - lower must be finite"):
+        ProblemInstance(
+            instance_id="odd-d2",
+            dimension=2,
+            lower=np.array([-1.0, lower]),
+            upper=np.array([1.0, upper]),
+            f_opt=None,
+            rows_fn=lambda xs: xs.sum(axis=1),
+        )

@@ -1,16 +1,20 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import timefair
+from timefair import report
 from timefair.clock import CLOCK_SCHEME_ID
 from timefair.core import CostMatrix, ErtResult, RunRecord, Termination, TrajectoryPoint
 from timefair.metrics import (
@@ -102,6 +106,158 @@ class TestRoundTrip:
             before = ert([time_to_target(r, q, T) for r in records], T)
             after = ert([time_to_target(r, q, T) for r in reread], T)
             assert before == after
+
+
+def dump_line_oracle(obj: dict) -> str:
+    return json.dumps(obj, allow_nan=False, separators=(",", ":")) + "\n"
+
+
+def write_run_log_oracle(records, path, params=None):
+    """The writer that formatted each line as a dict through ``json.dumps``."""
+    with report._atomic_open(path) as fh:
+        for record in records:
+            header = {
+                "kind": "run_header",
+                "algorithm_id": record.algorithm_id,
+                "instance_id": record.instance_id,
+                "seed": record.seed,
+                "repetition": record.repetition,
+                "run_index": record.run_index,
+            }
+            if params is not None:
+                header["params"] = params
+            fh.write(dump_line_oracle(header))
+            for point in record.trajectory:
+                fh.write(
+                    dump_line_oracle(
+                        {
+                            "kind": "improvement",
+                            "elapsed": point.elapsed,
+                            "evals": point.evals,
+                            "best_f": point.best_f,
+                        }
+                    )
+                )
+            fh.write(
+                dump_line_oracle(
+                    {
+                        "kind": "run_end",
+                        "termination": record.termination.value,
+                        "time_used": record.time_used,
+                        "evals_used": record.evals_used,
+                        "n_clamped": record.n_clamped,
+                        "max_step_seconds": record.max_step_seconds,
+                    }
+                )
+            )
+
+
+def written(writer, records, params):
+    """(text written, records pulled, (error type, message) or None) of one
+    call of `writer`, with the text kept even when the write fails."""
+    buffer = io.StringIO()
+    pulled = 0
+
+    def counted():
+        nonlocal pulled
+        for record in records:
+            pulled += 1
+            yield record
+
+    error = None
+    with mock.patch.object(report, "_atomic_open", lambda path: contextlib.nullcontext(buffer)):
+        try:
+            writer(counted(), "unused.jsonl", params)
+        except (ValueError, TypeError) as exc:
+            error = (type(exc), str(exc))
+    return buffer.getvalue(), pulled, error
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1.7976931348623157e308, -1e22)
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+ints = st.one_of(st.sampled_from((0, 2**53 + 1, 2**64 - 1, 10**40)), st.integers(min_value=0))
+labels = st.one_of(st.sampled_from(("pso", "pso-héavy", "随机", "a\"b\\c\n", "\ud800")), st.text())
+json_values = st.recursive(
+    st.none() | st.booleans() | floats | ints | st.integers(max_value=-1) | labels,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(labels, children, max_size=3),
+    max_leaves=8,
+)
+params_values = st.one_of(st.none(), st.just({}), st.dictionaries(labels, json_values, max_size=4))
+points = st.builds(TrajectoryPoint, elapsed=floats, evals=ints, best_f=floats)
+records_strategy = st.builds(
+    RunRecord,
+    algorithm_id=labels,
+    instance_id=labels,
+    seed=ints,
+    trajectory=st.lists(points, max_size=4).map(tuple),
+    time_used=floats,
+    evals_used=ints,
+    termination=st.sampled_from(list(Termination)),
+    repetition=ints,
+    run_index=ints,
+    n_clamped=ints,
+    max_step_seconds=floats,
+)
+record_lists = st.lists(records_strategy, max_size=4)
+
+# a value json rejects, in each kind of field: the writer must raise what the
+# oracle raises, after writing the same lines
+BAD_VALUES = (math.nan, math.inf, -math.inf, np.int64(3), np.float32(0.5), object())
+HEADER_FIELDS = ("algorithm_id", "instance_id", "seed", "repetition", "run_index")
+END_FIELDS = ("time_used", "evals_used", "n_clamped", "max_step_seconds")
+POINT_FIELDS = ("elapsed", "evals", "best_f")
+
+
+class TestWriterOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(record_lists, params_values)
+    def test_lines_are_the_json_dumps_oracles(self, records, params):
+        expected = written(write_run_log_oracle, records, params)
+        assert expected[2] is None
+        assert written(write_run_log, records, params) == expected
+
+    def test_edge_values_match_the_oracle(self):
+        points = tuple(TrajectoryPoint(float(i), 2**63 + i, v) for i, v in enumerate(EDGE_FLOATS))
+        record = RunRecord("pso-héavy", "随机-d2", 10**40, points, 1e16, 0, Termination.INTERNAL_STOP)
+        for params in (None, {}, {"ñ": [5e-324, -0.0, None, True]}):
+            for records in ([], [record], [record, record]):
+                expected = written(write_run_log_oracle, records, params)
+                assert written(write_run_log, records, params) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(records_strategy, min_size=1, max_size=3),
+        params_values,
+        st.data(),
+        st.sampled_from(BAD_VALUES),
+    )
+    def test_rejected_value_raises_where_the_oracle_raises(self, records, params, data, bad):
+        at = data.draw(st.integers(0, len(records) - 1))
+        record = records[at]
+        fields = HEADER_FIELDS + END_FIELDS + (("trajectory",) if record.trajectory else ())
+        field = data.draw(st.sampled_from(fields))
+        if field == "trajectory":
+            k = data.draw(st.integers(0, len(record.trajectory) - 1))
+            point = dataclasses.replace(
+                record.trajectory[k], **{data.draw(st.sampled_from(POINT_FIELDS)): bad}
+            )
+            value = record.trajectory[:k] + (point,) + record.trajectory[k + 1 :]
+        else:
+            value = bad
+        records[at] = dataclasses.replace(record, **{field: value})
+        expected = written(write_run_log_oracle, records, params)
+        assert expected[2][0] is (ValueError if isinstance(bad, float) else TypeError)
+        assert written(write_run_log, records, params) == expected
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    @pytest.mark.parametrize("n_records", [0, 1, 2])
+    def test_rejected_params_raise_at_the_first_header(self, rng, bad, n_records):
+        records = [random_record(rng) for _ in range(n_records)]
+        params = {"kind": "pso", "p": bad}
+        expected = written(write_run_log_oracle, records, params)
+        error = ValueError if isinstance(bad, float) else TypeError
+        assert (expected[2] is None) if n_records == 0 else (expected[2][0] is error)
+        assert written(write_run_log, records, params) == expected
 
 
 class TestParsing:
