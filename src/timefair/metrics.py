@@ -24,7 +24,7 @@ DEFAULT_RELATIVE_LADDER = (10.0, 1.0, 0.1, 0.01, 0.001)
 DEFAULT_GRID_POINTS = 64
 DEFAULT_BOOTSTRAP_SAMPLES = 1000
 DEFAULT_CONFIDENCE = 0.95
-_BOOTSTRAP_CHUNK = 2**16  # cumulative resample counts held at once by median_trajectory
+_BOOTSTRAP_CHUNK = 2**16  # entries of a temporary in median_trajectory's bootstrap
 
 
 def default_time_grid(T: float, points: int = DEFAULT_GRID_POINTS) -> tuple[float, ...]:
@@ -157,17 +157,26 @@ def median_trajectory(
     """Per-grid-point median of best-so-far values with a percentile
     bootstrap CI over runs.
 
+    Each grid column's runs are sorted by value once. The median is the
+    mean of the middle order statistics, the values at ranks (R-1)//2 and
+    R//2, taken as ``np.median`` takes it: the pair's mean for even R, and
+    +0.0 for a median of -0.0 (so the order of tied runs does not matter).
+    A column that holds a NaN has a NaN median.
+
     Each of the B resamples draws R runs with replacement. Its median is
-    read from how often it drew each run, not from the drawn values: with
-    a grid column's runs sorted by value, the middle order statistics of a
-    resample are the values at the first sorted runs whose cumulative
-    count exceeds (R-1)//2 and R//2. Their mean is taken as ``np.median``
-    takes it, so the bits are those of ``np.median`` on the drawn values:
-    the pair's mean for even R, and +0.0 for a median of -0.0 (so the
-    order of tied runs does not matter). A resample that drew a NaN has a
-    NaN median. Memory: R·B int32 counts, plus one chunk of cumulative
-    counts, at most ``_BOOTSTRAP_CHUNK`` of them or one column's R·B when
-    that is more.
+    read from how often it drew each run, not from the drawn values: its
+    middle order statistics are the values at the first sorted runs whose
+    cumulative count exceeds (R-1)//2 and R//2, averaged as above, so the
+    bits are those of ``np.median`` on the drawn values. A resample that
+    drew a NaN has a NaN median.
+
+    Memory: the counts are one R x B array of the smallest unsigned dtype
+    that holds R (one byte per entry up to R = 255, two up to 65,535), and
+    they are drawn and counted a chunk of resamples at a time. Cumulative
+    counts are built in slabs of columns, or of one column's resamples.
+    Besides the counts, the R x G values with their sorted copy and the
+    B x G bootstrap medians, every temporary holds at most
+    ``_BOOTSTRAP_CHUNK`` entries, or one column's R when that is more.
 
     Quantiles of the bootstrap medians use order statistics (no
     interpolation) so +inf sentinels never produce NaN.
@@ -180,9 +189,7 @@ def median_trajectory(
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
     grid = tuple(float(t) for t in time_grid)
-    values = _best_so_far_matrix(records, grid)
-    med = np.median(values, axis=0)
-    boot_medians = _bootstrap_medians(values, bootstrap_samples, seed)
+    med, boot_medians = _column_medians(_best_so_far_matrix(records, grid), bootstrap_samples, seed)
     alpha = (1.0 - confidence) / 2.0
     lo = np.quantile(boot_medians, alpha, axis=0, method="lower")
     hi = np.quantile(boot_medians, 1.0 - alpha, axis=0, method="higher")
@@ -194,36 +201,62 @@ def median_trajectory(
     )
 
 
-def _bootstrap_medians(values: np.ndarray, bootstrap_samples: int, seed: int) -> np.ndarray:
-    """[resample, column] medians of `bootstrap_samples` resamples of the
-    rows of the R x G `values`, counted as :func:`median_trajectory` says."""
+def _column_medians(
+    values: np.ndarray, bootstrap_samples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """[column] medians of the R x G `values` and [resample, column] medians
+    of `bootstrap_samples` resamples of its rows, both read from one sort of
+    each column as :func:`median_trajectory` says."""
     R, B = values.shape[0], bootstrap_samples
-    idx = np.random.default_rng(seed).integers(0, R, size=(B, R))
-    idx *= B
-    idx += np.arange(B)[:, None]
-    counts = np.bincount(idx.ravel(), minlength=R * B)  # [r * B + b]: draws of run r in resample b
-    del idx
-    counts = counts.astype(np.int32).reshape(R, B)
-    # Resample only the grid columns that differ from the one before them (the
-    # rest repeat its medians), as many at a time as _BOOTSTRAP_CHUNK allows.
+    # Sort only the grid columns that differ from the one before them (the
+    # rest repeat its medians).
     new = np.concatenate(([True], np.any(values[:, 1:] != values[:, :-1], axis=0)))
     distinct = values[:, new].T
     order = np.argsort(distinct, axis=1)  # [column, rank]: run
     ranked = np.take_along_axis(distinct, order, axis=1)  # [column, rank]: value
+    middle = [*range((R - 1) // 2, R // 2 + 1)]  # one order statistic for odd R, two for even R
+    has_nan = np.isnan(ranked[:, -1])  # NaN sorts last
+    med = np.mean(ranked[:, middle], axis=1)
+    med[has_nan] = math.nan
+    counts = _resample_counts(R, B, seed)
+    boot_medians = np.empty((B, len(ranked)))
+    # as many columns at a time as _BOOTSTRAP_CHUNK allows, else one column
+    # in slabs of as many resamples
     width = max(1, _BOOTSTRAP_CHUNK // counts.size)
-    chunks = []
-    for j in range(0, len(order), width):
-        cum = counts[order[j : j + width]]  # [column, rank, resample]
-        np.add.accumulate(cum, axis=1, out=cum)
-        middle = [  # one order statistic for odd R, two for even R
-            np.take_along_axis(ranked[j : j + width], np.count_nonzero(cum <= k, axis=1), axis=1)
-            for k in range((R - 1) // 2, R // 2 + 1)
-        ]
-        chunks.append(np.mean(middle, axis=0))
-    boot_medians = np.concatenate(chunks).T
-    for j in np.flatnonzero(np.isnan(distinct).any(axis=1)):
-        boot_medians[counts[np.isnan(distinct[j])].any(axis=0), j] = math.nan
-    return boot_medians[:, np.cumsum(new) - 1]
+    slab = max(1, _BOOTSTRAP_CHUNK // (width * R))
+    for j in range(0, len(ranked), width):
+        columns = slice(j, j + width)
+        for b in range(0, B, slab):
+            cum = counts[:, b : b + slab][order[columns]]  # [column, rank, resample]
+            np.add.accumulate(cum, axis=1, out=cum)
+            block = np.mean([_order_statistic(ranked[columns], cum, k) for k in middle], axis=0)
+            if has_nan[columns].any():  # a resample drew a NaN iff its largest draw is one
+                block[np.isnan(_order_statistic(ranked[columns], cum, R - 1))] = math.nan
+            boot_medians[b : b + slab, columns] = block.T
+    expand = np.cumsum(new) - 1
+    return med[expand], boot_medians[:, expand]
+
+
+def _resample_counts(R: int, B: int, seed: int) -> np.ndarray:
+    """[run, resample]: how often each of B resamples of R runs drew each
+    run, in the smallest unsigned dtype that holds R. The resamples are
+    drawn a chunk at a time, which takes the same stream as one (B, R) draw."""
+    counts = np.empty((R, B), dtype=np.min_scalar_type(R))
+    rng = np.random.default_rng(seed)
+    chunk = max(1, _BOOTSTRAP_CHUNK // R)
+    for b in range(0, B, chunk):
+        n = min(chunk, B - b)
+        idx = rng.integers(0, R, size=(n, R))
+        idx *= n
+        idx += np.arange(n)[:, None]
+        counts[:, b : b + n] = np.bincount(idx.ravel(), minlength=R * n).reshape(R, n)
+    return counts
+
+
+def _order_statistic(ranked: np.ndarray, cum: np.ndarray, k: int) -> np.ndarray:
+    """[column, resample]: the k-th smallest drawn value (from 0), the value
+    at the first rank whose cumulative count exceeds k."""
+    return np.take_along_axis(ranked, np.count_nonzero(cum <= k, axis=1), axis=1)
 
 
 @dataclass(frozen=True)

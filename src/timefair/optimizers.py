@@ -136,11 +136,6 @@ class PsoState:
     # swarm best: steers velocities, resets with the swarm; `attract[1]` holds its position
     best_f: float = math.inf
 
-    @property
-    def best_x(self) -> Optional[np.ndarray]:
-        """The swarm best's position, None until a particle has a value."""
-        return self.attract[1, 0] if self.best_f < math.inf else None
-
 
 class PSO(Algorithm):
     """Global-best PSO; one full swarm update (= swarm_size FEs) per step.

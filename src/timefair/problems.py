@@ -104,17 +104,13 @@ def _ackley(xs: Array) -> Array:
     return -20.0 * np.exp(-0.2 * np.sqrt(s1 / d)) - np.exp(s2 / d) + 20.0 + np.e
 
 
-# name -> (rows_fn, (lower, upper), x_opt coordinate, min dimension)
-_CATALOG: dict[str, tuple[Callable[[Array], Array], tuple[float, float], float, int]] = {
-    "sphere": (_sphere, (-5.12, 5.12), 0.0, 1),
-    "rastrigin": (_rastrigin, (-5.12, 5.12), 0.0, 1),
-    "rosenbrock": (_rosenbrock, (-5.0, 10.0), 1.0, 2),
-    "ackley": (_ackley, (-32.768, 32.768), 0.0, 1),
+# name -> (rows_fn, (lower, upper), min dimension)
+_CATALOG: dict[str, tuple[Callable[[Array], Array], tuple[float, float], int]] = {
+    "sphere": (_sphere, (-5.12, 5.12), 1),
+    "rastrigin": (_rastrigin, (-5.12, 5.12), 1),
+    "rosenbrock": (_rosenbrock, (-5.0, 10.0), 2),
+    "ackley": (_ackley, (-32.768, 32.768), 1),
 }
-
-
-def catalog_names() -> tuple[str, ...]:
-    return tuple(_CATALOG)
 
 
 def get_problem(instance_id: str) -> ProblemInstance:
@@ -125,7 +121,7 @@ def get_problem(instance_id: str) -> ProblemInstance:
     if name not in _CATALOG:
         raise KeyError(f"unknown problem {name!r}; catalog: {', '.join(_CATALOG)}")
     dimension = int(dim_part)
-    rows_fn, (lo, hi), x_opt_coord, min_dim = _CATALOG[name]
+    rows_fn, (lo, hi), min_dim = _CATALOG[name]
     if dimension < min_dim:
         raise KeyError(f"{name} requires dimension >= {min_dim}")
     return ProblemInstance(
@@ -137,10 +133,3 @@ def get_problem(instance_id: str) -> ProblemInstance:
         rows_fn=rows_fn,
     )
 
-
-def optimum_point(instance_id: str) -> Array:
-    """The known minimizer of a catalog instance."""
-    name, _, _ = instance_id.rpartition("-d")
-    instance = get_problem(instance_id)
-    coord = _CATALOG[name][2]
-    return np.full(instance.dimension, coord)

@@ -142,6 +142,26 @@ class ParseResult:
     skipped_runs: int
 
 
+def _integer(value) -> int:
+    """A JSON integer as ``json.loads`` returns it; a bool, float or string raises."""
+    if type(value) is not int:
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    """A JSON number as a float; a bool or string raises."""
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _string(value) -> str:
+    if type(value) is not str:
+        raise TypeError(f"not a string: {value!r}")
+    return value
+
+
 def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
     """Read a JSONL log back into validated RunRecords.
 
@@ -175,7 +195,8 @@ def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
             try:
                 obj = json.loads(line)
                 kind = obj["kind"]
-            except (json.JSONDecodeError, KeyError, TypeError):
+            # ValueError: not JSON, or an integer of more than 4,300 digits
+            except (ValueError, RecursionError, KeyError, TypeError):
                 issue(f"line {lineno}: malformed log line")
                 run_broken = header is not None
                 continue
@@ -191,12 +212,12 @@ def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
                 try:
                     points.append(
                         TrajectoryPoint(
-                            elapsed=float(obj["elapsed"]),
-                            evals=int(obj["evals"]),
-                            best_f=float(obj["best_f"]),
+                            elapsed=_number(obj["elapsed"]),
+                            evals=_integer(obj["evals"]),
+                            best_f=_number(obj["best_f"]),
                         )
                     )
-                except (KeyError, TypeError, ValueError):
+                except (KeyError, TypeError, OverflowError):
                     issue(f"line {lineno}: malformed improvement in run {run_name(header)}")
                     run_broken = True
             elif kind == "run_end":
@@ -209,19 +230,19 @@ def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
                     continue
                 try:
                     record = RunRecord(
-                        algorithm_id=header["algorithm_id"],
-                        instance_id=header["instance_id"],
-                        seed=int(header["seed"]),
+                        algorithm_id=_string(header["algorithm_id"]),
+                        instance_id=_string(header["instance_id"]),
+                        seed=_integer(header["seed"]),
                         trajectory=tuple(points),
-                        time_used=float(obj["time_used"]),
-                        evals_used=int(obj["evals_used"]),
+                        time_used=_number(obj["time_used"]),
+                        evals_used=_integer(obj["evals_used"]),
                         termination=Termination(obj["termination"]),
-                        repetition=int(header["repetition"]),
-                        run_index=int(header["run_index"]),
-                        n_clamped=int(obj["n_clamped"]),
-                        max_step_seconds=float(obj["max_step_seconds"]),
+                        repetition=_integer(header["repetition"]),
+                        run_index=_integer(header["run_index"]),
+                        n_clamped=_integer(obj["n_clamped"]),
+                        max_step_seconds=_number(obj["max_step_seconds"]),
                     )
-                except (KeyError, TypeError, ValueError):
+                except (KeyError, TypeError, ValueError, OverflowError):
                     issue(f"line {lineno}: malformed run_end for run {run_name(header)}")
                     result.skipped_runs += 1
                     header = None

@@ -10,6 +10,16 @@ TERMINATIONS = (
 )
 
 
+# catalog problem -> the coordinate of its known minimizer, repeated in every dimension
+CATALOG_OPTIMA = {"sphere": 0.0, "rastrigin": 0.0, "rosenbrock": 1.0, "ackley": 0.0}
+
+
+def optimum_point(instance_id: str) -> np.ndarray:
+    """The known minimizer of a catalog instance."""
+    name, _, dimension = instance_id.rpartition("-d")
+    return np.full(int(dimension), CATALOG_OPTIMA[name])
+
+
 def random_record(rng: np.random.Generator, allow_empty: bool = True) -> RunRecord:
     """A structurally valid RunRecord with a random improvement trajectory."""
     n_points = int(rng.integers(0 if allow_empty else 1, 9))

@@ -21,11 +21,11 @@ from timefair.metrics import (
     performance_profile,
     time_to_target,
 )
-from timefair.problems import catalog_names, get_problem, optimum_point
+from timefair.problems import get_problem
 from timefair.protocol import best_of_restarts, run_plan, run_time_fair
 from timefair.report import parse_run_log, write_run_log
 
-from conftest import random_record
+from conftest import CATALOG_OPTIMA, optimum_point, random_record
 
 
 def _report(number: int, detail: str) -> None:
@@ -339,7 +339,7 @@ def test_criterion_9_checklist_audit(demo_out, capsys):
 
 
 def test_criterion_10_problem_catalog():
-    for name in catalog_names():
+    for name in CATALOG_OPTIMA:
         for d in (2, 5, 10):
             instance_id = f"{name}-d{d}"
             instance = get_problem(instance_id)

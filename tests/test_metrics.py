@@ -12,7 +12,7 @@ from timefair import metrics
 from timefair.core import CostMatrix, RunRecord, Termination, TrajectoryPoint
 from timefair.metrics import (
     _best_so_far_matrix,
-    _bootstrap_medians,
+    _column_medians,
     _midranks,
     analyze,
     anytime_ecdf,
@@ -208,8 +208,13 @@ def bootstrap_oracle(values, bootstrap_samples, seed):
 EDGE_VALUES = (math.inf, 1e308, 1e308, 2.5, 1.0, 1.0, 0.0, -0.0, -0.0, -1.0, -1e308, -math.inf)
 
 # (R, B): R of 1 and 2, odd and even R; R * B of 707 and 6,060 puts many
-# grid columns in one chunk, 70,700 and 70,801 one column per chunk
-BOOTSTRAP_SHAPES = [(1, 101), (2, 101), (7, 101), (60, 101), (61, 100), (700, 101), (701, 101)]
+# grid columns in one chunk, 70,700 and 70,801 one column per chunk; R of
+# 255 and 256 counts in uint8 and uint16; R of 2,000 draws the resamples in
+# chunks of 32, 32, 32 and 5, and sums each column's counts in slabs of those sizes
+BOOTSTRAP_SHAPES = [
+    (1, 101), (2, 101), (7, 101), (60, 101), (61, 100), (700, 101), (701, 101),
+    (255, 101), (256, 101), (2000, 101),
+]
 
 
 def edge_records(rng, R, grid):
@@ -257,8 +262,9 @@ class TestMedianTrajectory:
             np.round(rng.standard_normal((R, 12)), 1),
         ]
         for seed, values in enumerate(matrices):
-            expected = bootstrap_oracle(values, B, seed)
-            assert _bootstrap_medians(values, B, seed).tobytes() == expected.tobytes()
+            med, boot_medians = _column_medians(values, B, seed)
+            assert med.tobytes() == np.median(values, axis=0).tobytes()
+            assert boot_medians.tobytes() == bootstrap_oracle(values, B, seed).tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("R, B", BOOTSTRAP_SHAPES)
@@ -313,17 +319,19 @@ class TestMedianTrajectory:
     def test_memory_is_bounded_by_one_grid_column(self, rng):
         import tracemalloc
 
-        B, R, G = 1000, 100, 64
-        records = [random_record(rng, allow_empty=False) for _ in range(R)]
-        grid = default_time_grid(8.0, G)
-        tracemalloc.start()
-        try:
-            median_trajectory(records, grid, bootstrap_samples=B)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # a few B x R float arrays; the whole B x R x G resample is 64 of them
-        assert peak < 8 * B * R * 8
+        # a few B x R float arrays, where the whole B x R x G resample is 64
+        # of them; at R = 2,000, 16 MB holds uint16 counts (4 MB) but no
+        # int64 array of R * B entries
+        for B, R, G, bound in [(1000, 100, 64, 8 * 1000 * 100 * 8), (1000, 2000, 64, 16e6)]:
+            records = [random_record(rng, allow_empty=False) for _ in range(R)]
+            grid = default_time_grid(8.0, G)
+            tracemalloc.start()
+            try:
+                median_trajectory(records, grid, bootstrap_samples=B)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (R, peak)
 
 
 class TestPerformanceProfile:

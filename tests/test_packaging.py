@@ -74,3 +74,17 @@ def test_importing_the_cli_does_not_load_multiprocessing(tmp_path):
     proc = run_python(["-c", code], SRC, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_analyze_does_not_import_numpy_ma(tmp_path):
+    # np.median's NaN check imports numpy.ma, a cost of its own in every
+    # analyze; the medians are read from sorted columns instead (a fresh
+    # interpreter, because the test process imports numpy.ma through the oracles)
+    out = tmp_path / "demo-out"
+    demo = REPO_ROOT / "configs" / "demo.json"
+    ran = run_python(["-m", "timefair.cli", "run", "--config", str(demo), "--out", str(out)], SRC, tmp_path)
+    assert ran.returncode == 0, ran.stderr
+    code = "import sys; from timefair.cli import main; print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+    analyzed = run_python(["-c", code, "analyze", str(out)], SRC, tmp_path)
+    assert analyzed.returncode == 0, analyzed.stderr
+    assert analyzed.stdout.splitlines()[-1] == "0 False"

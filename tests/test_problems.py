@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from timefair import problems
 from timefair.clock import VirtualClock
-from timefair.problems import ProblemInstance, catalog_names, get_problem, optimum_point
+from timefair.problems import ProblemInstance, get_problem
 from timefair.protocol import RunEvaluator
+
+from conftest import CATALOG_OPTIMA, optimum_point
 
 
 def test_rastrigin_optimum_is_zero():
@@ -24,7 +27,11 @@ def test_rosenbrock_optimum():
     assert get_problem("rosenbrock-d2").evaluate([1.0, 1.0]) == 0.0
 
 
-@pytest.mark.parametrize("name", catalog_names())
+def test_every_catalog_problem_has_a_known_optimum():
+    assert list(CATALOG_OPTIMA) == list(problems._CATALOG)
+
+
+@pytest.mark.parametrize("name", CATALOG_OPTIMA)
 @pytest.mark.parametrize("d", [2, 5, 10])
 def test_known_optima_within_tolerance(name, d):
     instance_id = f"{name}-d{d}"
@@ -87,7 +94,7 @@ def test_uniform_samples_stay_in_bounds(rng):
 def test_uniform_is_generator_uniform_bit_for_bit():
     # every catalog problem at two dimensions, one point, one row and a
     # block of rows, drawn in turn from one stream per seed
-    instances = [get_problem(f"{name}-d{d}") for name in catalog_names() for d in (2, 10)]
+    instances = [get_problem(f"{name}-d{d}") for name in CATALOG_OPTIMA for d in (2, 10)]
     for seed in range(1000):
         expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for instance in instances:

@@ -355,6 +355,11 @@ class TestParsing:
         ),
         "run_end-outside": ([END], "line {0}: run_end outside of a run", 0),
         "run_end-after-malformed-line": ([HEADER, "garbage", END], "line {1}: malformed log line", 1),
+        "oversized-integer": (
+            [HEADER, '{"kind":"improvement","elapsed":1.0,"evals":' + "9" * 4301 + ',"best_f":1.0}', END],
+            "line {1}: malformed log line", 1,
+        ),
+        "deep-nesting": ([HEADER, "[" * 100_000, END], "line {1}: malformed log line", 1),
         "unknown-kind": (['{"kind":"note"}'], "line {0}: unknown record kind 'note'", 0),
     }
 
@@ -389,6 +394,39 @@ class TestParsing:
         [message] = result.issues
         assert message.startswith(f"line {len(lines)}: malformed run_end for run {records[0].algorithm_id}/")
         with pytest.raises(LogParseError, match="malformed run_end"):
+            parse_run_log(path, strict=True)
+
+    # the writer never writes these: int() and float() would read "7" as 7,
+    # true as 1 and 2.9 as 2, and float() of a 401-digit integer overflows
+    WRONG_TYPES = [
+        ("run_header", "algorithm_id", 1), ("run_header", "instance_id", None),
+        ("run_header", "seed", "7"), ("run_header", "repetition", 0.0),
+        ("run_header", "run_index", True), ("improvement", "elapsed", "0.5"),
+        ("improvement", "evals", 2.9), ("improvement", "best_f", True),
+        ("improvement", "best_f", 10**400), ("run_end", "time_used", "1.0"),
+        ("run_end", "evals_used", 3.99), ("run_end", "n_clamped", False),
+        ("run_end", "max_step_seconds", True), ("run_end", "max_step_seconds", 10**400),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, field, value", WRONG_TYPES, ids=[f"{f}={v if v != 10**400 else '10**400'}" for _, f, v in WRONG_TYPES]
+    )
+    def test_wrongly_typed_field_is_malformed(self, tmp_path, kind, field, value):
+        path = tmp_path / "log.jsonl"
+        write_run_log([random_record(np.random.default_rng(0), allow_empty=False)], path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        lineno, obj = next((n, obj) for n, obj in enumerate(lines, 1) if obj["kind"] == kind)
+        obj[field] = value
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        result = parse_run_log(path)
+        assert result.records == [] and result.skipped_runs == 1
+        [message] = result.issues
+        expected = (
+            f"line {lineno}: malformed improvement" if kind == "improvement"
+            else f"line {len(lines)}: malformed run_end"
+        )
+        assert message.startswith(expected)
+        with pytest.raises(LogParseError, match=expected):
             parse_run_log(path, strict=True)
 
 
