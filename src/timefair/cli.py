@@ -365,7 +365,8 @@ def cmd_analyze(args) -> int:
     for label, curve in analysis.ecdf.items():
         report.emit_ecdf_csv(curve, curves_dir / f"ecdf_{label}.csv")
     for ladder_value, curves in zip(plan.targets.values, analysis.profiles):
-        suffix = f"{ladder_value:g}".replace(".", "p").replace("-", "m")
+        # the value's repr, lossless, so distinct ladder values never share a file
+        suffix = repr(ladder_value).removesuffix(".0").replace(".", "p").replace("-", "m")
         report.emit_profile_csv(curves, curves_dir / f"profile_target_{suffix}.csv")
     print(f"{'solver':<16} {'instance':<18} {'target':>10} {'ert':>12} {'success':>8}")
     for (label, instance_id, q), result in analysis.ert.items():

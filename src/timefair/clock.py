@@ -25,7 +25,8 @@ class ClockSpec:
 
     In virtual mode every function evaluation costs `cost_per_eval`
     seconds; an algorithm's per-iteration cost is its
-    ``synthetic_overhead`` wrapper, which the plan checks and charges.
+    ``synthetic_overhead`` wrapper, which ``AlgorithmSpec`` checks into its
+    `step_overhead` and the plan's run clocks charge.
     """
 
     mode: str = "real"

@@ -90,36 +90,26 @@ class EcdfCurve:
     denominators: tuple[int, ...]
 
 
-def anytime_ecdf(
-    records: Sequence[RunRecord],
-    targets_by_instance: Mapping[str, Sequence[float]],
-    time_grid: Sequence[float],
-) -> EcdfCurve:
-    """ECDF of first-hit times over all (run, target) pairs.
+def anytime_ecdf(times: Sequence[Optional[float]], time_grid: Sequence[float]) -> EcdfCurve:
+    """ECDF of first-hit times over (run, target) pairs.
 
-    Aggregates across instances and repetitions: each run contributes one
-    pair per target defined for its instance.
+    `times` holds one first-hit time per pair, None for a miss, as
+    :func:`ert` takes them; :func:`analyze` pools every pair of a solver
+    across instances, repetitions and targets.
     """
     grid = tuple(float(t) for t in time_grid)
     if not grid or any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("time_grid must be non-empty and ordered")
-    hits: list[float] = []
-    pairs = 0
-    for record in records:
-        for q in targets_by_instance[record.instance_id]:
-            pairs += 1
-            t = time_to_target(record, q)
-            if t is not None:
-                hits.append(t)
-    if pairs == 0:
+    times = list(times)
+    if not times:
         raise ValueError("no (run, target) pairs to aggregate")
-    hits.sort()
+    hits = sorted(t for t in times if t is not None)
     numerators = tuple(bisect_right(hits, t) for t in grid)
     return EcdfCurve(
         time_grid=grid,
-        fraction=tuple(n / pairs for n in numerators),
+        fraction=tuple(n / len(times) for n in numerators),
         numerators=numerators,
-        denominators=(pairs,) * len(grid),
+        denominators=(len(times),) * len(grid),
     )
 
 
@@ -345,10 +335,12 @@ def analyze(
     of one length. ERT results are ordered by solver, then instance, then
     target. A pair with no records has no ERT and costs +inf in the
     profiles, whatever its tuning; a solver with no records has no ECDF.
+    Each (run, target) first hit (within T) is found once, for both.
     """
     solvers = tuple(dict.fromkeys(solver for solver, _ in grouped))
     instances = tuple(targets_by_instance)
     erts: dict[tuple[str, str, float], ErtResult] = {}
+    ecdf_times: dict[str, list[Optional[float]]] = {}  # by solver
     for solver in solvers:
         for instance in instances:
             records = grouped[(solver, instance)]
@@ -356,16 +348,13 @@ def analyze(
                 for q in targets_by_instance[instance]:
                     times = [time_to_target(r, q, T) for r in records]
                     erts[(solver, instance, q)] = ert(times, T, target=q)
+                    ecdf_times.setdefault(solver, []).extend(times)
     if any(result.ert == 0.0 for result in erts.values()):
         raise RuntimeError(
             "time-based profiles need positive time costs; "
             "got an ERT of zero (virtual cost_per_eval = 0?)"
         )
-    ecdf = {}
-    for solver in solvers:
-        records = [r for instance in instances for r in grouped[(solver, instance)]]
-        if records:
-            ecdf[solver] = anytime_ecdf(records, targets_by_instance, time_grid)
+    ecdf = {solver: anytime_ecdf(times, time_grid) for solver, times in ecdf_times.items()}
     share = {s: tuning_time.get(s, 0.0) / len(instances) for s in solvers}
     profiles = []
     for ladder in zip(*targets_by_instance.values()):

@@ -41,7 +41,6 @@ __all__ = [
     "PlanError",
     "RunEvaluator",
     "best_of_restarts",
-    "build_algorithm",
     "run_plan",
     "run_time_fair",
 ]
@@ -62,36 +61,45 @@ class AlgorithmSpec:
     plateau_epsilon, optional max_restarts) and ``synthetic_overhead``
     (virtual seconds charged per iteration, emulating an expensive variant
     without changing its search; the plan's virtual clock charges it).
+
+    Construction builds the spec's one `algorithm`, which every run of
+    the spec steps, and checks ``synthetic_overhead`` into
+    `step_overhead` (0.0 without the wrapper). An unknown kind, parameter
+    or wrapper, or an overhead that is not finite and >= 0, raises here.
     """
 
     label: str
     kind: str
     params: dict = field(default_factory=dict)
     wrappers: dict = field(default_factory=dict)
+    algorithm: Algorithm = field(init=False, compare=False, repr=False)
+    step_overhead: float = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        algorithm = make_optimizer(self.kind, self.params)
+        wrappers = dict(self.wrappers)
+        stagnation = wrappers.pop("stagnation_restart", None)
+        if stagnation is not None:
+            algorithm = StagnationRestart(
+                algorithm,
+                plateau_window=stagnation["plateau_window"],
+                plateau_epsilon=stagnation["plateau_epsilon"],
+                max_restarts=stagnation.get("max_restarts"),
+            )
+        overhead = wrappers.pop("synthetic_overhead", 0.0)
+        if wrappers:
+            raise PlanError(f"unknown wrappers for {self.label}: {', '.join(sorted(wrappers))}")
+        if not (math.isfinite(overhead) and overhead >= 0):
+            raise PlanError(f"{self.label}: synthetic_overhead must be finite and >= 0")
+        object.__setattr__(self, "algorithm", algorithm)
+        object.__setattr__(self, "step_overhead", overhead)
 
     def describe(self) -> dict:
         """Effective parameters, echoed into run headers."""
-        desc = build_algorithm(self).describe()
+        desc = self.algorithm.describe()
         if "synthetic_overhead" in self.wrappers:
             desc["synthetic_overhead_per_iteration"] = self.wrappers["synthetic_overhead"]
         return desc
-
-
-def build_algorithm(spec: AlgorithmSpec) -> Algorithm:
-    algorithm = make_optimizer(spec.kind, spec.params)
-    wrappers = dict(spec.wrappers)
-    stagnation = wrappers.pop("stagnation_restart", None)
-    if stagnation is not None:
-        algorithm = StagnationRestart(
-            algorithm,
-            plateau_window=stagnation["plateau_window"],
-            plateau_epsilon=stagnation["plateau_epsilon"],
-            max_restarts=stagnation.get("max_restarts"),
-        )
-    wrappers.pop("synthetic_overhead", None)  # charged by the clock, see run_clock
-    if wrappers:
-        raise PlanError(f"unknown wrappers for {spec.label}: {', '.join(sorted(wrappers))}")
-    return algorithm
 
 
 @dataclass(frozen=True)
@@ -123,16 +131,12 @@ class ExperimentPlan:
             if self.targets is not None:
                 self.targets.resolve(instance.f_opt)
         for spec in self.algorithms:
-            algorithm = build_algorithm(spec)  # raises for unknown kinds/params
-            overhead = spec.wrappers.get("synthetic_overhead", 0.0)
-            if not (math.isfinite(overhead) and overhead >= 0):
-                raise PlanError(f"{spec.label}: synthetic_overhead must be finite and >= 0")
             if not self.clock.is_virtual and "synthetic_overhead" in spec.wrappers:
                 raise PlanError(f"{spec.label}: synthetic overhead requires the virtual clock")
             if (
                 self.clock.is_virtual
                 and self.budget.eval_cap is None
-                and self.run_clock(spec).at(algorithm.evals_per_step, 1) <= 0
+                and self.run_clock(spec).at(spec.algorithm.evals_per_step, 1) <= 0
             ):
                 raise PlanError(
                     f"{spec.label}: virtual step cost is zero and no eval_cap is set; "
@@ -151,7 +155,7 @@ class ExperimentPlan:
         spec's ``synthetic_overhead`` per iteration."""
         if not self.clock.is_virtual:
             return RealClock()
-        return VirtualClock(self.clock.cost_per_eval, spec.wrappers.get("synthetic_overhead", 0.0))
+        return VirtualClock(self.clock.cost_per_eval, spec.step_overhead)
 
 
 def _inside(lower: list, row: list, upper: list) -> bool:
@@ -238,7 +242,7 @@ def run_time_fair(
     reproduces every record bit for bit.
     """
     spec = plan.algorithm_spec(algorithm_label)
-    algorithm = build_algorithm(spec)
+    algorithm = spec.algorithm
     instance = get_problem(instance_id)
     T = plan.budget.wall_time_limit
     hardest = plan.targets.hardest(instance.f_opt) if plan.targets is not None else None

@@ -265,18 +265,12 @@ def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
     return result
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """csv writes a float as its repr (exact round trip), anything else as str."""
     with _atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def emit_ecdf_csv(curve: EcdfCurve, path: Path) -> None:
@@ -433,7 +427,7 @@ def build_manifest(
     if plan.clock.is_virtual:
         budget_section["cost_per_eval"] = plan.clock.cost_per_eval
         budget_section["synthetic_overhead"] = {
-            spec.label: plan.run_clock(spec).step_overhead for spec in plan.algorithms
+            spec.label: spec.step_overhead for spec in plan.algorithms
         }
         budget_section["clock_scheme"] = CLOCK_SCHEME_ID
     if plan.targets is not None:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from timefair.core import RunRecord, Termination, TrajectoryPoint
+from timefair.metrics import time_to_target
 
 TERMINATIONS = (
     Termination.TARGET_REACHED,
@@ -18,6 +19,12 @@ def optimum_point(instance_id: str) -> np.ndarray:
     """The known minimizer of a catalog instance."""
     name, _, dimension = instance_id.rpartition("-d")
     return np.full(int(dimension), CATALOG_OPTIMA[name])
+
+
+def pair_times(records, targets_by_instance):
+    """One first-hit time per (run, target) pair, None for a miss, for every
+    target of each run's instance: the input of ``anytime_ecdf``."""
+    return [time_to_target(r, q) for r in records for q in targets_by_instance[r.instance_id]]
 
 
 def random_record(rng: np.random.Generator, allow_empty: bool = True) -> RunRecord:

@@ -25,7 +25,7 @@ from timefair.problems import get_problem
 from timefair.protocol import best_of_restarts, run_plan, run_time_fair
 from timefair.report import parse_run_log, write_run_log
 
-from conftest import CATALOG_OPTIMA, optimum_point, random_record
+from conftest import CATALOG_OPTIMA, optimum_point, pair_times, random_record
 
 
 def _report(number: int, detail: str) -> None:
@@ -178,7 +178,7 @@ def test_criterion_5_ecdf_recount():
         assert len(records) == 200
         targets = {"sphere-d2": plan.targets.resolve(0.0)}
         grid = sorted(float(t) for t in np.random.default_rng(5).uniform(0, 0.3, size=40))
-        curve = anytime_ecdf(records, targets, grid)
+        curve = anytime_ecdf(pair_times(records, targets), grid)
         for j, t in enumerate(grid):
             numerator = 0
             denominator = 0

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from timefair import metrics
+from timefair import metrics, report
 from timefair.cli import (
     ConfigError,
     demo_config,
@@ -437,6 +437,31 @@ class TestCmdAnalyze:
             "curves/profile_target_30.csv": "84a748a4c0ede993346762f0efdc198b8a2d36fdf2b85cb8cc80dae588eb1e53",
             "ert_table.csv": "1bbc4964370d2002cde54a99f0741fb0d1004906315967549aec112118af4683",
         }
+
+    def test_profile_files_keep_close_ladder_values_apart(self, tmp_path):
+        # 100.0000001 and 100.0 print alike under :g; each ladder position
+        # still gets a file of its own, holding its own profile
+        cfg = demo_config()
+        cfg["targets"]["values"] = [100.0000001, 100.0, 20.0]
+        cfg["output_dir"] = str(tmp_path / "out")
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 0
+        assert main(["analyze", str(out)]) == 0
+        names = ["profile_target_100p0000001.csv", "profile_target_100.csv", "profile_target_20.csv"]
+        assert sorted(p.name for p in out.glob("curves/profile_target_*.csv")) == sorted(names)
+        plan = plan_from_config(validate_config(cfg))
+        T = plan.budget.wall_time_limit
+        grouped = {
+            (spec.label, i): report.parse_run_log(report.run_log_path(out, spec.label, i)).records
+            for spec in plan.algorithms
+            for i in plan.instances
+        }
+        targets = {i: plan.targets.resolve() for i in plan.instances}  # absolute ladder
+        analysis = metrics.analyze(grouped, T, targets, metrics.default_time_grid(T))
+        for name, curves in zip(names, analysis.profiles):
+            report.emit_profile_csv(curves, tmp_path / "expected.csv")
+            assert (out / "curves" / name).read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_amortize_passes_through_to_profiles(self, tmp_path):
         # tuning.seconds is the one declaration of tuning time; analyze charges it

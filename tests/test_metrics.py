@@ -24,7 +24,7 @@ from timefair.metrics import (
     time_to_target,
 )
 
-from conftest import random_record
+from conftest import pair_times, random_record
 
 
 def make_record(points, instance_id="sphere-d2", time_used=None):
@@ -149,13 +149,13 @@ def ecdf_oracle(records, targets_by_instance, grid):
 class TestAnytimeEcdf:
     def test_single_run_single_target(self):
         record = make_record([(5.0, 3, 0.5)])
-        curve = anytime_ecdf([record], {"sphere-d2": [1.0]}, [1.0, 5.0, 10.0])
+        curve = anytime_ecdf(pair_times([record], {"sphere-d2": [1.0]}), [1.0, 5.0, 10.0])
         assert curve.fraction == (0.0, 1.0, 1.0)
 
     def test_half_of_two_pairs(self):
         hit = make_record([(2.0, 2, 0.5)])
         miss = make_record([(1.0, 1, 9.0)])
-        curve = anytime_ecdf([hit, miss], {"sphere-d2": [1.0]}, [1.0, 3.0])
+        curve = anytime_ecdf(pair_times([hit, miss], {"sphere-d2": [1.0]}), [1.0, 3.0])
         assert curve.fraction == (0.0, 0.5)
         assert curve.numerators == (0, 1)
         assert curve.denominators == (2, 2)
@@ -164,19 +164,19 @@ class TestAnytimeEcdf:
         records = [random_record(rng) for _ in range(40)]
         targets = {"sphere-d2": (60.0, 30.0, 0.0), "rastrigin-d5": (45.0, 10.0)}
         grid = sorted(float(rng.uniform(0, 20)) for _ in range(25))
-        curve = anytime_ecdf(records, targets, grid)
+        curve = anytime_ecdf(pair_times(records, targets), grid)
         assert list(curve.fraction) == ecdf_oracle(records, targets, grid)
 
     def test_monotone_within_unit_interval(self, rng):
         records = [random_record(rng) for _ in range(30)]
         targets = {"sphere-d2": (50.0, 20.0), "rastrigin-d5": (50.0, 20.0)}
-        curve = anytime_ecdf(records, targets, default_time_grid(10.0))
+        curve = anytime_ecdf(pair_times(records, targets), default_time_grid(10.0))
         assert all(0.0 <= f <= 1.0 for f in curve.fraction)
         assert all(b >= a for a, b in zip(curve.fraction, curve.fraction[1:]))
 
     def test_empty_groups_rejected(self):
         with pytest.raises(ValueError):
-            anytime_ecdf([], {"sphere-d2": [1.0]}, [1.0])
+            anytime_ecdf(pair_times([], {"sphere-d2": [1.0]}), [1.0])
 
 
 def median_oracle(records, grid, bootstrap_samples, confidence, seed):
@@ -584,7 +584,9 @@ class TestAnalyze:
         assert list(result.ecdf) == ["A", "B"]
         grouped = self._grouped()
         records = grouped[("A", "sphere-d2")] + grouped[("A", "rastrigin-d5")]
-        assert result.ecdf["A"] == anytime_ecdf(records, self.TARGETS, default_time_grid(self.T))
+        assert result.ecdf["A"] == anytime_ecdf(
+            pair_times(records, self.TARGETS), default_time_grid(self.T)
+        )
 
     def test_tuning_time_is_amortized_into_profile_costs_only(self):
         plain = self._analyze()
@@ -598,6 +600,36 @@ class TestAnalyze:
         grouped = {("A", "sphere-d2"): [make_record([(0.0, 1, 0.5)])], ("A", "rastrigin-d5"): []}
         with pytest.raises(RuntimeError, match="got an ERT of zero"):
             self._analyze(grouped)
+
+    def test_each_first_hit_is_found_once(self, monkeypatch):
+        # ERT and ECDF share one first-hit time per (run, target) pair
+        calls = []
+
+        def counting(record, q, T=math.inf):
+            calls.append((record, q))
+            return time_to_target(record, q, T)
+
+        monkeypatch.setattr(metrics, "time_to_target", counting)
+        grouped = self._grouped()
+        self._analyze(grouped)
+        pairs = sum(len(records) * len(self.TARGETS[i]) for (_, i), records in grouped.items())
+        assert len(calls) == pairs == 8
+
+    def test_ecdf_at_T_counts_what_the_ert_counts(self):
+        # on the demo plan, each solver's ECDF at T holds exactly its ERT
+        # successes over exactly its ERT runs, summed over its pairs
+        from timefair.cli import demo_config, plan_from_config, validate_config
+        from timefair.protocol import run_plan
+
+        plan = plan_from_config(validate_config(demo_config()))
+        T = plan.budget.wall_time_limit
+        targets = {i: plan.targets.resolve() for i in plan.instances}  # absolute ladder
+        result = analyze(run_plan(plan), T, targets, default_time_grid(T))
+        assert list(result.ecdf) == [spec.label for spec in plan.algorithms]
+        for solver, curve in result.ecdf.items():
+            mine = [r for (s, _, _), r in result.ert.items() if s == solver]
+            assert curve.numerators[-1] == sum(r.successes for r in mine) > 0
+            assert curve.denominators[-1] == sum(r.runs for r in mine)
 
 
 class TestRankSumTest:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from timefair import protocol
 from timefair.cli import demo_config, plan_from_config, validate_config
 from timefair.clock import ClockSpec, RealClock, VirtualClock
 from timefair.core import Budget, RunRecord, TargetSpec, Termination, TrajectoryPoint, validate
+from timefair.optimizers import make_optimizer
 from timefair.problems import ProblemInstance, get_problem
 from timefair.protocol import (
     AlgorithmSpec,
@@ -413,6 +415,22 @@ class TestRunPlan:
         sequential = run_plan(plan, parallel=False)
         parallel = run_plan(plan, parallel=True)
         assert sequential == parallel
+
+    def test_each_arm_is_built_once(self, monkeypatch):
+        # the plan's runs and the run headers' echo step and describe the
+        # algorithm that the spec built when it was made
+        built = []
+
+        def counting(kind, params):
+            built.append(kind)
+            return make_optimizer(kind, params)
+
+        monkeypatch.setattr(protocol, "make_optimizer", counting)
+        plan = scenario_plan(repetitions=3)
+        run_plan(plan)
+        for spec in plan.algorithms:
+            spec.describe()
+        assert built == ["pso", "pso"]
 
     def test_parallel_requires_virtual_clock(self):
         plan = ExperimentPlan(

@@ -43,7 +43,7 @@ from timefair.report import (
     write_run_log,
 )
 
-from conftest import random_record
+from conftest import pair_times, random_record
 
 
 class TestRoundTrip:
@@ -457,7 +457,7 @@ class TestCurveEmission:
     def test_ecdf_csv_roundtrip_is_exact(self, rng, tmp_path):
         records = [random_record(rng) for _ in range(25)]
         targets = {"sphere-d2": (50.0, 10.0), "rastrigin-d5": (50.0, 10.0)}
-        curve = anytime_ecdf(records, targets, default_time_grid(7.3))
+        curve = anytime_ecdf(pair_times(records, targets), default_time_grid(7.3))
         path = tmp_path / "ecdf.csv"
         emit_ecdf_csv(curve, path)
         header, rows = read_csv(path)
@@ -488,8 +488,10 @@ class TestCurveEmission:
 
     def test_emission_is_deterministic(self, rng, tmp_path):
         curve = anytime_ecdf(
-            [random_record(rng) for _ in range(10)],
-            {"sphere-d2": (40.0,), "rastrigin-d5": (40.0,)},
+            pair_times(
+                [random_record(rng) for _ in range(10)],
+                {"sphere-d2": (40.0,), "rastrigin-d5": (40.0,)},
+            ),
             default_time_grid(3.0),
         )
         emit_ecdf_csv(curve, tmp_path / "a.csv")
