@@ -25,7 +25,6 @@ from .metrics import (
     DEFAULT_GRID_POINTS,
     DEFAULT_RELATIVE_LADDER,
 )
-from .problems import get_problem
 from .protocol import (
     AlgorithmSpec,
     ExperimentPlan,
@@ -303,10 +302,6 @@ def cmd_run(args) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _targets_by_instance(plan: ExperimentPlan) -> dict[str, tuple[float, ...]]:
-    return {i: plan.targets.resolve(get_problem(i).f_opt) for i in plan.instances}
-
-
 def cmd_analyze(args) -> int:
     out_dir = Path(args.out_dir)
     config_path = out_dir / report.EFFECTIVE_CONFIG_NAME
@@ -360,7 +355,7 @@ def cmd_analyze(args) -> int:
         return EXIT_OK
 
     tuning_time = config["tuning"]["seconds"] if config["tuning"] is not None else {}
-    analysis = metrics.analyze(grouped, T, _targets_by_instance(plan), grid, tuning_time)
+    analysis = metrics.analyze(grouped, T, plan.ladders, grid, tuning_time)
     report.emit_ert_table(analysis.ert, out_dir / "ert_table.csv")
     for label, curve in analysis.ecdf.items():
         report.emit_ecdf_csv(curve, curves_dir / f"ecdf_{label}.csv")
@@ -452,7 +447,7 @@ def cmd_simulate(args) -> int:
         )
     print()
     print(f"{'algorithm':<12} {'target':>8} {'ert':>12} {'success':>8}  recheck")
-    analysis = metrics.analyze(grouped, T, _targets_by_instance(plan), metrics.default_time_grid(T))
+    analysis = metrics.analyze(grouped, T, plan.ladders, metrics.default_time_grid(T))
     for (label, instance, q), result in analysis.ert.items():
         oracle = _ert_recheck(grouped[(label, instance)], q, T)
         agree = math.isclose(result.ert, oracle, rel_tol=1e-12)  # inf is close to inf only

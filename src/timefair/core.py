@@ -77,9 +77,6 @@ class TargetSpec:
             raise ValueError("relative targets require an instance with a known optimum")
         return tuple(f_opt + v for v in self.values)
 
-    def hardest(self, f_opt: Optional[float] = None) -> float:
-        return self.resolve(f_opt)[-1]
-
 
 @dataclass(frozen=True)
 class TrajectoryPoint:

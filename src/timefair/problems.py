@@ -7,6 +7,7 @@ by string id, e.g. ``rastrigin-d10``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -116,7 +117,8 @@ _CATALOG: dict[str, tuple[Callable[[Array], Array], tuple[float, float], int]] =
 def get_problem(instance_id: str) -> ProblemInstance:
     """Resolve an id like ``rastrigin-d10`` to a ProblemInstance."""
     name, sep, dim_part = instance_id.rpartition("-d")
-    if not sep or not dim_part.isdigit():
+    # ASCII digits without a leading zero: one spelling per dimension
+    if not sep or not re.fullmatch("0|[1-9][0-9]*", dim_part):
         raise KeyError(f"malformed instance id {instance_id!r}, expected '<name>-d<dim>'")
     if name not in _CATALOG:
         raise KeyError(f"unknown problem {name!r}; catalog: {', '.join(_CATALOG)}")

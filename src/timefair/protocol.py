@@ -19,6 +19,7 @@ repetition, and is logged only when it is the repetition's only run.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -111,6 +112,10 @@ class ExperimentPlan:
     repetitions: int
     master_seed: int
     clock: ClockSpec
+    # resolved once, by construction: each instance's problem, and its
+    # absolute thresholds, easiest first (() without targets)
+    problems: dict[str, ProblemInstance] = field(init=False, compare=False, repr=False)
+    ladders: dict[str, tuple[float, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
@@ -126,10 +131,10 @@ class ExperimentPlan:
             raise PlanError("algorithm labels must be unique")
         if len(set(self.instances)) != len(self.instances):
             raise PlanError("instance ids must be unique")
-        for instance_id in self.instances:
-            instance = get_problem(instance_id)  # raises KeyError for unknown ids
-            if self.targets is not None:
-                self.targets.resolve(instance.f_opt)
+        problems = {i: get_problem(i) for i in self.instances}  # KeyError for an unknown id
+        ladders = {i: self.targets.resolve(p.f_opt) if self.targets else () for i, p in problems.items()}
+        object.__setattr__(self, "problems", problems)
+        object.__setattr__(self, "ladders", ladders)
         for spec in self.algorithms:
             if not self.clock.is_virtual and "synthetic_overhead" in spec.wrappers:
                 raise PlanError(f"{spec.label}: synthetic overhead requires the virtual clock")
@@ -235,7 +240,8 @@ def run_time_fair(
     instance_id: str,
     repetition_index: int,
 ) -> list[RunRecord]:
-    """Execute the restart loop for one (algorithm, instance, repetition).
+    """Execute the restart loop for one (algorithm, instance, repetition)
+    of the plan's own; KeyError for another arm or instance.
 
     Returns the independent runs in launch order. In virtual mode the
     aggregate of time_used never exceeds T; replaying with the same plan
@@ -243,9 +249,9 @@ def run_time_fair(
     """
     spec = plan.algorithm_spec(algorithm_label)
     algorithm = spec.algorithm
-    instance = get_problem(instance_id)
+    instance = plan.problems[instance_id]
     T = plan.budget.wall_time_limit
-    hardest = plan.targets.hardest(instance.f_opt) if plan.targets is not None else None
+    hardest = plan.ladders[instance_id][-1] if plan.targets is not None else None
     eval_cap = math.inf if plan.budget.eval_cap is None else plan.budget.eval_cap
     evals_per_step = algorithm.evals_per_step
 
@@ -321,11 +327,6 @@ def best_of_restarts(records) -> float:
     return best
 
 
-def _run_task(args) -> tuple[tuple[str, str], list[RunRecord]]:
-    plan, label, instance_id, repetition = args
-    return (label, instance_id), run_time_fair(plan, label, instance_id, repetition)
-
-
 def run_plan(
     plan: ExperimentPlan,
     parallel: bool = False,
@@ -333,23 +334,18 @@ def run_plan(
 ) -> dict[tuple[str, str], list[RunRecord]]:
     """Run the whole plan, grouping records by (algorithm, instance).
 
-    Parallel execution is virtual-mode only (concurrent timed runs would
-    contaminate real wall-clock measurements); records are returned in
-    deterministic (repetition, run) order either way.
+    Repetition r runs each of the P pairs once, from pair r mod P on, so
+    a slow spell of a real clock's host is shared by the arms; records
+    come back in (repetition, run) order. Parallel execution is
+    virtual-mode only (concurrent timed runs would contaminate real
+    wall-clock measurements).
     """
     if parallel and not plan.clock.is_virtual:
         raise PlanError("parallel execution is only available with the virtual clock")
-    tasks = [
-        (plan, spec.label, instance_id, repetition)
-        for spec in plan.algorithms
-        for instance_id in plan.instances
-        for repetition in range(plan.repetitions)
-    ]
-    grouped: dict[tuple[str, str], list[RunRecord]] = {
-        (spec.label, instance_id): []
-        for spec in plan.algorithms
-        for instance_id in plan.instances
-    }
+    pairs = [(spec.label, instance_id) for spec in plan.algorithms for instance_id in plan.instances]
+    P = len(pairs)
+    tasks = [(*pairs[(r + k) % P], r) for r in range(plan.repetitions) for k in range(P)]
+    grouped: dict[tuple[str, str], list[RunRecord]] = {pair: [] for pair in pairs}
     with ExitStack() as stack:
         mapper = map
         if parallel and len(tasks) > 1:
@@ -357,8 +353,9 @@ def run_plan(
             from concurrent.futures import ProcessPoolExecutor
 
             mapper = stack.enter_context(ProcessPoolExecutor()).map
-        for (key, records), task in zip(mapper(_run_task, tasks), tasks):
-            grouped[key].extend(records)
+        run = functools.partial(run_time_fair, plan)
+        for (label, instance_id, repetition), records in zip(tasks, mapper(run, *zip(*tasks))):
+            grouped[(label, instance_id)].extend(records)
             if progress is not None:
-                progress(f"{task[1]} on {task[2]} rep {task[3]}: {len(records)} run(s)")
+                progress(f"{label} on {instance_id} rep {repetition}: {len(records)} run(s)")
     return grouped

@@ -547,6 +547,8 @@ def _audit_artifacts(section: dict, out_dir: Path) -> Optional[str]:
         return f"effective config {EFFECTIVE_CONFIG_NAME} is not valid JSON: {exc}"
     if config_hash(stored) != section["config_hash"]:
         return "config_hash does not match the stored effective config"
+    if not isinstance(section["log_digests"], dict):
+        return "log_digests is not a JSON object"
     listed, on_disk = set(section["log_digests"]), set(run_logs_on_disk(out_dir))
     if listed - on_disk:
         return f"log file {min(listed - on_disk)} is missing"

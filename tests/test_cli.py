@@ -189,6 +189,13 @@ class TestCmdRun:
         assert "tuning.seconds names unknown solver(s): psoo" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_one_problem_under_two_ids_exits_2(self, tmp_path, capsys):
+        # rastrigin-d010 would run and count rastrigin-d10 a second time
+        path, _ = write_config(tmp_path, lambda c: c.update(instances=["rastrigin-d10", "rastrigin-d010"]))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "malformed instance id 'rastrigin-d010'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

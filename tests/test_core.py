@@ -102,7 +102,7 @@ class TestTargetSpec:
     def test_absolute_resolution_is_identity(self):
         spec = TargetSpec(kind="absolute", values=(10.0, 5.0, 1.0))
         assert spec.resolve() == (10.0, 5.0, 1.0)
-        assert spec.hardest() == 1.0
+        assert spec.resolve()[-1] == 1.0
 
     def test_relative_targets_add_known_optimum(self):
         spec = TargetSpec(kind="relative", values=(1.0, 0.1))

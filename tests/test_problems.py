@@ -59,7 +59,12 @@ def test_dimension_mismatch_rejected():
         get_problem("sphere-d3").evaluate([1.0, 2.0])
 
 
-@pytest.mark.parametrize("bad", ["sphere", "sphere-d0x", "nosuch-d3", "rosenbrock-d1"])
+# a dimension is ASCII digits without a leading zero, so no problem has two ids
+@pytest.mark.parametrize(
+    "bad",
+    ["sphere", "sphere-d0x", "nosuch-d3", "rosenbrock-d1"]
+    + ["rastrigin-d010", "sphere-d\u00b2", "sphere-d\u0665"],
+)
 def test_bad_instance_ids_rejected(bad):
     with pytest.raises(KeyError):
         get_problem(bad)

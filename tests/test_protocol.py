@@ -365,6 +365,22 @@ class TestPlanValidation:
                 clock=VIRTUAL,
             )
 
+    @pytest.mark.parametrize("targets", [TargetSpec(kind="relative", values=(10.0, 1.0)), None])
+    def test_ladders_are_each_instances_resolved_targets(self, targets):
+        plan = ExperimentPlan(
+            algorithms=(AlgorithmSpec("x", "pso"),),
+            instances=("sphere-d2", "rosenbrock-d3"),
+            budget=Budget(wall_time_limit=1.0),
+            targets=targets,
+            repetitions=1,
+            master_seed=1,
+            clock=VIRTUAL,
+        )
+        assert [p.instance_id for p in plan.problems.values()] == list(plan.instances)
+        assert plan.ladders == {
+            i: () if targets is None else targets.resolve(get_problem(i).f_opt) for i in plan.instances
+        }
+
     def test_real_clock_rejects_synthetic_overhead(self):
         with pytest.raises(PlanError):
             ExperimentPlan(
@@ -431,6 +447,53 @@ class TestRunPlan:
         for spec in plan.algorithms:
             spec.describe()
         assert built == ["pso", "pso"]
+
+    def test_each_problem_is_made_once(self, monkeypatch):
+        # the plan resolves its instances; no task resolves one again
+        made = []
+
+        def counting(instance_id):
+            made.append(instance_id)
+            return get_problem(instance_id)
+
+        monkeypatch.setattr(protocol, "get_problem", counting)
+        plan = plan_from_config(validate_config(demo_config()))
+        run_plan(plan)
+        assert made == list(plan.instances)
+
+    def test_only_the_plans_instances_run(self):
+        with pytest.raises(KeyError, match="sphere-d2"):
+            run_time_fair(scenario_plan(), "pso", "sphere-d2", 0)
+
+    def test_a_slow_spell_is_shared_by_the_arms(self, monkeypatch):
+        # a real clock that advances 1 tick per read, and 2 once four tasks
+        # are done: two identical arms must see about the same budget
+        clock = {"now": 0.0, "tick": 1.0}
+
+        def now(self):
+            clock["now"] += clock["tick"]
+            return clock["now"]
+
+        done = []
+
+        def progress(message):
+            done.append(message)
+            if len(done) == 4:
+                clock["tick"] = 2.0
+
+        monkeypatch.setattr(RealClock, "now", now)
+        plan = ExperimentPlan(
+            algorithms=(AlgorithmSpec("a", "random-search"), AlgorithmSpec("b", "random-search")),
+            instances=("sphere-d2",),
+            budget=Budget(wall_time_limit=2000.0),
+            targets=None,
+            repetitions=4,
+            master_seed=1,
+            clock=ClockSpec(mode="real"),
+        )
+        grouped = run_plan(plan, progress=progress)
+        used = [sum(r.evals_used for r in grouped[(label, "sphere-d2")]) for label in "ab"]
+        assert math.isclose(*used, rel_tol=0.1), used
 
     def test_parallel_requires_virtual_clock(self):
         plan = ExperimentPlan(

@@ -600,6 +600,17 @@ class TestManifest:
         assert item8.status == "FAIL"
         assert item8.note == "config_hash does not match the stored effective config"
 
+    @pytest.mark.parametrize("digests", [None, 5, ["runs/rs/sphere-d2.jsonl"], "x"])
+    def test_log_digests_not_an_object_fails_item_8_only(self, tmp_path, digests):
+        plan, grouped, out_dir, config = _tiny_experiment(tmp_path)
+        manifest = build_manifest(plan, grouped, out_dir, config)
+        manifest["checklist"]["artifacts"]["log_digests"] = digests
+        items = audit_manifest(manifest, out_dir)
+        assert [(i.number, i.status, i.note) for i in items if i.status == "FAIL"] == [
+            (8, "FAIL", "log_digests is not a JSON object")
+        ]
+        assert len(items) == 8
+
     def test_artifacts_missing_a_field_names_it(self, tmp_path):
         plan, grouped, out_dir, config = _tiny_experiment(tmp_path)
         manifest = build_manifest(plan, grouped, out_dir, config)
