@@ -14,6 +14,7 @@ as reached when best_f <= q (non-strict).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -129,23 +130,26 @@ def validate(record: RunRecord) -> list[str]:
     if not traj and record.evals_used > 0:
         violations.append("empty trajectory with evals_used > 0")
     if traj:
-        if traj[0].evals < 1:
+        elapsed = [p.elapsed for p in traj]
+        evals = [p.evals for p in traj]
+        best_f = [p.best_f for p in traj]
+        if evals[0] < 1:
             violations.append("first point evals < 1")
-        if any(p.elapsed < 0 for p in traj):
+        if any(t < 0 for t in elapsed):  # not min(), which skips a negative after a NaN
             violations.append("elapsed negative")
-        if any(b.elapsed < a.elapsed for a, b in zip(traj, traj[1:])):
+        if any(map(operator.lt, elapsed[1:], elapsed)):
             violations.append("elapsed non-monotone")
-        if any(b.evals < a.evals for a, b in zip(traj, traj[1:])):
+        if any(map(operator.lt, evals[1:], evals)):
             violations.append("evals non-monotone")
-        if any(b.best_f >= a.best_f for a, b in zip(traj, traj[1:])):
+        if any(map(operator.ge, best_f[1:], best_f)):
             violations.append("best_f not strictly decreasing")
-        if record.time_used < traj[-1].elapsed:
+        if record.time_used < elapsed[-1]:
             violations.append("time_used < last trajectory elapsed")
-        if record.evals_used < traj[-1].evals:
+        if record.evals_used < evals[-1]:
             violations.append("evals_used < last trajectory evals")
-        if not all(math.isfinite(p.elapsed) for p in traj):
+        if not all(map(math.isfinite, elapsed)):
             violations.append("elapsed non-finite")
-        if not all(math.isfinite(p.best_f) for p in traj):
+        if not all(map(math.isfinite, best_f)):
             violations.append("best_f non-finite")
     if not math.isfinite(record.time_used):
         violations.append("time_used non-finite")

@@ -90,6 +90,13 @@ class EcdfCurve:
     denominators: tuple[int, ...]
 
 
+def _ordered_grid(time_grid: Sequence[float]) -> tuple[float, ...]:
+    grid = tuple(float(t) for t in time_grid)
+    if not grid or any(b < a for a, b in zip(grid, grid[1:])):
+        raise ValueError("time_grid must be non-empty and ordered")
+    return grid
+
+
 def anytime_ecdf(times: Sequence[Optional[float]], time_grid: Sequence[float]) -> EcdfCurve:
     """ECDF of first-hit times over (run, target) pairs.
 
@@ -97,9 +104,7 @@ def anytime_ecdf(times: Sequence[Optional[float]], time_grid: Sequence[float]) -
     :func:`ert` takes them; :func:`analyze` pools every pair of a solver
     across instances, repetitions and targets.
     """
-    grid = tuple(float(t) for t in time_grid)
-    if not grid or any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("time_grid must be non-empty and ordered")
+    grid = _ordered_grid(time_grid)
     times = list(times)
     if not times:
         raise ValueError("no (run, target) pairs to aggregate")
@@ -147,11 +152,11 @@ def median_trajectory(
     """Per-grid-point median of best-so-far values with a percentile
     bootstrap CI over runs.
 
-    Each grid column's runs are sorted by value once. The median is the
-    mean of the middle order statistics, the values at ranks (R-1)//2 and
-    R//2, taken as ``np.median`` takes it: the pair's mean for even R, and
-    +0.0 for a median of -0.0 (so the order of tied runs does not matter).
-    A column that holds a NaN has a NaN median.
+    Runs are sorted by value once in each of the D grid columns that differ
+    from the one before them (the rest repeat its median and CI). The median
+    is the mean of the middle order statistics, at ranks (R-1)//2 and R//2,
+    as ``np.median`` takes it: the pair's mean for even R, +0.0 for -0.0 (so
+    the order of tied runs does not matter), NaN for a column with a NaN.
 
     Each of the B resamples draws R runs with replacement. Its median is
     read from how often it drew each run, not from the drawn values: its
@@ -161,12 +166,11 @@ def median_trajectory(
     drew a NaN has a NaN median.
 
     Memory: the counts are one R x B array of the smallest unsigned dtype
-    that holds R (one byte per entry up to R = 255, two up to 65,535), and
-    they are drawn and counted a chunk of resamples at a time. Cumulative
-    counts are built in slabs of columns, or of one column's resamples.
-    Besides the counts, the R x G values with their sorted copy and the
-    B x G bootstrap medians, every temporary holds at most
-    ``_BOOTSTRAP_CHUNK`` entries, or one column's R when that is more.
+    that holds R, drawn and counted a chunk of resamples at a time. The ranks
+    are walked once, in blocks of cumulative counts over the D x B lanes
+    (column, resample) of at most ``_BOOTSTRAP_CHUNK`` entries, or one rank's
+    lanes if more. Besides the counts, the R x G values, their sorted copy, a
+    few D x B lanes and the B x D bootstrap medians, nothing outgrows a block.
 
     Quantiles of the bootstrap medians use order statistics (no
     interpolation) so +inf sentinels never produce NaN.
@@ -178,53 +182,55 @@ def median_trajectory(
         raise ValueError("bootstrap_samples must be >= 100")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    grid = tuple(float(t) for t in time_grid)
-    med, boot_medians = _column_medians(_best_so_far_matrix(records, grid), bootstrap_samples, seed)
+    grid = _ordered_grid(time_grid)
+    values = _best_so_far_matrix(records, grid)
+    new = np.concatenate(([True], np.any(values[:, 1:] != values[:, :-1], axis=0)))
+    med, boot_medians = _column_medians(values[:, new], bootstrap_samples, seed)
     alpha = (1.0 - confidence) / 2.0
     lo = np.quantile(boot_medians, alpha, axis=0, method="lower")
     hi = np.quantile(boot_medians, 1.0 - alpha, axis=0, method="higher")
+    expand = np.cumsum(new) - 1
     return MedianCurve(
         time_grid=grid,
-        median=tuple(float(v) for v in med),
-        ci_lo=tuple(float(v) for v in lo),
-        ci_hi=tuple(float(v) for v in hi),
+        median=tuple(med[expand].tolist()),
+        ci_lo=tuple(lo[expand].tolist()),
+        ci_hi=tuple(hi[expand].tolist()),
     )
 
 
 def _column_medians(
     values: np.ndarray, bootstrap_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """[column] medians of the R x G `values` and [resample, column] medians
+    """[column] medians of the R x D `values` and [resample, column] medians
     of `bootstrap_samples` resamples of its rows, both read from one sort of
     each column as :func:`median_trajectory` says."""
-    R, B = values.shape[0], bootstrap_samples
-    # Sort only the grid columns that differ from the one before them (the
-    # rest repeat its medians).
-    new = np.concatenate(([True], np.any(values[:, 1:] != values[:, :-1], axis=0)))
-    distinct = values[:, new].T
-    order = np.argsort(distinct, axis=1)  # [column, rank]: run
-    ranked = np.take_along_axis(distinct, order, axis=1)  # [column, rank]: value
+    (R, D), B = values.shape, bootstrap_samples
+    order = np.argsort(values, axis=0)  # [rank, column]: run
+    ranked = np.take_along_axis(values, order, axis=0)  # [rank, column]: value
     middle = [*range((R - 1) // 2, R // 2 + 1)]  # one order statistic for odd R, two for even R
-    has_nan = np.isnan(ranked[:, -1])  # NaN sorts last
-    med = np.mean(ranked[:, middle], axis=1)
+    has_nan = np.isnan(ranked[-1])  # NaN sorts last
+    med = np.mean(ranked[middle], axis=0)
     med[has_nan] = math.nan
     counts = _resample_counts(R, B, seed)
-    boot_medians = np.empty((B, len(ranked)))
-    # as many columns at a time as _BOOTSTRAP_CHUNK allows, else one column
-    # in slabs of as many resamples
-    width = max(1, _BOOTSTRAP_CHUNK // counts.size)
-    slab = max(1, _BOOTSTRAP_CHUNK // (width * R))
-    for j in range(0, len(ranked), width):
-        columns = slice(j, j + width)
-        for b in range(0, B, slab):
-            cum = counts[:, b : b + slab][order[columns]]  # [column, rank, resample]
-            np.add.accumulate(cum, axis=1, out=cum)
-            block = np.mean([_order_statistic(ranked[columns], cum, k) for k in middle], axis=0)
-            if has_nan[columns].any():  # a resample drew a NaN iff its largest draw is one
-                block[np.isnan(_order_statistic(ranked[columns], cum, R - 1))] = math.nan
-            boot_medians[b : b + slab, columns] = block.T
-    expand = np.cumsum(new) - 1
-    return med[expand], boot_medians[:, expand]
+    ks = middle + ([R - 1] if has_nan.any() else [])  # a NaN was drawn iff the largest draw is one
+    # [k, column, resample]: ranks whose cumulative count is <= ks[k], the rank of draw ks[k]
+    below = np.zeros((len(ks), D, B), dtype=counts.dtype)
+    step = max(1, _BOOTSTRAP_CHUNK // (D * B))  # ranks per block
+    last = 0  # cumulative counts before the block
+    for i in range(0, R, step):
+        cum = counts[order[i : i + step]]  # [rank, column, resample]
+        np.add(last, cum[0], out=cum[0])
+        for j in range(1, len(cum)):
+            np.add(cum[j - 1], cum[j], out=cum[j])
+        last = cum[-1]
+        for m, k in enumerate(ks):
+            below[m] += np.add.reduce(cum <= k, axis=0, dtype=below.dtype)
+    del counts, cum, last  # freed before the D x B medians are gathered
+    drawn = np.take_along_axis(ranked.T[None], below, axis=2)  # [k, column, resample]: value
+    boot_medians = np.mean(drawn[: len(middle)], axis=0)
+    if len(ks) > len(middle):
+        boot_medians[np.isnan(drawn[-1])] = math.nan
+    return med, boot_medians.T
 
 
 def _resample_counts(R: int, B: int, seed: int) -> np.ndarray:
@@ -241,12 +247,6 @@ def _resample_counts(R: int, B: int, seed: int) -> np.ndarray:
         idx += np.arange(n)[:, None]
         counts[:, b : b + n] = np.bincount(idx.ravel(), minlength=R * n).reshape(R, n)
     return counts
-
-
-def _order_statistic(ranked: np.ndarray, cum: np.ndarray, k: int) -> np.ndarray:
-    """[column, resample]: the k-th smallest drawn value (from 0), the value
-    at the first rank whose cumulative count exceeds k."""
-    return np.take_along_axis(ranked, np.count_nonzero(cum <= k, axis=1), axis=1)
 
 
 @dataclass(frozen=True)

@@ -162,12 +162,27 @@ def _string(value) -> str:
     return value
 
 
+_scan_once = json.JSONDecoder().scan_once  # the C scanner that json.loads ends in
+
+
+def _decode_line(line: str):
+    """``json.loads(line)``, in one C call when `line` is one JSON value from
+    its first character to its final newline; any other line, and every
+    error, is ``json.loads``' own."""
+    try:
+        obj, end = _scan_once(line, 0)
+    except StopIteration:
+        return json.loads(line)
+    return obj if end == len(line) - 1 and line[end] == "\n" else json.loads(line)
+
+
 def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
     """Read a JSONL log back into validated RunRecords.
 
-    Malformed lines and invariant violations are reported with line
-    numbers; strict mode raises on the first issue, lenient mode skips
-    the affected run and counts it.
+    A line is accepted exactly when ``json.loads`` accepts it, and decodes
+    to the same object. Malformed lines and invariant violations are
+    reported with line numbers; strict mode raises on the first issue,
+    lenient mode skips the affected run and counts it.
     """
     path = Path(path)
     result = ParseResult(records=[], issues=[], skipped_runs=0)
@@ -193,7 +208,7 @@ def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _decode_line(line)
                 kind = obj["kind"]
             # ValueError: not JSON, or an integer of more than 4,300 digits
             except (ValueError, RecursionError, KeyError, TypeError):

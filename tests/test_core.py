@@ -83,6 +83,68 @@ class TestValidate:
         for _ in range(200):
             assert validate(random_record(rng)) == []
 
+    EDGE_TRAJECTORIES = {
+        "nan-elapsed": [(1.0, 1, 5.0), (math.nan, 2, 4.0)],
+        "negative-elapsed-after-nan": [(math.nan, 1, 5.0), (-1.0, 2, 4.0)],
+        "tied-best_f": [(1.0, 1, 5.0), (2.0, 2, 5.0)],
+        "signed-zero-best_f": [(1.0, 1, 0.0), (2.0, 2, -0.0)],
+        "decreasing-evals": [(1.0, 10, 5.0), (2.0, 8, 4.0)],
+        "nan-best_f": [(1.0, 1, math.nan), (2.0, 2, 4.0), (3.0, 3, -math.inf)],
+        "no-evaluation": [(0.0, 0, 5.0)],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDGE_TRAJECTORIES))
+    def test_edge_trajectories_match_the_reference(self, case):
+        points = self.EDGE_TRAJECTORIES[case]
+        for time_used in (None, -1.0, math.nan):
+            record = _record(points, time_used=time_used, evals_used=None if points else 2)
+            assert validate(record) == validate_reference(record)
+
+    def test_random_records_match_the_reference(self, rng):
+        for _ in range(500):
+            record = random_record(rng)
+            reversed_record = dataclasses.replace(record, trajectory=record.trajectory[::-1])
+            assert validate(record) == validate_reference(record) == []
+            assert validate(reversed_record) == validate_reference(reversed_record)
+
+
+def validate_reference(record):
+    """``validate`` as it was written first: one generator over the points
+    per check."""
+    violations = []
+    traj = record.trajectory
+    if not traj and record.evals_used > 0:
+        violations.append("empty trajectory with evals_used > 0")
+    if traj:
+        if traj[0].evals < 1:
+            violations.append("first point evals < 1")
+        if any(p.elapsed < 0 for p in traj):
+            violations.append("elapsed negative")
+        if any(b.elapsed < a.elapsed for a, b in zip(traj, traj[1:])):
+            violations.append("elapsed non-monotone")
+        if any(b.evals < a.evals for a, b in zip(traj, traj[1:])):
+            violations.append("evals non-monotone")
+        if any(b.best_f >= a.best_f for a, b in zip(traj, traj[1:])):
+            violations.append("best_f not strictly decreasing")
+        if record.time_used < traj[-1].elapsed:
+            violations.append("time_used < last trajectory elapsed")
+        if record.evals_used < traj[-1].evals:
+            violations.append("evals_used < last trajectory evals")
+        if not all(math.isfinite(p.elapsed) for p in traj):
+            violations.append("elapsed non-finite")
+        if not all(math.isfinite(p.best_f) for p in traj):
+            violations.append("best_f non-finite")
+    if not math.isfinite(record.time_used):
+        violations.append("time_used non-finite")
+    if not math.isfinite(record.max_step_seconds):
+        violations.append("max_step_seconds non-finite")
+    if record.time_used < 0:
+        violations.append("time_used negative")
+    if record.evals_used < 0:
+        violations.append("evals_used negative")
+    return violations
+
 
 class TestBudget:
     def test_accepts_positive_limit(self):

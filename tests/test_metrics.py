@@ -207,13 +207,17 @@ def bootstrap_oracle(values, bootstrap_samples, seed):
 # infinities, and pairs whose sum overflows (1e308 + 1e308 is inf)
 EDGE_VALUES = (math.inf, 1e308, 1e308, 2.5, 1.0, 1.0, 0.0, -0.0, -0.0, -1.0, -1e308, -math.inf)
 
-# (R, B): R of 1 and 2, odd and even R; R * B of 707 and 6,060 puts many
-# grid columns in one chunk, 70,700 and 70,801 one column per chunk; R of
-# 255 and 256 counts in uint8 and uint16; R of 2,000 draws the resamples in
-# chunks of 32, 32, 32 and 5, and sums each column's counts in slabs of those sizes
+# (R, B): R of 1 and 2, odd and even R; R of 255 and 256 counts in uint8
+# and uint16; R of 2,000 draws the resamples in chunks of 32, 32, 32 and 5.
+# The ranks are walked in blocks of 2**16 // (D * B) ranks (at least one) of
+# the D columns: at B of about 100 a block holds 40 to 655 ranks, so R = 7
+# fits in one, and R = 60, 61, 109, 700, 701 and 2,000 end in a partial
+# block (R = 109 leaves 12 columns a last block of one rank). At B = 5,462,
+# one rank of 12 columns outgrows 2**16 entries and 9 columns take one rank
+# a block, while 4 or 5 columns take two, which R = 21 ends in a block of one.
 BOOTSTRAP_SHAPES = [
-    (1, 101), (2, 101), (7, 101), (60, 101), (61, 100), (700, 101), (701, 101),
-    (255, 101), (256, 101), (2000, 101),
+    (1, 101), (2, 101), (7, 101), (60, 101), (61, 100), (109, 101), (700, 101), (701, 101),
+    (255, 101), (256, 101), (2000, 101), (20, 5462), (21, 5462),
 ]
 
 
@@ -307,6 +311,14 @@ class TestMedianTrajectory:
     def test_too_few_bootstrap_samples_rejected(self):
         with pytest.raises(ValueError):
             median_trajectory([make_record([(1.0, 1, 0.0)])], [1.0], bootstrap_samples=10)
+
+    @pytest.mark.parametrize("grid", [[], [2.0, 1.0]])
+    def test_empty_or_descending_grid_rejected(self, grid):
+        # as anytime_ecdf rejects it, not an IndexError or a silent answer
+        with pytest.raises(ValueError, match="time_grid must be non-empty and ordered"):
+            median_trajectory([make_record([(1.0, 1, 0.0)])], grid, bootstrap_samples=100)
+        with pytest.raises(ValueError, match="time_grid must be non-empty and ordered"):
+            anytime_ecdf([1.0, None], grid)
 
     def test_equals_whole_array_bootstrap(self, rng):
         records = [random_record(rng) for _ in range(31)]

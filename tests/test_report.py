@@ -377,6 +377,36 @@ class TestParsing:
         numbers = range(len(first) + 1, len(first) + len(fragment) + 1)
         assert result.issues == [message.format(*numbers)]
 
+    # the last line of a valid log, a run_end, rewritten
+    LINE_VARIANTS = {
+        "leading-space": lambda line: " " + line,
+        "leading-tab": lambda line: "\t" + line,
+        "trailing-space": lambda line: line[:-1] + " \n",
+        "bom": lambda line: "\ufeff" + line,
+        "two-values": lambda line: "1,2\n",
+        "two-objects": lambda line: line[:-1] + line,
+        "no-final-newline": lambda line: line[:-1],
+        "crlf": lambda line: line[:-1] + "\r\n",
+    }
+
+    @pytest.mark.parametrize("variant", sorted(LINE_VARIANTS))
+    def test_a_line_is_accepted_exactly_when_json_loads_accepts_it(self, tmp_path, monkeypatch, variant):
+        _, path = self._write_valid(tmp_path, n=2)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[-1] = self.LINE_VARIANTS[variant](lines[-1])
+        path.write_bytes("".join(lines).encode())  # binary, so "\r\n" is written as it is
+
+        def outcomes():
+            try:
+                strict = parse_run_log(path, strict=True)
+            except LogParseError as exc:
+                strict = str(exc)
+            return parse_run_log(path), strict
+
+        parsed = outcomes()
+        monkeypatch.setattr(report, "_decode_line", json.loads)
+        assert parsed == outcomes()
+
     @pytest.mark.parametrize(
         "kind,field",
         [("run_header", "repetition"), ("run_header", "run_index"),
