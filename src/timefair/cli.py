@@ -19,19 +19,8 @@ from typing import Optional
 from . import __version__, metrics, report
 from .clock import ClockSpec
 from .core import Budget, TargetSpec
-from .metrics import (
-    DEFAULT_BOOTSTRAP_SAMPLES,
-    DEFAULT_CONFIDENCE,
-    DEFAULT_GRID_POINTS,
-    DEFAULT_RELATIVE_LADDER,
-)
-from .protocol import (
-    AlgorithmSpec,
-    ExperimentPlan,
-    PlanError,
-    best_of_restarts,
-    run_plan,
-)
+from .metrics import DEFAULT_BOOTSTRAP_SAMPLES, DEFAULT_CONFIDENCE, DEFAULT_GRID_POINTS, DEFAULT_RELATIVE_LADDER
+from .protocol import AlgorithmSpec, ExperimentPlan, PlanError, best_of_restarts, run_plan
 from .seeds import subseed
 
 EXIT_OK = 0
@@ -148,12 +137,7 @@ def validate_config(raw: dict) -> dict:
         if "stagnation_restart" in wrappers:
             stagnation = wrappers["stagnation_restart"]
             spath = f"{path}.wrappers.stagnation_restart"
-            _check_keys(
-                stagnation,
-                spath,
-                required=("plateau_window", "plateau_epsilon"),
-                optional=("max_restarts",),
-            )
+            _check_keys(stagnation, spath, required=("plateau_window", "plateau_epsilon"), optional=("max_restarts",))
             _integer(stagnation["plateau_window"], f"{spath}.plateau_window")
             _number(stagnation["plateau_epsilon"], f"{spath}.plateau_epsilon")
             if stagnation.get("max_restarts") is not None:
@@ -167,21 +151,12 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError("instances must be a list of instance ids (strings)")
 
     metrics_raw = raw.get("metrics", {})
-    _check_keys(
-        metrics_raw,
-        "metrics",
-        required=(),
-        optional=("time_grid_points", "bootstrap_samples", "confidence"),
-    )
+    _check_keys(metrics_raw, "metrics", required=(), optional=("time_grid_points", "bootstrap_samples", "confidence"))
+    grid_points = metrics_raw.get("time_grid_points", DEFAULT_GRID_POINTS)
+    bootstrap_samples = metrics_raw.get("bootstrap_samples", DEFAULT_BOOTSTRAP_SAMPLES)
     metric_options = {
-        "time_grid_points": _integer(
-            metrics_raw.get("time_grid_points", DEFAULT_GRID_POINTS), "metrics.time_grid_points", minimum=2
-        ),
-        "bootstrap_samples": _integer(
-            metrics_raw.get("bootstrap_samples", DEFAULT_BOOTSTRAP_SAMPLES),
-            "metrics.bootstrap_samples",
-            minimum=100,
-        ),
+        "time_grid_points": _integer(grid_points, "metrics.time_grid_points", minimum=2),
+        "bootstrap_samples": _integer(bootstrap_samples, "metrics.bootstrap_samples", minimum=100),
         "confidence": _number(metrics_raw.get("confidence", DEFAULT_CONFIDENCE), "metrics.confidence"),
     }
     if not 0.0 < metric_options["confidence"] < 1.0:
@@ -313,18 +288,28 @@ def cmd_analyze(args) -> int:
     labels = [spec.label for spec in plan.algorithms]
     metric_options = config["metrics"]
 
-    grouped: dict[tuple[str, str], list] = {}
+    grid = metrics.default_time_grid(T, metric_options["time_grid_points"])
+    bootstrap = dict(bootstrap_samples=metric_options["bootstrap_samples"],
+                     confidence=metric_options["confidence"], seed=subseed(plan.master_seed, 1))
+    medians: dict[str, dict] = {instance_id: {} for instance_id in plan.instances}
+    hits = {}  # (label, instance): first hits, one list per ladder target
     total_issues = []
+    # one pair at a time, label-major (pairs of equal run count in a row share
+    # their bootstrap counts); a log's records live until its columns are built
     for label in labels:
         for instance_id in plan.instances:
             path = report.run_log_path(out_dir, label, instance_id)
             if not path.exists():
                 raise FileNotFoundError(f"missing run log {path}")
             parsed = report.parse_run_log(path, strict=args.strict_logs)
-            grouped[(label, instance_id)] = parsed.records
             total_issues.extend(f"{path.name}: {msg}" for msg in parsed.issues)
             if parsed.skipped_runs:
                 _progress(f"{path}: skipped {parsed.skipped_runs} malformed run(s)")
+            columns = metrics.RunColumns.of(parsed.records)
+            del parsed
+            if columns.runs:
+                medians[instance_id][label] = metrics.median_trajectory(columns, grid, **bootstrap)
+            hits[(label, instance_id)] = metrics.first_hits(columns, plan.ladders[instance_id], T)
     for msg in total_issues:
         _progress(f"log issue: {msg}")
 
@@ -332,30 +317,15 @@ def cmd_analyze(args) -> int:
     curves_dir.mkdir(parents=True, exist_ok=True)
     for stale in curves_dir.glob("*.csv"):  # an earlier analysis may have had more solvers
         stale.unlink()
-    grid = metrics.default_time_grid(T, metric_options["time_grid_points"])
-    bootstrap_seed = subseed(plan.master_seed, 1)
-
-    # median trajectories: one CSV per instance, all solvers
-    for instance_id in plan.instances:
-        med_curves = {}
-        for label in labels:
-            records = grouped[(label, instance_id)]
-            if records:
-                med_curves[label] = metrics.median_trajectory(
-                    records,
-                    grid,
-                    bootstrap_samples=metric_options["bootstrap_samples"],
-                    confidence=metric_options["confidence"],
-                    seed=bootstrap_seed,
-                )
-        report.emit_median_csv(med_curves, curves_dir / f"median_{instance_id}.csv")
+    for instance_id, curves in medians.items():  # one CSV per instance, all solvers
+        report.emit_median_csv(curves, curves_dir / f"median_{instance_id}.csv")
 
     if plan.targets is None:
         print("no targets configured: wrote median trajectories only")
         return EXIT_OK
 
     tuning_time = config["tuning"]["seconds"] if config["tuning"] is not None else {}
-    analysis = metrics.analyze(grouped, T, plan.ladders, grid, tuning_time)
+    analysis = metrics.analyze(hits, T, plan.ladders, grid, tuning_time)
     report.emit_ert_table(analysis.ert, out_dir / "ert_table.csv")
     for label, curve in analysis.ecdf.items():
         report.emit_ecdf_csv(curve, curves_dir / f"ecdf_{label}.csv")
@@ -433,9 +403,7 @@ def cmd_simulate(args) -> int:
     for spec in plan.algorithms:
         records = grouped[(spec.label, instance_id)]
         runs_per_rep = len(records) // plan.repetitions
-        single = [
-            r.final_best for r in records if r.run_index == 0
-        ]
+        single = [r.final_best for r in records if r.run_index == 0]
         best_of = [
             best_of_restarts([r for r in records if r.repetition == rep])
             for rep in range(plan.repetitions)
@@ -447,7 +415,8 @@ def cmd_simulate(args) -> int:
         )
     print()
     print(f"{'algorithm':<12} {'target':>8} {'ert':>12} {'success':>8}  recheck")
-    analysis = metrics.analyze(grouped, T, plan.ladders, metrics.default_time_grid(T))
+    hits = {pair: metrics.first_hits(records, plan.ladders[pair[1]], T) for pair, records in grouped.items()}
+    analysis = metrics.analyze(hits, T, plan.ladders, metrics.default_time_grid(T))
     for (label, instance, q), result in analysis.ert.items():
         oracle = _ert_recheck(grouped[(label, instance)], q, T)
         agree = math.isclose(result.ert, oracle, rel_tol=1e-12)  # inf is close to inf only
@@ -482,16 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to the JSON experiment config")
     p_run.add_argument("--out", help="output directory (overrides config output_dir)")
     p_run.add_argument("--seed", type=int, help="override the master seed (re-derives all run seeds)")
-    p_run.add_argument(
-        "--parallel", action="store_true", help="run repetitions in parallel (virtual clock only)"
-    )
+    p_run.add_argument("--parallel", action="store_true", help="run repetitions in parallel (virtual clock only)")
     p_run.set_defaults(func=cmd_run)
 
     p_analyze = sub.add_parser("analyze", help="compute metrics and curve CSVs from run logs")
     p_analyze.add_argument("out_dir", help="experiment output directory")
-    p_analyze.add_argument(
-        "--strict-logs", action="store_true", help="abort on the first malformed log line"
-    )
+    p_analyze.add_argument("--strict-logs", action="store_true", help="abort on the first malformed log line")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_report = sub.add_parser("report", help="audit the manifest against the reporting checklist")

@@ -7,6 +7,7 @@ means the target was not reached within the run (NotReached).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -131,26 +132,65 @@ class MedianCurve:
     ci_hi: tuple[float, ...]
 
 
-def _best_so_far_matrix(records: Sequence[RunRecord], grid: Sequence[float]) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    values = np.empty((len(records), len(grid)))
-    for i, record in enumerate(records):
-        elapsed = [p.elapsed for p in record.trajectory]
-        # +inf before the first improvement, then the last one carried forward
-        best = np.array([math.inf, *(p.best_f for p in record.trajectory)])
-        values[i] = best[np.searchsorted(elapsed, grid, side="right")]
-    return values
+@dataclass(frozen=True)
+class RunColumns:
+    """One pair's runs as flat columns, in run order: every improvement's
+    run index, elapsed time and best_f."""
+
+    runs: int
+    run: np.ndarray
+    elapsed: np.ndarray
+    best_f: np.ndarray
+
+    @classmethod
+    def of(cls, records: Sequence[RunRecord]) -> RunColumns:
+        trajectories = [r.trajectory for r in records]
+        points = [p for trajectory in trajectories for p in trajectory]
+        lengths = [len(t) for t in trajectories]
+        elapsed = np.array([p.elapsed for p in points], dtype=float)
+        best_f = np.array([p.best_f for p in points], dtype=float)
+        return cls(len(lengths), np.repeat(np.arange(len(lengths)), lengths), elapsed, best_f)
+
+
+def first_hits(
+    runs: Sequence[RunRecord] | RunColumns, ladder: Sequence[float], T: float = math.inf
+) -> list[list[Optional[float]]]:
+    """For each target q of `ladder`, each run's ``time_to_target(run, q, T)``,
+    in run order: one vectorised pass over the pair's columns per target."""
+    columns = runs if isinstance(runs, RunColumns) else RunColumns.of(runs)
+    hits = []
+    for q in ladder:
+        reached = np.flatnonzero(columns.best_f <= q)
+        run = columns.run[reached]
+        first = np.ones(len(run), dtype=bool)  # each run's first point at or below q
+        first[1:] = run[1:] != run[:-1]
+        at = np.full(columns.runs, math.nan)  # NaN for a run that never reached q
+        at[run[first]] = columns.elapsed[reached[first]]
+        hits.append([t if t <= T else None for t in at.tolist()])
+    return hits
+
+
+def _best_so_far_matrix(columns: RunColumns, grid: np.ndarray) -> np.ndarray:
+    """[run, grid time]: best_f of the run's last point at or before the
+    time, +inf before its first point."""
+    col = np.searchsorted(grid, columns.elapsed, side="left")  # first grid time a point is seen at
+    last = col < len(grid)  # the last point of each (run, grid time) is its value there
+    last[:-1] &= (columns.run[1:] != columns.run[:-1]) | (col[1:] != col[:-1])
+    point = np.full((columns.runs, len(grid)), -1)
+    point[columns.run[last], col[last]] = np.flatnonzero(last)
+    np.maximum.accumulate(point, axis=1, out=point)  # carried forward; -1 before the first
+    return np.append(columns.best_f, math.inf)[point]  # index -1 is the appended +inf
 
 
 def median_trajectory(
-    records: Sequence[RunRecord],
+    records: Sequence[RunRecord] | RunColumns,
     time_grid: Sequence[float],
     bootstrap_samples: int = DEFAULT_BOOTSTRAP_SAMPLES,
     confidence: float = DEFAULT_CONFIDENCE,
     seed: int = 0,
 ) -> MedianCurve:
     """Per-grid-point median of best-so-far values with a percentile
-    bootstrap CI over runs.
+    bootstrap CI over runs (records, or the pair's :class:`RunColumns`).
 
     Runs are sorted by value once in each of the D grid columns that differ
     from the one before them (the rest repeat its median and CI). The median
@@ -166,41 +206,36 @@ def median_trajectory(
     drew a NaN has a NaN median.
 
     Memory: the counts are one R x B array of the smallest unsigned dtype
-    that holds R, drawn and counted a chunk of resamples at a time. The ranks
-    are walked once, in blocks of cumulative counts over the D x B lanes
-    (column, resample) of at most ``_BOOTSTRAP_CHUNK`` entries, or one rank's
-    lanes if more. Besides the counts, the R x G values, their sorted copy, a
-    few D x B lanes and the B x D bootstrap medians, nothing outgrows a block.
+    that holds R, drawn and counted a chunk of resamples at a time, and kept
+    (read-only) until a call with another R, B or seed. The ranks are walked
+    once, in blocks of cumulative counts over the D x B lanes (column,
+    resample) of at most ``_BOOTSTRAP_CHUNK`` entries, or one rank's lanes if
+    more. Besides the counts, the R x G values (and the index of the point
+    each holds), their sorted copy, a few D x B lanes and the B x D bootstrap
+    medians, nothing outgrows a block.
 
     Quantiles of the bootstrap medians use order statistics (no
     interpolation) so +inf sentinels never produce NaN.
     """
-    records = list(records)
-    if not records:
+    columns = records if isinstance(records, RunColumns) else RunColumns.of(records)
+    if not columns.runs:
         raise ValueError("median_trajectory requires at least one record")
     if bootstrap_samples < 100:
         raise ValueError("bootstrap_samples must be >= 100")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
     grid = _ordered_grid(time_grid)
-    values = _best_so_far_matrix(records, grid)
+    values = _best_so_far_matrix(columns, np.asarray(grid))
     new = np.concatenate(([True], np.any(values[:, 1:] != values[:, :-1], axis=0)))
     med, boot_medians = _column_medians(values[:, new], bootstrap_samples, seed)
     alpha = (1.0 - confidence) / 2.0
     lo = np.quantile(boot_medians, alpha, axis=0, method="lower")
     hi = np.quantile(boot_medians, 1.0 - alpha, axis=0, method="higher")
     expand = np.cumsum(new) - 1
-    return MedianCurve(
-        time_grid=grid,
-        median=tuple(med[expand].tolist()),
-        ci_lo=tuple(lo[expand].tolist()),
-        ci_hi=tuple(hi[expand].tolist()),
-    )
+    return MedianCurve(grid, *(tuple(column[expand].tolist()) for column in (med, lo, hi)))
 
 
-def _column_medians(
-    values: np.ndarray, bootstrap_samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _column_medians(values: np.ndarray, bootstrap_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """[column] medians of the R x D `values` and [resample, column] medians
     of `bootstrap_samples` resamples of its rows, both read from one sort of
     each column as :func:`median_trajectory` says."""
@@ -225,7 +260,7 @@ def _column_medians(
         last = cum[-1]
         for m, k in enumerate(ks):
             below[m] += np.add.reduce(cum <= k, axis=0, dtype=below.dtype)
-    del counts, cum, last  # freed before the D x B medians are gathered
+    del cum, last  # freed before the D x B medians are gathered
     drawn = np.take_along_axis(ranked.T[None], below, axis=2)  # [k, column, resample]: value
     boot_medians = np.mean(drawn[: len(middle)], axis=0)
     if len(ks) > len(middle):
@@ -233,10 +268,12 @@ def _column_medians(
     return med, boot_medians.T
 
 
+@functools.lru_cache(maxsize=1)  # an analysis draws with one B and seed, pairs of equal R in a row
 def _resample_counts(R: int, B: int, seed: int) -> np.ndarray:
     """[run, resample]: how often each of B resamples of R runs drew each
-    run, in the smallest unsigned dtype that holds R. The resamples are
-    drawn a chunk at a time, which takes the same stream as one (B, R) draw."""
+    run, in the smallest unsigned dtype that holds R, read-only. The
+    resamples are drawn a chunk at a time, which takes the same stream as
+    one (B, R) draw."""
     counts = np.empty((R, B), dtype=np.min_scalar_type(R))
     rng = np.random.default_rng(seed)
     chunk = max(1, _BOOTSTRAP_CHUNK // R)
@@ -246,6 +283,7 @@ def _resample_counts(R: int, B: int, seed: int) -> np.ndarray:
         idx *= n
         idx += np.arange(n)[:, None]
         counts[:, b : b + n] = np.bincount(idx.ravel(), minlength=R * n).reshape(R, n)
+    counts.flags.writeable = False
     return counts
 
 
@@ -282,11 +320,7 @@ def performance_profile(costs: CostMatrix) -> list[ProfileCurve]:
             len(excluded),
             ", ".join(sorted(excluded)),
         )
-    kept_rows = [
-        row
-        for instance, row in zip(costs.instances, costs.costs)
-        if instance not in excluded
-    ]
+    kept_rows = [row for instance, row in zip(costs.instances, costs.costs) if instance not in excluded]
     n = len(kept_rows)
     curves = []
     for j, solver in enumerate(costs.solvers):
@@ -318,7 +352,7 @@ class Analysis:
 
 
 def analyze(
-    grouped: Mapping[tuple[str, str], Sequence[RunRecord]],
+    hits: Mapping[tuple[str, str], Sequence[Sequence[Optional[float]]]],
     T: float,
     targets_by_instance: Mapping[str, Sequence[float]],
     time_grid: Sequence[float],
@@ -329,24 +363,23 @@ def analyze(
     plus the solver's `tuning_time` (finite seconds >= 0, as
     ``cli.validate_config`` checks them) divided by the number of instances.
 
-    `grouped` holds the records of every (solver, instance) pair, and
-    solvers are reported in the order they first appear in it;
+    `hits` holds every (solver, instance) pair's first hits, one list per
+    ladder target of one time (within T) per run, as :func:`first_hits`
+    gives them; solvers are reported in the order they first appear in it.
     `targets_by_instance` holds every instance's ladder, easiest first, all
     of one length. ERT results are ordered by solver, then instance, then
-    target. A pair with no records has no ERT and costs +inf in the
-    profiles, whatever its tuning; a solver with no records has no ECDF.
-    Each (run, target) first hit (within T) is found once, for both.
+    target. A pair with no runs has no ERT and costs +inf in the profiles,
+    whatever its tuning; a solver with no runs has no ECDF. The ERT and the
+    ECDF read the same first hits.
     """
-    solvers = tuple(dict.fromkeys(solver for solver, _ in grouped))
+    solvers = tuple(dict.fromkeys(solver for solver, _ in hits))
     instances = tuple(targets_by_instance)
     erts: dict[tuple[str, str, float], ErtResult] = {}
     ecdf_times: dict[str, list[Optional[float]]] = {}  # by solver
     for solver in solvers:
         for instance in instances:
-            records = grouped[(solver, instance)]
-            if records:
-                for q in targets_by_instance[instance]:
-                    times = [time_to_target(r, q, T) for r in records]
+            for q, times in zip(targets_by_instance[instance], hits[(solver, instance)]):
+                if times:
                     erts[(solver, instance, q)] = ert(times, T, target=q)
                     ecdf_times.setdefault(solver, []).extend(times)
     if any(result.ert == 0.0 for result in erts.values()):

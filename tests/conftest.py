@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from timefair.core import RunRecord, Termination, TrajectoryPoint
-from timefair.metrics import time_to_target
+from timefair.metrics import first_hits, time_to_target
 
 TERMINATIONS = (
     Termination.TARGET_REACHED,
@@ -25,6 +25,11 @@ def pair_times(records, targets_by_instance):
     """One first-hit time per (run, target) pair, None for a miss, for every
     target of each run's instance: the input of ``anytime_ecdf``."""
     return [time_to_target(r, q) for r in records for q in targets_by_instance[r.instance_id]]
+
+
+def hits_by_pair(grouped, targets_by_instance, T):
+    """``metrics.analyze``'s input from each (solver, instance) pair's records."""
+    return {pair: first_hits(records, targets_by_instance[pair[1]], T) for pair, records in grouped.items()}
 
 
 def random_record(rng: np.random.Generator, allow_empty: bool = True) -> RunRecord:

@@ -20,6 +20,8 @@ from timefair.cli import (
 from timefair.core import CostMatrix
 from timefair.metrics import performance_profile
 
+from conftest import hits_by_pair
+
 
 def write_config(tmp_path, mutate=None, name="config.json"):
     cfg = demo_config()
@@ -394,6 +396,57 @@ class TestCmdAnalyze:
         for path, content in before.items():
             assert path.read_bytes() == content
 
+    def test_bootstrap_counts_are_drawn_once_per_run_count(self, tmp_path):
+        # pairs are analyzed label-major and every pair draws with one B and
+        # seed, so each label's pairs of equal run count share one draw; a
+        # second analysis in the same process writes the same bytes
+        def shape(cfg):  # fixed-length runs that reach no target: 2 and 4 runs a repetition
+            cfg["instances"] = ["rastrigin-d10", "rosenbrock-d10"]
+            cfg["algorithms"][1]["params"]["max_iterations"] = 32
+
+        path, cfg = write_config(tmp_path, mutate=shape)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        runs = [
+            len(report.parse_run_log(report.run_log_path(out, a["label"], i)).records)
+            for a in cfg["algorithms"]
+            for i in cfg["instances"]
+        ]
+        assert runs == [4, 4, 8, 8]
+        metrics._resample_counts.cache_clear()
+        assert main(["analyze", str(out)]) == 0
+        assert metrics._resample_counts.cache_info().misses == len(set(runs))
+        files = sorted([*out.glob("curves/*.csv"), out / "ert_table.csv"])
+        first = [p.read_bytes() for p in files]
+        assert main(["analyze", str(out)]) == 0
+        assert [p.read_bytes() for p in files] == first
+
+    def test_memory_does_not_grow_with_the_number_of_pairs(self, tmp_path):
+        # one log's records are alive at a time: at the same run count, four
+        # instances peak less than 25% above one
+        import tracemalloc
+
+        peaks = []
+        for instances in (["sphere-d2"], ["sphere-d2", "rastrigin-d2", "rosenbrock-d2", "ackley-d2"]):
+            out = tmp_path / str(len(instances))
+
+            def shape(cfg):
+                cfg.update(instances=instances, repetitions=4, output_dir=str(out))
+                cfg["algorithms"] = [{"label": "rs", "kind": "random-search", "params": {"max_iterations": 4}}]
+                cfg["budget"]["wall_time_limit"] = 4.0
+
+            path, _ = write_config(tmp_path, mutate=shape, name=f"{len(instances)}.json")
+            assert main(["run", "--config", str(path)]) == 0
+            metrics._resample_counts.cache_clear()  # each analysis draws its counts
+            tracemalloc.start()
+            try:
+                assert main(["analyze", str(out)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(report.parse_run_log(report.run_log_path(out, "rs", "sphere-d2")).records) > 500
+        assert peaks[1] < 1.25 * peaks[0], peaks
+
     def test_restart_heavy_analysis_matches_its_pinned_digests(self, tmp_path, capsys):
         # 483 short virtual runs (181, 180, 62 and 60 per pair): odd and even
         # R, with R * B above the bootstrap chunk for random search and below
@@ -465,7 +518,7 @@ class TestCmdAnalyze:
             for i in plan.instances
         }
         targets = {i: plan.targets.resolve() for i in plan.instances}  # absolute ladder
-        analysis = metrics.analyze(grouped, T, targets, metrics.default_time_grid(T))
+        analysis = metrics.analyze(hits_by_pair(grouped, targets, T), T, targets, metrics.default_time_grid(T))
         for name, curves in zip(names, analysis.profiles):
             report.emit_profile_csv(curves, tmp_path / "expected.csv")
             assert (out / "curves" / name).read_bytes() == (tmp_path / "expected.csv").read_bytes()
@@ -730,7 +783,7 @@ class TestCmdSimulate:
 
     def test_recheck_reads_the_logged_trajectories(self, monkeypatch, capsys):
         # a wrong first-hit time in metrics must show up against the recheck
-        monkeypatch.setattr(metrics, "time_to_target", lambda record, q, T=math.inf: None)
+        monkeypatch.setattr(metrics, "first_hits", lambda runs, ladder, T=math.inf: [[None] * len(runs) for _ in ladder])
         assert main(["simulate"]) == 0
         assert "MISMATCH" in capsys.readouterr().out
 
@@ -745,7 +798,8 @@ class TestScenarioProfiles:
         plan = scenario_plan(repetitions=5)
         T = plan.budget.wall_time_limit
         ladder = plan.targets.values
-        analysis = metrics.analyze(run_plan(plan), T, {"rastrigin-d10": ladder}, metrics.default_time_grid(T))
+        targets = {"rastrigin-d10": ladder}
+        analysis = metrics.analyze(hits_by_pair(run_plan(plan), targets, T), T, targets, metrics.default_time_grid(T))
         for q in (5.0, 100.0):
             base, heavy = analysis.profiles[ladder.index(q)]
             for tau in (1.0, 1.5, 2.0, 5.0, 20.0, 1e6):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from bisect import bisect_right
 from fractions import Fraction
@@ -16,15 +17,17 @@ from timefair.metrics import (
     _midranks,
     analyze,
     anytime_ecdf,
+    RunColumns,
     default_time_grid,
     ert,
+    first_hits,
     median_trajectory,
     performance_profile,
     rank_sum_test,
     time_to_target,
 )
 
-from conftest import pair_times, random_record
+from conftest import hits_by_pair, pair_times, random_record
 
 
 def make_record(points, instance_id="sphere-d2", time_used=None):
@@ -59,6 +62,29 @@ class TestTimeToTarget:
             for q in (-10.0, 0.0, 25.0, 80.0):
                 t = time_to_target(record, q)
                 assert t is None or t <= record.time_used
+
+
+class TestFirstHits:
+    LADDER = (60.0, 25.0, 4.5, 0.0, -10.0)
+
+    def test_each_run_and_target_is_time_to_target(self, rng):
+        # a hit exactly at T counts, a hit past T is a miss, an empty run misses
+        records = [
+            TWO_STEP,
+            make_record([(1.0, 1, 9.0), (5.0, 2, 4.5)]),  # 4.5 reached exactly at T = 5
+            make_record([(2.0, 1, 30.0), (6.0, 2, -20.0)]),  # -20 reached past T
+            make_record([]),
+            *(random_record(rng) for _ in range(300)),
+        ]
+        for T in (5.0, 1.0, math.inf):
+            for runs in (records, RunColumns.of(records)):
+                hits = first_hits(runs, self.LADDER, T)
+                assert hits == [[time_to_target(r, q, T) for r in records] for q in self.LADDER]
+        assert first_hits(records, self.LADDER, 5.0)[2][:4] == [3.0, 5.0, None, None]
+
+    def test_no_runs_and_no_targets(self):
+        assert first_hits([], self.LADDER) == [[]] * len(self.LADDER)
+        assert first_hits([TWO_STEP], ()) == []
 
 
 def ert_oracle(times, T):
@@ -285,11 +311,29 @@ class TestMedianTrajectory:
         grid = tuple(float(t) for t in range(17))
         cases = [[], [make_record([])], edge_records(rng, 40, grid[1:])]
         cases.append([make_record([(2.0, 1, 0.0), (2.0, 2, -0.0), (5.5, 3, -1.0)])])
+        cases.append([make_record([(3.0, 1, 2.0), (16.0, 2, 1.0), (20.0, 3, 0.5)])])  # on, on, past
+        cases.append([make_record([]), make_record([(0.5, 1, 1.0), (16.5, 2, 0.0)]), make_record([])])
         cases.append([random_record(rng) for _ in range(200)])
         for records in cases:
+            columns = RunColumns.of(records)
             for g in (grid, default_time_grid(8.0, 24), (0.5,)):
                 expected = best_so_far_oracle(records, g)
-                assert _best_so_far_matrix(records, g).tobytes() == expected.tobytes()
+                assert _best_so_far_matrix(columns, np.asarray(g)).tobytes() == expected.tobytes()
+
+    def test_records_and_their_columns_give_one_curve(self, rng):
+        records = [random_record(rng) for _ in range(25)]
+        grid = default_time_grid(8.0, 24)
+        curve = median_trajectory(records, grid, bootstrap_samples=200, seed=4)
+        assert median_trajectory(RunColumns.of(records), grid, bootstrap_samples=200, seed=4) == curve
+
+    def test_resample_counts_are_drawn_once_and_read_only(self):
+        metrics._resample_counts.cache_clear()
+        counts = metrics._resample_counts(7, 100, 3)
+        assert metrics._resample_counts(7, 100, 3) is counts
+        assert not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[0, 0] = 1
+        assert metrics._resample_counts.cache_info().misses == 1
 
     def test_identical_runs_have_zero_width_interval(self):
         record = make_record([(1.0, 1, 5.0), (2.0, 2, 1.0)])
@@ -504,7 +548,7 @@ class TestTuningThroughAnalyze:
             for p, c in zip(costs.instances, (row[j] for row in costs.costs))
         }
         targets = {p: (1.0,) for p in costs.instances}
-        return analyze(grouped, self.T, targets, default_time_grid(self.T), tuning_time)
+        return analyze(hits_by_pair(grouped, targets, self.T), self.T, targets, default_time_grid(self.T), tuning_time)
 
     def _profiled_costs(self, monkeypatch, costs, tuning_time):
         seen = []
@@ -566,7 +610,8 @@ class TestAnalyze:
 
     def _analyze(self, grouped=None, **kwargs):
         grouped = self._grouped() if grouped is None else grouped
-        return analyze(grouped, self.T, self.TARGETS, default_time_grid(self.T), **kwargs)
+        hits = hits_by_pair(grouped, self.TARGETS, self.T)
+        return analyze(hits, self.T, self.TARGETS, default_time_grid(self.T), **kwargs)
 
     def test_ert_in_solver_instance_target_order(self):
         result = self._analyze()
@@ -613,19 +658,30 @@ class TestAnalyze:
         with pytest.raises(RuntimeError, match="got an ERT of zero"):
             self._analyze(grouped)
 
-    def test_each_first_hit_is_found_once(self, monkeypatch):
-        # ERT and ECDF share one first-hit time per (run, target) pair
-        calls = []
+    def test_each_first_hit_is_found_once(self, monkeypatch, tmp_path, capsys):
+        # `timefair analyze` finds each pair's first hits in one call, one
+        # time per (run, target) trial, and the ERT and the ECDF read those
+        from timefair.cli import demo_config, main
 
-        def counting(record, q, T=math.inf):
-            calls.append((record, q))
-            return time_to_target(record, q, T)
+        calls, ert_times, ecdf_times = [], [], []
 
-        monkeypatch.setattr(metrics, "time_to_target", counting)
-        grouped = self._grouped()
-        self._analyze(grouped)
-        pairs = sum(len(records) * len(self.TARGETS[i]) for (_, i), records in grouped.items())
-        assert len(calls) == pairs == 8
+        def counting(runs, ladder, T=math.inf):
+            calls.append(first_hits(runs, ladder, T))
+            return calls[-1]
+
+        monkeypatch.setattr(metrics, "first_hits", counting)
+        monkeypatch.setattr(metrics, "ert", lambda times, T, target=None: ert_times.append(times) or ert(times, T, target))
+        monkeypatch.setattr(metrics, "anytime_ecdf", lambda times, grid: ecdf_times.append(times) or anytime_ecdf(times, grid))
+        config = demo_config()
+        config.update(repetitions=2, output_dir=str(tmp_path / "out"))
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 0
+        assert main(["analyze", str(tmp_path / "out")]) == 0, capsys.readouterr().err
+        assert len(config["instances"]) == 1  # so each solver has one pair
+        assert len(calls) == len(config["algorithms"])
+        assert all(len(hits) == len(config["targets"]["values"]) for hits in calls)
+        assert [id(times) for times in ert_times] == [id(times) for hits in calls for times in hits]
+        assert ecdf_times == [sum(hits, []) for hits in calls]
 
     def test_ecdf_at_T_counts_what_the_ert_counts(self):
         # on the demo plan, each solver's ECDF at T holds exactly its ERT
@@ -636,7 +692,7 @@ class TestAnalyze:
         plan = plan_from_config(validate_config(demo_config()))
         T = plan.budget.wall_time_limit
         targets = {i: plan.targets.resolve() for i in plan.instances}  # absolute ladder
-        result = analyze(run_plan(plan), T, targets, default_time_grid(T))
+        result = analyze(hits_by_pair(run_plan(plan), targets, T), T, targets, default_time_grid(T))
         assert list(result.ecdf) == [spec.label for spec in plan.algorithms]
         for solver, curve in result.ecdf.items():
             mine = [r for (s, _, _), r in result.ert.items() if s == solver]
