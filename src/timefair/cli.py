@@ -295,7 +295,7 @@ def cmd_analyze(args) -> int:
     hits = {}  # (label, instance): first hits, one list per ladder target
     total_issues = []
     # one pair at a time, label-major (pairs of equal run count in a row share
-    # their bootstrap counts); a log's records live until its columns are built
+    # their bootstrap counts); only a log's columns outlive its parse
     for label in labels:
         for instance_id in plan.instances:
             path = report.run_log_path(out_dir, label, instance_id)
@@ -305,11 +305,12 @@ def cmd_analyze(args) -> int:
             total_issues.extend(f"{path.name}: {msg}" for msg in parsed.issues)
             if parsed.skipped_runs:
                 _progress(f"{path}: skipped {parsed.skipped_runs} malformed run(s)")
-            columns = metrics.RunColumns.of(parsed.records)
+            columns = parsed.columns
             del parsed
             if columns.runs:
                 medians[instance_id][label] = metrics.median_trajectory(columns, grid, **bootstrap)
             hits[(label, instance_id)] = metrics.first_hits(columns, plan.ladders[instance_id], T)
+            del columns  # freed before the next log is read
     for msg in total_issues:
         _progress(f"log issue: {msg}")
 

@@ -118,21 +118,39 @@ class RunRecord:
         return self.trajectory[-1].best_f if self.trajectory else math.inf
 
 
-def validate(record: RunRecord) -> list[str]:
-    """Check RunRecord invariants, returning every violation by name.
+def validate(run: RunRecord | list[float], *fields) -> list[str]:
+    """Check a run's invariants, returning every violation by name.
 
-    An empty list means the record is valid. Violations are data, not
-    failures: records that break invariants are constructible so that
+    `run` is a RunRecord, or a run as plain values: the list of its
+    points' ``elapsed`` followed, in `fields`, by the lists of their
+    ``evals`` and ``best_f`` and the run's ``time_used``, ``evals_used``
+    and ``max_step_seconds``, as ``report.parse_run_log`` checks each run
+    it reads. An empty list means the run is valid. Violations are data,
+    not failures: records that break invariants are constructible so that
     corrupt logs can be loaded and diagnosed.
     """
+    if isinstance(run, RunRecord):
+        traj = run.trajectory
+        fields = ([p.evals for p in traj], [p.best_f for p in traj], run.time_used, run.evals_used, run.max_step_seconds)
+        run = [p.elapsed for p in traj]
+    elapsed, (evals, best_f, time_used, evals_used, max_step_seconds) = run, fields
+    # a run that passes these chains of comparisons (which NaN fails) breaks
+    # no invariant; any other run is diagnosed check by check below
+    if (
+        elapsed
+        and all(map(operator.le, [0.0, *elapsed], [*elapsed, time_used]))
+        and all(map(operator.le, [1, *evals], [*evals, evals_used]))
+        and all(map(operator.gt, best_f, best_f[1:]))
+        and math.isfinite(best_f[0])
+        and math.isfinite(best_f[-1])
+        and math.isfinite(time_used)
+        and math.isfinite(max_step_seconds)
+    ):
+        return []
     violations = []
-    traj = record.trajectory
-    if not traj and record.evals_used > 0:
+    if not elapsed and evals_used > 0:
         violations.append("empty trajectory with evals_used > 0")
-    if traj:
-        elapsed = [p.elapsed for p in traj]
-        evals = [p.evals for p in traj]
-        best_f = [p.best_f for p in traj]
+    if elapsed:
         if evals[0] < 1:
             violations.append("first point evals < 1")
         if any(t < 0 for t in elapsed):  # not min(), which skips a negative after a NaN
@@ -143,21 +161,21 @@ def validate(record: RunRecord) -> list[str]:
             violations.append("evals non-monotone")
         if any(map(operator.ge, best_f[1:], best_f)):
             violations.append("best_f not strictly decreasing")
-        if record.time_used < elapsed[-1]:
+        if time_used < elapsed[-1]:
             violations.append("time_used < last trajectory elapsed")
-        if record.evals_used < evals[-1]:
+        if evals_used < evals[-1]:
             violations.append("evals_used < last trajectory evals")
         if not all(map(math.isfinite, elapsed)):
             violations.append("elapsed non-finite")
         if not all(map(math.isfinite, best_f)):
             violations.append("best_f non-finite")
-    if not math.isfinite(record.time_used):
+    if not math.isfinite(time_used):
         violations.append("time_used non-finite")
-    if not math.isfinite(record.max_step_seconds):
+    if not math.isfinite(max_step_seconds):
         violations.append("max_step_seconds non-finite")
-    if record.time_used < 0:
+    if time_used < 0:
         violations.append("time_used negative")
-    if record.evals_used < 0:
+    if evals_used < 0:
         violations.append("evals_used negative")
     return violations
 

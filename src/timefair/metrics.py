@@ -26,6 +26,7 @@ DEFAULT_GRID_POINTS = 64
 DEFAULT_BOOTSTRAP_SAMPLES = 1000
 DEFAULT_CONFIDENCE = 0.95
 _BOOTSTRAP_CHUNK = 2**16  # entries of a temporary in median_trajectory's bootstrap
+_DRAW_CHUNK = 2**14  # draws at a time in _resample_counts: 12 bytes each, with their counts
 
 
 def default_time_grid(T: float, points: int = DEFAULT_GRID_POINTS) -> tuple[float, ...]:
@@ -146,10 +147,14 @@ class RunColumns:
     def of(cls, records: Sequence[RunRecord]) -> RunColumns:
         trajectories = [r.trajectory for r in records]
         points = [p for trajectory in trajectories for p in trajectory]
-        lengths = [len(t) for t in trajectories]
-        elapsed = np.array([p.elapsed for p in points], dtype=float)
-        best_f = np.array([p.best_f for p in points], dtype=float)
-        return cls(len(lengths), np.repeat(np.arange(len(lengths)), lengths), elapsed, best_f)
+        return cls.of_lists([len(t) for t in trajectories], [p.elapsed for p in points], [p.best_f for p in points])
+
+    @classmethod
+    def of_lists(cls, lengths: Sequence[int], elapsed: Sequence[float], best_f: Sequence[float]) -> RunColumns:
+        """Columns from each run's number of points and every point's
+        elapsed and best_f, in run order."""
+        run = np.repeat(np.arange(len(lengths)), lengths)
+        return cls(len(lengths), run, np.array(elapsed, dtype=float), np.array(best_f, dtype=float))
 
 
 def first_hits(
@@ -272,16 +277,16 @@ def _column_medians(values: np.ndarray, bootstrap_samples: int, seed: int) -> tu
 def _resample_counts(R: int, B: int, seed: int) -> np.ndarray:
     """[run, resample]: how often each of B resamples of R runs drew each
     run, in the smallest unsigned dtype that holds R, read-only. The
-    resamples are drawn a chunk at a time, which takes the same stream as
-    one (B, R) draw."""
+    resamples are drawn a chunk at a time, as int32 (R < 2**31), which
+    takes the same stream as one (B, R) int64 draw."""
     counts = np.empty((R, B), dtype=np.min_scalar_type(R))
     rng = np.random.default_rng(seed)
-    chunk = max(1, _BOOTSTRAP_CHUNK // R)
+    chunk = max(1, _DRAW_CHUNK // R)
     for b in range(0, B, chunk):
         n = min(chunk, B - b)
-        idx = rng.integers(0, R, size=(n, R))
-        idx *= n
-        idx += np.arange(n)[:, None]
+        idx = rng.integers(0, R, size=(n, R), dtype=np.int32)
+        idx *= n  # each resample's draws count in a slot of their own: < R * n
+        idx += np.arange(n, dtype=np.int32)[:, None]
         counts[:, b : b + n] = np.bincount(idx.ravel(), minlength=R * n).reshape(R, n)
     counts.flags.writeable = False
     return counts

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .clock import CLOCK_SCHEME_ID
 from .core import ErtResult, RunRecord, Termination, TrajectoryPoint, validate
-from .metrics import TUNING_AMORTIZATION, EcdfCurve, MedianCurve, ProfileCurve
+from .metrics import TUNING_AMORTIZATION, EcdfCurve, MedianCurve, ProfileCurve, RunColumns
 from .seeds import SEED_SCHEME_ID
 
 
@@ -135,11 +135,40 @@ def write_run_log(
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class ParseResult:
-    records: list[RunRecord]
+    """A run log read back, its valid runs in log order as columns.
+
+    `columns` is the log's :class:`metrics.RunColumns`: the number of runs
+    and, for every improvement, its run index, elapsed and best_f. `evals`
+    holds every improvement's evals in the same order, and `run_fields`
+    each run's other :class:`RunRecord` fields, in their order without the
+    trajectory. `issues` holds one message per issue, in line order;
+    `skipped_runs` counts the runs they cost. `records` builds the
+    RunRecords from the columns each time it is read, and two results are
+    equal when their records, issues and skipped runs are.
+    """
+
+    columns: RunColumns
+    evals: list[int]
+    run_fields: list[tuple]
     issues: list[str]
     skipped_runs: int
+
+    @property
+    def records(self) -> list[RunRecord]:
+        columns = self.columns
+        points = [TrajectoryPoint(*p) for p in zip(columns.elapsed.tolist(), self.evals, columns.best_f.tolist())]
+        stops = np.cumsum(np.bincount(columns.run, minlength=columns.runs)).tolist()
+        return [
+            RunRecord(*fields[:3], points[start:stop], *fields[3:])
+            for fields, start, stop in zip(self.run_fields, [0, *stops], stops)
+        ]
+
+    def __eq__(self, other):
+        if not isinstance(other, ParseResult):
+            return NotImplemented
+        return (self.records, self.issues, self.skipped_runs) == (other.records, other.issues, other.skipped_runs)
 
 
 def _integer(value) -> int:
@@ -163,38 +192,52 @@ def _string(value) -> str:
 
 
 _scan_once = json.JSONDecoder().scan_once  # the C scanner that json.loads ends in
+_BLANK = object()  # what _decode_line gives for a line of JSON whitespace alone
 
 
 def _decode_line(line: str):
-    """``json.loads(line)``, in one C call when `line` is one JSON value from
-    its first character to its final newline; any other line, and every
-    error, is ``json.loads``' own."""
+    """``json.loads(line)``, or ``_BLANK`` for a line of JSON whitespace
+    alone (space, tab, CR, LF). One C call decodes an ASCII line that is
+    one JSON value from its first character to its final newline; any other
+    line, and every error, is ``json.loads``' own, except that a line that
+    held a byte that is not UTF-8 raises ``UnicodeEncodeError`` (a
+    ValueError)."""
     try:
         obj, end = _scan_once(line, 0)
+        if end == len(line) - 1 and line[end] == "\n" and line.isascii():
+            return obj
     except StopIteration:
-        return json.loads(line)
-    return obj if end == len(line) - 1 and line[end] == "\n" else json.loads(line)
+        pass
+    if not line.strip(" \t\r\n"):
+        return _BLANK
+    line.encode()  # the file is read with surrogateescape: a byte that is not UTF-8 is a lone surrogate
+    return json.loads(line)
 
 
 def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
-    """Read a JSONL log back into validated RunRecords.
+    """Read a JSONL log back into the columns of its validated runs.
 
-    A line is accepted exactly when ``json.loads`` accepts it, and decodes
-    to the same object. Malformed lines and invariant violations are
-    reported with line numbers; strict mode raises on the first issue,
-    lenient mode skips the affected run and counts it.
+    A line is accepted exactly when it is UTF-8 and ``json.loads`` accepts
+    it, and decodes to the same object; a line of JSON whitespace alone is
+    skipped. Malformed lines and invariant violations are reported with
+    line numbers; strict mode raises on the first issue, lenient mode skips
+    the affected run and counts it. Each run's points are checked and kept
+    as plain lists, and no RunRecord is built (see :class:`ParseResult`).
     """
     path = Path(path)
-    result = ParseResult(records=[], issues=[], skipped_runs=0)
+    issues: list[str] = []
+    skipped_runs = 0
 
     def issue(msg: str) -> None:
-        result.issues.append(msg)
+        issues.append(msg)
         if strict:
             raise LogParseError(f"{path}: {msg}")
 
+    # the valid runs: points per run, every point's fields, each run's other fields
+    lengths, elapsed, evals, best_f, run_fields = [], [], [], [], []
     header: Optional[dict] = None
     header_line = 0
-    points: list[TrajectoryPoint] = []
+    run_elapsed, run_evals, run_best_f = [], [], []  # the open run's points
     run_broken = False
 
     def run_name(h: dict) -> str:
@@ -203,14 +246,14 @@ def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
             f"rep={h.get('repetition')} run={h.get('run_index')}"
         )
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
                 obj = _decode_line(line)
+                if obj is _BLANK:
+                    continue
                 kind = obj["kind"]
-            # ValueError: not JSON, or an integer of more than 4,300 digits
+            # ValueError: not JSON, not UTF-8, or an integer of more than 4,300 digits
             except (ValueError, RecursionError, KeyError, TypeError):
                 issue(f"line {lineno}: malformed log line")
                 run_broken = header is not None
@@ -218,66 +261,65 @@ def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
             if kind == "run_header":
                 if header is not None:
                     issue(f"line {header_line}: run_end missing for run {run_name(header)}")
-                    result.skipped_runs += 1
-                header, header_line, points, run_broken = obj, lineno, [], False
+                    skipped_runs += 1
+                header, header_line, run_broken = obj, lineno, False
+                run_elapsed, run_evals, run_best_f = [], [], []
             elif kind == "improvement":
                 if header is None:
                     issue(f"line {lineno}: improvement outside of a run")
                     continue
                 try:
-                    points.append(
-                        TrajectoryPoint(
-                            elapsed=_number(obj["elapsed"]),
-                            evals=_integer(obj["evals"]),
-                            best_f=_number(obj["best_f"]),
-                        )
-                    )
+                    t, n, f = _number(obj["elapsed"]), _integer(obj["evals"]), _number(obj["best_f"])
                 except (KeyError, TypeError, OverflowError):
                     issue(f"line {lineno}: malformed improvement in run {run_name(header)}")
                     run_broken = True
+                    continue
+                run_elapsed.append(t)
+                run_evals.append(n)
+                run_best_f.append(f)
             elif kind == "run_end":
                 if header is None:
                     issue(f"line {lineno}: run_end outside of a run")
                     continue
                 if run_broken:
-                    result.skipped_runs += 1
+                    skipped_runs += 1
                     header = None
                     continue
-                try:
-                    record = RunRecord(
-                        algorithm_id=_string(header["algorithm_id"]),
-                        instance_id=_string(header["instance_id"]),
-                        seed=_integer(header["seed"]),
-                        trajectory=tuple(points),
-                        time_used=_number(obj["time_used"]),
-                        evals_used=_integer(obj["evals_used"]),
-                        termination=Termination(obj["termination"]),
-                        repetition=_integer(header["repetition"]),
-                        run_index=_integer(header["run_index"]),
-                        n_clamped=_integer(obj["n_clamped"]),
-                        max_step_seconds=_number(obj["max_step_seconds"]),
+                try:  # RunRecord's fields without the trajectory, in its order
+                    fields = (
+                        _string(header["algorithm_id"]),
+                        _string(header["instance_id"]),
+                        _integer(header["seed"]),
+                        _number(obj["time_used"]),
+                        _integer(obj["evals_used"]),
+                        Termination(obj["termination"]),
+                        _integer(header["repetition"]),
+                        _integer(header["run_index"]),
+                        _integer(obj["n_clamped"]),
+                        _number(obj["max_step_seconds"]),
                     )
                 except (KeyError, TypeError, ValueError, OverflowError):
                     issue(f"line {lineno}: malformed run_end for run {run_name(header)}")
-                    result.skipped_runs += 1
+                    skipped_runs += 1
                     header = None
                     continue
-                violations = validate(record)
+                violations = validate(run_elapsed, run_evals, run_best_f, fields[3], fields[4], fields[9])
                 if violations:
-                    issue(
-                        f"line {lineno}: invalid run {run_name(header)}: "
-                        + "; ".join(violations)
-                    )
-                    result.skipped_runs += 1
+                    issue(f"line {lineno}: invalid run {run_name(header)}: " + "; ".join(violations))
+                    skipped_runs += 1
                 else:
-                    result.records.append(record)
+                    lengths.append(len(run_elapsed))
+                    elapsed += run_elapsed
+                    evals += run_evals
+                    best_f += run_best_f
+                    run_fields.append(fields)
                 header = None
             else:
                 issue(f"line {lineno}: unknown record kind {kind!r}")
         if header is not None:
             issue(f"line {header_line}: run_end missing for run {run_name(header)}")
-            result.skipped_runs += 1
-    return result
+            skipped_runs += 1
+    return ParseResult(RunColumns.of_lists(lengths, elapsed, best_f), evals, run_fields, issues, skipped_runs)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -17,7 +17,7 @@ from timefair.cli import (
     scenario_plan,
     validate_config,
 )
-from timefair.core import CostMatrix
+from timefair.core import CostMatrix, RunRecord, TrajectoryPoint
 from timefair.metrics import performance_profile
 
 from conftest import hits_by_pair
@@ -422,30 +422,77 @@ class TestCmdAnalyze:
         assert [p.read_bytes() for p in files] == first
 
     def test_memory_does_not_grow_with_the_number_of_pairs(self, tmp_path):
-        # one log's records are alive at a time: at the same run count, four
-        # instances peak less than 25% above one
+        # one log is alive at a time: four pairs peak less than 25% above the
+        # one pair of their largest log. Each pair is 32 long PSO runs (about
+        # 7,000 improvements), so one parsed log outweighs the median's and
+        # the bootstrap's arrays, and a second parsed log alive shows in the peak
         import tracemalloc
 
-        peaks = []
-        for instances in (["sphere-d2"], ["sphere-d2", "rastrigin-d2", "rosenbrock-d2", "ackley-d2"]):
-            out = tmp_path / str(len(instances))
-
+        def analysis_peak(labels, out):
             def shape(cfg):
-                cfg.update(instances=instances, repetitions=4, output_dir=str(out))
-                cfg["algorithms"] = [{"label": "rs", "kind": "random-search", "params": {"max_iterations": 4}}]
-                cfg["budget"]["wall_time_limit"] = 4.0
+                cfg.update(instances=["sphere-d2"], targets=None, repetitions=4, output_dir=str(out))
+                cfg["algorithms"] = [
+                    {"label": label, "kind": "pso", "params": {"swarm_size": 2, "max_iterations": 256}}
+                    for label in labels
+                ]
+                cfg["budget"]["wall_time_limit"] = 32.0
 
-            path, _ = write_config(tmp_path, mutate=shape, name=f"{len(instances)}.json")
+            path, _ = write_config(tmp_path, mutate=shape, name=f"{out.name}.json")
             assert main(["run", "--config", str(path)]) == 0
             metrics._resample_counts.cache_clear()  # each analysis draws its counts
             tracemalloc.start()
             try:
                 assert main(["analyze", str(out)]) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert len(report.parse_run_log(report.run_log_path(out, "rs", "sphere-d2")).records) > 500
-        assert peaks[1] < 1.25 * peaks[0], peaks
+
+        labels = ["pso-0", "pso-1", "pso-2", "pso-3"]
+        peak_all = analysis_peak(labels, tmp_path / "all")
+        logs = {label: report.run_log_path(tmp_path / "all", label, "sphere-d2").read_bytes() for label in labels}
+        largest = max(labels, key=lambda label: len(logs[label]))
+        peak_one = analysis_peak([largest], tmp_path / "one")
+        one_log = report.run_log_path(tmp_path / "one", largest, "sphere-d2")
+        assert one_log.read_bytes() == logs[largest]  # run seeds depend on the label, not on the plan
+        assert len(report.parse_run_log(one_log).evals) > 5000
+        assert peak_all < 1.25 * peak_one, (peak_all, peak_one)
+
+    def test_analysis_builds_no_trajectory_point_or_run_record(self, tmp_path, monkeypatch):
+        path, cfg = write_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        built = []
+        for cls in (TrajectoryPoint, RunRecord):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        assert main(["analyze", str(out)]) == 0
+        assert main(["analyze", "--strict-logs", str(out)]) == 0
+        assert built == []
+        assert report.parse_run_log(report.run_log_path(out, "rs-a", "sphere-d2")).records  # the count sees a view
+        assert {"TrajectoryPoint", "RunRecord"} <= set(built)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_a_byte_that_is_not_utf8_names_its_file_and_line(self, tmp_path, capsys, strict):
+        path, cfg = write_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        log = report.run_log_path(out, "rs-a", "sphere-d2")
+        lines = log.read_bytes().splitlines(keepends=True)
+        n = next(i for i, line in enumerate(lines) if b'"improvement"' in line) + 1
+        lines[n - 1] = b"\xff\xfe garbage\n"
+        log.write_bytes(b"".join(lines))
+        code = main(["analyze", *(["--strict-logs"] if strict else []), str(out)])
+        err = capsys.readouterr().err
+        if strict:
+            assert code == 1
+            assert f"error: {log}: line {n}: malformed log line" in err
+        else:
+            assert code == 0
+            assert f"log issue: {log.name}: line {n}: malformed log line" in err
+            assert f"{log}: skipped 1 malformed run(s)" in err
 
     def test_restart_heavy_analysis_matches_its_pinned_digests(self, tmp_path, capsys):
         # 483 short virtual runs (181, 180, 62 and 60 per pair): odd and even

@@ -109,6 +109,28 @@ class TestValidate:
             assert validate(reversed_record) == validate_reference(reversed_record)
 
 
+# values at the edges of every check: signed zeros, ties, NaN and infinities
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0, math.inf, -math.inf, math.nan])
+
+
+@given(
+    points=st.lists(st.tuples(EDGE_FLOATS, st.integers(-1, 3), EDGE_FLOATS), max_size=4),
+    time_used=EDGE_FLOATS,
+    evals_used=st.integers(-1, 4),
+    max_step_seconds=EDGE_FLOATS,
+)
+def test_plain_lists_and_records_match_the_reference(points, time_used, evals_used, max_step_seconds):
+    record = RunRecord(
+        algorithm_id="alg", instance_id="sphere-d2", seed=1, trajectory=[TrajectoryPoint(*p) for p in points],
+        time_used=time_used, evals_used=evals_used, termination=Termination.INTERNAL_STOP,
+        max_step_seconds=max_step_seconds,
+    )
+    elapsed, evals, best_f = ([p[k] for p in points] for k in range(3))
+    expected = validate_reference(record)
+    assert validate(record) == expected
+    assert validate(elapsed, evals, best_f, time_used, evals_used, max_step_seconds) == expected
+
+
 def validate_reference(record):
     """``validate`` as it was written first: one generator over the points
     per check."""

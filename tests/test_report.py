@@ -361,6 +361,16 @@ class TestParsing:
         ),
         "deep-nesting": ([HEADER, "[" * 100_000, END], "line {1}: malformed log line", 1),
         "unknown-kind": (['{"kind":"note"}'], "line {0}: unknown record kind 'note'", 0),
+        # bytes that are not UTF-8 (written through surrogateescape)
+        "not-utf8-line": ([HEADER, "\udcff\udcfe garbage", END], "line {1}: malformed log line", 1),
+        "not-utf8-in-a-string": (
+            [HEADER, '{"kind":"improv\udcffement","elapsed":1.0,"evals":1,"best_f":1.0}', END],
+            "line {1}: malformed log line", 1,
+        ),
+        # whitespace that str.strip() removes but json.loads rejects
+        **{f"space-{ord(c):x}-between-runs": ([c], "line {0}: malformed log line", 0) for c in "\x0b\x0c\x1c\x1f\x85\u2028\u3000"},
+        "space-0c-in-a-run": ([HEADER, "\x0c", END], "line {1}: malformed log line", 1),
+        "space-2028-in-a-run": ([HEADER, "\u2028", END], "line {1}: malformed log line", 1),
     }
 
     @pytest.mark.parametrize("case", sorted(ISSUE_CASES))
@@ -370,7 +380,7 @@ class TestParsing:
         lines = path.read_text().splitlines()
         cut = max(i for i, line in enumerate(lines) if '"run_header"' in line)
         first, second = lines[:cut], lines[cut:]
-        path.write_text("\n".join([*first, *fragment, *second]) + "\n")
+        path.write_bytes(("\n".join([*first, *fragment, *second]) + "\n").encode("utf-8", "surrogateescape"))
         result = parse_run_log(path)
         assert result.records == records
         assert result.skipped_runs == skipped
@@ -458,6 +468,201 @@ class TestParsing:
         assert message.startswith(expected)
         with pytest.raises(LogParseError, match=expected):
             parse_run_log(path, strict=True)
+
+    def test_a_line_of_json_whitespace_is_blank(self, tmp_path):
+        records, path = self._write_valid(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        for at in (len(lines), 2, 0):
+            lines[at:at] = ["\n", " \t \n", "\r\n", "\t"]
+        path.write_bytes("".join(lines).encode())
+        result = parse_run_log(path)
+        assert result.records == records and result.issues == [] and result.skipped_runs == 0
+
+
+# raw JSON text a corruption writes for a value: tokens that json.loads
+# reads as non-finite floats, bools, null and strings where numbers belong,
+# an integer json.loads rejects (4,301 digits) and one float() overflows,
+# numbers that break an invariant, and containers
+TOKENS = [
+    "NaN", "Infinity", "-Infinity", "1e999", "true", "false", "null", '"1.0"', '"TargetReached"',
+    "9" * 4301, "1" + "0" * 400, "-1", "0", "-0.0", "1", "2.5", "1e308", "5e-324", "[]", "{}", '"run_end"',
+]
+KINDS = ['"run_header"', '"improvement"', '"run_end"', '"note"', "1", "null"]
+STRAY_LINES = [
+    "garbage", "{not json", "[1, 2]", "1", '"kind"', "null", "{}", '{"kind": "note"}', '{"kind": 1}',
+    "", " \t", "[" * 50, "[" * 100_000, '{"a": 1} {"b": 2}', '{"kind": "improvement"}',
+]
+
+
+def _pairs(line):
+    """The (key, JSON text of the value) pairs of a line's object, or None."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError):
+        return None
+    return [(k, json.dumps(v)) for k, v in obj.items()] if isinstance(obj, dict) else None
+
+
+def corrupt(lines, rng):
+    """Apply one seeded corruption to `lines` (log lines without newlines)."""
+    i = int(rng.integers(len(lines))) if lines else 0
+    op = int(rng.integers(8)) if lines else 0
+    pairs = _pairs(lines[i]) if lines else None
+    if op == 0:  # a stray line, or a copy of another line, out of place
+        pool = STRAY_LINES + lines
+        lines.insert(i, pool[int(rng.integers(len(pool)))])
+    elif op == 1:  # a missing line
+        del lines[i]
+    elif op == 2:  # a line moved elsewhere
+        lines.insert(int(rng.integers(len(lines))), lines.pop(i))
+    elif op == 3:  # a truncated line
+        lines[i] = lines[i][: int(rng.integers(len(lines[i]) + 1))]
+    elif pairs:
+        k = int(rng.integers(len(pairs)))
+        if op == 4:  # a value replaced
+            pairs[k] = (pairs[k][0], TOKENS[int(rng.integers(len(TOKENS)))])
+        elif op == 5:  # a duplicate key, before or after the original
+            pairs.insert(int(rng.integers(len(pairs) + 1)), (pairs[k][0], TOKENS[int(rng.integers(len(TOKENS)))]))
+        elif op == 6:  # a field dropped
+            del pairs[k]
+        else:  # another kind
+            pairs = [("kind", KINDS[int(rng.integers(len(KINDS)))])] + [p for p in pairs if p[0] != "kind"]
+        lines[i] = "{" + ",".join(f"{json.dumps(key)}:{value}" for key, value in pairs) + "}"
+
+
+def _log_lines(records):
+    """The log lines of `records` through ``json.dumps``, which also writes NaN and infinities."""
+    lines = []
+    for r in records:
+        lines.append(json.dumps({"kind": "run_header", "algorithm_id": r.algorithm_id, "instance_id": r.instance_id,
+                                 "seed": r.seed, "repetition": r.repetition, "run_index": r.run_index}))
+        lines += [json.dumps({"kind": "improvement", "elapsed": p.elapsed, "evals": p.evals, "best_f": p.best_f})
+                  for p in r.trajectory]
+        lines.append(json.dumps({"kind": "run_end", "termination": r.termination.value, "time_used": r.time_used,
+                                 "evals_used": r.evals_used, "n_clamped": r.n_clamped,
+                                 "max_step_seconds": r.max_step_seconds}))
+    return lines
+
+
+@pytest.fixture(scope="module")
+def real_logs(tmp_path_factory):
+    """The run logs of a small virtual experiment: PSO with stagnation restarts and random search."""
+    from timefair.cli import demo_config, main
+
+    out = tmp_path_factory.mktemp("real") / "out"
+    cfg = demo_config()
+    cfg.update(repetitions=2, instances=["sphere-d2", "rastrigin-d2"], output_dir=str(out))
+    cfg["budget"]["wall_time_limit"] = 1.0
+    cfg["algorithms"] = [
+        {"label": "pso", "kind": "pso", "params": {"swarm_size": 4, "max_iterations": 16},
+         "wrappers": {"stagnation_restart": {"plateau_window": 3, "plateau_epsilon": 1e-3}}},
+        {"label": "random-search", "kind": "random-search", "params": {"max_iterations": 32}},
+    ]
+    config = out.parent / "config.json"
+    config.write_text(json.dumps(cfg))
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", "--config", str(config)]) == 0
+    return sorted(out.glob("runs/*/*.jsonl"))
+
+
+BASE = RunRecord(
+    algorithm_id="alg", instance_id="sphere-d2", seed=7,
+    trajectory=(TrajectoryPoint(0.5, 1, 9.0), TrajectoryPoint(1.0, 4, 5.0), TrajectoryPoint(2.0, 9, 1.0)),
+    time_used=2.5, evals_used=12, termination=Termination.INTERNAL_STOP, run_index=1, max_step_seconds=0.25,
+)
+
+
+def _points(**changes):
+    """BASE's trajectory with changes[name][i] replacing point i's field `name`."""
+    points = [dataclasses.asdict(p) for p in BASE.trajectory]
+    for name, values in changes.items():
+        for point, value in zip(points, values):
+            point[name] = value
+    return tuple(TrajectoryPoint(**p) for p in points)
+
+
+# one way to break each rule of core.validate, as a change to BASE
+RULE_BREAKS = {
+    "empty trajectory with evals_used > 0": dict(trajectory=()),
+    "first point evals < 1": dict(trajectory=_points(evals=[0])),
+    "elapsed negative": dict(trajectory=_points(elapsed=[-0.5])),
+    "elapsed non-monotone": dict(trajectory=_points(elapsed=[1.0, 0.5])),
+    "evals non-monotone": dict(trajectory=_points(evals=[4, 1])),
+    "best_f not strictly decreasing": dict(trajectory=_points(best_f=[5.0, 5.0])),
+    "time_used < last trajectory elapsed": dict(time_used=1.5),
+    "evals_used < last trajectory evals": dict(evals_used=5),
+    "elapsed non-finite": dict(trajectory=_points(elapsed=[0.5, 1.0, math.nan])),
+    "best_f non-finite": dict(trajectory=_points(best_f=[9.0, 5.0, -math.inf])),
+    "time_used non-finite": dict(time_used=math.inf),
+    "max_step_seconds non-finite": dict(max_step_seconds=math.nan),
+    "time_used negative": dict(trajectory=(), evals_used=0, time_used=-1.0),
+    "evals_used negative": dict(trajectory=(), evals_used=-1),
+}
+
+
+class TestAgainstTheReferenceParser:
+    """parse_run_log against the parser that built a RunRecord per run
+    (tests/reference_parser.py): the same issues in the same order, the same
+    skipped runs, the same strict-mode error and equal records, and columns
+    that are RunColumns.of the reference's records, bit for bit."""
+
+    @staticmethod
+    def assert_same(path, context=""):
+        from reference_parser import reference_parse_run_log
+
+        from timefair.metrics import RunColumns
+
+        def strict(parse):
+            try:
+                parse(path, strict=True)
+            except LogParseError as exc:
+                return str(exc)
+            return None
+
+        reference, parsed = reference_parse_run_log(path), parse_run_log(path)
+        assert parsed.issues == reference.issues, context
+        assert parsed.skipped_runs == reference.skipped_runs, context
+        assert parsed.records == reference.records, context
+        expected = RunColumns.of(reference.records)
+        assert parsed.columns.runs == expected.runs, context
+        for name in ("run", "elapsed", "best_f"):
+            got, want = getattr(parsed.columns, name), getattr(expected, name)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (context, name)
+        assert strict(parse_run_log) == strict(reference_parse_run_log), context
+        return parsed
+
+    def test_logs_of_real_runs(self, real_logs, rng, tmp_path):
+        for path in real_logs:
+            assert self.assert_same(path, path).issues == []
+        path = tmp_path / "log.jsonl"
+        write_run_log([random_record(rng) for _ in range(200)], path, params={"kind": "demo", "p": 0.5})
+        assert self.assert_same(path).issues == []
+
+    @pytest.mark.parametrize("base", ["real", "random"])
+    def test_seeded_corruptions(self, real_logs, tmp_path, base):
+        path = tmp_path / "log.jsonl"
+        for seed in range(250):
+            rng = np.random.default_rng(seed)
+            if base == "real":
+                lines = real_logs[seed % len(real_logs)].read_text().splitlines()
+            else:
+                write_run_log([random_record(rng) for _ in range(5)], path, params={"kind": "demo"})
+                lines = path.read_text().splitlines()
+            for _ in range(int(rng.integers(1, 4))):
+                corrupt(lines, rng)
+            path.write_bytes(("\n".join(lines) + "\n").encode())
+            self.assert_same(path, f"{base} log, seed {seed}")
+
+    @pytest.mark.parametrize("rule", sorted(RULE_BREAKS))
+    def test_runs_that_break_each_rule(self, tmp_path, rule):
+        broken = dataclasses.replace(BASE, **RULE_BREAKS[rule])
+        path = tmp_path / "log.jsonl"
+        path.write_text("\n".join(_log_lines([BASE, broken, BASE])) + "\n")
+        parsed = self.assert_same(path)
+        assert parsed.records == [BASE, BASE] and parsed.skipped_runs == 1
+        [message] = parsed.issues
+        assert message.startswith(f"line {len(BASE.trajectory) + 2 + len(broken.trajectory) + 2}: invalid run alg/")
+        assert rule in message
 
 
 def read_csv(path):
