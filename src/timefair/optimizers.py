@@ -109,14 +109,15 @@ class RandomSearch(Algorithm):
         return RandomSearchState(rng=_generator(seed))
 
     def step(self, state: RandomSearchState, evaluator) -> bool:
-        if state.block is None or state.cursor == len(state.block):
+        block, cursor = state.block, state.cursor
+        if block is None or cursor == len(block):
             k = RANDOM_SEARCH_BLOCK
             if self.max_iterations is not None:
                 k = min(k, self.max_iterations - state.iterations)
-            state.block = evaluator.instance.uniform(state.rng, k)
-            state.cursor = 0
-        evaluator.evaluate_rows(state.block[state.cursor : state.cursor + 1])
-        state.cursor += 1
+            block = state.block = evaluator.instance.uniform(state.rng, k)
+            cursor = 0
+        evaluator.evaluate_rows(block[cursor : cursor + 1])
+        state.cursor = cursor + 1
         return self._count(state)
 
 
@@ -165,25 +166,23 @@ class PSO(Algorithm):
         }
 
     def _constants(self, instance: ProblemInstance) -> tuple:
-        """The step's constant operands for `instance`: w, (c1, c2), -vmax,
-        vmax, lower and upper, read-only views of one (7, n, d) block, built
-        once per instance because restarts re-init often. numpy updates an
-        (n, d) array several times faster with same-shape operands than
-        with broadcast ones, and the products and clips are the same bit
-        for bit."""
+        """The step's constant operands for `instance`: w, (c1, c2), -vmax
+        and vmax, read-only views of one (5, n, d) block built once per
+        instance because restarts re-init often, and the instance's own
+        (n, d) lower and upper bounds. numpy updates an (n, d) array
+        several times faster with same-shape operands than with broadcast
+        ones, and the products and clips are the same bit for bit."""
         cached, constants = self._constants_for
         if cached is not instance:
             p = self.params
-            block = np.empty((7, p.swarm_size, instance.dimension))
+            block = np.empty((5, p.swarm_size, instance.dimension))
             block[0] = p.inertia
             block[1] = p.cognitive
             block[2] = p.social
             block[4] = p.velocity_clamp * instance.span
             np.negative(block[4], out=block[3])
-            block[5] = instance.lower
-            block[6] = instance.upper
             block.setflags(write=False)
-            constants = (block[0], block[1:3], *block[3:])
+            constants = (block[0], block[1:3], block[3], block[4], *instance.bounds(p.swarm_size))
             self._constants_for = (instance, constants)
         return constants
 

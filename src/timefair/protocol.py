@@ -204,25 +204,26 @@ class RunEvaluator:
         instance = self.instance
         if xs.ndim != 2 or xs.shape[1] != instance.dimension:
             raise ValueError(instance.shape_error(xs))
+        n = len(xs)
         # np.clip returns a single row strictly inside the bounds unchanged,
         # so it is evaluated as it is; any other batch is clipped
-        if len(xs) == 1 and _inside(self._lower, xs[0].tolist(), self._upper):
+        if n == 1 and _inside(self._lower, xs.tolist()[0], self._upper):
             fs = instance.evaluate_rows(xs)
         else:
-            clipped = xs.clip(instance.lower, instance.upper)
+            clipped = xs.clip(*instance.bounds(n))
             changed = clipped != xs
-            if changed.any():
+            if np.count_nonzero(changed):
                 self.n_clamped += int(np.count_nonzero(changed.any(axis=1)))
             fs = instance.evaluate_rows(clipped)
         first = self.count
         self.count += len(fs)
-        if len(fs) == 1:
-            candidates = (0,) if fs[0] < self.best_f else ()
-        elif not np.fmin.reduce(fs, initial=math.inf) < self.best_f:
-            candidates = ()  # no value below the best (fmin skips NaN)
+        if n == 1:
+            candidates = (0,) if fs.item() < self.best_f else ()
         else:
             # only a row below the best before the batch can improve on it
-            candidates = (fs < self.best_f).nonzero()[0].tolist()
+            # (NaN is below nothing)
+            below = fs < self.best_f
+            candidates = below.nonzero()[0].tolist() if np.count_nonzero(below) else ()
         for i in candidates:
             f = float(fs[i])
             if f < self.best_f:  # below the running best: rows in order
@@ -254,6 +255,7 @@ def run_time_fair(
     hardest = plan.ladders[instance_id][-1] if plan.targets is not None else None
     eval_cap = math.inf if plan.budget.eval_cap is None else plan.budget.eval_cap
     evals_per_step = algorithm.evals_per_step
+    step = algorithm.step
 
     records: list[RunRecord] = []
     total_used = 0.0
@@ -263,21 +265,27 @@ def run_time_fair(
             plan.master_seed, algorithm_label, instance_id, repetition_index, run_index
         )
         clock = plan.run_clock(spec)
+        at = clock.at
         evaluator = RunEvaluator(instance, clock)
         state = algorithm.init(instance, seed)
         termination = Termination.BUDGET_EXHAUSTED
         max_step = 0.0
         last = evaluator.elapsed()
+        # the most this run may have evaluated before an iteration starts
+        # (integers, so the cap check stays exact)
+        headroom = eval_cap - total_evals - evals_per_step
         while True:
             # the one stopping rule: the next iteration's evaluations fit the
             # cap, and the clock at its counts fits T. A virtual clock answers
             # the stamp the iteration will end on, a real one answers now.
-            stamp = clock.at(evaluator.count + evals_per_step, evaluator.iterations + 1)
-            if total_evals + evaluator.count + evals_per_step > eval_cap or total_used + stamp > T:
+            stamp = at(evaluator.count + evals_per_step, evaluator.iterations + 1)
+            if evaluator.count > headroom or total_used + stamp > T:
                 break
-            max_step, last = max(max_step, stamp - last), stamp
+            if stamp - last > max_step:
+                max_step = stamp - last
+            last = stamp
             evaluator.iterations += 1
-            done = algorithm.step(state, evaluator)
+            done = step(state, evaluator)
             if hardest is not None and evaluator.best_f <= hardest:
                 termination = Termination.TARGET_REACHED
                 break

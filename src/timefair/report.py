@@ -549,6 +549,12 @@ def build_manifest(
                 "harness_bookkeeping": (
                     "timer covers algorithm iterations only; logging happens "
                     "between runs and is excluded from time_used"
+                    if plan.clock.is_virtual
+                    else "timer runs from each run's start to its end, so time_used also "
+                    "covers the runner's stopping check between iterations and the "
+                    "evaluator's bookkeeping on each call (shape check, bounds check, "
+                    "clip and clamp count, FE count, improvement scan and stamp); "
+                    "logging happens between runs and is excluded from time_used"
                 ),
             },
             "tuning": (

@@ -828,6 +828,14 @@ class TestCmdSimulate:
         assert "MISMATCH" not in first
         assert "rank-sum test" in first
 
+    def test_output_matches_its_pinned_digest(self, capsys):
+        # every bit simulate prints: PSO's path, the restart loop, ERT, the
+        # medians and the rank-sum test; a replay in one process would not
+        # see a drift that every process shares
+        assert main(["simulate"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == "1e473e46e503e5cd4cdd5a1237a021e58f2674fae2f60362bf46377d87e1960f"
+
     def test_recheck_reads_the_logged_trajectories(self, monkeypatch, capsys):
         # a wrong first-hit time in metrics must show up against the recheck
         monkeypatch.setattr(metrics, "first_hits", lambda runs, ladder, T=math.inf: [[None] * len(runs) for _ in ladder])

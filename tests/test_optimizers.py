@@ -280,7 +280,9 @@ class TestReferenceStreams:
             for seed in (1, 2):
                 drive(pso, evaluator, seed, 2)
                 assert all(a is b for a, b in zip(pso._constants(instance), constants))
-            assert all(c.base is constants[0].base for c in constants)
+            # w, (c1, c2), -vmax and vmax share one block; the bounds are the instance's
+            assert all(c.base is constants[0].base for c in constants[:4])
+            assert all(a is b for a, b in zip(constants[4:], instance.bounds(p.swarm_size)))
 
     def test_pso_steps_on_while_no_particle_has_a_value(self):
         void = replace(SPHERE, rows_fn=lambda xs: np.full(len(xs), math.nan))

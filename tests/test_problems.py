@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from timefair import problems
+from timefair.cli import demo_config, plan_from_config, validate_config
 from timefair.clock import VirtualClock
 from timefair.problems import ProblemInstance, get_problem
-from timefair.protocol import RunEvaluator
+from timefair.protocol import RunEvaluator, run_plan
 
 from conftest import CATALOG_OPTIMA, optimum_point
 
@@ -130,3 +133,38 @@ def test_non_finite_bounds_rejected_naming_the_instance(lower, upper):
             f_opt=None,
             rows_fn=lambda xs: xs.sum(axis=1),
         )
+
+
+def test_batch_bounds_are_read_only_broadcasts_of_the_box():
+    # rosenbrock's box (-5, 10) is asymmetric, so lower and upper cannot swap unseen
+    instance = get_problem("rosenbrock-d3")
+    for n in (1, 2, 40):
+        pair = instance.bounds(n)
+        for got, bound in zip(pair, (instance.lower, instance.upper)):
+            assert got.shape == (n, 3) and got.dtype == bound.dtype
+            assert got.tobytes() == np.broadcast_to(bound, (n, 3)).tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0, 0] = 0.0
+
+
+def test_batch_bounds_are_built_once_per_instance_and_batch_size():
+    instance = get_problem("sphere-d5")
+    pair = instance.bounds(4)
+    assert all(a is b for a, b in zip(instance.bounds(4), pair))
+    assert not any(a is b for a, b in zip(instance.bounds(5), pair))
+    # a replaced instance is a new box: it builds its own
+    copy = dataclasses.replace(instance)
+    assert copy._bounds == {}
+    assert not any(a is b for a, b in zip(copy.bounds(4), pair))
+    assert sorted(instance._bounds) == [4, 5] and sorted(copy._bounds) == [4]
+
+
+def test_a_demo_run_holds_bounds_for_its_arms_batch_sizes_only():
+    plan = plan_from_config(validate_config(demo_config()))
+    run_plan(plan)
+    (instance,) = plan.problems.values()
+    sizes = {spec.algorithm.evals_per_step for spec in plan.algorithms}
+    assert sizes == {1, 40}
+    # a random-search point is clipped only when it lies on the box's edge
+    assert 40 in instance._bounds and set(instance._bounds) <= sizes

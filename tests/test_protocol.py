@@ -180,6 +180,28 @@ class TestRunTimeFair:
                 # 12 full iterations of 8 evals fit into the cap of 100
                 assert sum(r.evals_used for r in records) == 96
 
+    @pytest.mark.parametrize("cap, runs", [(100, [24, 24, 24, 24]), (104, [24, 24, 24, 24, 8])])
+    def test_eval_cap_holds_across_restarts(self, cap, runs):
+        # each run stops after 3 iterations of 8 evaluations, so only the
+        # runs together reach the cap: every cap check counts the
+        # evaluations earlier runs spent
+        for clock, T in ((ClockSpec(mode="virtual", cost_per_eval=0.001), 100.0),
+                         (ClockSpec(mode="real"), 0.25)):
+            plan = ExperimentPlan(
+                algorithms=(AlgorithmSpec("pso", "pso", {"swarm_size": 8, "max_iterations": 3}),),
+                instances=("sphere-d2",),
+                budget=Budget(wall_time_limit=T, eval_cap=cap),
+                targets=None,
+                repetitions=1,
+                master_seed=4,
+                clock=clock,
+            )
+            records = run_time_fair(plan, "pso", "sphere-d2", 0)
+            assert sum(r.evals_used for r in records) <= cap
+            if clock.is_virtual:
+                assert [r.evals_used for r in records] == runs
+                assert sum(runs) == cap - cap % 8
+
     def test_no_repetition_ends_in_an_empty_run(self):
         # T = 47 s is no multiple of the demo arms' iteration costs, so
         # each repetition's last run ends with budget left over that fits

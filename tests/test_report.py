@@ -898,6 +898,34 @@ class TestManifest:
         assert budget["clock_scheme"] == CLOCK_SCHEME_ID
         assert budget["synthetic_overhead"] == {"rs": 0.0}
 
+    def test_harness_bookkeeping_says_what_the_clock_charges(self, tmp_path):
+        # a virtual clock charges counts; a real one also times the runner's
+        # stopping checks and the evaluator's bookkeeping
+        plan, grouped, out_dir, config = _tiny_experiment(tmp_path / "virtual")
+        environment = build_manifest(plan, grouped, out_dir, config)["checklist"]["environment"]
+        assert environment["harness_bookkeeping"] == (
+            "timer covers algorithm iterations only; logging happens "
+            "between runs and is excluded from time_used"
+        )
+        plan, grouped, out_dir, config = _tiny_experiment(
+            tmp_path / "real", clock={"mode": "real"}, budget={"wall_time_limit": 0.01}
+        )
+        environment = build_manifest(plan, grouped, out_dir, config)["checklist"]["environment"]
+        text = environment["harness_bookkeeping"]
+        assert environment["timer"] == "perf_counter (monotonic)"
+        assert "iterations only" not in text
+        for part in (
+            "stopping check",
+            "evaluator's bookkeeping",
+            "shape check",
+            "bounds check",
+            "clip and clamp count",
+            "FE count",
+            "improvement scan and stamp",
+            "excluded from time_used",
+        ):
+            assert part in text, part
+
     def test_synthetic_overhead_is_what_each_clock_charged(self, tmp_path):
         algorithms = [
             {"label": "rs", "kind": "random-search", "params": {"max_iterations": 8}},
