@@ -332,8 +332,10 @@ def cmd_analyze(args) -> int:
         report.emit_ecdf_csv(curve, curves_dir / f"ecdf_{label}.csv")
     for ladder_value, curves in zip(plan.targets.values, analysis.profiles):
         # the value's repr, lossless, so distinct ladder values never share a file
-        suffix = repr(ladder_value).removesuffix(".0").replace(".", "p").replace("-", "m")
-        report.emit_profile_csv(curves, curves_dir / f"profile_target_{suffix}.csv")
+        name = "profile_target_" + repr(ladder_value).removesuffix(".0").replace(".", "p").replace("-", "m") + ".csv"
+        report.emit_profile_csv(curves, curves_dir / name)
+        if excluded := curves[0].excluded:  # every solver's curve names the same instances
+            _progress(f"{name}: excluded {len(excluded)} all-failed instance(s): {', '.join(excluded)}")
     print(f"{'solver':<16} {'instance':<18} {'target':>10} {'ert':>12} {'success':>8}")
     for (label, instance_id, q), result in analysis.ert.items():
         ert_text = "inf" if math.isinf(result.ert) else f"{result.ert:.6g}"
@@ -416,7 +418,8 @@ def cmd_simulate(args) -> int:
         )
     print()
     print(f"{'algorithm':<12} {'target':>8} {'ert':>12} {'success':>8}  recheck")
-    hits = {pair: metrics.first_hits(records, plan.ladders[pair[1]], T) for pair, records in grouped.items()}
+    columns = {pair: metrics.RunColumns.of(records) for pair, records in grouped.items()}
+    hits = {pair: metrics.first_hits(runs, plan.ladders[pair[1]], T) for pair, runs in columns.items()}
     analysis = metrics.analyze(hits, T, plan.ladders, metrics.default_time_grid(T))
     for (label, instance, q), result in analysis.ert.items():
         oracle = _ert_recheck(grouped[(label, instance)], q, T)

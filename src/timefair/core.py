@@ -3,8 +3,9 @@
 Everything here is plain immutable data. Types that describe an experiment
 plan (Budget, TargetSpec) validate themselves at construction; types that
 describe observed results (TrajectoryPoint, RunRecord) accept whatever they
-are given so that broken logs can be represented and then inspected with
-:func:`validate`, which reports violations as data instead of raising.
+are given. :func:`validate` checks a run's invariants on its plain values,
+as the log parser reads them, and reports violations as data instead of
+raising.
 
 Minimization is the canonical direction throughout: maximization problems
 are wrapped by negation at the problem layer, and a quality target q counts
@@ -118,22 +119,16 @@ class RunRecord:
         return self.trajectory[-1].best_f if self.trajectory else math.inf
 
 
-def validate(run: RunRecord | list[float], *fields) -> list[str]:
+def validate(elapsed: list[float], evals: list[int], best_f: list[float],
+             time_used: float, evals_used: int, max_step_seconds: float) -> list[str]:
     """Check a run's invariants, returning every violation by name.
 
-    `run` is a RunRecord, or a run as plain values: the list of its
-    points' ``elapsed`` followed, in `fields`, by the lists of their
-    ``evals`` and ``best_f`` and the run's ``time_used``, ``evals_used``
-    and ``max_step_seconds``, as ``report.parse_run_log`` checks each run
-    it reads. An empty list means the run is valid. Violations are data,
-    not failures: records that break invariants are constructible so that
-    corrupt logs can be loaded and diagnosed.
+    The run is given as plain values, as ``report.parse_run_log`` checks
+    each run it reads: its points' ``elapsed``, ``evals`` and ``best_f``
+    lists and its ``time_used``, ``evals_used`` and ``max_step_seconds``.
+    An empty list means the run is valid. Violations are data, not
+    failures, so that corrupt logs can be diagnosed.
     """
-    if isinstance(run, RunRecord):
-        traj = run.trajectory
-        fields = ([p.evals for p in traj], [p.best_f for p in traj], run.time_used, run.evals_used, run.max_step_seconds)
-        run = [p.elapsed for p in traj]
-    elapsed, (evals, best_f, time_used, evals_used, max_step_seconds) = run, fields
     # a run that passes these chains of comparisons (which NaN fails) breaks
     # no invariant; any other run is diagnosed check by check below
     if (

@@ -1,15 +1,14 @@
 """Quantitative analysis of run logs.
 
-All operations are pure functions over immutable inputs. Time-to-target
-uses the non-strict success rule best_f <= q. A target time of ``None``
-means the target was not reached within the run (NotReached).
+All operations are pure functions over immutable inputs, and none logs. The
+per-run functions take a (solver, instance) pair's runs as :class:`RunColumns`
+only. Time-to-target uses the non-strict success rule best_f <= q. A target
+time of ``None`` means the target was not reached within the run (NotReached).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -18,8 +17,6 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import CostMatrix, ErtResult, RunRecord
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_RELATIVE_LADDER = (10.0, 1.0, 0.1, 0.01, 0.001)
 DEFAULT_GRID_POINTS = 64
@@ -157,12 +154,9 @@ class RunColumns:
         return cls(len(lengths), run, np.array(elapsed, dtype=float), np.array(best_f, dtype=float))
 
 
-def first_hits(
-    runs: Sequence[RunRecord] | RunColumns, ladder: Sequence[float], T: float = math.inf
-) -> list[list[Optional[float]]]:
+def first_hits(columns: RunColumns, ladder: Sequence[float], T: float = math.inf) -> list[list[Optional[float]]]:
     """For each target q of `ladder`, each run's ``time_to_target(run, q, T)``,
     in run order: one vectorised pass over the pair's columns per target."""
-    columns = runs if isinstance(runs, RunColumns) else RunColumns.of(runs)
     hits = []
     for q in ladder:
         reached = np.flatnonzero(columns.best_f <= q)
@@ -188,14 +182,14 @@ def _best_so_far_matrix(columns: RunColumns, grid: np.ndarray) -> np.ndarray:
 
 
 def median_trajectory(
-    records: Sequence[RunRecord] | RunColumns,
+    columns: RunColumns,
     time_grid: Sequence[float],
     bootstrap_samples: int = DEFAULT_BOOTSTRAP_SAMPLES,
     confidence: float = DEFAULT_CONFIDENCE,
     seed: int = 0,
 ) -> MedianCurve:
     """Per-grid-point median of best-so-far values with a percentile
-    bootstrap CI over runs (records, or the pair's :class:`RunColumns`).
+    bootstrap CI over the runs of the pair's :class:`RunColumns`.
 
     Runs are sorted by value once in each of the D grid columns that differ
     from the one before them (the rest repeat its median and CI). The median
@@ -222,9 +216,8 @@ def median_trajectory(
     Quantiles of the bootstrap medians use order statistics (no
     interpolation) so +inf sentinels never produce NaN.
     """
-    columns = records if isinstance(records, RunColumns) else RunColumns.of(records)
     if not columns.runs:
-        raise ValueError("median_trajectory requires at least one record")
+        raise ValueError("median_trajectory requires at least one run")
     if bootstrap_samples < 100:
         raise ValueError("bootstrap_samples must be >= 100")
     if not 0.0 < confidence < 1.0:
@@ -298,14 +291,15 @@ class ProfileCurve:
 
     `ratios` are the breakpoints (sorted, >= 1); `rho` the value from that
     breakpoint on. rho converges to the solver's finite-cost fraction;
-    failures never satisfy any finite tau.
+    failures never satisfy any finite tau. `excluded` names the instances
+    that every solver failed, in instance order (not in `n_instances`).
     """
 
     solver_id: str
     ratios: tuple[float, ...]
     rho: tuple[float, ...]
     n_instances: int
-    n_excluded: int
+    excluded: tuple[str, ...]
 
     def rho_at(self, tau: float) -> float:
         k = bisect_right(self.ratios, tau)
@@ -316,15 +310,9 @@ def performance_profile(costs: CostMatrix) -> list[ProfileCurve]:
     """Dolan-Moré profiles with time as the cost measure.
 
     Instances where every solver failed have no finite ratio reference;
-    they are excluded from the instance count, with a warning.
+    they are excluded from the instance count, and each curve names them.
     """
-    excluded = set(costs.all_failed_instances)
-    if excluded:
-        logger.warning(
-            "performance_profile: excluding %d all-failed instance(s): %s",
-            len(excluded),
-            ", ".join(sorted(excluded)),
-        )
+    excluded = costs.all_failed_instances
     kept_rows = [row for instance, row in zip(costs.instances, costs.costs) if instance not in excluded]
     n = len(kept_rows)
     curves = []
@@ -338,7 +326,7 @@ def performance_profile(costs: CostMatrix) -> list[ProfileCurve]:
                 ratios=tuple(ratios.tolist()),
                 rho=tuple((np.cumsum(counts) / n).tolist()),
                 n_instances=n,
-                n_excluded=len(excluded),
+                excluded=excluded,
             )
         )
     return curves
@@ -413,9 +401,10 @@ class RankSumResult:
     degenerate: bool = False  # all pooled values equal
 
 
-def _midranks(pooled: Sequence[float]) -> list[float]:
+def _midranks(pooled: Sequence[float]) -> tuple[list[float], list[int]]:
+    """Each value's mean rank among its ties, and every tie group's size."""
     _, group, counts = np.unique(pooled, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2)[group].tolist()  # mean rank of each tie group
+    return (np.cumsum(counts) - (counts - 1) / 2)[group].tolist(), counts.tolist()
 
 
 def rank_sum_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> RankSumResult:
@@ -434,10 +423,10 @@ def rank_sum_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> RankS
     pooled = a + b
     if any(math.isnan(v) for v in pooled):
         raise ValueError("samples must not hold NaN")
-    ranks = _midranks(pooled)
+    ranks, tie_counts = _midranks(pooled)
     u_obs = sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0
     mu = n1 * n2 / 2.0
-    if len(set(pooled)) == 1:
+    if len(tie_counts) == 1:
         return RankSumResult(statistic=u_obs, p_value=1.0, method="exact", degenerate=True)
     if n1 + n2 <= 20:
         # every n1-subset of the pooled midranks is equally likely under H0;
@@ -460,7 +449,6 @@ def rank_sum_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> RankS
             statistic=u_obs, p_value=hits / math.comb(n1 + n2, n1), method="exact"
         )
     n = n1 + n2
-    tie_counts = [len(list(g)) for _, g in itertools.groupby(sorted(pooled))]
     tie_term = sum(t**3 - t for t in tie_counts) / (n * (n - 1))
     sigma2 = n1 * n2 / 12.0 * ((n + 1) - tie_term)
     z = (u_obs - mu) / math.sqrt(sigma2)

@@ -145,8 +145,7 @@ class ParseResult:
     each run's other :class:`RunRecord` fields, in their order without the
     trajectory. `issues` holds one message per issue, in line order;
     `skipped_runs` counts the runs they cost. `records` builds the
-    RunRecords from the columns each time it is read, and two results are
-    equal when their records, issues and skipped runs are.
+    RunRecords from the columns each time it is read.
     """
 
     columns: RunColumns
@@ -164,11 +163,6 @@ class ParseResult:
             RunRecord(*fields[:3], points[start:stop], *fields[3:])
             for fields, start, stop in zip(self.run_fields, [0, *stops], stops)
         ]
-
-    def __eq__(self, other):
-        if not isinstance(other, ParseResult):
-            return NotImplemented
-        return (self.records, self.issues, self.skipped_runs) == (other.records, other.issues, other.skipped_runs)
 
 
 def _integer(value) -> int:
@@ -536,10 +530,7 @@ def build_manifest(
                     "samples": metric_options["bootstrap_samples"],
                     "confidence": metric_options["confidence"],
                 },
-                "nonparametric_test": (
-                    "two-sided Mann-Whitney U (exact enumeration for pooled n <= 20, "
-                    "tie-corrected normal approximation otherwise)"
-                ),
+                "nonparametric_test": _na("no artifact of run or analyze holds a test result"),
             },
             "environment": {
                 **probe_environment(plan.clock.is_virtual),
@@ -636,8 +627,11 @@ def _audit_section(key: str, section, fields: tuple, out_dir: Path) -> tuple[str
     if missing:
         return "FAIL", f"missing field(s): {', '.join(missing)}"
     if key == "budget":
-        T = section["wall_time_limit_seconds"]
-        if not (isinstance(T, (int, float)) and T > 0 and math.isfinite(T)):
+        try:
+            T = _number(section["wall_time_limit_seconds"])
+        except (TypeError, OverflowError):  # a bool, a string, null, or an integer past float range
+            T = math.nan
+        if not (T > 0 and math.isfinite(T)):
             return "FAIL", "wall_time_limit must be > 0"
     note = _audit_artifacts(section, out_dir) if key == "artifacts" else None
     return ("PASS", "") if note is None else ("FAIL", note)

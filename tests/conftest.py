@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from timefair.core import RunRecord, Termination, TrajectoryPoint
-from timefair.metrics import first_hits, time_to_target
+from timefair.metrics import RunColumns, first_hits, time_to_target
 
 TERMINATIONS = (
     Termination.TARGET_REACHED,
@@ -29,7 +29,16 @@ def pair_times(records, targets_by_instance):
 
 def hits_by_pair(grouped, targets_by_instance, T):
     """``metrics.analyze``'s input from each (solver, instance) pair's records."""
-    return {pair: first_hits(records, targets_by_instance[pair[1]], T) for pair, records in grouped.items()}
+    columns = {pair: RunColumns.of(records) for pair, records in grouped.items()}
+    return {pair: first_hits(runs, targets_by_instance[pair[1]], T) for pair, runs in columns.items()}
+
+
+def run_values(record: RunRecord) -> tuple:
+    """A record's run as ``core.validate`` takes it: its points' elapsed,
+    evals and best_f, then its time_used, evals_used and max_step_seconds."""
+    traj = record.trajectory
+    points = ([p.elapsed for p in traj], [p.evals for p in traj], [p.best_f for p in traj])
+    return (*points, record.time_used, record.evals_used, record.max_step_seconds)
 
 
 def random_record(rng: np.random.Generator, allow_empty: bool = True) -> RunRecord:

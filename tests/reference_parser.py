@@ -18,6 +18,8 @@ from typing import Optional
 from timefair.core import RunRecord, Termination, TrajectoryPoint, validate
 from timefair.report import LogParseError
 
+from conftest import run_values
+
 
 @dataclass
 class ReferenceResult:
@@ -122,7 +124,7 @@ def reference_parse_run_log(path: Path, strict: bool = False) -> ReferenceResult
                     result.skipped_runs += 1
                     header = None
                     continue
-                violations = validate(record)
+                violations = validate(*run_values(record))
                 if violations:
                     issue(f"line {lineno}: invalid run {run_name(header)}: " + "; ".join(violations))
                     result.skipped_runs += 1

@@ -2,7 +2,9 @@ import csv
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -396,6 +398,29 @@ class TestCmdAnalyze:
         for path, content in before.items():
             assert path.read_bytes() == content
 
+    def test_stderr_names_each_profile_file_that_excluded_an_instance(self, tmp_path, capsys):
+        # the metrics log nothing; analyze names, beside each profile file,
+        # the instances that every solver failed at its target
+        out = tmp_path / "demo"
+        assert main(["run", "--config", str(DEMO_PATH), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        cfg = demo_config()
+        with open(out / "ert_table.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        expected = []
+        for q in cfg["targets"]["values"]:
+            failed = [
+                i for i in cfg["instances"]
+                if all(r["successes"] == "0" for r in rows if r["instance"] == i and float(r["target"]) == q)
+            ]
+            if failed:
+                expected.append(f"profile_target_{q:g}.csv: excluded {len(failed)} all-failed instance(s): "
+                                + ", ".join(failed))
+        assert expected  # the demo's hardest targets go unreached
+        assert err == [*expected, f"wrote ert_table.csv and curves/ to {out}"]
+
     def test_bootstrap_counts_are_drawn_once_per_run_count(self, tmp_path):
         # pairs are analyzed label-major and every pair draws with one B and
         # seed, so each label's pairs of equal run count share one draw; a
@@ -716,6 +741,19 @@ class TestCmdReport:
         assert "item 7 (tuning overhead): NA" in stdout
         assert "checklist verdict: PASS-with-note" in stdout
 
+    def test_demo_manifest_claims_no_rank_sum_test(self, tmp_path, capsys):
+        # run and analyze write no test result, so the manifest attests none
+        out = tmp_path / "demo"
+        assert main(["run", "--config", str(DEMO_PATH), "--out", str(out)]) == 0
+        assert main(["analyze", str(out)]) == 0
+        statistics = json.loads((out / "manifest.json").read_text())["checklist"]["statistics"]
+        assert statistics["nonparametric_test"] == {
+            "status": "NA", "reason": "no artifact of run or analyze holds a test result"
+        }
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        assert "item 5 (statistical rigor): PASS" in capsys.readouterr().out.splitlines()
+
     def test_unreadable_directory_is_runtime_error(self, tmp_path):
         assert main(["report", str(tmp_path / "void")]) == 1
 
@@ -836,9 +874,21 @@ class TestCmdSimulate:
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest == "1e473e46e503e5cd4cdd5a1237a021e58f2674fae2f60362bf46377d87e1960f"
 
+    def test_stderr_is_the_progress_line_only(self):
+        # a fresh interpreter, so stderr is what a user sees: the metrics log
+        # nothing, and simulate writes no profile to report on
+        proc = subprocess.run(
+            [sys.executable, "-m", "timefair.cli", "simulate"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        header = proc.stdout.splitlines()[0].removeprefix("scenario: ")
+        assert proc.stderr == f"simulating the demo's PSO arms: {header}\n"
+
     def test_recheck_reads_the_logged_trajectories(self, monkeypatch, capsys):
         # a wrong first-hit time in metrics must show up against the recheck
-        monkeypatch.setattr(metrics, "first_hits", lambda runs, ladder, T=math.inf: [[None] * len(runs) for _ in ladder])
+        monkeypatch.setattr(metrics, "first_hits", lambda columns, ladder, T=math.inf: [[None] * columns.runs for _ in ladder])
         assert main(["simulate"]) == 0
         assert "MISMATCH" in capsys.readouterr().out
 

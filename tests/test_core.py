@@ -15,7 +15,7 @@ from timefair.core import (
     validate,
 )
 
-from conftest import random_record
+from conftest import random_record, run_values
 import numpy as np
 
 
@@ -39,30 +39,30 @@ def _record(points, time_used=None, evals_used=None, termination=Termination.INT
 class TestValidate:
     def test_decreasing_evals_flagged(self):
         rec = _record([(1.0, 10, 5.0), (2.0, 8, 4.0)])
-        assert "evals non-monotone" in validate(rec)
+        assert "evals non-monotone" in validate(*run_values(rec))
 
     def test_empty_trajectory_with_zero_evals_is_ok(self):
-        assert validate(_record([], termination=Termination.BUDGET_EXHAUSTED)) == []
+        assert validate(*run_values(_record([], termination=Termination.BUDGET_EXHAUSTED))) == []
 
     def test_tied_best_f_is_not_an_improvement(self):
         rec = _record([(1.0, 10, 5.0), (2.0, 20, 5.0)])
-        assert "best_f not strictly decreasing" in validate(rec)
+        assert "best_f not strictly decreasing" in validate(*run_values(rec))
 
     def test_empty_trajectory_with_evals_flagged(self):
         rec = _record([], evals_used=3)
-        assert "empty trajectory with evals_used > 0" in validate(rec)
+        assert "empty trajectory with evals_used > 0" in validate(*run_values(rec))
 
     def test_time_used_before_last_improvement_flagged(self):
         rec = _record([(2.0, 10, 5.0)], time_used=1.0)
-        assert "time_used < last trajectory elapsed" in validate(rec)
+        assert "time_used < last trajectory elapsed" in validate(*run_values(rec))
 
     def test_elapsed_non_monotone_flagged(self):
         rec = _record([(2.0, 10, 5.0), (1.0, 20, 4.0)])
-        assert "elapsed non-monotone" in validate(rec)
+        assert "elapsed non-monotone" in validate(*run_values(rec))
 
     def test_first_point_needs_an_evaluation(self):
         rec = _record([(0.0, 0, 5.0)])
-        assert "first point evals < 1" in validate(rec)
+        assert "first point evals < 1" in validate(*run_values(rec))
 
     @pytest.mark.parametrize(
         "record, field",
@@ -77,11 +77,11 @@ class TestValidate:
     )
     def test_non_finite_number_flagged(self, record, field):
         # comparisons with NaN are all false, so no ordering check sees it
-        assert f"{field} non-finite" in validate(record)
+        assert f"{field} non-finite" in validate(*run_values(record))
 
     def test_random_records_are_valid(self, rng):
         for _ in range(200):
-            assert validate(random_record(rng)) == []
+            assert validate(*run_values(random_record(rng))) == []
 
     EDGE_TRAJECTORIES = {
         "nan-elapsed": [(1.0, 1, 5.0), (math.nan, 2, 4.0)],
@@ -99,14 +99,14 @@ class TestValidate:
         points = self.EDGE_TRAJECTORIES[case]
         for time_used in (None, -1.0, math.nan):
             record = _record(points, time_used=time_used, evals_used=None if points else 2)
-            assert validate(record) == validate_reference(record)
+            assert validate(*run_values(record)) == validate_reference(record)
 
     def test_random_records_match_the_reference(self, rng):
         for _ in range(500):
             record = random_record(rng)
             reversed_record = dataclasses.replace(record, trajectory=record.trajectory[::-1])
-            assert validate(record) == validate_reference(record) == []
-            assert validate(reversed_record) == validate_reference(reversed_record)
+            assert validate(*run_values(record)) == validate_reference(record) == []
+            assert validate(*run_values(reversed_record)) == validate_reference(reversed_record)
 
 
 # values at the edges of every check: signed zeros, ties, NaN and infinities
@@ -119,16 +119,14 @@ EDGE_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0, math.inf, -math.i
     evals_used=st.integers(-1, 4),
     max_step_seconds=EDGE_FLOATS,
 )
-def test_plain_lists_and_records_match_the_reference(points, time_used, evals_used, max_step_seconds):
+def test_plain_lists_match_the_reference(points, time_used, evals_used, max_step_seconds):
     record = RunRecord(
         algorithm_id="alg", instance_id="sphere-d2", seed=1, trajectory=[TrajectoryPoint(*p) for p in points],
         time_used=time_used, evals_used=evals_used, termination=Termination.INTERNAL_STOP,
         max_step_seconds=max_step_seconds,
     )
     elapsed, evals, best_f = ([p[k] for p in points] for k in range(3))
-    expected = validate_reference(record)
-    assert validate(record) == expected
-    assert validate(elapsed, evals, best_f, time_used, evals_used, max_step_seconds) == expected
+    assert validate(elapsed, evals, best_f, time_used, evals_used, max_step_seconds) == validate_reference(record)
 
 
 def validate_reference(record):
@@ -244,4 +242,4 @@ class TestCostMatrix:
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_random_records_always_validate(seed):
     rec = random_record(np.random.default_rng(seed))
-    assert validate(rec) == []
+    assert validate(*run_values(rec)) == []

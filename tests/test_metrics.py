@@ -76,15 +76,15 @@ class TestFirstHits:
             make_record([]),
             *(random_record(rng) for _ in range(300)),
         ]
+        columns = RunColumns.of(records)
         for T in (5.0, 1.0, math.inf):
-            for runs in (records, RunColumns.of(records)):
-                hits = first_hits(runs, self.LADDER, T)
-                assert hits == [[time_to_target(r, q, T) for r in records] for q in self.LADDER]
-        assert first_hits(records, self.LADDER, 5.0)[2][:4] == [3.0, 5.0, None, None]
+            hits = first_hits(columns, self.LADDER, T)
+            assert hits == [[time_to_target(r, q, T) for r in records] for q in self.LADDER]
+        assert first_hits(columns, self.LADDER, 5.0)[2][:4] == [3.0, 5.0, None, None]
 
     def test_no_runs_and_no_targets(self):
-        assert first_hits([], self.LADDER) == [[]] * len(self.LADDER)
-        assert first_hits([TWO_STEP], ()) == []
+        assert first_hits(RunColumns.of([]), self.LADDER) == [[]] * len(self.LADDER)
+        assert first_hits(RunColumns.of([TWO_STEP]), ()) == []
 
 
 def ert_oracle(times, T):
@@ -301,7 +301,7 @@ class TestMedianTrajectory:
     def test_interval_is_the_gather_oracles_bit_for_bit(self, rng, R, B):
         grid = tuple(float(t) for t in range(1, 17))
         records = edge_records(rng, R, grid)
-        curve = median_trajectory(records, grid, bootstrap_samples=B, confidence=0.9, seed=3)
+        curve = median_trajectory(RunColumns.of(records), grid, bootstrap_samples=B, confidence=0.9, seed=3)
         expected = median_oracle(records, grid, B, 0.9, 3)
         assert np.array([curve.median, curve.ci_lo, curve.ci_hi]).tobytes() == np.array(expected).tobytes()
 
@@ -320,12 +320,6 @@ class TestMedianTrajectory:
                 expected = best_so_far_oracle(records, g)
                 assert _best_so_far_matrix(columns, np.asarray(g)).tobytes() == expected.tobytes()
 
-    def test_records_and_their_columns_give_one_curve(self, rng):
-        records = [random_record(rng) for _ in range(25)]
-        grid = default_time_grid(8.0, 24)
-        curve = median_trajectory(records, grid, bootstrap_samples=200, seed=4)
-        assert median_trajectory(RunColumns.of(records), grid, bootstrap_samples=200, seed=4) == curve
-
     def test_resample_counts_are_drawn_once_and_read_only(self):
         metrics._resample_counts.cache_clear()
         counts = metrics._resample_counts(7, 100, 3)
@@ -337,30 +331,30 @@ class TestMedianTrajectory:
 
     def test_identical_runs_have_zero_width_interval(self):
         record = make_record([(1.0, 1, 5.0), (2.0, 2, 1.0)])
-        curve = median_trajectory([record] * 4, [0.5, 1.5, 2.5], bootstrap_samples=200)
+        curve = median_trajectory(RunColumns.of([record] * 4), [0.5, 1.5, 2.5], bootstrap_samples=200)
         assert curve.ci_lo == curve.ci_hi == curve.median
         assert curve.median == (math.inf, 5.0, 1.0)
 
     def test_odd_count_median(self):
         records = [make_record([(1.0, 1, v)]) for v in (1.0, 2.0, 9.0)]
-        curve = median_trajectory(records, [2.0], bootstrap_samples=100)
+        curve = median_trajectory(RunColumns.of(records), [2.0], bootstrap_samples=100)
         assert curve.median == (2.0,)
 
     def test_interval_contains_median_everywhere(self, rng):
         records = [random_record(rng, allow_empty=False) for _ in range(12)]
-        curve = median_trajectory(records, default_time_grid(8.0), bootstrap_samples=1000)
+        curve = median_trajectory(RunColumns.of(records), default_time_grid(8.0), bootstrap_samples=1000)
         for lo, med, hi in zip(curve.ci_lo, curve.median, curve.ci_hi):
             assert lo <= med <= hi
 
     def test_too_few_bootstrap_samples_rejected(self):
         with pytest.raises(ValueError):
-            median_trajectory([make_record([(1.0, 1, 0.0)])], [1.0], bootstrap_samples=10)
+            median_trajectory(RunColumns.of([make_record([(1.0, 1, 0.0)])]), [1.0], bootstrap_samples=10)
 
     @pytest.mark.parametrize("grid", [[], [2.0, 1.0]])
     def test_empty_or_descending_grid_rejected(self, grid):
         # as anytime_ecdf rejects it, not an IndexError or a silent answer
         with pytest.raises(ValueError, match="time_grid must be non-empty and ordered"):
-            median_trajectory([make_record([(1.0, 1, 0.0)])], grid, bootstrap_samples=100)
+            median_trajectory(RunColumns.of([make_record([(1.0, 1, 0.0)])]), grid, bootstrap_samples=100)
         with pytest.raises(ValueError, match="time_grid must be non-empty and ordered"):
             anytime_ecdf([1.0, None], grid)
 
@@ -369,7 +363,7 @@ class TestMedianTrajectory:
         # the grid runs past every record's last improvement, so later
         # columns repeat: both the computed and the copied columns are checked
         grid = default_time_grid(40.0, 24)
-        curve = median_trajectory(records, grid, bootstrap_samples=300, confidence=0.9, seed=7)
+        curve = median_trajectory(RunColumns.of(records), grid, bootstrap_samples=300, confidence=0.9, seed=7)
         assert (curve.median, curve.ci_lo, curve.ci_hi) == median_oracle(records, grid, 300, 0.9, 7)
 
     def test_memory_is_bounded_by_one_grid_column(self, rng):
@@ -379,11 +373,11 @@ class TestMedianTrajectory:
         # of them; at R = 2,000, 16 MB holds uint16 counts (4 MB) but no
         # int64 array of R * B entries
         for B, R, G, bound in [(1000, 100, 64, 8 * 1000 * 100 * 8), (1000, 2000, 64, 16e6)]:
-            records = [random_record(rng, allow_empty=False) for _ in range(R)]
+            columns = RunColumns.of([random_record(rng, allow_empty=False) for _ in range(R)])
             grid = default_time_grid(8.0, G)
             tracemalloc.start()
             try:
-                median_trajectory(records, grid, bootstrap_samples=B)
+                median_trajectory(columns, grid, bootstrap_samples=B)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -418,7 +412,17 @@ class TestPerformanceProfile:
             ((2.0, 4.0), (math.inf, math.inf), (1.0, 1.0)),
         )
         curves = performance_profile(costs)
-        assert all(c.n_instances == 2 and c.n_excluded == 1 for c in curves)
+        assert all(c.n_instances == 2 and c.excluded == ("p2",) for c in curves)
+
+    def test_excluded_names_the_all_failed_rows_in_instance_order(self, rng):
+        for _ in range(200):
+            costs = random_costs(rng, int(rng.integers(1, 5)), int(rng.integers(1, 9)))
+            # instance names out of sorted order, so instance order is not name order
+            names = tuple(f"p{k}" for k in rng.permutation(len(costs.instances)))
+            costs = CostMatrix(costs.solvers, names, costs.costs)
+            expected = tuple(name for name, row in zip(names, costs.costs) if all(map(math.isinf, row)))
+            for curve in performance_profile(costs):
+                assert curve.excluded == expected
 
     def test_monotone_in_unit_interval(self, rng):
         for _ in range(30):
@@ -469,7 +473,7 @@ class TestPerformanceProfile:
             for curve, (ratios, rho, n, n_excluded) in zip(curves, expected):
                 assert hexed(curve.ratios) == hexed(ratios)
                 assert hexed(curve.rho) == hexed(rho)
-                assert (curve.n_instances, curve.n_excluded) == (n, n_excluded)
+                assert (curve.n_instances, len(curve.excluded)) == (n, n_excluded)
 
 
 def profile_oracle(costs):
@@ -634,7 +638,7 @@ class TestAnalyze:
         assert a.ratios == (1.0, 5.5) and a.rho == (0.5, 1.0)
         assert b.ratios == (1.0,) and b.rho == (0.5,) and b.n_instances == 2
         assert c.ratios == ()
-        assert all(curve.n_excluded == 1 for curve in result.profiles[1])
+        assert all(len(curve.excluded) == 1 for curve in result.profiles[1])
 
     def test_solver_without_records_has_no_ecdf(self):
         result = self._analyze()
@@ -761,7 +765,9 @@ class TestRankSumTest:
                 float(rng.choice(pool)) if rng.random() < 0.7 else float(rng.normal())
                 for _ in range(n)
             ]
-            assert hexed(_midranks(pooled)) == hexed(midranks_oracle(pooled))
+            ranks, tie_counts = _midranks(pooled)
+            assert hexed(ranks) == hexed(midranks_oracle(pooled))
+            assert tie_counts == [len(list(group)) for _, group in itertools.groupby(sorted(pooled))]
 
     def test_nan_sample_rejected(self):
         with pytest.raises(ValueError, match="NaN"):

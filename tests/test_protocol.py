@@ -21,6 +21,8 @@ from timefair.protocol import (
     run_time_fair,
 )
 
+from conftest import run_values
+
 VIRTUAL = ClockSpec(mode="virtual", cost_per_eval=0.0078125)
 
 
@@ -309,7 +311,7 @@ class TestRunTimeFair:
             produced.extend(run_time_fair(plan, "rs", "sphere-d2", rep))
             rep += 1
         for record in produced[:1000]:
-            assert validate(record) == []
+            assert validate(*run_values(record)) == []
 
 
 class TestBestOfRestarts:

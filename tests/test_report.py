@@ -20,6 +20,7 @@ from timefair.core import CostMatrix, ErtResult, RunRecord, Termination, Traject
 from timefair.metrics import (
     EcdfCurve,
     MedianCurve,
+    RunColumns,
     anytime_ecdf,
     default_time_grid,
     ert,
@@ -406,12 +407,15 @@ class TestParsing:
         lines[-1] = self.LINE_VARIANTS[variant](lines[-1])
         path.write_bytes("".join(lines).encode())  # binary, so "\r\n" is written as it is
 
-        def outcomes():
+        def outcome(strict):
             try:
-                strict = parse_run_log(path, strict=True)
+                result = parse_run_log(path, strict=strict)
             except LogParseError as exc:
-                strict = str(exc)
-            return parse_run_log(path), strict
+                return str(exc)
+            return result.records, result.issues, result.skipped_runs
+
+        def outcomes():
+            return outcome(False), outcome(True)
 
         parsed = outcomes()
         monkeypatch.setattr(report, "_decode_line", json.loads)
@@ -610,8 +614,6 @@ class TestAgainstTheReferenceParser:
     def assert_same(path, context=""):
         from reference_parser import reference_parse_run_log
 
-        from timefair.metrics import RunColumns
-
         def strict(parse):
             try:
                 parse(path, strict=True)
@@ -707,7 +709,7 @@ class TestCurveEmission:
 
     def test_median_csv_roundtrip_preserves_infinity(self, rng, tmp_path):
         records = [random_record(rng, allow_empty=False) for _ in range(6)]
-        curve = median_trajectory(records, default_time_grid(5.0), bootstrap_samples=100)
+        curve = median_trajectory(RunColumns.of(records), default_time_grid(5.0), bootstrap_samples=100)
         path = tmp_path / "median.csv"
         emit_median_csv({"alg": curve}, path)
         header, rows = read_csv(path)
@@ -876,6 +878,19 @@ class TestManifest:
         plan, grouped, out_dir, config = _tiny_experiment(tmp_path)
         manifest = build_manifest(plan, grouped, out_dir, config)
         manifest["checklist"]["budget"]["wall_time_limit_seconds"] = 0
+        items = audit_manifest(manifest, out_dir)
+        item1 = next(i for i in items if i.number == 1)
+        assert (item1.status, item1.note) == ("FAIL", "wall_time_limit must be > 0")
+
+    @pytest.mark.parametrize(
+        "value", [True, "5", None, [1], 10**400], ids=["true", "string", "null", "list", "past-float-range"]
+    )
+    def test_wall_time_limit_that_is_not_a_number_fails_item_1(self, tmp_path, value):
+        # JSON true is a Python int, but it states no budget; an integer
+        # past float range is no finite budget either
+        plan, grouped, out_dir, config = _tiny_experiment(tmp_path)
+        manifest = build_manifest(plan, grouped, out_dir, config)
+        manifest["checklist"]["budget"]["wall_time_limit_seconds"] = value
         items = audit_manifest(manifest, out_dir)
         item1 = next(i for i in items if i.number == 1)
         assert (item1.status, item1.note) == ("FAIL", "wall_time_limit must be > 0")
