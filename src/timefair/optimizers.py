@@ -7,7 +7,10 @@ algorithm is done. The evaluator is the one record of the run's best, so a
 state holds search state only. Budget checks happen between steps, so each
 algorithm declares its evaluations per step (`evals_per_step`), which lets
 the virtual-mode runner predict whether the next step still fits the
-budget.
+budget. An algorithm that evaluates one point per iteration, none of
+them depending on an evaluation, may also show its drawn points (`drawn`)
+and count them (`advance`), so that a virtual-clock runner scores several
+iterations per objective call.
 """
 
 from __future__ import annotations
@@ -56,9 +59,9 @@ class Algorithm:
             raise ValueError("max_iterations must be an integer >= 1")
         self.max_iterations = max_iterations
 
-    def _count(self, state) -> bool:
-        """Count one iteration of `state`; True once max_iterations are done."""
-        state.iterations += 1
+    def _count(self, state, k: int = 1) -> bool:
+        """Count k iterations of `state`; True once max_iterations are done."""
+        state.iterations += k
         return self.max_iterations is not None and state.iterations >= self.max_iterations
 
     def describe(self) -> dict:
@@ -97,7 +100,10 @@ class RandomSearch(Algorithm):
 
     Points are drawn from the run's generator in blocks of up to
     `RANDOM_SEARCH_BLOCK` rows, never past `max_iterations`; the stream is
-    the one a draw per point would give.
+    the one a draw per point would give. No point depends on an
+    evaluation, so `drawn` shows the points ahead of the run, and a
+    virtual-clock runner scores several of them per objective call,
+    counting them with `advance`.
     """
 
     kind = "random-search"
@@ -108,14 +114,31 @@ class RandomSearch(Algorithm):
     def init(self, instance: ProblemInstance, seed: int) -> RandomSearchState:
         return RandomSearchState(rng=_generator(seed))
 
-    def step(self, state: RandomSearchState, evaluator) -> bool:
+    def drawn(self, state: RandomSearchState, instance: ProblemInstance) -> tuple[np.ndarray, int]:
+        """The block of drawn points the next one comes from, and that
+        point's row: the rows from there on are not evaluated yet. A spent
+        block is replaced by a fresh draw first."""
         block, cursor = state.block, state.cursor
         if block is None or cursor == len(block):
             k = RANDOM_SEARCH_BLOCK
             if self.max_iterations is not None:
                 k = min(k, self.max_iterations - state.iterations)
-            block = state.block = evaluator.instance.uniform(state.rng, k)
-            cursor = 0
+            block = state.block = instance.uniform(state.rng, k)
+            cursor = state.cursor = 0
+        return block, cursor
+
+    def advance(self, state: RandomSearchState, k: int) -> bool:
+        """Count the next k drawn points as evaluated, one iteration each;
+        True once max_iterations are done."""
+        state.cursor += k
+        return self._count(state, k)
+
+    def step(self, state: RandomSearchState, evaluator) -> bool:
+        block, cursor = state.block, state.cursor
+        if block is None or cursor == len(block):
+            # `drawn` refills a spent block; called only then, because a
+            # real clock charges every call of a step to the algorithm
+            block, cursor = self.drawn(state, evaluator.instance)
         evaluator.evaluate_rows(block[cursor : cursor + 1])
         state.cursor = cursor + 1
         return self._count(state)

@@ -15,6 +15,13 @@ stamp the iteration will end on, so the aggregate time never exceeds T; a
 real clock answers "now", so overshoot is bounded by one iteration and is
 reported in the manifest. A run in which no iteration fits ends the
 repetition, and is logged only when it is the repetition's only run.
+
+A virtual run of an algorithm whose points do not depend on its
+evaluations (one with `drawn` and `advance`: a bare random search) keeps
+that rule but not the one step per iteration. It admits the drawn block's
+rows one check at a time and scores the admitted rows in one evaluator
+call, as consecutive one-evaluation iterations that end at the first row
+reaching the hardest target; its records are those stepping would give.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 
 from .clock import ClockSpec, RealClock, VirtualClock
 from .core import Budget, RunRecord, TargetSpec, Termination, TrajectoryPoint
-from .optimizers import Algorithm, StagnationRestart, make_optimizer
+from .optimizers import RANDOM_SEARCH_BLOCK, Algorithm, StagnationRestart, make_optimizer
 from .problems import ProblemInstance, get_problem
 from .seeds import derive_seed
 
@@ -163,14 +170,6 @@ class ExperimentPlan:
         return VirtualClock(self.clock.cost_per_eval, spec.step_overhead)
 
 
-def _inside(lower: list, row: list, upper: list) -> bool:
-    """Every ``lower[i] < row[i] < upper[i]``; False for a NaN coordinate.
-
-    Strict: on a bound of 0.0, np.clip turns -0.0 into the bound's zero.
-    """
-    return all(map(operator.lt, lower, row)) and all(map(operator.lt, row, upper))
-
-
 class RunEvaluator:
     """Counting wrapper around one run's objective evaluations.
 
@@ -178,9 +177,10 @@ class RunEvaluator:
     wrong shape before anything is counted, clamps out-of-bounds queries
     (counted in `n_clamped`), counts FEs, and records best-so-far
     improvement events; `best_f` is the one record of the run's best,
-    read by the runner's target check and by the wrappers. The runner
-    counts the iterations. Each improvement is stamped `clock.at` its own
-    count when it is recorded.
+    read by the runner's target check and by the wrappers. A batch is one
+    iteration, which the runner counts; a block (`stop` given) is several
+    one-evaluation iterations, which the evaluator counts. Each
+    improvement is stamped `clock.at` its own counts when it is recorded.
     """
 
     def __init__(self, instance: ProblemInstance, clock):
@@ -198,25 +198,55 @@ class RunEvaluator:
     def elapsed(self) -> float:
         return self.clock.at(self.count, self.iterations)
 
-    def evaluate_rows(self, xs) -> np.ndarray:
-        """Objective values for a (n, d) batch; a point is a 1-row batch."""
+    def evaluate_rows(self, xs, stop: Optional[float] = None) -> np.ndarray:
+        """Objective values for a (n, d) batch; a point is a 1-row batch.
+
+        With `stop`, the rows are a block: consecutive one-evaluation
+        iterations after the `iterations` done so far. All are scored, but
+        the block ends at the first row at or below `stop` (a NaN `stop`
+        ends none): later rows are not counted, clamped or recorded, and
+        only the values up to that row are returned.
+        """
         xs = np.asarray(xs, dtype=float)
         instance = self.instance
         if xs.ndim != 2 or xs.shape[1] != instance.dimension:
             raise ValueError(instance.shape_error(xs))
         n = len(xs)
+        changed = None
         # np.clip returns a single row strictly inside the bounds unchanged,
-        # so it is evaluated as it is; any other batch is clipped
-        if n == 1 and _inside(self._lower, xs.tolist()[0], self._upper):
+        # so it is evaluated as it is; any other batch is clipped. Strict,
+        # because on a bound of 0.0 np.clip turns -0.0 into the bound's
+        # zero; a NaN coordinate is inside nothing.
+        if (
+            n == 1
+            and all(map(operator.lt, self._lower, row := xs.tolist()[0]))
+            and all(map(operator.lt, row, self._upper))
+        ):
             fs = instance.evaluate_rows(xs)
         else:
-            clipped = xs.clip(*instance.bounds(n))
+            if stop is None:
+                lower, upper = instance.bounds(n)
+            else:
+                # a block is clipped against the first rows of one cached
+                # pair, so the cache holds no pair per block length
+                lower, upper = instance.bounds(max(n, RANDOM_SEARCH_BLOCK))
+                lower, upper = lower[:n], upper[:n]
+            clipped = xs.clip(lower, upper)
             changed = clipped != xs
-            if np.count_nonzero(changed):
-                self.n_clamped += int(np.count_nonzero(changed.any(axis=1)))
             fs = instance.evaluate_rows(clipped)
+        iteration = self.iterations
+        if stop is not None:
+            reached = fs <= stop
+            if np.count_nonzero(reached):
+                n = int(reached.argmax()) + 1
+                fs = fs[:n]
+                if changed is not None:
+                    changed = changed[:n]
+            self.iterations += n
+        if changed is not None and np.count_nonzero(changed):
+            self.n_clamped += int(np.count_nonzero(changed.any(axis=1)))
         first = self.count
-        self.count += len(fs)
+        self.count += n
         if n == 1:
             candidates = (0,) if fs.item() < self.best_f else ()
         else:
@@ -229,9 +259,8 @@ class RunEvaluator:
             if f < self.best_f:  # below the running best: rows in order
                 count = first + i + 1
                 self.best_f = f
-                self.trajectory.append(
-                    TrajectoryPoint(self.clock.at(count, self.iterations), count, f)
-                )
+                stamp = self.clock.at(count, iteration if stop is None else iteration + i + 1)
+                self.trajectory.append(TrajectoryPoint(stamp, count, f))
         return fs
 
 
@@ -256,6 +285,10 @@ def run_time_fair(
     eval_cap = math.inf if plan.budget.eval_cap is None else plan.budget.eval_cap
     evals_per_step = algorithm.evals_per_step
     step = algorithm.step
+    # a virtual run of an algorithm whose points do not depend on its
+    # evaluations scores the points it has drawn a block at a time
+    drawn = getattr(algorithm, "drawn", None) if plan.clock.is_virtual else None
+    stop = math.nan if hardest is None else hardest  # NaN: no value is at or below it
 
     records: list[RunRecord] = []
     total_used = 0.0
@@ -281,11 +314,30 @@ def run_time_fair(
             stamp = at(evaluator.count + evals_per_step, evaluator.iterations + 1)
             if evaluator.count > headroom or total_used + stamp > T:
                 break
-            if stamp - last > max_step:
-                max_step = stamp - last
-            last = stamp
-            evaluator.iterations += 1
-            done = step(state, evaluator)
+            if drawn is None:
+                if stamp - last > max_step:
+                    max_step = stamp - last
+                last = stamp
+                evaluator.iterations += 1
+                done = step(state, evaluator)
+            else:
+                # the next iteration fits; admit the block's later rows by
+                # the same rule, one check each, and score them in one call,
+                # which ends at a row that reaches the hardest target
+                block, cursor = drawn(state, instance)
+                count, iterations = evaluator.count, evaluator.iterations
+                stamps = [stamp]
+                for i in range(1, len(block) - cursor):
+                    stamp = at(count + i + 1, iterations + i + 1)
+                    if count + i > headroom or total_used + stamp > T:
+                        break
+                    stamps.append(stamp)
+                k = len(evaluator.evaluate_rows(block[cursor : cursor + len(stamps)], stop))
+                for stamp in stamps[:k]:
+                    if stamp - last > max_step:
+                        max_step = stamp - last
+                    last = stamp
+                done = algorithm.advance(state, k)
             if hardest is not None and evaluator.best_f <= hardest:
                 termination = Termination.TARGET_REACHED
                 break

@@ -508,13 +508,12 @@ def build_manifest(
             },
             "targets": targets_section,
             "metrics": {
-                "produced": [
-                    "ert",
-                    "time_to_target",
-                    "anytime_ecdf",
-                    "median_trajectory",
-                    "performance_profile",
-                ],
+                # without targets, analyze writes the median curves only
+                "produced": (
+                    ["ert", "time_to_target", "anytime_ecdf", "median_trajectory", "performance_profile"]
+                    if plan.targets is not None
+                    else ["median_trajectory"]
+                ),
                 "time_grid": {
                     "points": metric_options["time_grid_points"],
                     "spacing": "logarithmic from T/1000 to T",

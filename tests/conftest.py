@@ -70,6 +70,34 @@ def random_record(rng: np.random.Generator, allow_empty: bool = True) -> RunReco
     )
 
 
+def edge_config() -> dict:
+    """A virtual-clock config whose random-search runs stop inside a drawn
+    block in every way a run stops: at the hardest target (sphere-d1), at
+    the eval cap of 700 (the arms without overhead), at T (rs-100, whose
+    ``synthetic_overhead`` makes T bind first) and at ``max_iterations``
+    of 70 and 100, which are no multiples of the block size; the cost per
+    evaluation is not dyadic. The PSO arm steps 8-row batches."""
+    return {
+        "budget": {"wall_time_limit": 2.5, "eval_cap": 700},
+        "targets": {"kind": "relative", "values": [10.0, 1.0, 0.1, 0.02]},
+        "repetitions": 4,
+        "master_seed": 11,
+        "clock": {"mode": "virtual", "cost_per_eval": 0.0031},
+        "algorithms": [
+            {"label": "rs-70", "kind": "random-search", "params": {"max_iterations": 70}},
+            {
+                "label": "rs-100",
+                "kind": "random-search",
+                "params": {"max_iterations": 100},
+                "wrappers": {"synthetic_overhead": 0.0017},
+            },
+            {"label": "rs", "kind": "random-search"},
+            {"label": "pso", "kind": "pso", "params": {"swarm_size": 8, "max_iterations": 5}},
+        ],
+        "instances": ["sphere-d1", "sphere-d2", "rastrigin-d3"],
+    }
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -754,6 +754,32 @@ class TestCmdReport:
         assert main(["report", str(out)]) == 0
         assert "item 5 (statistical rigor): PASS" in capsys.readouterr().out.splitlines()
 
+    def test_manifest_claims_only_the_metrics_analyze_writes(self, tmp_path, capsys):
+        # without targets analyze writes median curves only (the real-clock
+        # pipeline's shape); with them, all five kinds
+        def real_clock_without_targets(cfg):
+            del cfg["targets"]
+            cfg.update(clock={"mode": "real"}, budget={"wall_time_limit": 0.01})
+
+        path, cfg = write_config(tmp_path, mutate=real_clock_without_targets)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        produced = json.loads((out / "manifest.json").read_text())["checklist"]["metrics"]["produced"]
+        assert produced == ["median_trajectory"]
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert "item 4 (performance metrics): PASS" in stdout
+        assert stdout[-1] == "checklist verdict: PASS-with-note"
+
+        (tmp_path / "targets").mkdir()
+        path, cfg = write_config(tmp_path / "targets")
+        assert main(["run", "--config", str(path)]) == 0
+        manifest = json.loads((Path(cfg["output_dir"]) / "manifest.json").read_text())
+        assert manifest["checklist"]["metrics"]["produced"] == [
+            "ert", "time_to_target", "anytime_ecdf", "median_trajectory", "performance_profile"
+        ]
+
     def test_unreadable_directory_is_runtime_error(self, tmp_path):
         assert main(["report", str(tmp_path / "void")]) == 1
 

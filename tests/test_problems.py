@@ -6,10 +6,11 @@ import pytest
 from timefair import problems
 from timefair.cli import demo_config, plan_from_config, validate_config
 from timefair.clock import VirtualClock
+from timefair.optimizers import RANDOM_SEARCH_BLOCK
 from timefair.problems import ProblemInstance, get_problem
 from timefair.protocol import RunEvaluator, run_plan
 
-from conftest import CATALOG_OPTIMA, optimum_point
+from conftest import CATALOG_OPTIMA, edge_config, optimum_point
 
 
 def test_rastrigin_optimum_is_zero():
@@ -161,10 +162,30 @@ def test_batch_bounds_are_built_once_per_instance_and_batch_size():
 
 
 def test_a_demo_run_holds_bounds_for_its_arms_batch_sizes_only():
-    plan = plan_from_config(validate_config(demo_config()))
-    run_plan(plan)
-    (instance,) = plan.problems.values()
-    sizes = {spec.algorithm.evals_per_step for spec in plan.algorithms}
-    assert sizes == {1, 40}
-    # a random-search point is clipped only when it lies on the box's edge
-    assert 40 in instance._bounds and set(instance._bounds) <= sizes
+    # a virtual random-search run clips each block it scores against the
+    # first rows of the RANDOM_SEARCH_BLOCK pair, whatever the rows admitted;
+    # a stepped point is clipped only when it lies on the box's edge
+    for config, sizes in ((demo_config(), {1, 40}), (edge_config(), {1, 8})):
+        plan = plan_from_config(validate_config(config))
+        run_plan(plan)
+        assert {spec.algorithm.evals_per_step for spec in plan.algorithms} == sizes
+        for instance in plan.problems.values():
+            held = set(instance._bounds)
+            assert RANDOM_SEARCH_BLOCK in held and sizes - {1} <= held <= sizes | {RANDOM_SEARCH_BLOCK}
+
+
+@pytest.mark.parametrize("name", sorted(problems._CATALOG))
+def test_a_row_scores_the_same_bits_alone_and_in_a_batch(name):
+    # a virtual random-search run scores a block of rows in one call where
+    # stepping scores them one by one: the logs match only if these agree
+    rng = np.random.default_rng(5)
+    min_dimension = problems._CATALOG[name][2]
+    for dimension in (1, 2, 3, 5, 10, 20, 33):
+        if dimension < min_dimension:
+            continue
+        instance = get_problem(f"{name}-d{dimension}")
+        for n in range(2, 65):
+            xs = instance.uniform(rng, n)
+            batch = [float(f).hex() for f in instance.evaluate_rows(xs)]
+            alone = [float(instance.evaluate_rows(xs[i : i + 1])[0]).hex() for i in range(n)]
+            assert batch == alone, (dimension, n)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from timefair import protocol
 from timefair.cli import demo_config, plan_from_config, validate_config
 from timefair.clock import ClockSpec, RealClock, VirtualClock
 from timefair.core import Budget, RunRecord, TargetSpec, Termination, TrajectoryPoint, validate
-from timefair.optimizers import make_optimizer
+from timefair.optimizers import RANDOM_SEARCH_BLOCK, Algorithm, make_optimizer
 from timefair.problems import ProblemInstance, get_problem
 from timefair.protocol import (
     AlgorithmSpec,
@@ -21,7 +22,7 @@ from timefair.protocol import (
     run_time_fair,
 )
 
-from conftest import run_values
+from conftest import edge_config, run_values
 
 VIRTUAL = ClockSpec(mode="virtual", cost_per_eval=0.0078125)
 
@@ -312,6 +313,108 @@ class TestRunTimeFair:
             rep += 1
         for record in produced[:1000]:
             assert validate(*run_values(record)) == []
+
+
+class _Stepped(Algorithm):
+    """Forwards to an algorithm without its `drawn`, so the runner steps it
+    one iteration at a time."""
+
+    def __init__(self, inner: Algorithm):
+        self.inner = inner
+        self.evals_per_step = inner.evals_per_step
+
+    def describe(self) -> dict:
+        return self.inner.describe()
+
+    def init(self, instance, seed):
+        return self.inner.init(instance, seed)
+
+    def step(self, state, evaluator) -> bool:
+        return self.inner.step(state, evaluator)
+
+
+def _hexed(value):
+    """`value` with every float, also inside tuples, as its float.hex."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(_hexed, value))
+    return value
+
+
+def _block_and_stepped(config: dict) -> tuple[dict, dict]:
+    """Every (label, instance, repetition)'s records from the plan of
+    `config` as it runs, and with every arm stepped."""
+    plans = [plan_from_config(validate_config(config)) for _ in range(2)]
+    for spec in plans[1].algorithms:
+        object.__setattr__(spec, "algorithm", _Stepped(spec.algorithm))
+    return tuple(
+        {
+            (spec.label, instance_id, rep): run_time_fair(plan, spec.label, instance_id, rep)
+            for spec in plan.algorithms
+            for instance_id in plan.instances
+            for rep in range(plan.repetitions)
+        }
+        for plan in plans
+    )
+
+
+def _bits(runs: dict) -> dict:
+    """The records field by field, floats as float.hex."""
+    return {key: [_hexed(dataclasses.astuple(r)) for r in records] for key, records in runs.items()}
+
+
+class TestBlockPath:
+    """A virtual run of a bare random search scores its drawn block several
+    iterations per call; stepping the same plan is the oracle."""
+
+    def test_block_runs_equal_stepped_runs(self):
+        block, stepped = _block_and_stepped(edge_config())
+        assert _bits(block) == _bits(stepped)
+        # the config ends random-search runs inside a block in every way
+        ends = {
+            (label, r.termination, r.evals_used % RANDOM_SEARCH_BLOCK != 0)
+            for (label, _, _), records in block.items()
+            for r in records
+        }
+        for label in ("rs", "rs-70", "rs-100"):
+            assert (label, Termination.TARGET_REACHED, True) in ends
+        for label in ("rs-70", "rs-100"):  # 70 and 100 are no multiples of the block size
+            assert (label, Termination.INTERNAL_STOP, True) in ends
+        # the eval cap ends each repetition of rs inside a block
+        assert ("rs", Termination.BUDGET_EXHAUSTED, True) in ends
+        assert {sum(r.evals_used for r in block[("rs", "rastrigin-d3", rep)]) for rep in range(4)} == {700}
+        # T ends rs-100 runs inside their second, 36-row block
+        assert any(
+            r.termination is Termination.BUDGET_EXHAUSTED and 64 < r.evals_used < 100
+            for (label, _, _), records in block.items()
+            if label == "rs-100"
+            for r in records
+        )
+
+    def test_a_budget_below_one_iteration_gives_the_same_empty_run(self):
+        config = edge_config()
+        config["budget"] = {"wall_time_limit": 0.003}
+        block, stepped = _block_and_stepped(config)
+        assert _bits(block) == _bits(stepped)
+        assert all(
+            len(records) == 1 and records[0].evals_used == 0 and records[0].trajectory == ()
+            for records in block.values()
+        )
+
+    def test_a_demo_random_search_run_scores_a_block_per_objective_call(self, monkeypatch):
+        calls = []
+        seam = ProblemInstance.evaluate_rows
+
+        def counted(self, xs):
+            calls.append(len(xs))
+            return seam(self, xs)
+
+        monkeypatch.setattr(ProblemInstance, "evaluate_rows", counted)
+        plan = plan_from_config(validate_config(demo_config()))
+        for rep in range(plan.repetitions):
+            run_time_fair(plan, "random-search", "rastrigin-d10", rep)
+        assert len(calls) == 300 and sum(calls) == 19_200
 
 
 class TestBestOfRestarts:
@@ -715,6 +818,49 @@ def test_batch_evaluation_matches_a_row_by_row_clip_oracle(batches):
     assert evaluator.count == count
     assert evaluator.trajectory == expected_trajectory
     assert evaluator.best_f == best
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(*(_coordinate(lo, hi) for lo, hi in zip(SIGNED.lower, SIGNED.upper))),
+            st.sampled_from([NAN_ROW, CORNER_ROW]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.sampled_from([math.nan, -math.inf, 0.0, 1.5, 3.0, 6.0, math.inf]),
+)
+@example([CORNER_ROW, NAN_ROW, CORNER_ROW], 1.5)
+def test_a_block_matches_one_row_per_iteration(rows, stop):
+    # each row an iteration of its own, the block ending at the first row
+    # whose value is at or below `stop`; a batch before it sets a best
+    clock = VirtualClock(0.1, 0.3)
+    first = [(0.5, -0.5, 1.0), (1.0, -1.0, -2.0)]
+    block = RunEvaluator(SIGNED, clock)
+    block.iterations = 1
+    block.evaluate_rows(first)
+    values = block.evaluate_rows(rows, stop)
+
+    stepped = RunEvaluator(SIGNED, clock)
+    stepped.iterations = 1
+    stepped.evaluate_rows(first)
+    expected = []
+    for x in rows:
+        stepped.iterations += 1
+        expected.append(stepped.evaluate_rows([x])[0])
+        if expected[-1] <= stop:
+            break
+
+    assert values.tobytes() == np.array(expected).tobytes()
+    assert (block.count, block.iterations, block.n_clamped) == (
+        stepped.count,
+        stepped.iterations,
+        stepped.n_clamped,
+    )
+    assert block.trajectory == stepped.trajectory
+    assert _hexed(block.best_f) == _hexed(stepped.best_f)
 
 
 @pytest.mark.parametrize("rows", [1, 40])
