@@ -11,5 +11,5 @@ __version__ = "0.1.0"
 
 from .clock import ClockSpec
 from .core import Budget, TargetSpec
-from .metrics import ert, time_to_target
+from .metrics import RunColumns, ert, first_hits
 from .protocol import AlgorithmSpec, ExperimentPlan, run_time_fair

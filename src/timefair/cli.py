@@ -382,10 +382,10 @@ def scenario_plan(repetitions: int = 20) -> ExperimentPlan:
 
 
 def _ert_recheck(records, q: float, T: float) -> float:
-    """ERT to `q` straight from the logged trajectories, written apart from
+    """ERT to `q` straight from the records' columns, written apart from
     :mod:`metrics`: a run succeeds at its first point with best_f <= q if
     that point lies within T, and a failed run costs T."""
-    hits = [next((p.elapsed for p in r.trajectory if p.best_f <= q), math.inf) for r in records]
+    hits = [next((t for t, f in zip(r.elapsed, r.best_f) if f <= q), math.inf) for r in records]
     wins = [t for t in hits if t <= T]
     return (sum(wins) + T * (len(hits) - len(wins))) / len(wins) if wins else math.inf
 

@@ -1,11 +1,10 @@
 """Shared domain types for time-fair optimizer benchmarking.
 
 Everything here is plain immutable data. Types that describe an experiment
-plan (Budget, TargetSpec) validate themselves at construction; types that
-describe observed results (TrajectoryPoint, RunRecord) accept whatever they
-are given. :func:`validate` checks a run's invariants on its plain values,
-as the log parser reads them, and reports violations as data instead of
-raising.
+plan (Budget, TargetSpec) validate themselves at construction; a type that
+describes observed results (RunRecord) accepts whatever it is given.
+:func:`validate` checks a run's invariants on its plain values, as the log
+parser reads them, and reports violations as data instead of raising.
 
 Minimization is the canonical direction throughout: maximization problems
 are wrapped by negation at the problem layer, and a quality target q counts
@@ -81,27 +80,22 @@ class TargetSpec:
 
 
 @dataclass(frozen=True)
-class TrajectoryPoint:
-    """One best-so-far improvement event within a run."""
-
-    elapsed: float
-    evals: int
-    best_f: float
-
-
-@dataclass(frozen=True)
 class RunRecord:
     """One independent optimizer run.
 
-    The trajectory stores improvement events only; the anytime curve is the
-    step function carrying each best_f forward. `repetition` and `run_index`
-    locate the run inside the restart loop of one plan repetition.
+    Its best-so-far improvements are three columns, named after the run
+    log's improvement keys: each one's `elapsed`, `evals` and `best_f`, in
+    order. The anytime curve is the step function carrying each best_f
+    forward. `repetition` and `run_index` locate the run inside the restart
+    loop of one plan repetition.
     """
 
     algorithm_id: str
     instance_id: str
     seed: int
-    trajectory: tuple[TrajectoryPoint, ...]
+    elapsed: tuple[float, ...]
+    evals: tuple[int, ...]
+    best_f: tuple[float, ...]
     time_used: float
     evals_used: int
     termination: Termination
@@ -111,12 +105,13 @@ class RunRecord:
     max_step_seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trajectory", tuple(self.trajectory))
+        for column in ("elapsed", "evals", "best_f"):
+            object.__setattr__(self, column, tuple(getattr(self, column)))
 
     @property
     def final_best(self) -> float:
         """Best objective reached, +inf for a run with no evaluations."""
-        return self.trajectory[-1].best_f if self.trajectory else math.inf
+        return self.best_f[-1] if self.best_f else math.inf
 
 
 def validate(elapsed: list[float], evals: list[int], best_f: list[float],
@@ -134,7 +129,8 @@ def validate(elapsed: list[float], evals: list[int], best_f: list[float],
     if (
         elapsed
         and all(map(operator.le, [0.0, *elapsed], [*elapsed, time_used]))
-        and all(map(operator.le, [1, *evals], [*evals, evals_used]))
+        and all(map(operator.lt, [0, *evals], evals))
+        and evals[-1] <= evals_used
         and all(map(operator.gt, best_f, best_f[1:]))
         and math.isfinite(best_f[0])
         and math.isfinite(best_f[-1])
@@ -154,6 +150,8 @@ def validate(elapsed: list[float], evals: list[int], best_f: list[float],
             violations.append("elapsed non-monotone")
         if any(map(operator.lt, evals[1:], evals)):
             violations.append("evals non-monotone")
+        if any(map(operator.eq, evals[1:], evals)):
+            violations.append("evals repeated")
         if any(map(operator.ge, best_f[1:], best_f)):
             violations.append("best_f not strictly decreasing")
         if time_used < elapsed[-1]:

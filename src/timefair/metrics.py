@@ -38,18 +38,6 @@ def default_time_grid(T: float, points: int = DEFAULT_GRID_POINTS) -> tuple[floa
     return tuple(float(t) for t in grid)
 
 
-def time_to_target(record: RunRecord, q: float, T: float = math.inf) -> Optional[float]:
-    """Earliest elapsed at which the run attained best_f <= q, else None.
-
-    Hits after T (malformed logs only; runs never outlive the budget) do
-    not count.
-    """
-    for point in record.trajectory:
-        if point.best_f <= q:
-            return point.elapsed if point.elapsed <= T else None
-    return None
-
-
 def ert(
     times: Sequence[Optional[float]],
     T: float,
@@ -142,9 +130,12 @@ class RunColumns:
 
     @classmethod
     def of(cls, records: Sequence[RunRecord]) -> RunColumns:
-        trajectories = [r.trajectory for r in records]
-        points = [p for trajectory in trajectories for p in trajectory]
-        return cls.of_lists([len(t) for t in trajectories], [p.elapsed for p in points], [p.best_f for p in points])
+        """Columns from records: their own columns, concatenated."""
+        return cls.of_lists(
+            [len(r.elapsed) for r in records],
+            [t for r in records for t in r.elapsed],
+            [f for r in records for f in r.best_f],
+        )
 
     @classmethod
     def of_lists(cls, lengths: Sequence[int], elapsed: Sequence[float], best_f: Sequence[float]) -> RunColumns:
@@ -155,8 +146,10 @@ class RunColumns:
 
 
 def first_hits(columns: RunColumns, ladder: Sequence[float], T: float = math.inf) -> list[list[Optional[float]]]:
-    """For each target q of `ladder`, each run's ``time_to_target(run, q, T)``,
-    in run order: one vectorised pass over the pair's columns per target."""
+    """For each target q of `ladder`, each run's first hit, in run order: the
+    elapsed of its first point with best_f <= q if that lies within T, else
+    None (a hit after T comes from a malformed log only; runs never outlive
+    the budget). One vectorised pass over the pair's columns per target."""
     hits = []
     for q in ladder:
         reached = np.flatnonzero(columns.best_f <= q)

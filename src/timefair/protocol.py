@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .clock import ClockSpec, RealClock, VirtualClock
-from .core import Budget, RunRecord, TargetSpec, Termination, TrajectoryPoint
+from .core import Budget, RunRecord, TargetSpec, Termination
 from .optimizers import RANDOM_SEARCH_BLOCK, Algorithm, StagnationRestart, make_optimizer
 from .problems import ProblemInstance, get_problem
 from .seeds import derive_seed
@@ -175,12 +175,14 @@ class RunEvaluator:
 
     `evaluate_rows` is the one entry point. It rejects batches of the
     wrong shape before anything is counted, clamps out-of-bounds queries
-    (counted in `n_clamped`), counts FEs, and records best-so-far
-    improvement events; `best_f` is the one record of the run's best,
-    read by the runner's target check and by the wrappers. A batch is one
-    iteration, which the runner counts; a block (`stop` given) is several
-    one-evaluation iterations, which the evaluator counts. Each
-    improvement is stamped `clock.at` its own counts when it is recorded.
+    (counted in `n_clamped`), counts FEs, and appends each best-so-far
+    improvement's stamp, count and value to `stamps`, `counts` and
+    `values`, the run's `elapsed`, `evals` and `best_f` columns; `best_f`
+    is the one record of the run's best, read by the runner's target check
+    and by the wrappers. A batch is one iteration, which the runner counts;
+    a block (`stop` given) is several one-evaluation iterations, which the
+    evaluator counts. Each improvement is stamped `clock.at` its own counts
+    when it is recorded.
     """
 
     def __init__(self, instance: ProblemInstance, clock):
@@ -190,7 +192,9 @@ class RunEvaluator:
         self.iterations = 0
         self.n_clamped = 0
         self.best_f = math.inf
-        self.trajectory: list[TrajectoryPoint] = []
+        self.stamps: list[float] = []
+        self.counts: list[int] = []
+        self.values: list[float] = []
         # Python floats: one in-bounds row is checked without numpy calls
         self._lower = instance.lower.tolist()
         self._upper = instance.upper.tolist()
@@ -259,8 +263,9 @@ class RunEvaluator:
             if f < self.best_f:  # below the running best: rows in order
                 count = first + i + 1
                 self.best_f = f
-                stamp = self.clock.at(count, iteration if stop is None else iteration + i + 1)
-                self.trajectory.append(TrajectoryPoint(stamp, count, f))
+                self.stamps.append(self.clock.at(count, iteration if stop is None else iteration + i + 1))
+                self.counts.append(count)
+                self.values.append(f)
         return fs
 
 
@@ -349,7 +354,9 @@ def run_time_fair(
             algorithm_id=algorithm_label,
             instance_id=instance_id,
             seed=seed,
-            trajectory=tuple(evaluator.trajectory),
+            elapsed=evaluator.stamps,
+            evals=evaluator.counts,
+            best_f=evaluator.values,
             time_used=time_used,
             evals_used=evaluator.count,
             termination=termination,

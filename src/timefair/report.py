@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .clock import CLOCK_SCHEME_ID
-from .core import ErtResult, RunRecord, Termination, TrajectoryPoint, validate
+from .core import ErtResult, RunRecord, Termination, validate
 from .metrics import TUNING_AMORTIZATION, EcdfCurve, MedianCurve, ProfileCurve, RunColumns
 from .seeds import SEED_SCHEME_ID
 
@@ -122,10 +122,10 @@ def write_run_log(
             if header_end is None:
                 header_end = f',"params":{_json(params)}}}\n'
             fh.write(header + header_end)
-            for point in record.trajectory:
+            for elapsed, evals, best_f in zip(record.elapsed, record.evals, record.best_f):
                 fh.write(
-                    f'{{"kind":"improvement","elapsed":{_json(point.elapsed)},'
-                    f'"evals":{_json(point.evals)},"best_f":{_json(point.best_f)}}}\n'
+                    f'{{"kind":"improvement","elapsed":{_json(elapsed)},'
+                    f'"evals":{_json(evals)},"best_f":{_json(best_f)}}}\n'
                 )
             fh.write(
                 f'{{"kind":"run_end","termination":{_json(record.termination.value)},'
@@ -142,10 +142,11 @@ class ParseResult:
     `columns` is the log's :class:`metrics.RunColumns`: the number of runs
     and, for every improvement, its run index, elapsed and best_f. `evals`
     holds every improvement's evals in the same order, and `run_fields`
-    each run's other :class:`RunRecord` fields, in their order without the
-    trajectory. `issues` holds one message per issue, in line order;
-    `skipped_runs` counts the runs they cost. `records` builds the
-    RunRecords from the columns each time it is read.
+    each run's other :class:`RunRecord` fields, in their order without its
+    three improvement columns. `issues` holds one message per issue, in
+    line order; `skipped_runs` counts the runs they cost. `records` builds
+    the RunRecords each time it is read, slicing each run's columns out of
+    the log's.
     """
 
     columns: RunColumns
@@ -157,10 +158,10 @@ class ParseResult:
     @property
     def records(self) -> list[RunRecord]:
         columns = self.columns
-        points = [TrajectoryPoint(*p) for p in zip(columns.elapsed.tolist(), self.evals, columns.best_f.tolist())]
+        elapsed, evals, best_f = columns.elapsed.tolist(), self.evals, columns.best_f.tolist()
         stops = np.cumsum(np.bincount(columns.run, minlength=columns.runs)).tolist()
         return [
-            RunRecord(*fields[:3], points[start:stop], *fields[3:])
+            RunRecord(*fields[:3], elapsed[start:stop], evals[start:stop], best_f[start:stop], *fields[3:])
             for fields, start, stop in zip(self.run_fields, [0, *stops], stops)
         ]
 
@@ -279,7 +280,7 @@ def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
                     skipped_runs += 1
                     header = None
                     continue
-                try:  # RunRecord's fields without the trajectory, in its order
+                try:  # RunRecord's fields without its improvement columns, in its order
                     fields = (
                         _string(header["algorithm_id"]),
                         _string(header["instance_id"]),

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from timefair.core import RunRecord, Termination, TrajectoryPoint
-from timefair.metrics import RunColumns, first_hits, time_to_target
+from timefair.core import RunRecord, Termination
+from timefair.metrics import RunColumns, first_hits
 
 TERMINATIONS = (
     Termination.TARGET_REACHED,
@@ -21,6 +23,27 @@ def optimum_point(instance_id: str) -> np.ndarray:
     return np.full(int(dimension), CATALOG_OPTIMA[name])
 
 
+def columns(points) -> dict:
+    """RunRecord's three improvement columns, by name, from (elapsed, evals,
+    best_f) points."""
+    return {name: [p[k] for p in points] for k, name in enumerate(("elapsed", "evals", "best_f"))}
+
+
+def evaluator_columns(evaluator) -> dict:
+    """A RunEvaluator's improvements as the RunRecord columns they become."""
+    return {"elapsed": evaluator.stamps, "evals": evaluator.counts, "best_f": evaluator.values}
+
+
+def time_to_target(record: RunRecord, q: float, T: float = math.inf):
+    """Earliest elapsed at which the run attained best_f <= q, else None:
+    the oracle of ``metrics.first_hits``, read one record's columns at a
+    time. A hit after T does not count."""
+    for elapsed, best_f in zip(record.elapsed, record.best_f):
+        if best_f <= q:
+            return elapsed if elapsed <= T else None
+    return None
+
+
 def pair_times(records, targets_by_instance):
     """One first-hit time per (run, target) pair, None for a miss, for every
     target of each run's instance: the input of ``anytime_ecdf``."""
@@ -34,15 +57,17 @@ def hits_by_pair(grouped, targets_by_instance, T):
 
 
 def run_values(record: RunRecord) -> tuple:
-    """A record's run as ``core.validate`` takes it: its points' elapsed,
-    evals and best_f, then its time_used, evals_used and max_step_seconds."""
-    traj = record.trajectory
-    points = ([p.elapsed for p in traj], [p.evals for p in traj], [p.best_f for p in traj])
-    return (*points, record.time_used, record.evals_used, record.max_step_seconds)
+    """A record's run as ``core.validate`` takes it: its elapsed, evals and
+    best_f columns as lists, then its time_used, evals_used and
+    max_step_seconds."""
+    return (
+        list(record.elapsed), list(record.evals), list(record.best_f),
+        record.time_used, record.evals_used, record.max_step_seconds,
+    )
 
 
 def random_record(rng: np.random.Generator, allow_empty: bool = True) -> RunRecord:
-    """A structurally valid RunRecord with a random improvement trajectory."""
+    """A structurally valid RunRecord with random improvement columns."""
     n_points = int(rng.integers(0 if allow_empty else 1, 9))
     points = []
     elapsed = 0.0
@@ -52,14 +77,14 @@ def random_record(rng: np.random.Generator, allow_empty: bool = True) -> RunReco
         elapsed += float(rng.uniform(1e-4, 2.0))
         evals += int(rng.integers(1, 40))
         best -= float(rng.uniform(1e-6, 10.0))
-        points.append(TrajectoryPoint(elapsed=elapsed, evals=evals, best_f=best))
+        points.append((elapsed, evals, best))
     time_used = elapsed + float(rng.uniform(0.0, 1.0))
     evals_used = evals + int(rng.integers(0, 20)) if n_points else 0
     return RunRecord(
         algorithm_id=str(rng.choice(["alpha", "beta", "gamma"])),
         instance_id=str(rng.choice(["sphere-d2", "rastrigin-d5"])),
         seed=int(rng.integers(0, 2**64, dtype=np.uint64)),
-        trajectory=tuple(points),
+        **columns(points),
         time_used=time_used,
         evals_used=evals_used,
         termination=TERMINATIONS[int(rng.integers(0, 3))],

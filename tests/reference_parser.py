@@ -1,11 +1,12 @@
 """The run-log parser that built one RunRecord per run, kept as the oracle
 that ``report.parse_run_log`` is checked against.
 
-It reads a log line by line, builds a TrajectoryPoint per improvement and
-a RunRecord per run, and checks each record with ``core.validate``. Two
-behaviours differ from ``report.parse_run_log`` on purpose: a byte that is
-not UTF-8 raises ``UnicodeDecodeError`` here, and a line that ``str.strip``
-empties (such as ``"\\x0c"`` or ``"\\u2028"``) is skipped here as blank.
+It reads a log line by line, keeps an (elapsed, evals, best_f) point per
+improvement, builds a RunRecord per run from its points, and checks each
+record with ``core.validate``. Two behaviours differ from
+``report.parse_run_log`` on purpose: a byte that is not UTF-8 raises
+``UnicodeDecodeError`` here, and a line that ``str.strip`` empties (such
+as ``"\\x0c"`` or ``"\\u2028"``) is skipped here as blank.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from timefair.core import RunRecord, Termination, TrajectoryPoint, validate
+from timefair.core import RunRecord, Termination, validate
 from timefair.report import LogParseError
 
-from conftest import run_values
+from conftest import columns, run_values
 
 
 @dataclass
@@ -57,7 +58,7 @@ def reference_parse_run_log(path: Path, strict: bool = False) -> ReferenceResult
 
     header: Optional[dict] = None
     header_line = 0
-    points: list[TrajectoryPoint] = []
+    points: list[tuple] = []
     run_broken = False
 
     def run_name(h: dict) -> str:
@@ -87,13 +88,7 @@ def reference_parse_run_log(path: Path, strict: bool = False) -> ReferenceResult
                     issue(f"line {lineno}: improvement outside of a run")
                     continue
                 try:
-                    points.append(
-                        TrajectoryPoint(
-                            elapsed=_number(obj["elapsed"]),
-                            evals=_integer(obj["evals"]),
-                            best_f=_number(obj["best_f"]),
-                        )
-                    )
+                    points.append((_number(obj["elapsed"]), _integer(obj["evals"]), _number(obj["best_f"])))
                 except (KeyError, TypeError, OverflowError):
                     issue(f"line {lineno}: malformed improvement in run {run_name(header)}")
                     run_broken = True
@@ -110,7 +105,7 @@ def reference_parse_run_log(path: Path, strict: bool = False) -> ReferenceResult
                         algorithm_id=_string(header["algorithm_id"]),
                         instance_id=_string(header["instance_id"]),
                         seed=_integer(header["seed"]),
-                        trajectory=tuple(points),
+                        **columns(points),
                         time_used=_number(obj["time_used"]),
                         evals_used=_integer(obj["evals_used"]),
                         termination=Termination(obj["termination"]),

@@ -19,13 +19,12 @@ from timefair.metrics import (
     anytime_ecdf,
     ert,
     performance_profile,
-    time_to_target,
 )
 from timefair.problems import get_problem
 from timefair.protocol import best_of_restarts, run_plan, run_time_fair
 from timefair.report import parse_run_log, write_run_log
 
-from conftest import CATALOG_OPTIMA, optimum_point, pair_times, random_record
+from conftest import CATALOG_OPTIMA, optimum_point, pair_times, random_record, time_to_target
 
 
 def _report(number: int, detail: str) -> None:
@@ -186,9 +185,9 @@ def test_criterion_5_ecdf_recount():
                 for q in targets["sphere-d2"]:
                     denominator += 1
                     hit = None
-                    for point in record.trajectory:
-                        if point.best_f <= q:
-                            hit = point.elapsed
+                    for elapsed, best_f in zip(record.elapsed, record.best_f):
+                        if best_f <= q:
+                            hit = elapsed
                             break
                     if hit is not None and hit <= t:
                         numerator += 1

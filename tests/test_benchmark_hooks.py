@@ -23,9 +23,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_tracer_install_finds_every_traced_name_but_the_retired_ones():
     # virtual time has no per-evaluation charge, the synthetic per-iteration
-    # cost is charged by the clock, not by a wrapper's step, and a point is
-    # evaluated as a 1-row batch: these three are the names the tracer may
-    # not find (their layers read 0)
+    # cost is charged by the clock, not by a wrapper's step, a point is
+    # evaluated as a 1-row batch, and first hits come from metrics.first_hits
+    # over a pair's columns: these four are the names the tracer may not
+    # find (their layers read 0)
     script = (
         "import json; from tracer import Tracer, install; "
         "t = Tracer(); install(t); print(json.dumps(t.missing))"
@@ -44,6 +45,7 @@ def test_tracer_install_finds_every_traced_name_but_the_retired_ones():
         "protocol.RunEvaluator.evaluate",
         "clock.charge",
         "optimizers.wrapper.synthetic-overhead",
+        "metrics.time_to_target",
     ]
 
 
@@ -99,13 +101,10 @@ def test_real_mode_time_follows_real_clock_now(monkeypatch):
     assert sum(r.time_used for r in unit) >= 40.0
     assert all(r.time_used == int(r.time_used) > 0 for r in unit)
     scaled = [
-        (r.time_used / 4, r.max_step_seconds / 4, [(p.elapsed / 4, p.evals, p.best_f) for p in r.trajectory])
+        (r.time_used / 4, r.max_step_seconds / 4, [t / 4 for t in r.elapsed], r.evals, r.best_f)
         for r in unit
     ]
-    assert scaled == [
-        (r.time_used, r.max_step_seconds, [(p.elapsed, p.evals, p.best_f) for p in r.trajectory])
-        for r in quarter
-    ]
+    assert scaled == [(r.time_used, r.max_step_seconds, list(r.elapsed), r.evals, r.best_f) for r in quarter]
 
 
 def test_cli_calls_the_traced_config_functions_as_its_own_globals(monkeypatch, tmp_path, capsys):

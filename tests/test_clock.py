@@ -67,7 +67,7 @@ class TestVirtualClock:
                 evaluator.iterations += 1
                 algorithm.step(state, evaluator)
                 assert evaluator.elapsed() == projected
-            assert evaluator.trajectory[-1].elapsed <= evaluator.elapsed()
+            assert evaluator.stamps[-1] <= evaluator.elapsed()
 
 
 class TestRealClock:

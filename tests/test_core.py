@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,25 +12,23 @@ from timefair.core import (
     RunRecord,
     TargetSpec,
     Termination,
-    TrajectoryPoint,
     validate,
 )
 
-from conftest import random_record, run_values
+from conftest import columns, random_record, run_values
 import numpy as np
 
 
 def _record(points, time_used=None, evals_used=None, termination=Termination.INTERNAL_STOP):
-    traj = tuple(TrajectoryPoint(*p) for p in points)
     if time_used is None:
-        time_used = traj[-1].elapsed if traj else 0.0
+        time_used = points[-1][0] if points else 0.0
     if evals_used is None:
-        evals_used = traj[-1].evals if traj else 0
+        evals_used = points[-1][1] if points else 0
     return RunRecord(
         algorithm_id="alg",
         instance_id="sphere-d2",
         seed=1,
-        trajectory=traj,
+        **columns(points),
         time_used=time_used,
         evals_used=evals_used,
         termination=termination,
@@ -55,6 +54,11 @@ class TestValidate:
     def test_time_used_before_last_improvement_flagged(self):
         rec = _record([(2.0, 10, 5.0)], time_used=1.0)
         assert "time_used < last trajectory elapsed" in validate(*run_values(rec))
+
+    def test_repeated_evals_flagged(self):
+        # each improvement is a distinct evaluation, so no two share a count
+        rec = _record([(1.0, 3, 5.0), (2.0, 3, 4.0)])
+        assert validate(*run_values(rec)) == ["evals repeated"]
 
     def test_elapsed_non_monotone_flagged(self):
         rec = _record([(2.0, 10, 5.0), (1.0, 20, 4.0)])
@@ -89,6 +93,7 @@ class TestValidate:
         "tied-best_f": [(1.0, 1, 5.0), (2.0, 2, 5.0)],
         "signed-zero-best_f": [(1.0, 1, 0.0), (2.0, 2, -0.0)],
         "decreasing-evals": [(1.0, 10, 5.0), (2.0, 8, 4.0)],
+        "repeated-evals": [(1.0, 3, 5.0), (2.0, 3, 4.0)],
         "nan-best_f": [(1.0, 1, math.nan), (2.0, 2, 4.0), (3.0, 3, -math.inf)],
         "no-evaluation": [(0.0, 0, 5.0)],
         "empty": [],
@@ -104,7 +109,9 @@ class TestValidate:
     def test_random_records_match_the_reference(self, rng):
         for _ in range(500):
             record = random_record(rng)
-            reversed_record = dataclasses.replace(record, trajectory=record.trajectory[::-1])
+            reversed_record = dataclasses.replace(
+                record, elapsed=record.elapsed[::-1], evals=record.evals[::-1], best_f=record.best_f[::-1]
+            )
             assert validate(*run_values(record)) == validate_reference(record) == []
             assert validate(*run_values(reversed_record)) == validate_reference(reversed_record)
 
@@ -121,7 +128,7 @@ EDGE_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0, math.inf, -math.i
 )
 def test_plain_lists_match_the_reference(points, time_used, evals_used, max_step_seconds):
     record = RunRecord(
-        algorithm_id="alg", instance_id="sphere-d2", seed=1, trajectory=[TrajectoryPoint(*p) for p in points],
+        algorithm_id="alg", instance_id="sphere-d2", seed=1, **columns(points),
         time_used=time_used, evals_used=evals_used, termination=Termination.INTERNAL_STOP,
         max_step_seconds=max_step_seconds,
     )
@@ -131,9 +138,12 @@ def test_plain_lists_match_the_reference(points, time_used, evals_used, max_step
 
 def validate_reference(record):
     """``validate`` as it was written first: one generator over the points
-    per check."""
+    per check (and the repeated-evals check added since)."""
     violations = []
-    traj = record.trajectory
+    traj = [
+        SimpleNamespace(elapsed=t, evals=n, best_f=f)
+        for t, n, f in zip(record.elapsed, record.evals, record.best_f)
+    ]
     if not traj and record.evals_used > 0:
         violations.append("empty trajectory with evals_used > 0")
     if traj:
@@ -145,6 +155,8 @@ def validate_reference(record):
             violations.append("elapsed non-monotone")
         if any(b.evals < a.evals for a, b in zip(traj, traj[1:])):
             violations.append("evals non-monotone")
+        if any(b.evals == a.evals for a, b in zip(traj, traj[1:])):
+            violations.append("evals repeated")
         if any(b.best_f >= a.best_f for a, b in zip(traj, traj[1:])):
             violations.append("best_f not strictly decreasing")
         if record.time_used < traj[-1].elapsed:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from timefair import metrics
-from timefair.core import CostMatrix, RunRecord, Termination, TrajectoryPoint
+from timefair.core import CostMatrix, RunRecord, Termination
 from timefair.metrics import (
     _best_so_far_matrix,
     _column_medians,
@@ -24,21 +24,19 @@ from timefair.metrics import (
     median_trajectory,
     performance_profile,
     rank_sum_test,
-    time_to_target,
 )
 
-from conftest import hits_by_pair, pair_times, random_record
+from conftest import columns, hits_by_pair, pair_times, random_record, time_to_target
 
 
 def make_record(points, instance_id="sphere-d2", time_used=None):
-    traj = tuple(TrajectoryPoint(*p) for p in points)
     return RunRecord(
         algorithm_id="alg",
         instance_id=instance_id,
         seed=0,
-        trajectory=traj,
-        time_used=time_used if time_used is not None else (traj[-1].elapsed if traj else 0.0),
-        evals_used=traj[-1].evals if traj else 0,
+        **columns(points),
+        time_used=time_used if time_used is not None else (points[-1][0] if points else 0.0),
+        evals_used=points[-1][1] if points else 0,
         termination=Termination.INTERNAL_STOP,
     )
 
@@ -162,9 +160,9 @@ def ecdf_oracle(records, targets_by_instance, grid):
             for q in targets_by_instance[record.instance_id]:
                 den += 1
                 hit = None
-                for point in record.trajectory:
-                    if point.best_f <= q:
-                        hit = point.elapsed
+                for elapsed, best_f in zip(record.elapsed, record.best_f):
+                    if best_f <= q:
+                        hit = elapsed
                         break
                 if hit is not None and hit <= t:
                     num += 1
@@ -209,7 +207,7 @@ def median_oracle(records, grid, bootstrap_samples, confidence, seed):
     """Median and percentile interval over the whole-array bootstrap."""
     values = np.array(
         [
-            [min((p.best_f for p in r.trajectory if p.elapsed <= t), default=math.inf) for t in grid]
+            [min((f for e, f in zip(r.elapsed, r.best_f) if e <= t), default=math.inf) for t in grid]
             for r in records
         ]
     )
@@ -269,12 +267,10 @@ def best_so_far_oracle(records, grid):
     """The per-(run, grid point) bisect loop that one searchsorted per run replaced."""
     values = np.full((len(records), len(grid)), math.inf)
     for i, record in enumerate(records):
-        elapsed = [p.elapsed for p in record.trajectory]
-        best = [p.best_f for p in record.trajectory]
         for j, t in enumerate(grid):
-            k = bisect_right(elapsed, t)
+            k = bisect_right(record.elapsed, t)
             if k:
-                values[i, j] = best[k - 1]
+                values[i, j] = record.best_f[k - 1]
     return values
 
 

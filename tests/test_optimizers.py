@@ -20,6 +20,8 @@ from timefair.problems import ProblemInstance, get_problem
 from timefair.protocol import AlgorithmSpec, ExperimentPlan, PlanError, RunEvaluator, run_time_fair
 from timefair.seeds import subseed
 
+from conftest import columns, evaluator_columns
+
 SPHERE = get_problem("sphere-d2")
 
 
@@ -96,7 +98,7 @@ class TestStep:
             state_a, _ = drive(make_optimizer(kind), ev_a, 99, 10)
             state_b, _ = drive(make_optimizer(kind), ev_b, 99, 10)
             assert ev_a.best_f == ev_b.best_f
-            assert [p.best_f for p in ev_a.trajectory] == [p.best_f for p in ev_b.trajectory]
+            assert ev_a.values == ev_b.values
 
     def test_best_is_monotone_nonincreasing(self):
         for kind in ("random-search", "pso"):
@@ -208,7 +210,7 @@ def check_pso_against_the_oracle(instance_id, restarts):
         assert swarm.best_f == oracle.best_f
         assert not np.shares_memory(swarm.pbest_x, swarm.x)
         assert evaluator.n_clamped == oracle_evaluator.n_clamped
-        assert evaluator.trajectory == oracle_evaluator.trajectory
+        assert evaluator_columns(evaluator) == evaluator_columns(oracle_evaluator)
         on_bound += np.count_nonzero((swarm.x == instance.lower) | (swarm.x == instance.upper))
         on_vmax += np.count_nonzero(np.abs(swarm.v) == vmax)
     assert on_bound > 0 and on_vmax > 0  # both clips were exercised
@@ -290,7 +292,7 @@ class TestReferenceStreams:
         evaluator = make_evaluator(void)
         state, _ = drive(algorithm, evaluator, 2, 4)
         assert swarm_best_x(state) is None and math.isinf(state.best_f)
-        assert evaluator.count == 20 and evaluator.trajectory == []
+        assert evaluator.count == 20 and evaluator_columns(evaluator) == columns([])
 
 
 FLAT = ProblemInstance(
@@ -443,11 +445,11 @@ class TestSyntheticOverhead:
         def searched(overhead):
             plan = rs_plan({"synthetic_overhead": overhead}, T=60.0, max_iterations=10)
             records = run_time_fair(plan, "rs", "sphere-d2", 0)
-            return [(r.evals_used, [(p.evals, p.best_f) for p in r.trajectory]) for r in records]
+            return [(r.evals_used, r.evals, r.best_f) for r in records]
 
         plain, heavy = searched(0.0), searched(5.0)
         assert len(plain) == 24
-        assert heavy == [plain[0], (1, plain[1][1][:1])]
+        assert heavy == [plain[0], (1, plain[1][1][:1], plain[1][2][:1])]
 
     def test_real_clock_rejected(self):
         # the wrapper's presence is the error, even at zero overhead

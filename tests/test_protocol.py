@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from timefair import protocol
 from timefair.cli import demo_config, plan_from_config, validate_config
 from timefair.clock import ClockSpec, RealClock, VirtualClock
-from timefair.core import Budget, RunRecord, TargetSpec, Termination, TrajectoryPoint, validate
+from timefair.core import Budget, RunRecord, TargetSpec, Termination, validate
+from timefair.metrics import RunColumns, first_hits
 from timefair.optimizers import RANDOM_SEARCH_BLOCK, Algorithm, make_optimizer
 from timefair.problems import ProblemInstance, get_problem
 from timefair.protocol import (
@@ -22,7 +23,7 @@ from timefair.protocol import (
     run_time_fair,
 )
 
-from conftest import edge_config, run_values
+from conftest import columns, edge_config, evaluator_columns, run_values, time_to_target
 
 VIRTUAL = ClockSpec(mode="virtual", cost_per_eval=0.0078125)
 
@@ -97,7 +98,7 @@ class TestRunTimeFair:
         assert len(records) == 1
         assert records[0].termination is Termination.BUDGET_EXHAUSTED
         assert records[0].evals_used == 0
-        assert records[0].trajectory == ()
+        assert (records[0].elapsed, records[0].evals, records[0].best_f) == ((), (), ())
 
     def test_virtual_budget_is_never_exceeded(self):
         rng = np.random.default_rng(3)
@@ -133,16 +134,16 @@ class TestRunTimeFair:
     def test_first_hit_consistency(self):
         plan = scenario_plan()
         records = run_time_fair(plan, "pso", "rastrigin-d10", 0)
-        from timefair.metrics import time_to_target
-
-        for record in records:
-            for q in plan.targets.resolve(0.0):
+        ladder = plan.targets.resolve(0.0)
+        hits = first_hits(RunColumns.of(records), ladder)
+        for k, record in enumerate(records):
+            for q, times in zip(ladder, hits):
                 expected = None
-                for point in record.trajectory:
-                    if point.best_f <= q:
-                        expected = point.elapsed
+                for elapsed, best_f in zip(record.elapsed, record.best_f):
+                    if best_f <= q:
+                        expected = elapsed
                         break
-                assert time_to_target(record, q) == expected
+                assert time_to_target(record, q) == times[k] == expected
 
     def test_early_success_ends_run_and_loop_restarts(self):
         # hardest target is trivially reachable, so every run ends early
@@ -160,7 +161,7 @@ class TestRunTimeFair:
         hardest = 1000.0
         for record in records[:-1]:
             assert record.termination is Termination.TARGET_REACHED
-            assert record.trajectory[-1].best_f <= hardest
+            assert record.best_f[-1] <= hardest
 
     def test_eval_cap_is_never_exceeded(self):
         for clock, T in ((ClockSpec(mode="virtual", cost_per_eval=0.001), 100.0),
@@ -247,7 +248,7 @@ class TestRunTimeFair:
             reads = 0
             records = run_time_fair(plan, kind, "sphere-d2", 0)
             iterations = sum(r.evals_used for r in records) // evals_per_step
-            improvements = sum(len(r.trajectory) for r in records)
+            improvements = sum(len(r.elapsed) for r in records)
             assert iterations > 500 and len(records) > 5
             assert reads <= iterations + improvements + 4 * (len(records) + 1)
 
@@ -287,8 +288,8 @@ class TestRunTimeFair:
                     iterations = record.evals_used // evals_per_step
                     assert record.time_used == clock.at(record.evals_used, iterations)
                     assert all(
-                        p.elapsed == clock.at(p.evals, -(-p.evals // evals_per_step))
-                        for p in record.trajectory
+                        elapsed == clock.at(evals, -(-evals // evals_per_step))
+                        for elapsed, evals in zip(record.elapsed, record.evals)
                     )
                     total += record.time_used
                 assert total <= T
@@ -398,7 +399,9 @@ class TestBlockPath:
         block, stepped = _block_and_stepped(config)
         assert _bits(block) == _bits(stepped)
         assert all(
-            len(records) == 1 and records[0].evals_used == 0 and records[0].trajectory == ()
+            len(records) == 1
+            and records[0].evals_used == 0
+            and records[0].elapsed == records[0].evals == records[0].best_f == ()
             for records in block.values()
         )
 
@@ -416,6 +419,19 @@ class TestBlockPath:
             run_time_fair(plan, "random-search", "rastrigin-d10", rep)
         assert len(calls) == 300 and sum(calls) == 19_200
 
+    def test_every_column_value_is_a_plain_python_number(self):
+        # report._json formats exact floats and ints itself and hands any
+        # other type to json.dumps, which raises TypeError on a numpy int:
+        # the block path, stepping, both wrappers and the eval cap must all
+        # record plain Python numbers
+        grouped = run_plan(plan_from_config(validate_config(edge_config())))
+        records = [record for records in grouped.values() for record in records]
+        assert sum(len(record.elapsed) for record in records) > 1000
+        for record in records:
+            for name, kind in (("elapsed", float), ("evals", int), ("best_f", float)):
+                column = getattr(record, name)
+                assert type(column) is tuple and {type(value) for value in column} <= {kind}, name
+
 
 class TestBestOfRestarts:
     def _with_final(self, final, run_index=0):
@@ -423,7 +439,9 @@ class TestBestOfRestarts:
             algorithm_id="a",
             instance_id="sphere-d2",
             seed=1,
-            trajectory=(TrajectoryPoint(1.0, 1, final),),
+            elapsed=(1.0,),
+            evals=(1,),
+            best_f=(final,),
             time_used=1.0,
             evals_used=1,
             termination=Termination.INTERNAL_STOP,
@@ -442,7 +460,9 @@ class TestBestOfRestarts:
             algorithm_id="a",
             instance_id="sphere-d2",
             seed=1,
-            trajectory=(),
+            elapsed=(),
+            evals=(),
+            best_f=(),
             time_used=0.0,
             evals_used=0,
             termination=Termination.BUDGET_EXHAUSTED,
@@ -671,10 +691,9 @@ class TestRunEvaluator:
         # the second batch opens on a row that does not improve, and ties
         batches = [[[0], [1], [2], [3]], [[4], [3], [5], [6], [8]], [[7], [9], [10], [10]]]
         batched = self._batched(instance, batches)
-        expected = [(1, 5.0), (3, 3.0), (7, 1.0), (10, 0.5), (12, 0.25)]
-        assert [(p.evals, p.best_f) for p in batched.trajectory] == expected
-        assert batched.trajectory == self._row_by_row(instance, batches).trajectory
-        assert [p.elapsed for p in batched.trajectory] == [
+        assert (batched.counts, batched.values) == ([1, 3, 7, 10, 12], [5.0, 3.0, 1.0, 0.5, 0.25])
+        assert evaluator_columns(batched) == evaluator_columns(self._row_by_row(instance, batches))
+        assert batched.stamps == [
             VirtualClock(0.1, 0.3).at(evals, iteration)
             for evals, iteration in ((1, 1), (3, 1), (7, 2), (10, 3), (12, 3))
         ]
@@ -685,14 +704,14 @@ class TestRunEvaluator:
         batches = [rng.integers(0, 64, size=(int(rng.integers(2, 12)), 1)) for _ in range(40)]
         batched = self._batched(instance, batches)
         one_by_one = self._row_by_row(instance, batches)
-        assert batched.trajectory == one_by_one.trajectory
+        assert evaluator_columns(batched) == evaluator_columns(one_by_one)
         assert batched.count == one_by_one.count == sum(len(b) for b in batches)
 
     def test_nan_rows_never_improve(self):
         instance = _tabled([4.0, float("nan"), 3.0, 5.0])
         batched = self._batched(instance, [[[1], [0], [1], [3], [2]]])
-        assert [(p.evals, p.best_f) for p in batched.trajectory] == [(2, 4.0), (5, 3.0)]
-        assert batched.trajectory == self._row_by_row(instance, [[[1], [0], [1], [3], [2]]]).trajectory
+        assert (batched.counts, batched.values) == ([2, 5], [4.0, 3.0])
+        assert evaluator_columns(batched) == evaluator_columns(self._row_by_row(instance, [[[1], [0], [1], [3], [2]]]))
 
     @pytest.mark.parametrize(
         "call",
@@ -710,7 +729,7 @@ class TestRunEvaluator:
         evaluator = RunEvaluator(get_problem("sphere-d5"), VirtualClock(0.1, 0.0))
         with pytest.raises(ValueError, match=r"^sphere-d5: expected \(n, 5\) batch, got shape"):
             call(evaluator)
-        assert (evaluator.count, evaluator.n_clamped, evaluator.trajectory) == (0, 0, [])
+        assert (evaluator.count, evaluator.n_clamped, evaluator_columns(evaluator)) == (0, 0, columns([]))
         assert math.isinf(evaluator.best_f)
 
 
@@ -748,7 +767,7 @@ def test_single_row_evaluation_matches_a_clip_oracle(points):
     evaluator.iterations = 1
     values = [float(evaluator.evaluate_rows([x])[0]) for x in points]
 
-    best, n_clamped, expected_values, expected_trajectory = math.inf, 0, [], []
+    best, n_clamped, expected_values, expected_points = math.inf, 0, [], []
     for count, x in enumerate(points, start=1):
         row = np.array([x], dtype=float)
         clipped = np.clip(row, SIGNED.lower, SIGNED.upper)
@@ -757,12 +776,12 @@ def test_single_row_evaluation_matches_a_clip_oracle(points):
         expected_values.append(f)
         if f < best:
             best = f
-            expected_trajectory.append(TrajectoryPoint(clock.at(count, 1), count, f))
+            expected_points.append((clock.at(count, 1), count, f))
 
     assert np.array(values).tobytes() == np.array(expected_values).tobytes()
     assert evaluator.n_clamped == n_clamped
     assert evaluator.count == len(points)
-    assert evaluator.trajectory == expected_trajectory
+    assert evaluator_columns(evaluator) == columns(expected_points)
 
 
 # a row that evaluates to NaN, and one on bounds whose value recurs
@@ -800,7 +819,7 @@ def test_batch_evaluation_matches_a_row_by_row_clip_oracle(batches):
         evaluator.iterations = iteration
         values.extend(evaluator.evaluate_rows(batch).tolist())
 
-    best, count, n_clamped, expected_values, expected_trajectory = math.inf, 0, 0, [], []
+    best, count, n_clamped, expected_values, expected_points = math.inf, 0, 0, [], []
     for iteration, batch in enumerate(batches, start=1):
         for x in batch:
             count += 1
@@ -811,12 +830,12 @@ def test_batch_evaluation_matches_a_row_by_row_clip_oracle(batches):
             expected_values.append(f)
             if f < best:
                 best = f
-                expected_trajectory.append(TrajectoryPoint(clock.at(count, iteration), count, f))
+                expected_points.append((clock.at(count, iteration), count, f))
 
     assert np.array(values).tobytes() == np.array(expected_values).tobytes()
     assert evaluator.n_clamped == n_clamped
     assert evaluator.count == count
-    assert evaluator.trajectory == expected_trajectory
+    assert evaluator_columns(evaluator) == columns(expected_points)
     assert evaluator.best_f == best
 
 
@@ -859,7 +878,7 @@ def test_a_block_matches_one_row_per_iteration(rows, stop):
         stepped.iterations,
         stepped.n_clamped,
     )
-    assert block.trajectory == stepped.trajectory
+    assert evaluator_columns(block) == evaluator_columns(stepped)
     assert _hexed(block.best_f) == _hexed(stepped.best_f)
 
 

@@ -33,6 +33,6 @@ def test_package_exports_exactly_the_readme_imports():
         for name, value in vars(timefair).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(imported) == 8
+    assert len(imported) == 9
     assert public == imported
     assert isinstance(timefair.__version__, str)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import timefair
 from timefair import report
 from timefair.clock import CLOCK_SCHEME_ID
-from timefair.core import CostMatrix, ErtResult, RunRecord, Termination, TrajectoryPoint
+from timefair.core import CostMatrix, ErtResult, RunRecord, Termination
 from timefair.metrics import (
     EcdfCurve,
     MedianCurve,
@@ -26,7 +26,6 @@ from timefair.metrics import (
     ert,
     median_trajectory,
     performance_profile,
-    time_to_target,
 )
 from timefair.report import (
     LogParseError,
@@ -44,7 +43,7 @@ from timefair.report import (
     write_run_log,
 )
 
-from conftest import pair_times, random_record
+from conftest import columns, pair_times, random_record, time_to_target
 
 
 class TestRoundTrip:
@@ -69,7 +68,9 @@ class TestRoundTrip:
             algorithm_id="a",
             instance_id="sphere-d2",
             seed=3,
-            trajectory=(),
+            elapsed=(),
+            evals=(),
+            best_f=(),
             time_used=0.0,
             evals_used=0,
             termination=Termination.BUDGET_EXHAUSTED,
@@ -128,14 +129,14 @@ def write_run_log_oracle(records, path, params=None):
             if params is not None:
                 header["params"] = params
             fh.write(dump_line_oracle(header))
-            for point in record.trajectory:
+            for elapsed, evals, best_f in zip(record.elapsed, record.evals, record.best_f):
                 fh.write(
                     dump_line_oracle(
                         {
                             "kind": "improvement",
-                            "elapsed": point.elapsed,
-                            "evals": point.evals,
-                            "best_f": point.best_f,
+                            "elapsed": elapsed,
+                            "evals": evals,
+                            "best_f": best_f,
                         }
                     )
                 )
@@ -184,13 +185,12 @@ json_values = st.recursive(
     max_leaves=8,
 )
 params_values = st.one_of(st.none(), st.just({}), st.dictionaries(labels, json_values, max_size=4))
-points = st.builds(TrajectoryPoint, elapsed=floats, evals=ints, best_f=floats)
 records_strategy = st.builds(
-    RunRecord,
+    lambda points, **fields: RunRecord(**columns(points), **fields),
+    points=st.lists(st.tuples(floats, ints, floats), max_size=4),
     algorithm_id=labels,
     instance_id=labels,
     seed=ints,
-    trajectory=st.lists(points, max_size=4).map(tuple),
     time_used=floats,
     evals_used=ints,
     termination=st.sampled_from(list(Termination)),
@@ -218,8 +218,11 @@ class TestWriterOracle:
         assert written(write_run_log, records, params) == expected
 
     def test_edge_values_match_the_oracle(self):
-        points = tuple(TrajectoryPoint(float(i), 2**63 + i, v) for i, v in enumerate(EDGE_FLOATS))
-        record = RunRecord("pso-héavy", "随机-d2", 10**40, points, 1e16, 0, Termination.INTERNAL_STOP)
+        elapsed = [float(i) for i in range(len(EDGE_FLOATS))]
+        evals = [2**63 + i for i in range(len(EDGE_FLOATS))]
+        record = RunRecord(
+            "pso-héavy", "随机-d2", 10**40, elapsed, evals, EDGE_FLOATS, 1e16, 0, Termination.INTERNAL_STOP
+        )
         for params in (None, {}, {"ñ": [5e-324, -0.0, None, True]}):
             for records in ([], [record], [record, record]):
                 expected = written(write_run_log_oracle, records, params)
@@ -235,14 +238,13 @@ class TestWriterOracle:
     def test_rejected_value_raises_where_the_oracle_raises(self, records, params, data, bad):
         at = data.draw(st.integers(0, len(records) - 1))
         record = records[at]
-        fields = HEADER_FIELDS + END_FIELDS + (("trajectory",) if record.trajectory else ())
+        fields = HEADER_FIELDS + END_FIELDS + (("improvement",) if record.elapsed else ())
         field = data.draw(st.sampled_from(fields))
-        if field == "trajectory":
-            k = data.draw(st.integers(0, len(record.trajectory) - 1))
-            point = dataclasses.replace(
-                record.trajectory[k], **{data.draw(st.sampled_from(POINT_FIELDS)): bad}
-            )
-            value = record.trajectory[:k] + (point,) + record.trajectory[k + 1 :]
+        if field == "improvement":
+            k = data.draw(st.integers(0, len(record.elapsed) - 1))
+            field = data.draw(st.sampled_from(POINT_FIELDS))
+            column = getattr(record, field)
+            value = column[:k] + (bad,) + column[k + 1 :]
         else:
             value = bad
         records[at] = dataclasses.replace(record, **{field: value})
@@ -540,8 +542,8 @@ def _log_lines(records):
     for r in records:
         lines.append(json.dumps({"kind": "run_header", "algorithm_id": r.algorithm_id, "instance_id": r.instance_id,
                                  "seed": r.seed, "repetition": r.repetition, "run_index": r.run_index}))
-        lines += [json.dumps({"kind": "improvement", "elapsed": p.elapsed, "evals": p.evals, "best_f": p.best_f})
-                  for p in r.trajectory]
+        lines += [json.dumps({"kind": "improvement", "elapsed": t, "evals": n, "best_f": f})
+                  for t, n, f in zip(r.elapsed, r.evals, r.best_f)]
         lines.append(json.dumps({"kind": "run_end", "termination": r.termination.value, "time_used": r.time_used,
                                  "evals_used": r.evals_used, "n_clamped": r.n_clamped,
                                  "max_step_seconds": r.max_step_seconds}))
@@ -571,36 +573,34 @@ def real_logs(tmp_path_factory):
 
 BASE = RunRecord(
     algorithm_id="alg", instance_id="sphere-d2", seed=7,
-    trajectory=(TrajectoryPoint(0.5, 1, 9.0), TrajectoryPoint(1.0, 4, 5.0), TrajectoryPoint(2.0, 9, 1.0)),
+    elapsed=(0.5, 1.0, 2.0), evals=(1, 4, 9), best_f=(9.0, 5.0, 1.0),
     time_used=2.5, evals_used=12, termination=Termination.INTERNAL_STOP, run_index=1, max_step_seconds=0.25,
 )
+NO_POINTS = dict(elapsed=(), evals=(), best_f=())
 
 
 def _points(**changes):
-    """BASE's trajectory with changes[name][i] replacing point i's field `name`."""
-    points = [dataclasses.asdict(p) for p in BASE.trajectory]
-    for name, values in changes.items():
-        for point, value in zip(points, values):
-            point[name] = value
-    return tuple(TrajectoryPoint(**p) for p in points)
+    """BASE's columns with changes[name][i] replacing point i's value in column `name`."""
+    return {name: tuple(values) + getattr(BASE, name)[len(values) :] for name, values in changes.items()}
 
 
 # one way to break each rule of core.validate, as a change to BASE
 RULE_BREAKS = {
-    "empty trajectory with evals_used > 0": dict(trajectory=()),
-    "first point evals < 1": dict(trajectory=_points(evals=[0])),
-    "elapsed negative": dict(trajectory=_points(elapsed=[-0.5])),
-    "elapsed non-monotone": dict(trajectory=_points(elapsed=[1.0, 0.5])),
-    "evals non-monotone": dict(trajectory=_points(evals=[4, 1])),
-    "best_f not strictly decreasing": dict(trajectory=_points(best_f=[5.0, 5.0])),
+    "empty trajectory with evals_used > 0": NO_POINTS,
+    "first point evals < 1": _points(evals=[0]),
+    "elapsed negative": _points(elapsed=[-0.5]),
+    "elapsed non-monotone": _points(elapsed=[1.0, 0.5]),
+    "evals non-monotone": _points(evals=[4, 1]),
+    "evals repeated": _points(evals=[1, 1]),
+    "best_f not strictly decreasing": _points(best_f=[5.0, 5.0]),
     "time_used < last trajectory elapsed": dict(time_used=1.5),
     "evals_used < last trajectory evals": dict(evals_used=5),
-    "elapsed non-finite": dict(trajectory=_points(elapsed=[0.5, 1.0, math.nan])),
-    "best_f non-finite": dict(trajectory=_points(best_f=[9.0, 5.0, -math.inf])),
+    "elapsed non-finite": _points(elapsed=[0.5, 1.0, math.nan]),
+    "best_f non-finite": _points(best_f=[9.0, 5.0, -math.inf]),
     "time_used non-finite": dict(time_used=math.inf),
     "max_step_seconds non-finite": dict(max_step_seconds=math.nan),
-    "time_used negative": dict(trajectory=(), evals_used=0, time_used=-1.0),
-    "evals_used negative": dict(trajectory=(), evals_used=-1),
+    "time_used negative": dict(NO_POINTS, evals_used=0, time_used=-1.0),
+    "evals_used negative": dict(NO_POINTS, evals_used=-1),
 }
 
 
@@ -663,7 +663,7 @@ class TestAgainstTheReferenceParser:
         parsed = self.assert_same(path)
         assert parsed.records == [BASE, BASE] and parsed.skipped_runs == 1
         [message] = parsed.issues
-        assert message.startswith(f"line {len(BASE.trajectory) + 2 + len(broken.trajectory) + 2}: invalid run alg/")
+        assert message.startswith(f"line {len(BASE.elapsed) + 2 + len(broken.elapsed) + 2}: invalid run alg/")
         assert rule in message
 
 
