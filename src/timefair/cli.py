@@ -293,7 +293,6 @@ def cmd_analyze(args) -> int:
                      confidence=metric_options["confidence"], seed=subseed(plan.master_seed, 1))
     medians: dict[str, dict] = {instance_id: {} for instance_id in plan.instances}
     hits = {}  # (label, instance): first hits, one list per ladder target
-    total_issues = []
     # one pair at a time, label-major (pairs of equal run count in a row share
     # their bootstrap counts); only a log's columns outlive its parse
     for label in labels:
@@ -302,7 +301,8 @@ def cmd_analyze(args) -> int:
             if not path.exists():
                 raise FileNotFoundError(f"missing run log {path}")
             parsed = report.parse_run_log(path, strict=args.strict_logs)
-            total_issues.extend(f"{path.name}: {msg}" for msg in parsed.issues)
+            for msg in parsed.issues:
+                _progress(f"log issue: {path.name}: {msg}")
             if parsed.skipped_runs:
                 _progress(f"{path}: skipped {parsed.skipped_runs} malformed run(s)")
             columns = parsed.columns
@@ -311,8 +311,6 @@ def cmd_analyze(args) -> int:
                 medians[instance_id][label] = metrics.median_trajectory(columns, grid, **bootstrap)
             hits[(label, instance_id)] = metrics.first_hits(columns, plan.ladders[instance_id], T)
             del columns  # freed before the next log is read
-    for msg in total_issues:
-        _progress(f"log issue: {msg}")
 
     curves_dir = out_dir / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)

@@ -145,11 +145,11 @@ class RunColumns:
         return cls(len(lengths), run, np.array(elapsed, dtype=float), np.array(best_f, dtype=float))
 
 
-def first_hits(columns: RunColumns, ladder: Sequence[float], T: float = math.inf) -> list[list[Optional[float]]]:
+def first_hits(columns: RunColumns, ladder: Sequence[float], T: float) -> list[list[Optional[float]]]:
     """For each target q of `ladder`, each run's first hit, in run order: the
-    elapsed of its first point with best_f <= q if that lies within T, else
-    None (a hit after T comes from a malformed log only; runs never outlive
-    the budget). One vectorised pass over the pair's columns per target."""
+    elapsed of its first point with best_f <= q if that lies within the
+    required budget T, else None (a hit after T comes from a malformed log
+    only). One vectorised pass over the pair's columns per target."""
     hits = []
     for q in ladder:
         reached = np.flatnonzero(columns.best_f <= q)
@@ -188,14 +188,13 @@ def median_trajectory(
     from the one before them (the rest repeat its median and CI). The median
     is the mean of the middle order statistics, at ranks (R-1)//2 and R//2,
     as ``np.median`` takes it: the pair's mean for even R, +0.0 for -0.0 (so
-    the order of tied runs does not matter), NaN for a column with a NaN.
+    the order of tied runs does not matter); a NaN best_f is a ValueError.
 
     Each of the B resamples draws R runs with replacement. Its median is
     read from how often it drew each run, not from the drawn values: its
     middle order statistics are the values at the first sorted runs whose
     cumulative count exceeds (R-1)//2 and R//2, averaged as above, so the
-    bits are those of ``np.median`` on the drawn values. A resample that
-    drew a NaN has a NaN median.
+    bits are those of ``np.median`` on the drawn values.
 
     Memory: the counts are one R x B array of the smallest unsigned dtype
     that holds R, drawn and counted a chunk of resamples at a time, and kept
@@ -211,6 +210,8 @@ def median_trajectory(
     """
     if not columns.runs:
         raise ValueError("median_trajectory requires at least one run")
+    if np.isnan(columns.best_f).any():
+        raise ValueError("median_trajectory requires best_f values that are not NaN")
     if bootstrap_samples < 100:
         raise ValueError("bootstrap_samples must be >= 100")
     if not 0.0 < confidence < 1.0:
@@ -227,20 +228,18 @@ def median_trajectory(
 
 
 def _column_medians(values: np.ndarray, bootstrap_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """[column] medians of the R x D `values` and [resample, column] medians
-    of `bootstrap_samples` resamples of its rows, both read from one sort of
+    """[column] medians of the R x D `values` (no NaN, which
+    :func:`median_trajectory` rejects) and [resample, column] medians of
+    `bootstrap_samples` resamples of its rows, both read from one sort of
     each column as :func:`median_trajectory` says."""
     (R, D), B = values.shape, bootstrap_samples
     order = np.argsort(values, axis=0)  # [rank, column]: run
     ranked = np.take_along_axis(values, order, axis=0)  # [rank, column]: value
     middle = [*range((R - 1) // 2, R // 2 + 1)]  # one order statistic for odd R, two for even R
-    has_nan = np.isnan(ranked[-1])  # NaN sorts last
     med = np.mean(ranked[middle], axis=0)
-    med[has_nan] = math.nan
     counts = _resample_counts(R, B, seed)
-    ks = middle + ([R - 1] if has_nan.any() else [])  # a NaN was drawn iff the largest draw is one
-    # [k, column, resample]: ranks whose cumulative count is <= ks[k], the rank of draw ks[k]
-    below = np.zeros((len(ks), D, B), dtype=counts.dtype)
+    # [k, column, resample]: ranks whose cumulative count is <= middle[k], the rank of draw middle[k]
+    below = np.zeros((len(middle), D, B), dtype=counts.dtype)
     step = max(1, _BOOTSTRAP_CHUNK // (D * B))  # ranks per block
     last = 0  # cumulative counts before the block
     for i in range(0, R, step):
@@ -249,14 +248,11 @@ def _column_medians(values: np.ndarray, bootstrap_samples: int, seed: int) -> tu
         for j in range(1, len(cum)):
             np.add(cum[j - 1], cum[j], out=cum[j])
         last = cum[-1]
-        for m, k in enumerate(ks):
+        for m, k in enumerate(middle):
             below[m] += np.add.reduce(cum <= k, axis=0, dtype=below.dtype)
     del cum, last  # freed before the D x B medians are gathered
     drawn = np.take_along_axis(ranked.T[None], below, axis=2)  # [k, column, resample]: value
-    boot_medians = np.mean(drawn[: len(middle)], axis=0)
-    if len(ks) > len(middle):
-        boot_medians[np.isnan(drawn[-1])] = math.nan
-    return med, boot_medians.T
+    return med, np.mean(drawn, axis=0).T
 
 
 @functools.lru_cache(maxsize=1)  # an analysis draws with one B and seed, pairs of equal R in a row

@@ -51,6 +51,7 @@ class Algorithm:
     """Common surface shared by concrete optimizers and wrappers."""
 
     evals_per_step: int = 1
+    drawn = None  # None: stepped one iteration at a time (see RandomSearch.drawn)
 
     def __init__(self, max_iterations: Optional[int] = None):
         if max_iterations is not None and not (

@@ -21,7 +21,8 @@ class ProblemInstance:
     """A deterministic objective on a box domain, minimization direction.
 
     `rows_fn` evaluates a (n, d) batch of points row-wise; scalar
-    evaluation goes through the same code path.
+    evaluation goes through the same code path. The bounds are also kept as
+    Python floats (`lower_floats`, `upper_floats`) for one-row checks.
     """
 
     instance_id: str
@@ -31,6 +32,8 @@ class ProblemInstance:
     f_opt: float | None
     rows_fn: Callable[[Array], Array]
     span: Array = field(init=False, repr=False, compare=False)  # upper - lower
+    lower_floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    upper_floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
     # batch size n -> read-only (n, d) lower and upper bounds; see `bounds`
     _bounds: dict = field(init=False, repr=False, compare=False)
 
@@ -51,6 +54,8 @@ class ProblemInstance:
         self.upper.setflags(write=False)
         span.setflags(write=False)
         object.__setattr__(self, "span", span)
+        object.__setattr__(self, "lower_floats", tuple(self.lower.tolist()))
+        object.__setattr__(self, "upper_floats", tuple(self.upper.tolist()))
         object.__setattr__(self, "_bounds", {})
 
     # perfbench/child.py calibrates the bare objective through this method

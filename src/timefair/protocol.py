@@ -182,7 +182,8 @@ class RunEvaluator:
     and by the wrappers. A batch is one iteration, which the runner counts;
     a block (`stop` given) is several one-evaluation iterations, which the
     evaluator counts. Each improvement is stamped `clock.at` its own counts
-    when it is recorded.
+    when it is recorded. A one-row batch is checked against the instance's
+    float bounds, `lower_floats` and `upper_floats`.
     """
 
     def __init__(self, instance: ProblemInstance, clock):
@@ -195,9 +196,6 @@ class RunEvaluator:
         self.stamps: list[float] = []
         self.counts: list[int] = []
         self.values: list[float] = []
-        # Python floats: one in-bounds row is checked without numpy calls
-        self._lower = instance.lower.tolist()
-        self._upper = instance.upper.tolist()
 
     def elapsed(self) -> float:
         return self.clock.at(self.count, self.iterations)
@@ -223,8 +221,8 @@ class RunEvaluator:
         # zero; a NaN coordinate is inside nothing.
         if (
             n == 1
-            and all(map(operator.lt, self._lower, row := xs.tolist()[0]))
-            and all(map(operator.lt, row, self._upper))
+            and all(map(operator.lt, instance.lower_floats, row := xs.tolist()[0]))
+            and all(map(operator.lt, row, instance.upper_floats))
         ):
             fs = instance.evaluate_rows(xs)
         else:
@@ -286,14 +284,14 @@ def run_time_fair(
     algorithm = spec.algorithm
     instance = plan.problems[instance_id]
     T = plan.budget.wall_time_limit
-    hardest = plan.ladders[instance_id][-1] if plan.targets is not None else None
+    ladder = plan.ladders[instance_id]
+    stop = ladder[-1] if ladder else math.nan  # hardest target; no value is at or below NaN
     eval_cap = math.inf if plan.budget.eval_cap is None else plan.budget.eval_cap
     evals_per_step = algorithm.evals_per_step
     step = algorithm.step
     # a virtual run of an algorithm whose points do not depend on its
     # evaluations scores the points it has drawn a block at a time
-    drawn = getattr(algorithm, "drawn", None) if plan.clock.is_virtual else None
-    stop = math.nan if hardest is None else hardest  # NaN: no value is at or below it
+    drawn = algorithm.drawn if plan.clock.is_virtual else None
 
     records: list[RunRecord] = []
     total_used = 0.0
@@ -343,7 +341,7 @@ def run_time_fair(
                         max_step = stamp - last
                     last = stamp
                 done = algorithm.advance(state, k)
-            if hardest is not None and evaluator.best_f <= hardest:
+            if evaluator.best_f <= stop:
                 termination = Termination.TARGET_REACHED
                 break
             if done:

@@ -538,7 +538,8 @@ def build_manifest(
                     "parallel (virtual clock)" if effective_config["parallel"] else "sequential"
                 ),
                 "harness_bookkeeping": (
-                    "timer covers algorithm iterations only; logging happens "
+                    "no timer runs: virtual time is charged from evaluation and "
+                    "iteration counts (see budget.clock_scheme); logging happens "
                     "between runs and is excluded from time_used"
                     if plan.clock.is_virtual
                     else "timer runs from each run's start to its end, so time_used also "

@@ -519,6 +519,25 @@ class TestCmdAnalyze:
             assert f"log issue: {log.name}: line {n}: malformed log line" in err
             assert f"{log}: skipped 1 malformed run(s)" in err
 
+    def test_each_logs_issues_are_reported_as_it_is_read(self, tmp_path, capsys):
+        # analyze reads rs-a's logs before rs-b's: each log's issue is on
+        # stderr, ahead of its skip count, before the next log is read
+        path, cfg = write_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        logs = [report.run_log_path(out, label, "sphere-d2") for label in ("rs-a", "rs-b")]
+        for log in logs:
+            lines = log.read_bytes().splitlines(keepends=True)
+            n = next(i for i, line in enumerate(lines) if b'"improvement"' in line)
+            lines[n] = b"garbage\n"
+            log.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        issues = [i for i, line in enumerate(lines) if line.startswith("log issue: sphere-d2.jsonl: ")]
+        skips = [lines.index(f"{log}: skipped 1 malformed run(s)") for log in logs]
+        assert len(issues) == 2 and issues[0] < skips[0] < issues[1] < skips[1]
+
     def test_restart_heavy_analysis_matches_its_pinned_digests(self, tmp_path, capsys):
         # 483 short virtual runs (181, 180, 62 and 60 per pair): odd and even
         # R, with R * B above the bootstrap chunk for random search and below
@@ -914,7 +933,7 @@ class TestCmdSimulate:
 
     def test_recheck_reads_the_logged_trajectories(self, monkeypatch, capsys):
         # a wrong first-hit time in metrics must show up against the recheck
-        monkeypatch.setattr(metrics, "first_hits", lambda columns, ladder, T=math.inf: [[None] * columns.runs for _ in ladder])
+        monkeypatch.setattr(metrics, "first_hits", lambda columns, ladder, T: [[None] * columns.runs for _ in ladder])
         assert main(["simulate"]) == 0
         assert "MISMATCH" in capsys.readouterr().out
 

@@ -81,8 +81,8 @@ class TestFirstHits:
         assert first_hits(columns, self.LADDER, 5.0)[2][:4] == [3.0, 5.0, None, None]
 
     def test_no_runs_and_no_targets(self):
-        assert first_hits(RunColumns.of([]), self.LADDER) == [[]] * len(self.LADDER)
-        assert first_hits(RunColumns.of([TWO_STEP]), ()) == []
+        assert first_hits(RunColumns.of([]), self.LADDER, 5.0) == [[]] * len(self.LADDER)
+        assert first_hits(RunColumns.of([TWO_STEP]), (), 5.0) == []
 
 
 def ert_oracle(times, T):
@@ -278,13 +278,13 @@ class TestMedianTrajectory:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("R, B", BOOTSTRAP_SHAPES)
     def test_bootstrap_medians_are_the_gathered_medians_bit_for_bit(self, rng, R, B):
-        # tobytes, because == takes -0.0 for 0.0; NaN stands in for a corrupt log
-        pool = np.array(EDGE_VALUES + (math.nan,))
+        # tobytes, because == takes -0.0 for 0.0
+        pool = np.array(EDGE_VALUES)
         matrices = [
             np.full((R, 4), math.inf),
             rng.choice(pool, size=(R, 9)),
-            rng.choice(pool[6:9], size=(R, 9)),  # zeros of both signs and 1.0 only
-            np.repeat(rng.choice(pool[:-1], size=(R, 1)), 5, axis=1),  # one distinct column
+            rng.choice(pool[6:9], size=(R, 9)),  # zeros of both signs only
+            np.repeat(rng.choice(pool, size=(R, 1)), 5, axis=1),  # one distinct column
             np.round(rng.standard_normal((R, 12)), 1),
         ]
         for seed, values in enumerate(matrices):
@@ -345,6 +345,14 @@ class TestMedianTrajectory:
     def test_too_few_bootstrap_samples_rejected(self):
         with pytest.raises(ValueError):
             median_trajectory(RunColumns.of([make_record([(1.0, 1, 0.0)])]), [1.0], bootstrap_samples=10)
+
+    def test_nan_best_f_rejected(self):
+        # no run records a NaN, and core.validate drops a logged one; even a
+        # NaN past the grid is refused rather than carried into the medians
+        for points in ([(1.0, 1, math.nan)], [(1.0, 1, 2.0), (9.0, 2, math.nan)]):
+            columns = RunColumns.of([make_record([(1.0, 1, 5.0)]), make_record(points)])
+            with pytest.raises(ValueError, match="NaN"):
+                median_trajectory(columns, [1.0, 2.0], bootstrap_samples=100)
 
     @pytest.mark.parametrize("grid", [[], [2.0, 1.0]])
     def test_empty_or_descending_grid_rejected(self, grid):

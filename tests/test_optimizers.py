@@ -381,6 +381,12 @@ class TestStagnationRestart:
                 break
         assert stopped and state.restart_count == 2
 
+    def test_the_wrapper_opts_out_of_the_block_path(self):
+        # a plateau is counted per step, so the wrapper keeps Algorithm's
+        # `drawn` of None even around a random search, which shows its block
+        assert make_optimizer("random-search").drawn is not None
+        assert StagnationRestart(make_optimizer("random-search"), 2, 0.1).drawn is None
+
     def test_negative_max_restarts_rejected(self):
         with pytest.raises(ValueError, match="max_restarts"):
             StagnationRestart(make_optimizer("random-search"), 2, 0.1, max_restarts=-1)

@@ -135,7 +135,7 @@ class TestRunTimeFair:
         plan = scenario_plan()
         records = run_time_fair(plan, "pso", "rastrigin-d10", 0)
         ladder = plan.targets.resolve(0.0)
-        hits = first_hits(RunColumns.of(records), ladder)
+        hits = first_hits(RunColumns.of(records), ladder, plan.budget.wall_time_limit)
         for k, record in enumerate(records):
             for q, times in zip(ladder, hits):
                 expected = None
@@ -365,6 +365,19 @@ def _bits(runs: dict) -> dict:
     return {key: [_hexed(dataclasses.astuple(r)) for r in records] for key, records in runs.items()}
 
 
+def _objective_calls(monkeypatch) -> list[int]:
+    """The number of rows of every objective call made from now on."""
+    calls = []
+    seam = ProblemInstance.evaluate_rows
+
+    def counted(self, xs):
+        calls.append(len(xs))
+        return seam(self, xs)
+
+    monkeypatch.setattr(ProblemInstance, "evaluate_rows", counted)
+    return calls
+
+
 class TestBlockPath:
     """A virtual run of a bare random search scores its drawn block several
     iterations per call; stepping the same plan is the oracle."""
@@ -406,18 +419,26 @@ class TestBlockPath:
         )
 
     def test_a_demo_random_search_run_scores_a_block_per_objective_call(self, monkeypatch):
-        calls = []
-        seam = ProblemInstance.evaluate_rows
-
-        def counted(self, xs):
-            calls.append(len(xs))
-            return seam(self, xs)
-
-        monkeypatch.setattr(ProblemInstance, "evaluate_rows", counted)
+        calls = _objective_calls(monkeypatch)
         plan = plan_from_config(validate_config(demo_config()))
         for rep in range(plan.repetitions):
             run_time_fair(plan, "random-search", "rastrigin-d10", rep)
         assert len(calls) == 300 and sum(calls) == 19_200
+
+    def test_a_restarted_random_search_makes_one_objective_call_per_evaluation(self, monkeypatch):
+        # the stagnation_restart wrapper has no `drawn`: the runner steps it
+        calls = _objective_calls(monkeypatch)
+        config = demo_config()
+        config["algorithms"] = [{
+            "label": "rs-restart",
+            "kind": "random-search",
+            "params": {"max_iterations": 1280},
+            "wrappers": {"stagnation_restart": {"plateau_window": 20, "plateau_epsilon": 0.01}},
+        }]
+        plan = plan_from_config(validate_config(config))
+        records = run_plan(plan)[("rs-restart", "rastrigin-d10")]
+        assert set(calls) == {1}
+        assert len(calls) == sum(r.evals_used for r in records) > RANDOM_SEARCH_BLOCK
 
     def test_every_column_value_is_a_plain_python_number(self):
         # report._json formats exact floats and ints itself and hands any

@@ -919,7 +919,8 @@ class TestManifest:
         plan, grouped, out_dir, config = _tiny_experiment(tmp_path / "virtual")
         environment = build_manifest(plan, grouped, out_dir, config)["checklist"]["environment"]
         assert environment["harness_bookkeeping"] == (
-            "timer covers algorithm iterations only; logging happens "
+            "no timer runs: virtual time is charged from evaluation and "
+            "iteration counts (see budget.clock_scheme); logging happens "
             "between runs and is excluded from time_used"
         )
         plan, grouped, out_dir, config = _tiny_experiment(
