@@ -301,10 +301,11 @@ def cmd_analyze(args) -> int:
             if not path.exists():
                 raise FileNotFoundError(f"missing run log {path}")
             parsed = report.parse_run_log(path, strict=args.strict_logs)
+            name = path.relative_to(out_dir)  # runs/<label>/<instance>.jsonl: one per arm
             for msg in parsed.issues:
-                _progress(f"log issue: {path.name}: {msg}")
+                _progress(f"log issue: {name}: {msg}")
             if parsed.skipped_runs:
-                _progress(f"{path}: skipped {parsed.skipped_runs} malformed run(s)")
+                _progress(f"{name}: skipped {parsed.skipped_runs} malformed run(s)")
             columns = parsed.columns
             del parsed
             if columns.runs:

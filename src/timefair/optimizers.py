@@ -90,10 +90,12 @@ RANDOM_SEARCH_BLOCK = 64
 
 @dataclass
 class RandomSearchState:
+    """The run's generator and its drawn `block`, not evaluated yet from row `cursor` on."""
+
     rng: np.random.Generator
+    block: np.ndarray
     iterations: int = 0
-    block: Optional[np.ndarray] = None  # drawn, not yet evaluated points
-    cursor: int = 0  # next row of `block`
+    cursor: int = 0
 
 
 class RandomSearch(Algorithm):
@@ -102,8 +104,8 @@ class RandomSearch(Algorithm):
     Points are drawn from the run's generator in blocks of up to
     `RANDOM_SEARCH_BLOCK` rows, never past `max_iterations`; the stream is
     the one a draw per point would give. No point depends on an
-    evaluation, so `drawn` shows the points ahead of the run, and a
-    virtual-clock runner scores several of them per objective call,
+    evaluation, so `drawn` shows the points drawn but not evaluated yet,
+    and a virtual-clock runner scores several of them per objective call,
     counting them with `advance`.
     """
 
@@ -113,20 +115,17 @@ class RandomSearch(Algorithm):
         return {"kind": self.kind, "max_iterations": self.max_iterations}
 
     def init(self, instance: ProblemInstance, seed: int) -> RandomSearchState:
-        return RandomSearchState(rng=_generator(seed))
+        return RandomSearchState(rng=_generator(seed), block=np.empty((0, instance.dimension)))
 
-    def drawn(self, state: RandomSearchState, instance: ProblemInstance) -> tuple[np.ndarray, int]:
-        """The block of drawn points the next one comes from, and that
-        point's row: the rows from there on are not evaluated yet. A spent
-        block is replaced by a fresh draw first."""
-        block, cursor = state.block, state.cursor
-        if block is None or cursor == len(block):
+    def drawn(self, state: RandomSearchState, instance: ProblemInstance) -> np.ndarray:
+        """The drawn points not evaluated yet: a view of the state's block
+        from its cursor on, after a fresh draw if the block is spent."""
+        if state.cursor == len(state.block):
             k = RANDOM_SEARCH_BLOCK
             if self.max_iterations is not None:
                 k = min(k, self.max_iterations - state.iterations)
-            block = state.block = instance.uniform(state.rng, k)
-            cursor = state.cursor = 0
-        return block, cursor
+            state.block, state.cursor = instance.uniform(state.rng, k), 0
+        return state.block[state.cursor :]
 
     def advance(self, state: RandomSearchState, k: int) -> bool:
         """Count the next k drawn points as evaluated, one iteration each;
@@ -136,10 +135,10 @@ class RandomSearch(Algorithm):
 
     def step(self, state: RandomSearchState, evaluator) -> bool:
         block, cursor = state.block, state.cursor
-        if block is None or cursor == len(block):
+        if cursor == len(block):
             # `drawn` refills a spent block; called only then, because a
             # real clock charges every call of a step to the algorithm
-            block, cursor = self.drawn(state, evaluator.instance)
+            block, cursor = self.drawn(state, evaluator.instance), 0
         evaluator.evaluate_rows(block[cursor : cursor + 1])
         state.cursor = cursor + 1
         return self._count(state)

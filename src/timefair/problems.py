@@ -34,7 +34,7 @@ class ProblemInstance:
     span: Array = field(init=False, repr=False, compare=False)  # upper - lower
     lower_floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
     upper_floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # batch size n -> read-only (n, d) lower and upper bounds; see `bounds`
+    # batch size n -> read-only (n, d) views of the bounds block; see `bounds`
     _bounds: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -81,16 +81,20 @@ class ProblemInstance:
         return f"{self.instance_id}: expected (n, {self.dimension}) batch, got shape {xs.shape}"
 
     def bounds(self, n: int) -> tuple[Array, Array]:
-        """Read-only (n, d) lower and upper bounds, built once per batch
-        size: numpy clips an (n, d) batch faster against same-shape bounds
-        than against broadcast (d,) ones, with the same bits."""
+        """Read-only (n, d) lower and upper bounds, the first n rows of one
+        (2, N, d) block that is rebuilt only for an n above every size asked
+        so far; each size's views are cached. numpy clips an (n, d) batch
+        faster against same-shape bounds than broadcast (d,) ones, same bits."""
         pair = self._bounds.get(n)
         if pair is None:
-            block = np.empty((2, n, self.dimension))
-            block[0] = self.lower
-            block[1] = self.upper
-            block.setflags(write=False)
-            pair = self._bounds[n] = (block[0], block[1])
+            largest = max(self._bounds, default=0)
+            if n > largest:
+                block = np.empty((2, n, self.dimension))
+                block[0], block[1] = self.lower, self.upper
+                block.setflags(write=False)
+            else:
+                block = self._bounds[largest]  # that block's (lower, upper) views
+            pair = self._bounds[n] = (block[0][:n], block[1][:n])
         return pair
 
     def uniform(self, rng: np.random.Generator, n: int | None = None) -> Array:

@@ -18,10 +18,11 @@ repetition, and is logged only when it is the repetition's only run.
 
 A virtual run of an algorithm whose points do not depend on its
 evaluations (one with `drawn` and `advance`: a bare random search) keeps
-that rule but not the one step per iteration. It admits the drawn block's
-rows one check at a time and scores the admitted rows in one evaluator
-call, as consecutive one-evaluation iterations that end at the first row
-reaching the hardest target; its records are those stepping would give.
+that rule but not the one step per iteration. It admits the points that
+`drawn` shows (drawn, not evaluated yet) one check at a time, scores them
+in one evaluator call as one-evaluation iterations that end at the first
+row reaching the hardest target, and counts them with `advance`; its
+records are those stepping would give.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .clock import ClockSpec, RealClock, VirtualClock
 from .core import Budget, RunRecord, TargetSpec, Termination
-from .optimizers import RANDOM_SEARCH_BLOCK, Algorithm, StagnationRestart, make_optimizer
+from .optimizers import Algorithm, StagnationRestart, make_optimizer
 from .problems import ProblemInstance, get_problem
 from .seeds import derive_seed
 
@@ -182,8 +183,9 @@ class RunEvaluator:
     and by the wrappers. A batch is one iteration, which the runner counts;
     a block (`stop` given) is several one-evaluation iterations, which the
     evaluator counts. Each improvement is stamped `clock.at` its own counts
-    when it is recorded. A one-row batch is checked against the instance's
-    float bounds, `lower_floats` and `upper_floats`.
+    when it is recorded. A one-row batch strictly inside the float bounds
+    (`lower_floats`, `upper_floats`) is scored as it is; any other batch of
+    n rows, a block too, is clipped against `instance.bounds(n)`.
     """
 
     def __init__(self, instance: ProblemInstance, clock):
@@ -226,14 +228,7 @@ class RunEvaluator:
         ):
             fs = instance.evaluate_rows(xs)
         else:
-            if stop is None:
-                lower, upper = instance.bounds(n)
-            else:
-                # a block is clipped against the first rows of one cached
-                # pair, so the cache holds no pair per block length
-                lower, upper = instance.bounds(max(n, RANDOM_SEARCH_BLOCK))
-                lower, upper = lower[:n], upper[:n]
-            clipped = xs.clip(lower, upper)
+            clipped = xs.clip(*instance.bounds(n))
             changed = clipped != xs
             fs = instance.evaluate_rows(clipped)
         iteration = self.iterations
@@ -324,18 +319,18 @@ def run_time_fair(
                 evaluator.iterations += 1
                 done = step(state, evaluator)
             else:
-                # the next iteration fits; admit the block's later rows by
+                # the next iteration fits; admit the later drawn rows by
                 # the same rule, one check each, and score them in one call,
                 # which ends at a row that reaches the hardest target
-                block, cursor = drawn(state, instance)
+                rows = drawn(state, instance)
                 count, iterations = evaluator.count, evaluator.iterations
                 stamps = [stamp]
-                for i in range(1, len(block) - cursor):
+                for i in range(1, len(rows)):
                     stamp = at(count + i + 1, iterations + i + 1)
                     if count + i > headroom or total_used + stamp > T:
                         break
                     stamps.append(stamp)
-                k = len(evaluator.evaluate_rows(block[cursor : cursor + len(stamps)], stop))
+                k = len(evaluator.evaluate_rows(rows[: len(stamps)], stop))
                 for stamp in stamps[:k]:
                     if stamp - last > max_step:
                         max_step = stamp - last

@@ -45,6 +45,15 @@ def write_config(tmp_path, mutate=None, name="config.json"):
     return path, cfg
 
 
+def garble_first_improvement(log, junk=b"garbage\n") -> int:
+    """Replace `log`'s first improvement line with `junk`; its line number."""
+    lines = log.read_bytes().splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if b'"improvement"' in line)
+    lines[n] = junk
+    log.write_bytes(b"".join(lines))
+    return n + 1
+
+
 class TestValidateConfig:
     def test_demo_config_is_valid(self):
         effective = validate_config(demo_config())
@@ -505,10 +514,7 @@ class TestCmdAnalyze:
         out = Path(cfg["output_dir"])
         assert main(["run", "--config", str(path)]) == 0
         log = report.run_log_path(out, "rs-a", "sphere-d2")
-        lines = log.read_bytes().splitlines(keepends=True)
-        n = next(i for i, line in enumerate(lines) if b'"improvement"' in line) + 1
-        lines[n - 1] = b"\xff\xfe garbage\n"
-        log.write_bytes(b"".join(lines))
+        n = garble_first_improvement(log, b"\xff\xfe garbage\n")
         code = main(["analyze", *(["--strict-logs"] if strict else []), str(out)])
         err = capsys.readouterr().err
         if strict:
@@ -516,8 +522,8 @@ class TestCmdAnalyze:
             assert f"error: {log}: line {n}: malformed log line" in err
         else:
             assert code == 0
-            assert f"log issue: {log.name}: line {n}: malformed log line" in err
-            assert f"{log}: skipped 1 malformed run(s)" in err
+            assert f"log issue: runs/rs-a/sphere-d2.jsonl: line {n}: malformed log line" in err
+            assert "runs/rs-a/sphere-d2.jsonl: skipped 1 malformed run(s)" in err
 
     def test_each_logs_issues_are_reported_as_it_is_read(self, tmp_path, capsys):
         # analyze reads rs-a's logs before rs-b's: each log's issue is on
@@ -525,18 +531,31 @@ class TestCmdAnalyze:
         path, cfg = write_config(tmp_path)
         out = Path(cfg["output_dir"])
         assert main(["run", "--config", str(path)]) == 0
-        logs = [report.run_log_path(out, label, "sphere-d2") for label in ("rs-a", "rs-b")]
-        for log in logs:
-            lines = log.read_bytes().splitlines(keepends=True)
-            n = next(i for i, line in enumerate(lines) if b'"improvement"' in line)
-            lines[n] = b"garbage\n"
-            log.write_bytes(b"".join(lines))
+        labels = ("rs-a", "rs-b")
+        for label in labels:
+            garble_first_improvement(report.run_log_path(out, label, "sphere-d2"))
         capsys.readouterr()
         assert main(["analyze", str(out)]) == 0
         lines = capsys.readouterr().err.splitlines()
-        issues = [i for i, line in enumerate(lines) if line.startswith("log issue: sphere-d2.jsonl: ")]
-        skips = [lines.index(f"{log}: skipped 1 malformed run(s)") for log in logs]
+        issues = [i for i, line in enumerate(lines) if line.startswith("log issue: ")]
+        skips = [lines.index(f"runs/{label}/sphere-d2.jsonl: skipped 1 malformed run(s)") for label in labels]
         assert len(issues) == 2 and issues[0] < skips[0] < issues[1] < skips[1]
+
+    def test_two_arms_logs_of_one_instance_are_named_apart(self, tmp_path, capsys):
+        # rs-a and rs-b each write a sphere-d2.jsonl: an issue names the
+        # log by its path under the run directory, which holds the arm
+        path, cfg = write_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        expected = [
+            f"log issue: runs/{label}/sphere-d2.jsonl: line "
+            f"{garble_first_improvement(report.run_log_path(out, label, 'sphere-d2'))}: malformed log line"
+            for label in ("rs-a", "rs-b")
+        ]
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 0
+        issues = [line for line in capsys.readouterr().err.splitlines() if line.startswith("log issue: ")]
+        assert issues == expected and len(set(issues)) == 2
 
     def test_restart_heavy_analysis_matches_its_pinned_digests(self, tmp_path, capsys):
         # 483 short virtual runs (181, 180, 62 and 60 per pair): odd and even

@@ -1,3 +1,4 @@
+import itertools
 import math
 import statistics
 from dataclasses import dataclass, replace
@@ -232,6 +233,28 @@ class TestReferenceStreams:
             # a partial last block: the run drew no point it does not evaluate
             assert state.rng.bit_generator.state == oracle.bit_generator.state
 
+    @pytest.mark.parametrize("max_iterations", [None, 70, 10])
+    def test_drawn_shows_exactly_the_rows_not_yet_evaluated(self, max_iterations):
+        # blocks of 64 from the first row on, the last one cut at max_iterations
+        instance = get_problem("rastrigin-d3")
+        algorithm = make_optimizer("random-search", {"max_iterations": max_iterations})
+        state = algorithm.init(instance, 11)
+        oracle = np.random.default_rng(11)
+        limit = max_iterations or 256
+        points = [instance.uniform(oracle) for _ in range(limit)]
+        assert len(algorithm.drawn(state, instance)) == min(64, limit)
+        evaluated, done = 0, False
+        for k in itertools.cycle((1, 7, 30, 26, 64, 3)):
+            rows = algorithm.drawn(state, instance)
+            assert same_bits(rows, points[evaluated : min(evaluated // 64 * 64 + 64, limit)])
+            k = min(k, len(rows))
+            done = algorithm.advance(state, k)
+            evaluated += k
+            assert done == (evaluated == max_iterations)
+            if evaluated >= limit:
+                break
+        assert state.rng.bit_generator.state == oracle.bit_generator.state
+
     def test_random_search_points_inside_stagnation_restart(self):
         instance, seen = recording(FLAT)
         wrapped = StagnationRestart(
@@ -328,7 +351,7 @@ class TestStagnationRestart:
             evals_per_step = 1
 
             def init(self, instance, seed):
-                return RandomSearchState(rng=np.random.default_rng(seed))
+                return RandomSearchState(rng=np.random.default_rng(seed), block=np.empty((0, 2)))
 
             def step(self, state, evaluator):
                 evaluator.evaluate_rows(np.full((1, 2), 2.0 ** -(state.iterations + 1)))

@@ -6,7 +6,6 @@ import pytest
 from timefair import problems
 from timefair.cli import demo_config, plan_from_config, validate_config
 from timefair.clock import VirtualClock
-from timefair.optimizers import RANDOM_SEARCH_BLOCK
 from timefair.problems import ProblemInstance, get_problem
 from timefair.protocol import RunEvaluator, run_plan
 
@@ -161,17 +160,25 @@ def test_batch_bounds_are_built_once_per_instance_and_batch_size():
     assert sorted(instance._bounds) == [4, 5] and sorted(copy._bounds) == [4]
 
 
-def test_a_demo_run_holds_bounds_for_its_arms_batch_sizes_only():
-    # a virtual random-search run clips each block it scores against the
-    # first rows of the RANDOM_SEARCH_BLOCK pair, whatever the rows admitted;
-    # a stepped point is clipped only when it lies on the box's edge
-    for config, sizes in ((demo_config(), {1, 40}), (edge_config(), {1, 8})):
+def test_bounds_for_every_batch_size_are_views_of_one_block():
+    # bounds(n) for n up to the largest size asked so far are the first n
+    # rows of that size's block: a block is built for a new largest size
+    # only, not for each size of batch or partial block that a run clips
+    instance = get_problem("rosenbrock-d3")
+    largest = instance.bounds(64)
+    for n in range(64, 0, -1):
+        for got, of, bound in zip(instance.bounds(n), largest, (instance.lower, instance.upper)):
+            assert np.shares_memory(got, of) and not got.flags.writeable
+            assert got.tobytes() == np.broadcast_to(bound, (n, 3)).tobytes()
+    for config in (demo_config(), edge_config()):
         plan = plan_from_config(validate_config(config))
         run_plan(plan)
-        assert {spec.algorithm.evals_per_step for spec in plan.algorithms} == sizes
         for instance in plan.problems.values():
-            held = set(instance._bounds)
-            assert RANDOM_SEARCH_BLOCK in held and sizes - {1} <= held <= sizes | {RANDOM_SEARCH_BLOCK}
+            assert instance._bounds
+            for n, pair in instance._bounds.items():
+                for got, bound in zip(pair, (instance.lower, instance.upper)):
+                    assert got.base is not None and not got.base.flags.writeable
+                    assert got.tobytes() == np.broadcast_to(bound, (n, instance.dimension)).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(problems._CATALOG))

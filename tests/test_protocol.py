@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from timefair.protocol import (
     run_plan,
     run_time_fair,
 )
+from timefair.report import write_run_log
 
 from conftest import columns, edge_config, evaluator_columns, run_values, time_to_target
 
@@ -405,6 +407,31 @@ class TestBlockPath:
             if label == "rs-100"
             for r in records
         )
+
+    def test_edge_run_logs_match_their_pinned_digests(self, tmp_path):
+        # the stepped oracle shares the evaluator and the draws with the block
+        # path, so it cannot see a drift of both; these logs pin every way a
+        # run ends inside a block, at a cost per evaluation that is not dyadic
+        plan = plan_from_config(validate_config(edge_config()))
+        digests = {}
+        for (label, instance_id), records in run_plan(plan).items():
+            path = tmp_path / f"{label}_{instance_id}.jsonl"
+            write_run_log(records, path, params=plan.algorithm_spec(label).describe())
+            digests[(label, instance_id)] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == {
+            ("rs-70", "sphere-d1"): "89112aa69bece40d72617a9e3d5264aeff0a25ebbaea471401e2eabe44cd1c77",
+            ("rs-70", "sphere-d2"): "a50a13d65926e4e144f0df29047cdc6cca32ce381fe8c25a1bb296084ead7d92",
+            ("rs-70", "rastrigin-d3"): "f9473daba667b2e891ff1ba0bc34dd935d62f32ff016cf264b22496316e27ee2",
+            ("rs-100", "sphere-d1"): "03933e7ba300f95febd4a38185a25f832e19cb043b3e32fb926946c58ad2fb4a",
+            ("rs-100", "sphere-d2"): "cc9b82e4b19e2377ca277390ae2059ba8d44279b75d4d28e4c8694e3f1b987e0",
+            ("rs-100", "rastrigin-d3"): "197657f168b174f5b27b042228d6ebc2f5275a3396f0341983d5eec6e2a7bf98",
+            ("rs", "sphere-d1"): "faf89b60a778f03c63b1bae110f9a6490d3902cd487349c7b9422aedb5e44204",
+            ("rs", "sphere-d2"): "9ac92052a1071b0910e9411283d7c6628b55d515d925347cd7023047b64893da",
+            ("rs", "rastrigin-d3"): "5af63825ee0ff76bf0e958ee1f94ff38ca9a0fc2c9c36a4f44c5dcbaf6feebd7",
+            ("pso", "sphere-d1"): "71b181391d3a595b8d3790594f20be92faee0351ff02025d3106d78e70750b7a",
+            ("pso", "sphere-d2"): "b51f136f9d7c09ca1149db4939d32dbbc261548225de5abb148014f907b9cd82",
+            ("pso", "rastrigin-d3"): "fecd75935b9c929355dc809b80eb3f4862fe30ab1042410302031156eafc0458",
+        }
 
     def test_a_budget_below_one_iteration_gives_the_same_empty_run(self):
         config = edge_config()
