@@ -292,7 +292,7 @@ def cmd_analyze(args) -> int:
     bootstrap = dict(bootstrap_samples=metric_options["bootstrap_samples"],
                      confidence=metric_options["confidence"], seed=subseed(plan.master_seed, 1))
     medians: dict[str, dict] = {instance_id: {} for instance_id in plan.instances}
-    hits = {}  # (label, instance): first hits, one list per ladder target
+    hits = {}  # (label, instance): first hits, [target, run]
     # one pair at a time, label-major (pairs of equal run count in a row share
     # their bootstrap counts); only a log's columns outlive its parse
     for label in labels:
@@ -306,11 +306,20 @@ def cmd_analyze(args) -> int:
                 _progress(f"log issue: {name}: {msg}")
             if parsed.skipped_runs:
                 _progress(f"{name}: skipped {parsed.skipped_runs} malformed run(s)")
+            # run logs at least one run per repetition: any other set of repetitions is an incomplete log
+            found = {fields[6] for fields in parsed.run_fields}  # each valid run's repetition
+            expected = set(range(plan.repetitions))
+            if found != expected:
+                msg = (f"incomplete log: repetitions missing {sorted(expected - found)}, "
+                       f"unexpected {sorted(found - expected)}")
+                if args.strict_logs:
+                    raise report.LogParseError(f"{name}: {msg}")
+                _progress(f"log issue: {name}: {msg}")
             columns = parsed.columns
             del parsed
             if columns.runs:
                 medians[instance_id][label] = metrics.median_trajectory(columns, grid, **bootstrap)
-            hits[(label, instance_id)] = metrics.first_hits(columns, plan.ladders[instance_id], T)
+            hits[(label, instance_id)] = metrics.first_hits(columns, plan.ladders[instance_id])
             del columns  # freed before the next log is read
 
     curves_dir = out_dir / "curves"
@@ -418,7 +427,7 @@ def cmd_simulate(args) -> int:
     print()
     print(f"{'algorithm':<12} {'target':>8} {'ert':>12} {'success':>8}  recheck")
     columns = {pair: metrics.RunColumns.of(records) for pair, records in grouped.items()}
-    hits = {pair: metrics.first_hits(runs, plan.ladders[pair[1]], T) for pair, runs in columns.items()}
+    hits = {pair: metrics.first_hits(runs, plan.ladders[pair[1]]) for pair, runs in columns.items()}
     analysis = metrics.analyze(hits, T, plan.ladders, metrics.default_time_grid(T))
     for (label, instance, q), result in analysis.ert.items():
         oracle = _ert_recheck(grouped[(label, instance)], q, T)
@@ -459,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="compute metrics and curve CSVs from run logs")
     p_analyze.add_argument("out_dir", help="experiment output directory")
-    p_analyze.add_argument("--strict-logs", action="store_true", help="abort on the first malformed log line")
+    p_analyze.add_argument("--strict-logs", action="store_true", help="abort on the first malformed log line or incomplete log")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_report = sub.add_parser("report", help="audit the manifest against the reporting checklist")

@@ -2,8 +2,9 @@
 
 All operations are pure functions over immutable inputs, and none logs. The
 per-run functions take a (solver, instance) pair's runs as :class:`RunColumns`
-only. Time-to-target uses the non-strict success rule best_f <= q. A target
-time of ``None`` means the target was not reached within the run (NotReached).
+only. Time-to-target uses the non-strict success rule best_f <= q. A first
+hit is a float, ``+inf`` for a run that never reached the target; only
+:func:`ert` applies the budget T, so a hit after T counts as a miss there.
 """
 
 from __future__ import annotations
@@ -38,25 +39,25 @@ def default_time_grid(T: float, points: int = DEFAULT_GRID_POINTS) -> tuple[floa
     return tuple(float(t) for t in grid)
 
 
-def ert(
-    times: Sequence[Optional[float]],
-    T: float,
-    target: Optional[float] = None,
-) -> ErtResult:
-    """Expected running time: sum of min(t_i, T) over successes.
+def ert(times: Sequence[float], T: float, target: Optional[float] = None) -> ErtResult:
+    """Expected running time: the sum of min(t_i, T) over all runs, over the successes.
 
-    Unsuccessful runs (None) contribute T to the numerator and nothing to
-    the success count; zero successes yield +inf with the success rate
-    still reported. Successful times are clamped at T for robustness
-    against malformed logs, though first-hit logging keeps them <= T.
+    A run succeeds when its first hit t_i is at most T. Every other run, a
+    miss (+inf) or a hit after T (which a real-clock run's last iteration
+    can stamp), contributes T to the numerator and nothing to the success
+    count; zero successes yield +inf with the success rate still reported.
+    A NaN time is a ValueError.
     """
-    times = list(times)
-    if not times:
+    times = np.asarray(times, dtype=float)
+    if not len(times):
         raise ValueError("ert requires at least one run time")
-    if T <= 0:
-        raise ValueError("T must be > 0")
-    successes = sum(1 for t in times if t is not None)
-    total = sum(T if t is None else min(t, T) for t in times)
+    if not (math.isfinite(T) and T > 0):  # an infinite T would count a miss as a success
+        raise ValueError("T must be finite and > 0")
+    if np.isnan(times).any():
+        raise ValueError("ert requires times that are not NaN")
+    times = times.tolist()  # summed left to right, as Python floats
+    successes = sum(1 for t in times if t <= T)
+    total = sum(min(t, T) for t in times)
     value = total / successes if successes else math.inf
     return ErtResult(
         target=target,
@@ -84,19 +85,22 @@ def _ordered_grid(time_grid: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
-def anytime_ecdf(times: Sequence[Optional[float]], time_grid: Sequence[float]) -> EcdfCurve:
+def anytime_ecdf(times: Sequence[float], time_grid: Sequence[float]) -> EcdfCurve:
     """ECDF of first-hit times over (run, target) pairs.
 
-    `times` holds one first-hit time per pair, None for a miss, as
+    `times` holds one first-hit time per pair, +inf for a miss, as
     :func:`ert` takes them; :func:`analyze` pools every pair of a solver
-    across instances, repetitions and targets.
+    across instances, repetitions and targets. A pair counts from its first
+    hit on, so a miss, or a hit after the grid's last time, never counts.
+    A NaN time is a ValueError.
     """
     grid = _ordered_grid(time_grid)
-    times = list(times)
-    if not times:
+    times = np.asarray(times, dtype=float)
+    if not len(times):
         raise ValueError("no (run, target) pairs to aggregate")
-    hits = sorted(t for t in times if t is not None)
-    numerators = tuple(bisect_right(hits, t) for t in grid)
+    if np.isnan(times).any():
+        raise ValueError("anytime_ecdf requires times that are not NaN")
+    numerators = tuple(np.searchsorted(np.sort(times), grid, side="right").tolist())
     return EcdfCurve(
         time_grid=grid,
         fraction=tuple(n / len(times) for n in numerators),
@@ -145,20 +149,19 @@ class RunColumns:
         return cls(len(lengths), run, np.array(elapsed, dtype=float), np.array(best_f, dtype=float))
 
 
-def first_hits(columns: RunColumns, ladder: Sequence[float], T: float) -> list[list[Optional[float]]]:
-    """For each target q of `ladder`, each run's first hit, in run order: the
-    elapsed of its first point with best_f <= q if that lies within the
-    required budget T, else None (a hit after T comes from a malformed log
-    only). One vectorised pass over the pair's columns per target."""
-    hits = []
-    for q in ladder:
+def first_hits(columns: RunColumns, ladder: Sequence[float]) -> np.ndarray:
+    """[target, run]: for each target q of `ladder`, each run's first hit,
+    the elapsed of its first point with best_f <= q, or +inf for a run that
+    never reached q. The hit may lie after the budget T; :func:`ert` is
+    what counts it as a failure. One vectorised pass over the pair's
+    columns per target."""
+    hits = np.full((len(ladder), columns.runs), math.inf)
+    for row, q in zip(hits, ladder):
         reached = np.flatnonzero(columns.best_f <= q)
         run = columns.run[reached]
         first = np.ones(len(run), dtype=bool)  # each run's first point at or below q
         first[1:] = run[1:] != run[:-1]
-        at = np.full(columns.runs, math.nan)  # NaN for a run that never reached q
-        at[run[first]] = columns.elapsed[reached[first]]
-        hits.append([t if t <= T else None for t in at.tolist()])
+        row[run[first]] = columns.elapsed[reached[first]]
     return hits
 
 
@@ -334,7 +337,7 @@ class Analysis:
 
 
 def analyze(
-    hits: Mapping[tuple[str, str], Sequence[Sequence[Optional[float]]]],
+    hits: Mapping[tuple[str, str], np.ndarray],
     T: float,
     targets_by_instance: Mapping[str, Sequence[float]],
     time_grid: Sequence[float],
@@ -345,31 +348,31 @@ def analyze(
     plus the solver's `tuning_time` (finite seconds >= 0, as
     ``cli.validate_config`` checks them) divided by the number of instances.
 
-    `hits` holds every (solver, instance) pair's first hits, one list per
-    ladder target of one time (within T) per run, as :func:`first_hits`
-    gives them; solvers are reported in the order they first appear in it.
-    `targets_by_instance` holds every instance's ladder, easiest first, all
-    of one length. ERT results are ordered by solver, then instance, then
-    target. A pair with no runs has no ERT and costs +inf in the profiles,
-    whatever its tuning; a solver with no runs has no ECDF. The ERT and the
-    ECDF read the same first hits.
+    `hits` holds every (solver, instance) pair's first hits, a [target, run]
+    array (+inf for a miss) as :func:`first_hits` gives it; solvers are
+    reported in the order they first appear in it. `targets_by_instance`
+    holds every instance's ladder, easiest first, all of one length. ERT
+    results are ordered by solver, then instance, then target. A pair with
+    no runs has no ERT and costs +inf in the profiles, whatever its tuning;
+    a solver with no runs has no ECDF. The ERT and the ECDF read the same
+    first hits; the ERT applies T, and the ECDF's grid ends at it.
     """
     solvers = tuple(dict.fromkeys(solver for solver, _ in hits))
     instances = tuple(targets_by_instance)
     erts: dict[tuple[str, str, float], ErtResult] = {}
-    ecdf_times: dict[str, list[Optional[float]]] = {}  # by solver
+    ecdf_times: dict[str, list[np.ndarray]] = {}  # by solver
     for solver in solvers:
         for instance in instances:
             for q, times in zip(targets_by_instance[instance], hits[(solver, instance)]):
-                if times:
+                if len(times):
                     erts[(solver, instance, q)] = ert(times, T, target=q)
-                    ecdf_times.setdefault(solver, []).extend(times)
+                    ecdf_times.setdefault(solver, []).append(times)
     if any(result.ert == 0.0 for result in erts.values()):
         raise RuntimeError(
             "time-based profiles need positive time costs; "
             "got an ERT of zero (virtual cost_per_eval = 0?)"
         )
-    ecdf = {solver: anytime_ecdf(times, time_grid) for solver, times in ecdf_times.items()}
+    ecdf = {solver: anytime_ecdf(np.concatenate(times), time_grid) for solver, times in ecdf_times.items()}
     share = {s: tuning_time.get(s, 0.0) / len(instances) for s in solvers}
     profiles = []
     for ladder in zip(*targets_by_instance.values()):

@@ -34,26 +34,26 @@ def evaluator_columns(evaluator) -> dict:
     return {"elapsed": evaluator.stamps, "evals": evaluator.counts, "best_f": evaluator.values}
 
 
-def time_to_target(record: RunRecord, q: float, T: float = math.inf):
-    """Earliest elapsed at which the run attained best_f <= q, else None:
+def time_to_target(record: RunRecord, q: float) -> float:
+    """Earliest elapsed at which the run attained best_f <= q, else +inf:
     the oracle of ``metrics.first_hits``, read one record's columns at a
-    time. A hit after T does not count."""
+    time."""
     for elapsed, best_f in zip(record.elapsed, record.best_f):
         if best_f <= q:
-            return elapsed if elapsed <= T else None
-    return None
+            return elapsed
+    return math.inf
 
 
 def pair_times(records, targets_by_instance):
-    """One first-hit time per (run, target) pair, None for a miss, for every
+    """One first-hit time per (run, target) pair, +inf for a miss, for every
     target of each run's instance: the input of ``anytime_ecdf``."""
     return [time_to_target(r, q) for r in records for q in targets_by_instance[r.instance_id]]
 
 
-def hits_by_pair(grouped, targets_by_instance, T):
+def hits_by_pair(grouped, targets_by_instance):
     """``metrics.analyze``'s input from each (solver, instance) pair's records."""
     columns = {pair: RunColumns.of(records) for pair, records in grouped.items()}
-    return {pair: first_hits(runs, targets_by_instance[pair[1]], T) for pair, runs in columns.items()}
+    return {pair: first_hits(runs, targets_by_instance[pair[1]]) for pair, runs in columns.items()}
 
 
 def run_values(record: RunRecord) -> tuple:

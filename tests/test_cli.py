@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from timefair import metrics, report
@@ -19,10 +20,10 @@ from timefair.cli import (
     scenario_plan,
     validate_config,
 )
-from timefair.core import CostMatrix, RunRecord
+from timefair.core import CostMatrix, RunRecord, Termination
 from timefair.metrics import performance_profile
 
-from conftest import hits_by_pair
+from conftest import columns, hits_by_pair
 
 
 def write_config(tmp_path, mutate=None, name="config.json"):
@@ -557,6 +558,64 @@ class TestCmdAnalyze:
         issues = [line for line in capsys.readouterr().err.splitlines() if line.startswith("log issue: ")]
         assert issues == expected and len(set(issues)) == 2
 
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("cut", ["empty", "last repetition", "renumbered"])
+    def test_an_incomplete_log_is_an_issue(self, tmp_path, capsys, strict, cut):
+        # run logs every repetition: a log emptied, cut at the line where its
+        # last repetition starts, or with that repetition renumbered past R,
+        # has no malformed line, and analyze names it rather than pass it over
+        path, cfg = write_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        log = report.run_log_path(out, "rs-b", "sphere-d2")
+        text = log.read_bytes()
+        start = text.index(b'"repetition":1,')
+        start = text.rindex(b"\n", 0, start) + 1  # the first line of repetition 1
+        missing, unexpected = {"empty": ([0, 1], []), "last repetition": ([1], []), "renumbered": ([1], [5])}[cut]
+        log.write_bytes({"empty": b"", "last repetition": text[:start],
+                         "renumbered": text.replace(b'"repetition":1,', b'"repetition":5,')}[cut])
+        capsys.readouterr()
+        code = main(["analyze", *(["--strict-logs"] if strict else []), str(out)])
+        err = capsys.readouterr().err
+        msg = f"runs/rs-b/sphere-d2.jsonl: incomplete log: repetitions missing {missing}, unexpected {unexpected}\n"
+        if strict:
+            assert code == 1 and f"error: {msg}" in err
+            assert not (out / "ert_table.csv").exists()
+        else:
+            assert code == 0 and f"log issue: {msg}" in err
+            with open(out / "ert_table.csv", newline="") as fh:
+                pairs = {(row["solver"], row["instance"]) for row in csv.DictReader(fh)}
+            assert (("rs-b", "sphere-d2") in pairs) == (cut != "empty")  # the analysis went on
+
+    def test_a_real_clock_hit_past_T_is_a_failure(self, tmp_path):
+        # a real-clock run's last iteration can end after T, so its first
+        # point at or below q can be stamped past T: the ERT table counts that
+        # run as a failure, and the ECDF at T does not count it
+        def real(cfg):
+            cfg.update(clock={"mode": "real"}, instances=["sphere-d2"], targets={"kind": "absolute", "values": [1.0]})
+            cfg["algorithms"] = [{"label": "rs", "kind": "random-search"}]
+
+        _, cfg = write_config(tmp_path, mutate=real)
+        out = Path(cfg["output_dir"])
+        report.write_effective_config(validate_config(cfg), out)
+        T = cfg["budget"]["wall_time_limit"]
+        # rep 0 hits 1.0 at 0.5; rep 1 hits it at 1.25 and ends at 1.5, both against T = 1
+        points = {0: ([(0.25, 1, 3.0), (0.5, 2, 0.5)], 0.75), 1: ([(0.5, 1, 3.0), (1.25, 2, 0.5)], 1.5)}
+        records = [
+            RunRecord("rs", "sphere-d2", rep, **columns(pts), time_used=used, evals_used=2,
+                      termination=Termination.BUDGET_EXHAUSTED, repetition=rep)
+            for rep, (pts, used) in points.items()
+        ]
+        assert T == 1.0 and records[1].time_used > T
+        report.write_run_log(records, report.run_log_path(out, "rs", "sphere-d2"))
+        assert main(["analyze", "--strict-logs", str(out)]) == 0
+        with open(out / "ert_table.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (float(row["ert"]), int(row["successes"]), int(row["runs"])) == ((0.5 + 1.0) / 1, 1, 2)
+        with open(out / "curves" / "ecdf_rs.csv", newline="") as fh:
+            *_, at_T = csv.DictReader(fh)
+        assert (float(at_T["time"]), int(at_T["n_num"]), int(at_T["n_den"])) == (T, 1, 2)
+
     def test_restart_heavy_analysis_matches_its_pinned_digests(self, tmp_path, capsys):
         # 483 short virtual runs (181, 180, 62 and 60 per pair): odd and even
         # R, with R * B above the bootstrap chunk for random search and below
@@ -628,7 +687,7 @@ class TestCmdAnalyze:
             for i in plan.instances
         }
         targets = {i: plan.targets.resolve() for i in plan.instances}  # absolute ladder
-        analysis = metrics.analyze(hits_by_pair(grouped, targets, T), T, targets, metrics.default_time_grid(T))
+        analysis = metrics.analyze(hits_by_pair(grouped, targets), T, targets, metrics.default_time_grid(T))
         for name, curves in zip(names, analysis.profiles):
             report.emit_profile_csv(curves, tmp_path / "expected.csv")
             assert (out / "curves" / name).read_bytes() == (tmp_path / "expected.csv").read_bytes()
@@ -952,7 +1011,7 @@ class TestCmdSimulate:
 
     def test_recheck_reads_the_logged_trajectories(self, monkeypatch, capsys):
         # a wrong first-hit time in metrics must show up against the recheck
-        monkeypatch.setattr(metrics, "first_hits", lambda columns, ladder, T: [[None] * columns.runs for _ in ladder])
+        monkeypatch.setattr(metrics, "first_hits", lambda columns, ladder: np.full((len(ladder), columns.runs), math.inf))
         assert main(["simulate"]) == 0
         assert "MISMATCH" in capsys.readouterr().out
 
@@ -968,7 +1027,7 @@ class TestScenarioProfiles:
         T = plan.budget.wall_time_limit
         ladder = plan.targets.values
         targets = {"rastrigin-d10": ladder}
-        analysis = metrics.analyze(hits_by_pair(run_plan(plan), targets, T), T, targets, metrics.default_time_grid(T))
+        analysis = metrics.analyze(hits_by_pair(run_plan(plan), targets), T, targets, metrics.default_time_grid(T))
         for q in (5.0, 100.0):
             base, heavy = analysis.profiles[ladder.index(q)]
             for tau in (1.0, 1.5, 2.0, 5.0, 20.0, 1e6):

@@ -52,21 +52,22 @@ class TestTimeToTarget:
         assert time_to_target(TWO_STEP, 7.0) == 1.0
 
     def test_never_attained(self):
-        assert time_to_target(TWO_STEP, 1.0) is None
+        assert time_to_target(TWO_STEP, 1.0) == math.inf
 
     def test_hits_never_exceed_time_used(self, rng):
         for _ in range(200):
             record = random_record(rng)
             for q in (-10.0, 0.0, 25.0, 80.0):
                 t = time_to_target(record, q)
-                assert t is None or t <= record.time_used
+                assert t == math.inf or t <= record.time_used
 
 
 class TestFirstHits:
     LADDER = (60.0, 25.0, 4.5, 0.0, -10.0)
 
     def test_each_run_and_target_is_time_to_target(self, rng):
-        # a hit exactly at T counts, a hit past T is a miss, an empty run misses
+        # a hit past T keeps its time and an empty run misses (+inf); at T = 5
+        # the ERT and the ECDF count a hit exactly at T and fail the hit past T
         records = [
             TWO_STEP,
             make_record([(1.0, 1, 9.0), (5.0, 2, 4.5)]),  # 4.5 reached exactly at T = 5
@@ -74,26 +75,29 @@ class TestFirstHits:
             make_record([]),
             *(random_record(rng) for _ in range(300)),
         ]
-        columns = RunColumns.of(records)
-        for T in (5.0, 1.0, math.inf):
-            hits = first_hits(columns, self.LADDER, T)
-            assert hits == [[time_to_target(r, q, T) for r in records] for q in self.LADDER]
-        assert first_hits(columns, self.LADDER, 5.0)[2][:4] == [3.0, 5.0, None, None]
+        hits = first_hits(RunColumns.of(records), self.LADDER)
+        assert hits.dtype == np.float64 and hits.shape == (len(self.LADDER), len(records))
+        assert hits.tolist() == [[time_to_target(r, q) for r in records] for q in self.LADDER]
+        assert hits[2, :4].tolist() == [3.0, 5.0, 6.0, math.inf]
+        result = ert(hits[2, :4], 5.0)
+        assert (result.successes, result.runs, result.ert) == (2, 4, (3.0 + 5.0 + 5.0 + 5.0) / 2)
+        assert anytime_ecdf(hits[2, :4], [3.0, 5.0]).numerators == (1, 2)
 
     def test_no_runs_and_no_targets(self):
-        assert first_hits(RunColumns.of([]), self.LADDER, 5.0) == [[]] * len(self.LADDER)
-        assert first_hits(RunColumns.of([TWO_STEP]), (), 5.0) == []
+        assert first_hits(RunColumns.of([]), self.LADDER).shape == (len(self.LADDER), 0)
+        assert first_hits(RunColumns.of([TWO_STEP]), ()).shape == (0, 1)
 
 
 def ert_oracle(times, T):
-    """Independent re-derivation with exact rational arithmetic."""
+    """Independent re-derivation with exact rational arithmetic: a run
+    succeeds at a time within T and otherwise costs T."""
     total = Fraction(0)
     successes = 0
     for t in times:
-        if t is None:
+        if t > T:
             total += Fraction(T)
         else:
-            total += Fraction(min(t, T))
+            total += Fraction(t)
             successes += 1
     if successes == 0:
         return math.inf, 0
@@ -106,18 +110,18 @@ class TestErt:
         assert result.ert == 2.0 and result.success_rate == 1.0
 
     def test_mixed_hand_computation(self):
-        result = ert([3.0, 7.0, None, None], T=10.0)
+        result = ert([3.0, 7.0, math.inf, math.inf], T=10.0)
         assert result.ert == 15.0
         assert result.success_rate == 0.5
         assert result.successes == 2 and result.runs == 4
 
     def test_nineteen_hits_one_failure(self):
-        result = ert([18.0] * 19 + [None], T=50.0)
+        result = ert([18.0] * 19 + [math.inf], T=50.0)
         assert abs(result.ert - 392.0 / 19.0) <= 1e-9 * (392.0 / 19.0)
         assert result.success_rate == 0.95
 
     def test_no_successes_is_infinite(self):
-        result = ert([None, None, None], T=5.0)
+        result = ert([math.inf, math.inf, math.inf], T=5.0)
         assert math.isinf(result.ert) and result.success_rate == 0.0
 
     def test_matches_oracle_on_random_fixtures(self, rng):
@@ -125,7 +129,7 @@ class TestErt:
             T = float(rng.uniform(0.5, 100.0))
             n = int(rng.integers(1, 51))
             times = [
-                None if rng.random() < 0.3 else float(rng.uniform(0.0, T))
+                math.inf if rng.random() < 0.3 else float(rng.uniform(0.0, T))
                 for _ in range(n)
             ]
             expected, successes = ert_oracle(times, T)
@@ -140,14 +144,25 @@ class TestErt:
         for _ in range(200):
             T = 10.0
             n = int(rng.integers(1, 20))
-            times = [None if rng.random() < 0.4 else float(rng.uniform(0, T)) for _ in range(n)]
+            times = [math.inf if rng.random() < 0.4 else float(rng.uniform(0, T)) for _ in range(n)]
             base = ert(times, T)
-            worse = ert(times + [None], T)
+            worse = ert(times + [math.inf], T)
             assert worse.ert >= base.ert
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             ert([], T=1.0)
+
+    def test_nan_time_rejected(self):
+        # a NaN is not a success; nor is a None, which numpy reads as NaN
+        for times in ([math.nan, 1.0], [None, 1.0]):
+            with pytest.raises(ValueError, match="NaN"):
+                ert(times, 5.0)
+
+    def test_infinite_budget_rejected(self):
+        # +inf is a miss, so a budget of +inf would count it as a success
+        with pytest.raises(ValueError, match="finite"):
+            ert([1.0, math.inf], math.inf)
 
 
 def ecdf_oracle(records, targets_by_instance, grid):
@@ -201,6 +216,12 @@ class TestAnytimeEcdf:
     def test_empty_groups_rejected(self):
         with pytest.raises(ValueError):
             anytime_ecdf(pair_times([], {"sphere-d2": [1.0]}), [1.0])
+
+    def test_nan_time_rejected(self):
+        # a NaN is not a hit at any grid time; nor is a None, which numpy reads as NaN
+        for times in ([math.nan, 1.0], [None, 1.0]):
+            with pytest.raises(ValueError, match="NaN"):
+                anytime_ecdf(times, [1.0, 5.0])
 
 
 def median_oracle(records, grid, bootstrap_samples, confidence, seed):
@@ -360,7 +381,7 @@ class TestMedianTrajectory:
         with pytest.raises(ValueError, match="time_grid must be non-empty and ordered"):
             median_trajectory(RunColumns.of([make_record([(1.0, 1, 0.0)])]), grid, bootstrap_samples=100)
         with pytest.raises(ValueError, match="time_grid must be non-empty and ordered"):
-            anytime_ecdf([1.0, None], grid)
+            anytime_ecdf([1.0, math.inf], grid)
 
     def test_equals_whole_array_bootstrap(self, rng):
         records = [random_record(rng) for _ in range(31)]
@@ -556,7 +577,7 @@ class TestTuningThroughAnalyze:
             for p, c in zip(costs.instances, (row[j] for row in costs.costs))
         }
         targets = {p: (1.0,) for p in costs.instances}
-        return analyze(hits_by_pair(grouped, targets, self.T), self.T, targets, default_time_grid(self.T), tuning_time)
+        return analyze(hits_by_pair(grouped, targets), self.T, targets, default_time_grid(self.T), tuning_time)
 
     def _profiled_costs(self, monkeypatch, costs, tuning_time):
         seen = []
@@ -618,7 +639,7 @@ class TestAnalyze:
 
     def _analyze(self, grouped=None, **kwargs):
         grouped = self._grouped() if grouped is None else grouped
-        hits = hits_by_pair(grouped, self.TARGETS, self.T)
+        hits = hits_by_pair(grouped, self.TARGETS)
         return analyze(hits, self.T, self.TARGETS, default_time_grid(self.T), **kwargs)
 
     def test_ert_in_solver_instance_target_order(self):
@@ -631,7 +652,7 @@ class TestAnalyze:
             ("B", "sphere-d2", 5.0),
             ("B", "sphere-d2", 1.0),
         ]
-        assert result.ert[("A", "sphere-d2", 5.0)] == ert([1.0, None], self.T, target=5.0)
+        assert result.ert[("A", "sphere-d2", 5.0)] == ert([1.0, math.inf], self.T, target=5.0)
         assert result.ert[("A", "sphere-d2", 1.0)].ert == 12.0
 
     def test_empty_pair_has_no_ert_and_costs_inf_in_profile(self):
@@ -673,8 +694,8 @@ class TestAnalyze:
 
         calls, ert_times, ecdf_times = [], [], []
 
-        def counting(runs, ladder, T=math.inf):
-            calls.append(first_hits(runs, ladder, T))
+        def counting(runs, ladder):
+            calls.append(first_hits(runs, ladder))
             return calls[-1]
 
         monkeypatch.setattr(metrics, "first_hits", counting)
@@ -688,8 +709,20 @@ class TestAnalyze:
         assert len(config["instances"]) == 1  # so each solver has one pair
         assert len(calls) == len(config["algorithms"])
         assert all(len(hits) == len(config["targets"]["values"]) for hits in calls)
-        assert [id(times) for times in ert_times] == [id(times) for hits in calls for times in hits]
-        assert ecdf_times == [sum(hits, []) for hits in calls]
+        rows = [times for hits in calls for times in hits]
+        assert len(ert_times) == len(rows)
+        assert all(np.shares_memory(got, row) and np.array_equal(got, row) for got, row in zip(ert_times, rows))
+        assert [times.tolist() for times in ecdf_times] == [hits.ravel().tolist() for hits in calls]
+
+    def test_a_real_clock_hit_past_T_is_a_failure(self):
+        # a real-clock run's last iteration can stamp its first hit past T:
+        # the ERT counts that run as a failure, and the ECDF at T skips it
+        runs = RunColumns.of_lists([2, 2], [0.25, 0.5, 0.5, 1.25], [3.0, 0.5, 3.0, 0.5])
+        targets = {"sphere-d2": (1.0,)}
+        result = analyze({("A", "sphere-d2"): first_hits(runs, (1.0,))}, 1.0, targets, default_time_grid(1.0))
+        got = result.ert[("A", "sphere-d2", 1.0)]
+        assert (got.ert, got.successes, got.runs) == ((0.5 + 1.0) / 1, 1, 2)
+        assert (result.ecdf["A"].numerators[-1], result.ecdf["A"].denominators[-1]) == (1, 2)
 
     def test_ecdf_at_T_counts_what_the_ert_counts(self):
         # on the demo plan, each solver's ECDF at T holds exactly its ERT
@@ -700,7 +733,7 @@ class TestAnalyze:
         plan = plan_from_config(validate_config(demo_config()))
         T = plan.budget.wall_time_limit
         targets = {i: plan.targets.resolve() for i in plan.instances}  # absolute ladder
-        result = analyze(hits_by_pair(run_plan(plan), targets, T), T, targets, default_time_grid(T))
+        result = analyze(hits_by_pair(run_plan(plan), targets), T, targets, default_time_grid(T))
         assert list(result.ecdf) == [spec.label for spec in plan.algorithms]
         for solver, curve in result.ecdf.items():
             mine = [r for (s, _, _), r in result.ert.items() if s == solver]
@@ -832,7 +865,7 @@ class TestTimeGrid:
 @settings(max_examples=50)
 @given(
     st.lists(
-        st.one_of(st.none(), st.floats(min_value=0.0, max_value=100.0)),
+        st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=100.0)),
         min_size=1,
         max_size=30,
     ),

@@ -137,10 +137,10 @@ class TestRunTimeFair:
         plan = scenario_plan()
         records = run_time_fair(plan, "pso", "rastrigin-d10", 0)
         ladder = plan.targets.resolve(0.0)
-        hits = first_hits(RunColumns.of(records), ladder, plan.budget.wall_time_limit)
+        hits = first_hits(RunColumns.of(records), ladder)
         for k, record in enumerate(records):
             for q, times in zip(ladder, hits):
-                expected = None
+                expected = math.inf
                 for elapsed, best_f in zip(record.elapsed, record.best_f):
                     if best_f <= q:
                         expected = elapsed

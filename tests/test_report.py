@@ -105,8 +105,8 @@ class TestRoundTrip:
         reread = parse_run_log(path).records
         T = 30.0
         for q in (60.0, 20.0, -5.0):
-            before = ert([time_to_target(r, q, T) for r in records], T)
-            after = ert([time_to_target(r, q, T) for r in reread], T)
+            before = ert([time_to_target(r, q) for r in records], T)
+            after = ert([time_to_target(r, q) for r in reread], T)
             assert before == after
 
 
