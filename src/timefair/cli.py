@@ -300,20 +300,17 @@ def cmd_analyze(args) -> int:
             path = report.run_log_path(out_dir, label, instance_id)
             if not path.exists():
                 raise FileNotFoundError(f"missing run log {path}")
-            parsed = report.parse_run_log(path, strict=args.strict_logs)
+            parsed = report.parse_run_log(path)
             name = path.relative_to(out_dir)  # runs/<label>/<instance>.jsonl: one per arm
+            whole_log = report.log_issues(parsed, label, instance_id, plan.repetitions)
+            issues = parsed.issues + whole_log
+            if issues and args.strict_logs:
+                raise report.LogParseError(f"{name}: {issues[0]}")
             for msg in parsed.issues:
                 _progress(f"log issue: {name}: {msg}")
             if parsed.skipped_runs:
                 _progress(f"{name}: skipped {parsed.skipped_runs} malformed run(s)")
-            # run logs at least one run per repetition: any other set of repetitions is an incomplete log
-            found = {fields[6] for fields in parsed.run_fields}  # each valid run's repetition
-            expected = set(range(plan.repetitions))
-            if found != expected:
-                msg = (f"incomplete log: repetitions missing {sorted(expected - found)}, "
-                       f"unexpected {sorted(found - expected)}")
-                if args.strict_logs:
-                    raise report.LogParseError(f"{name}: {msg}")
+            for msg in whole_log:
                 _progress(f"log issue: {name}: {msg}")
             columns = parsed.columns
             del parsed
@@ -468,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="compute metrics and curve CSVs from run logs")
     p_analyze.add_argument("out_dir", help="experiment output directory")
-    p_analyze.add_argument("--strict-logs", action="store_true", help="abort on the first malformed log line or incomplete log")
+    p_analyze.add_argument("--strict-logs", action="store_true", help="abort on a log's first issue")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_report = sub.add_parser("report", help="audit the manifest against the reporting checklist")

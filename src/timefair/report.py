@@ -36,7 +36,7 @@ from .seeds import SEED_SCHEME_ID
 
 
 class LogParseError(RuntimeError):
-    """Strict-mode log parsing failure."""
+    """A run log's first issue, which aborts ``analyze --strict-logs``."""
 
 
 MANIFEST_SCHEMA = "timefair-manifest/v1"
@@ -209,25 +209,19 @@ def _decode_line(line: str):
     return json.loads(line)
 
 
-def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
+def parse_run_log(path: Path) -> ParseResult:
     """Read a JSONL log back into the columns of its validated runs.
 
     A line is accepted exactly when it is UTF-8 and ``json.loads`` accepts
     it, and decodes to the same object; a line of JSON whitespace alone is
-    skipped. Malformed lines and invariant violations are reported with
-    line numbers; strict mode raises on the first issue, lenient mode skips
-    the affected run and counts it. Each run's points are checked and kept
-    as plain lists, and no RunRecord is built (see :class:`ParseResult`).
+    skipped. The whole log is read and no issue raises: each malformed line
+    and invariant violation is reported with its line number, in line order,
+    and the run it affects is skipped and counted. Each run's points are
+    checked and kept as plain lists, and no RunRecord is built (see
+    :class:`ParseResult`).
     """
-    path = Path(path)
     issues: list[str] = []
     skipped_runs = 0
-
-    def issue(msg: str) -> None:
-        issues.append(msg)
-        if strict:
-            raise LogParseError(f"{path}: {msg}")
-
     # the valid runs: points per run, every point's fields, each run's other fields
     lengths, elapsed, evals, best_f, run_fields = [], [], [], [], []
     header: Optional[dict] = None
@@ -250,23 +244,23 @@ def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
                 kind = obj["kind"]
             # ValueError: not JSON, not UTF-8, or an integer of more than 4,300 digits
             except (ValueError, RecursionError, KeyError, TypeError):
-                issue(f"line {lineno}: malformed log line")
+                issues.append(f"line {lineno}: malformed log line")
                 run_broken = header is not None
                 continue
             if kind == "run_header":
                 if header is not None:
-                    issue(f"line {header_line}: run_end missing for run {run_name(header)}")
+                    issues.append(f"line {header_line}: run_end missing for run {run_name(header)}")
                     skipped_runs += 1
                 header, header_line, run_broken = obj, lineno, False
                 run_elapsed, run_evals, run_best_f = [], [], []
             elif kind == "improvement":
                 if header is None:
-                    issue(f"line {lineno}: improvement outside of a run")
+                    issues.append(f"line {lineno}: improvement outside of a run")
                     continue
                 try:
                     t, n, f = _number(obj["elapsed"]), _integer(obj["evals"]), _number(obj["best_f"])
                 except (KeyError, TypeError, OverflowError):
-                    issue(f"line {lineno}: malformed improvement in run {run_name(header)}")
+                    issues.append(f"line {lineno}: malformed improvement in run {run_name(header)}")
                     run_broken = True
                     continue
                 run_elapsed.append(t)
@@ -274,7 +268,7 @@ def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
                 run_best_f.append(f)
             elif kind == "run_end":
                 if header is None:
-                    issue(f"line {lineno}: run_end outside of a run")
+                    issues.append(f"line {lineno}: run_end outside of a run")
                     continue
                 if run_broken:
                     skipped_runs += 1
@@ -294,13 +288,13 @@ def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
                         _number(obj["max_step_seconds"]),
                     )
                 except (KeyError, TypeError, ValueError, OverflowError):
-                    issue(f"line {lineno}: malformed run_end for run {run_name(header)}")
+                    issues.append(f"line {lineno}: malformed run_end for run {run_name(header)}")
                     skipped_runs += 1
                     header = None
                     continue
                 violations = validate(run_elapsed, run_evals, run_best_f, fields[3], fields[4], fields[9])
                 if violations:
-                    issue(f"line {lineno}: invalid run {run_name(header)}: " + "; ".join(violations))
+                    issues.append(f"line {lineno}: invalid run {run_name(header)}: " + "; ".join(violations))
                     skipped_runs += 1
                 else:
                     lengths.append(len(run_elapsed))
@@ -310,11 +304,34 @@ def parse_run_log(path: Path, strict: bool = False) -> ParseResult:
                     run_fields.append(fields)
                 header = None
             else:
-                issue(f"line {lineno}: unknown record kind {kind!r}")
+                issues.append(f"line {lineno}: unknown record kind {kind!r}")
         if header is not None:
-            issue(f"line {header_line}: run_end missing for run {run_name(header)}")
+            issues.append(f"line {header_line}: run_end missing for run {run_name(header)}")
             skipped_runs += 1
     return ParseResult(RunColumns.of_lists(lengths, elapsed, best_f), evals, run_fields, issues, skipped_runs)
+
+
+def log_issues(parsed: ParseResult, label: str, instance_id: str, repetitions: int) -> list[str]:
+    """The issues of the valid runs of `label`'s log on `instance_id` taken
+    together, in run order. `run` writes only that pair's runs, in
+    increasing (repetition, run_index) order, and at least one run for each
+    repetition 0..R-1; a gap that a skipped run left is not an issue."""
+    issues: list[str] = []
+    found = set()  # the valid runs' repetitions
+    last = None  # the previous valid run's (repetition, run_index)
+    for algorithm_id, run_instance_id, _, _, _, _, repetition, run_index, _, _ in parsed.run_fields:
+        if (algorithm_id, run_instance_id) != (label, instance_id):
+            issues.append(f"run {algorithm_id}/{run_instance_id} rep={repetition} run={run_index} "
+                          f"is not a run of {label}/{instance_id}")
+        if last is not None and (repetition, run_index) <= last:
+            issues.append(f"runs out of order: rep={repetition} run={run_index} after rep={last[0]} run={last[1]}")
+        found.add(repetition)
+        last = repetition, run_index
+    expected = set(range(repetitions))
+    if found != expected:
+        issues.append(f"incomplete log: repetitions missing {sorted(expected - found)}, "
+                      f"unexpected {sorted(found - expected)}")
+    return issues
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

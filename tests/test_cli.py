@@ -46,11 +46,11 @@ def write_config(tmp_path, mutate=None, name="config.json"):
     return path, cfg
 
 
-def garble_first_improvement(log, junk=b"garbage\n") -> int:
-    """Replace `log`'s first improvement line with `junk`; its line number."""
+def garble_first_improvement(log) -> int:
+    """Replace `log`'s first improvement line with garbage; its line number."""
     lines = log.read_bytes().splitlines(keepends=True)
     n = next(i for i, line in enumerate(lines) if b'"improvement"' in line)
-    lines[n] = junk
+    lines[n] = b"garbage\n"
     log.write_bytes(b"".join(lines))
     return n + 1
 
@@ -381,6 +381,47 @@ def experiment(tmp_path_factory):
     return out, cfg
 
 
+@pytest.fixture(scope="module")
+def demo_run(tmp_path_factory):
+    """The demo's run directory, before any analysis."""
+    out = tmp_path_factory.mktemp("demo") / "out"
+    assert main(["run", "--config", str(DEMO_PATH), "--out", str(out)]) == 0
+    return out
+
+
+# every way a test below corrupts a log (see corrupt_pso_log)
+CORRUPTIONS = ["not-utf8", "malformed-line", "empty", "last-repetition", "renumbered",
+               "duplicated-run", "foreign-header", "malformed-line-and-duplicated-run"]
+
+
+def corrupt_pso_log(case, text):
+    """The demo's ``runs/pso/rastrigin-d10.jsonl`` (R = 3), `text`, corrupted
+    as `case` names, and the first issue that analyze finds in it."""
+    lines = text.splitlines(keepends=True)
+    if case == "malformed-line-and-duplicated-run":  # a parse issue comes before a log-wide one
+        garbled, msg = corrupt_pso_log("malformed-line", text)
+        return garbled + corrupt_pso_log("duplicated-run", text)[0][len(text):], msg
+    if case in ("not-utf8", "malformed-line"):  # the first improvement line garbled
+        n = next(i for i, line in enumerate(lines) if b'"improvement"' in line)
+        lines[n] = b"\xff\xfe garbage\n" if case == "not-utf8" else b"garbage\n"
+        return b"".join(lines), f"line {n + 1}: malformed log line"
+    if case == "empty":
+        return b"", "incomplete log: repetitions missing [0, 1, 2], unexpected []"
+    if case == "last-repetition":  # cut where repetition 2 starts
+        n = next(i for i, line in enumerate(lines) if b'"repetition":2,' in line)
+        return b"".join(lines[:n]), "incomplete log: repetitions missing [2], unexpected []"
+    if case == "renumbered":
+        return (text.replace(b'"repetition":2,', b'"repetition":5,'),
+                "incomplete log: repetitions missing [2], unexpected [5]")
+    if case == "duplicated-run":  # the first run appended again
+        end = next(i for i, line in enumerate(lines) if b'"run_end"' in line)
+        last = json.loads(next(line for line in reversed(lines) if b'"run_header"' in line))
+        return text + b"".join(lines[: end + 1]), f"runs out of order: rep=0 run=0 after rep=2 run={last['run_index']}"
+    assert case == "foreign-header"  # the first run's header names another arm
+    return (text.replace(b'"algorithm_id":"pso"', b'"algorithm_id":"random-search"', 1),
+            "run random-search/rastrigin-d10 rep=0 run=0 is not a run of pso/rastrigin-d10")
+
+
 class TestCmdAnalyze:
     def test_ert_table_shape(self, experiment):
         out, cfg = experiment
@@ -509,23 +550,6 @@ class TestCmdAnalyze:
         assert report.parse_run_log(report.run_log_path(out, "rs-a", "sphere-d2")).records  # the count sees a view
         assert "RunRecord" in built
 
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_a_byte_that_is_not_utf8_names_its_file_and_line(self, tmp_path, capsys, strict):
-        path, cfg = write_config(tmp_path)
-        out = Path(cfg["output_dir"])
-        assert main(["run", "--config", str(path)]) == 0
-        log = report.run_log_path(out, "rs-a", "sphere-d2")
-        n = garble_first_improvement(log, b"\xff\xfe garbage\n")
-        code = main(["analyze", *(["--strict-logs"] if strict else []), str(out)])
-        err = capsys.readouterr().err
-        if strict:
-            assert code == 1
-            assert f"error: {log}: line {n}: malformed log line" in err
-        else:
-            assert code == 0
-            assert f"log issue: runs/rs-a/sphere-d2.jsonl: line {n}: malformed log line" in err
-            assert "runs/rs-a/sphere-d2.jsonl: skipped 1 malformed run(s)" in err
-
     def test_each_logs_issues_are_reported_as_it_is_read(self, tmp_path, capsys):
         # analyze reads rs-a's logs before rs-b's: each log's issue is on
         # stderr, ahead of its skip count, before the next log is read
@@ -558,34 +582,40 @@ class TestCmdAnalyze:
         issues = [line for line in capsys.readouterr().err.splitlines() if line.startswith("log issue: ")]
         assert issues == expected and len(set(issues)) == 2
 
-    @pytest.mark.parametrize("strict", [False, True])
-    @pytest.mark.parametrize("cut", ["empty", "last repetition", "renumbered"])
-    def test_an_incomplete_log_is_an_issue(self, tmp_path, capsys, strict, cut):
-        # run logs every repetition: a log emptied, cut at the line where its
-        # last repetition starts, or with that repetition renumbered past R,
-        # has no malformed line, and analyze names it rather than pass it over
-        path, cfg = write_config(tmp_path)
-        out = Path(cfg["output_dir"])
-        assert main(["run", "--config", str(path)]) == 0
-        log = report.run_log_path(out, "rs-b", "sphere-d2")
-        text = log.read_bytes()
-        start = text.index(b'"repetition":1,')
-        start = text.rindex(b"\n", 0, start) + 1  # the first line of repetition 1
-        missing, unexpected = {"empty": ([0, 1], []), "last repetition": ([1], []), "renumbered": ([1], [5])}[cut]
-        log.write_bytes({"empty": b"", "last repetition": text[:start],
-                         "renumbered": text.replace(b'"repetition":1,', b'"repetition":5,')}[cut])
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_strict_and_lenient_see_the_same_first_issue(self, demo_run, tmp_path, capsys, case):
+        # --strict-logs aborts on the first issue that lenient mode prints,
+        # and lenient mode goes on with every valid run of the log
+        out = tmp_path / "out"
+        shutil.copytree(demo_run, out)
+        log = report.run_log_path(out, "pso", "rastrigin-d10")
+        text, msg = corrupt_pso_log(case, log.read_bytes())
+        log.write_bytes(text)
+        name = "runs/pso/rastrigin-d10.jsonl"
         capsys.readouterr()
-        code = main(["analyze", *(["--strict-logs"] if strict else []), str(out)])
-        err = capsys.readouterr().err
-        msg = f"runs/rs-b/sphere-d2.jsonl: incomplete log: repetitions missing {missing}, unexpected {unexpected}\n"
-        if strict:
-            assert code == 1 and f"error: {msg}" in err
-            assert not (out / "ert_table.csv").exists()
-        else:
-            assert code == 0 and f"log issue: {msg}" in err
-            with open(out / "ert_table.csv", newline="") as fh:
-                pairs = {(row["solver"], row["instance"]) for row in csv.DictReader(fh)}
-            assert (("rs-b", "sphere-d2") in pairs) == (cut != "empty")  # the analysis went on
+        assert main(["analyze", "--strict-logs", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {name}: {msg}"]
+        assert not (out / "ert_table.csv").exists()
+        assert main(["analyze", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("log issue: ")][0] == f"log issue: {name}: {msg}"
+        assert (f"{name}: skipped 1 malformed run(s)" in err) == ("malformed" in case or case == "not-utf8")
+        with open(out / "ert_table.csv", newline="") as fh:
+            runs = {row["runs"] for row in csv.DictReader(fh) if row["solver"] == "pso"}
+        kept = report.parse_run_log(log).columns.runs
+        assert runs == ({str(kept)} if kept else set())
+
+    def test_a_valid_demo_prints_no_log_issue_in_either_mode(self, demo_run, tmp_path, capsys):
+        outputs = []
+        for mode in (["--strict-logs"], []):
+            out = tmp_path / f"out{len(outputs)}"
+            shutil.copytree(demo_run, out)
+            capsys.readouterr()
+            assert main(["analyze", *mode, str(out)]) == 0
+            captured = capsys.readouterr()
+            assert "log issue" not in captured.err and "malformed" not in captured.err
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
 
     def test_a_real_clock_hit_past_T_is_a_failure(self, tmp_path):
         # a real-clock run's last iteration can end after T, so its first

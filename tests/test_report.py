@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -28,7 +29,6 @@ from timefair.metrics import (
     performance_profile,
 )
 from timefair.report import (
-    LogParseError,
     audit_manifest,
     build_manifest,
     config_hash,
@@ -36,6 +36,7 @@ from timefair.report import (
     emit_ert_table,
     emit_median_csv,
     emit_profile_csv,
+    log_issues,
     manifest_verdict,
     parse_run_log,
     probe_environment,
@@ -280,12 +281,17 @@ class TestParsing:
         assert result.skipped_runs == 1
         assert any("run_end missing" in msg for msg in result.issues)
 
-    def test_strict_mode_aborts_on_first_issue(self, tmp_path):
-        _, path = self._write_valid(tmp_path)
-        with open(path, "a") as fh:
-            fh.write("{not json\n")
-        with pytest.raises(LogParseError):
-            parse_run_log(path, strict=True)
+    def test_every_issue_is_reported_in_line_order_and_none_raises(self, tmp_path):
+        # the parser only reports; analyze alone decides whether an issue aborts
+        records, path = self._write_valid(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1:1] = ["{not json\n"]  # inside the first run
+        lines.append("garbage\n")
+        path.write_text("".join(lines))
+        result = parse_run_log(path)
+        assert result.issues == ["line 2: malformed log line", f"line {len(lines)}: malformed log line"]
+        assert result.records == records[1:] and result.skipped_runs == 1
+        assert list(inspect.signature(parse_run_log).parameters) == ["path"]
 
     @pytest.mark.parametrize(
         "kind, field",
@@ -303,8 +309,6 @@ class TestParsing:
         assert result.records == [] and result.skipped_runs == 1
         [message] = result.issues
         assert f"{field} non-finite" in message
-        with pytest.raises(LogParseError, match=f"{field} non-finite"):
-            parse_run_log(path, strict=True)
 
     def test_out_of_order_improvements_name_the_run(self, tmp_path):
         lines = [
@@ -409,19 +413,13 @@ class TestParsing:
         lines[-1] = self.LINE_VARIANTS[variant](lines[-1])
         path.write_bytes("".join(lines).encode())  # binary, so "\r\n" is written as it is
 
-        def outcome(strict):
-            try:
-                result = parse_run_log(path, strict=strict)
-            except LogParseError as exc:
-                return str(exc)
+        def outcome():
+            result = parse_run_log(path)
             return result.records, result.issues, result.skipped_runs
 
-        def outcomes():
-            return outcome(False), outcome(True)
-
-        parsed = outcomes()
+        parsed = outcome()
         monkeypatch.setattr(report, "_decode_line", json.loads)
-        assert parsed == outcomes()
+        assert parsed == outcome()
 
     @pytest.mark.parametrize(
         "kind,field",
@@ -439,8 +437,6 @@ class TestParsing:
         assert result.records == [] and result.skipped_runs == 1
         [message] = result.issues
         assert message.startswith(f"line {len(lines)}: malformed run_end for run {records[0].algorithm_id}/")
-        with pytest.raises(LogParseError, match="malformed run_end"):
-            parse_run_log(path, strict=True)
 
     # the writer never writes these: int() and float() would read "7" as 7,
     # true as 1 and 2.9 as 2, and float() of a 401-digit integer overflows
@@ -472,8 +468,6 @@ class TestParsing:
             else f"line {len(lines)}: malformed run_end"
         )
         assert message.startswith(expected)
-        with pytest.raises(LogParseError, match=expected):
-            parse_run_log(path, strict=True)
 
     def test_a_line_of_json_whitespace_is_blank(self, tmp_path):
         records, path = self._write_valid(tmp_path)
@@ -607,19 +601,12 @@ RULE_BREAKS = {
 class TestAgainstTheReferenceParser:
     """parse_run_log against the parser that built a RunRecord per run
     (tests/reference_parser.py): the same issues in the same order, the same
-    skipped runs, the same strict-mode error and equal records, and columns
-    that are RunColumns.of the reference's records, bit for bit."""
+    skipped runs and equal records, and columns that are RunColumns.of the
+    reference's records, bit for bit."""
 
     @staticmethod
     def assert_same(path, context=""):
         from reference_parser import reference_parse_run_log
-
-        def strict(parse):
-            try:
-                parse(path, strict=True)
-            except LogParseError as exc:
-                return str(exc)
-            return None
 
         reference, parsed = reference_parse_run_log(path), parse_run_log(path)
         assert parsed.issues == reference.issues, context
@@ -630,7 +617,6 @@ class TestAgainstTheReferenceParser:
         for name in ("run", "elapsed", "best_f"):
             got, want = getattr(parsed.columns, name), getattr(expected, name)
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (context, name)
-        assert strict(parse_run_log) == strict(reference_parse_run_log), context
         return parsed
 
     def test_logs_of_real_runs(self, real_logs, rng, tmp_path):
@@ -665,6 +651,62 @@ class TestAgainstTheReferenceParser:
         [message] = parsed.issues
         assert message.startswith(f"line {len(BASE.elapsed) + 2 + len(broken.elapsed) + 2}: invalid run alg/")
         assert rule in message
+
+
+class TestLogIssues:
+    """log_issues: the rules that the valid runs of one arm's log on one
+    instance meet together, each issue in run order."""
+
+    # (each run's repetition and run index, and its ids where they are not
+    # alg/sphere-d2, in log order; the issues for R = 2)
+    CASES = {
+        "the-order-run-writes": ([(0, 0), (0, 1), (1, 0)], []),
+        "gaps-left-by-skipped-runs": ([(0, 1), (0, 3), (1, 2)], []),
+        "a-run-repeated": (
+            [(0, 0), (0, 1), (1, 0), (0, 0)], ["runs out of order: rep=0 run=0 after rep=1 run=0"],
+        ),
+        "a-run-twice-in-a-row": ([(0, 0), (0, 0), (1, 0)], ["runs out of order: rep=0 run=0 after rep=0 run=0"]),
+        "a-run-moved-back": ([(0, 1), (0, 0), (1, 0)], ["runs out of order: rep=0 run=0 after rep=0 run=1"]),
+        "a-repetition-moved-back": (
+            [(1, 0), (0, 0), (0, 1)], ["runs out of order: rep=0 run=0 after rep=1 run=0"],
+        ),
+        "another-arm": (
+            [(0, 0), (1, 0, "other", "sphere-d2")], ["run other/sphere-d2 rep=1 run=0 is not a run of alg/sphere-d2"],
+        ),
+        "another-instance": (
+            [(0, 0, "alg", "sphere-d5"), (1, 0)], ["run alg/sphere-d5 rep=0 run=0 is not a run of alg/sphere-d2"],
+        ),
+        "incomplete": ([(0, 0), (0, 1)], ["incomplete log: repetitions missing [1], unexpected []"]),
+        "every-rule-in-run-order": (
+            [(0, 1), (0, 0, "other", "sphere-d2"), (2, 0)],
+            ["run other/sphere-d2 rep=0 run=0 is not a run of alg/sphere-d2",
+             "runs out of order: rep=0 run=0 after rep=0 run=1",
+             "incomplete log: repetitions missing [1], unexpected [2]"],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_issues(self, tmp_path, case):
+        runs, expected = self.CASES[case]
+        path = tmp_path / "log.jsonl"
+        write_run_log(
+            [dataclasses.replace(BASE, repetition=rep, run_index=run, **dict(zip(("algorithm_id", "instance_id"), ids)))
+             for rep, run, *ids in runs],
+            path,
+        )
+        parsed = parse_run_log(path)
+        assert parsed.issues == [] and len(parsed.run_fields) == len(runs)
+        assert log_issues(parsed, "alg", "sphere-d2", 2) == expected
+
+    def test_only_valid_runs_count(self, tmp_path):
+        # a skipped run is the parser's issue alone: it leaves a gap, and
+        # the repetition it held is missing
+        path = tmp_path / "log.jsonl"
+        broken = dataclasses.replace(BASE, repetition=1, **RULE_BREAKS["evals repeated"])
+        write_run_log([dataclasses.replace(BASE, run_index=0), BASE, broken], path)
+        parsed = parse_run_log(path)
+        assert parsed.skipped_runs == 1 and len(parsed.issues) == 1
+        assert log_issues(parsed, "alg", "sphere-d2", 2) == ["incomplete log: repetitions missing [1], unexpected []"]
 
 
 def read_csv(path):
