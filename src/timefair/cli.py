@@ -293,14 +293,17 @@ def cmd_analyze(args) -> int:
                      confidence=metric_options["confidence"], seed=subseed(plan.master_seed, 1))
     medians: dict[str, dict] = {instance_id: {} for instance_id in plan.instances}
     hits = {}  # (label, instance): first hits, [target, run]
+    dir_issues = report.run_dir_issues(out_dir, plan)  # each names its log
+    if dir_issues and args.strict_logs:
+        raise report.LogParseError(dir_issues[0])
+    for msg in dir_issues:
+        _progress(f"log issue: {msg}")
     # one pair at a time, label-major (pairs of equal run count in a row share
     # their bootstrap counts); only a log's columns outlive its parse
     for label in labels:
         for instance_id in plan.instances:
             path = report.run_log_path(out_dir, label, instance_id)
-            if not path.exists():
-                raise FileNotFoundError(f"missing run log {path}")
-            parsed = report.parse_run_log(path)
+            parsed = report.parse_run_log(path) if path.exists() else report.ParseResult.empty()
             name = path.relative_to(out_dir)  # runs/<label>/<instance>.jsonl: one per arm
             whole_log = report.log_issues(parsed, label, instance_id, plan.repetitions)
             issues = parsed.issues + whole_log

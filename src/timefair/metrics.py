@@ -55,9 +55,8 @@ def ert(times: Sequence[float], T: float, target: Optional[float] = None) -> Ert
         raise ValueError("T must be finite and > 0")
     if np.isnan(times).any():
         raise ValueError("ert requires times that are not NaN")
-    times = times.tolist()  # summed left to right, as Python floats
-    successes = sum(1 for t in times if t <= T)
-    total = sum(min(t, T) for t in times)
+    successes = int(np.count_nonzero(times <= T))
+    total = sum(np.minimum(times, T).tolist())  # left to right, as Python floats
     value = total / successes if successes else math.inf
     return ErtResult(
         target=target,
@@ -199,17 +198,29 @@ def median_trajectory(
     cumulative count exceeds (R-1)//2 and R//2, averaged as above, so the
     bits are those of ``np.median`` on the drawn values.
 
+    Only the ranks that can hold a resample's middle draw get per-rank
+    work. The sorted runs are taken in blocks of at most
+    ``_BOOTSTRAP_CHUNK`` entries over the D x B lanes (column, resample), or
+    one rank's lanes if more. A leading block after which every lane's
+    cumulative count is still at most (R-1)//2 costs one sum of its counts.
+    From the first block that is not, the counts are accumulated and
+    compared rank by rank, and the walk stops at the end of the first block
+    after which every lane's count exceeds R//2; later blocks cost nothing.
+    On restart-sweep's pairs of 500 runs (B = 1,000, 5 columns), 195 to 208
+    ranks are summed and 91 to 104 walked.
+
     Memory: the counts are one R x B array of the smallest unsigned dtype
     that holds R, drawn and counted a chunk of resamples at a time, and kept
-    (read-only) until a call with another R, B or seed. The ranks are walked
-    once, in blocks of cumulative counts over the D x B lanes (column,
-    resample) of at most ``_BOOTSTRAP_CHUNK`` entries, or one rank's lanes if
-    more. Besides the counts, the R x G values (and the index of the point
-    each holds), their sorted copy, a few D x B lanes and the B x D bootstrap
-    medians, nothing outgrows a block.
+    (read-only) until a call with another R, B or seed. Besides the counts,
+    the R x G values (and the index of the point each holds), their sorted
+    copy, a few D x B lanes and the B x D bootstrap medians, nothing
+    outgrows a block.
 
-    Quantiles of the bootstrap medians use order statistics (no
-    interpolation) so +inf sentinels never produce NaN.
+    The band's ends are the bootstrap medians' order statistics at ranks
+    floor((B-1)*a) and ceil((B-1)*(1-a)), a = (1 - confidence)/2, read from
+    one partition: the values ``np.quantile``'s "lower" and "higher"
+    methods give, and NaN in a column that holds one. Without
+    interpolation, +inf sentinels never produce NaN.
     """
     if not columns.runs:
         raise ValueError("median_trajectory requires at least one run")
@@ -224,8 +235,11 @@ def median_trajectory(
     new = np.concatenate(([True], np.any(values[:, 1:] != values[:, :-1], axis=0)))
     med, boot_medians = _column_medians(values[:, new], bootstrap_samples, seed)
     alpha = (1.0 - confidence) / 2.0
-    lo = np.quantile(boot_medians, alpha, axis=0, method="lower")
-    hi = np.quantile(boot_medians, 1.0 - alpha, axis=0, method="higher")
+    # the ranks that np.quantile's "lower" and "higher" methods take, and the
+    # last, where a NaN sorts: a column that holds one gives NaN, as there
+    ranks = [math.floor((bootstrap_samples - 1) * alpha), math.ceil((bootstrap_samples - 1) * (1.0 - alpha))]
+    ranked = np.partition(boot_medians, [*ranks, -1], axis=0)
+    lo, hi = np.where(np.isnan(ranked[-1]), ranked[-1], ranked[ranks])
     expand = np.cumsum(new) - 1
     return MedianCurve(grid, *(tuple(column[expand].tolist()) for column in (med, lo, hi)))
 
@@ -244,15 +258,28 @@ def _column_medians(values: np.ndarray, bootstrap_samples: int, seed: int) -> tu
     # [k, column, resample]: ranks whose cumulative count is <= middle[k], the rank of draw middle[k]
     below = np.zeros((len(middle), D, B), dtype=counts.dtype)
     step = max(1, _BOOTSTRAP_CHUNK // (D * B))  # ranks per block
+    skipped = 0  # leading ranks at or below middle[0] in every lane
     last = 0  # cumulative counts before the block
     for i in range(0, R, step):
         cum = counts[order[i : i + step]]  # [rank, column, resample]
+        if skipped == i:  # every block so far was skipped
+            total = np.add.reduce(cum, axis=0, dtype=cum.dtype)
+            total += last  # at most R
+            if total.max() <= middle[0]:  # the block's ranks count for every lane and draw
+                skipped += len(cum)
+                last = total
+                del cum  # before the next block is gathered
+                continue
+            del total  # the peak stays that of the walk's blocks
         np.add(last, cum[0], out=cum[0])
         for j in range(1, len(cum)):
             np.add(cum[j - 1], cum[j], out=cum[j])
         last = cum[-1]
         for m, k in enumerate(middle):
             below[m] += np.add.reduce(cum <= k, axis=0, dtype=below.dtype)
+        if last.min() > middle[-1]:  # no later rank counts for any lane
+            break
+    below += skipped
     del cum, last  # freed before the D x B medians are gathered
     drawn = np.take_along_axis(ranked.T[None], below, axis=2)  # [k, column, resample]: value
     return med, np.mean(drawn, axis=0).T

@@ -32,6 +32,7 @@ import itertools
 import logging
 import math
 import operator
+import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -412,7 +413,9 @@ def run_plan(
             # imported here: it loads multiprocessing, which sequential runs never use
             from concurrent.futures import ProcessPoolExecutor
 
-            mapper = stack.enter_context(ProcessPoolExecutor()).map
+            # one worker per task at most: a pool forks all of its workers at the first submit
+            workers = min(len(tasks), os.cpu_count() or 1)
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         run = functools.partial(run_time_fair, plan)
         for (label, instance_id, repetition), records in zip(tasks, mapper(run, *zip(*tasks))):
             grouped[(label, instance_id)].extend(records)

@@ -36,7 +36,8 @@ from .seeds import SEED_SCHEME_ID
 
 
 class LogParseError(RuntimeError):
-    """A run log's first issue, which aborts ``analyze --strict-logs``."""
+    """The first issue of a run directory or of a run log, which aborts
+    ``analyze --strict-logs``."""
 
 
 MANIFEST_SCHEMA = "timefair-manifest/v1"
@@ -155,6 +156,11 @@ class ParseResult:
     issues: list[str]
     skipped_runs: int
 
+    @classmethod
+    def empty(cls) -> ParseResult:
+        """What a log without a line reads as."""
+        return cls(RunColumns.of_lists([], [], []), [], [], [], 0)
+
     @property
     def records(self) -> list[RunRecord]:
         columns = self.columns
@@ -188,6 +194,7 @@ def _string(value) -> str:
 
 _scan_once = json.JSONDecoder().scan_once  # the C scanner that json.loads ends in
 _BLANK = object()  # what _decode_line gives for a line of JSON whitespace alone
+_TERMINATIONS = {t.value: t for t in Termination}  # an unknown name raises KeyError, a list TypeError
 
 
 def _decode_line(line: str):
@@ -281,7 +288,7 @@ def parse_run_log(path: Path) -> ParseResult:
                         _integer(header["seed"]),
                         _number(obj["time_used"]),
                         _integer(obj["evals_used"]),
-                        Termination(obj["termination"]),
+                        _TERMINATIONS[obj["termination"]],
                         _integer(header["repetition"]),
                         _integer(header["run_index"]),
                         _integer(obj["n_clamped"]),
@@ -332,6 +339,24 @@ def log_issues(parsed: ParseResult, label: str, instance_id: str, repetitions: i
         issues.append(f"incomplete log: repetitions missing {sorted(expected - found)}, "
                       f"unexpected {sorted(found - expected)}")
     return issues
+
+
+def run_dir_issues(out_dir: Path, plan) -> list[str]:
+    """The issues of `out_dir`'s set of run logs against `plan`, each
+    naming its log as ``runs/<label>/<instance>.jsonl``: every planned log
+    that is missing, in plan order, then every log on disk that no planned
+    (label, instance) pair writes, in path order."""
+    planned = [
+        str(run_log_path(out_dir, spec.label, instance_id).relative_to(out_dir))
+        for spec in plan.algorithms
+        for instance_id in plan.instances
+    ]
+    on_disk = run_logs_on_disk(out_dir)
+    return [f"{name}: missing run log" for name in planned if name not in on_disk] + [
+        f"{name}: stray run log: the plan has no such (algorithm, instance) pair"
+        for name in on_disk
+        if name not in planned
+    ]
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -605,6 +605,30 @@ class TestCmdAnalyze:
         kept = report.parse_run_log(log).columns.runs
         assert runs == ({str(kept)} if kept else set())
 
+    @pytest.mark.parametrize("case", ["missing", "stray"])
+    def test_strict_and_lenient_see_the_same_run_directory_issue(self, demo_run, tmp_path, capsys, case):
+        # a planned log deleted, or a log of no planned pair copied in:
+        # strict mode's error is lenient mode's first log issue
+        out = tmp_path / "out"
+        shutil.copytree(demo_run, out)
+        planned = report.run_log_path(out, "pso-heavy", "rastrigin-d10")
+        if case == "missing":
+            planned.unlink()
+            name, msg = "runs/pso-heavy/rastrigin-d10.jsonl", "missing run log"
+        else:
+            stray = report.run_log_path(out, "ghost", "rastrigin-d10")
+            stray.parent.mkdir()
+            shutil.copyfile(planned, stray)
+            name, msg = "runs/ghost/rastrigin-d10.jsonl", "stray run log: the plan has no such (algorithm, instance) pair"
+        capsys.readouterr()
+        assert main(["analyze", "--strict-logs", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {name}: {msg}"]
+        assert not (out / "ert_table.csv").exists()
+        assert main(["analyze", str(out)]) == 0
+        issues = [line for line in capsys.readouterr().err.splitlines() if line.startswith("log issue: ")]
+        assert issues[0] == f"log issue: {name}: {msg}"
+        assert len(issues) == (2 if case == "missing" else 1)
+
     def test_a_valid_demo_prints_no_log_issue_in_either_mode(self, demo_run, tmp_path, capsys):
         outputs = []
         for mode in (["--strict-logs"], []):
@@ -779,14 +803,27 @@ class TestCmdAnalyze:
             main(["analyze", str(out), "--amortize", "rs-a=1"])
         assert exc.value.code == 2
 
-    def test_missing_run_log_is_runtime_error_naming_it(self, tmp_path, capsys):
+    def test_a_missing_run_log_reads_as_an_empty_one(self, tmp_path, capsys):
+        # strict mode aborts naming it; lenient mode goes on, the pair has
+        # no runs, and its incomplete-log issue follows
         path, cfg = write_config(tmp_path)
         out = Path(cfg["output_dir"])
         assert main(["run", "--config", str(path)]) == 0
         (out / "runs" / "rs-b" / "sphere-d2.jsonl").unlink()
+        name = "runs/rs-b/sphere-d2.jsonl"
         capsys.readouterr()
-        assert main(["analyze", str(out)]) == 1
-        assert f"missing run log {out / 'runs' / 'rs-b' / 'sphere-d2.jsonl'}" in capsys.readouterr().err
+        assert main(["analyze", "--strict-logs", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {name}: missing run log"]
+        assert main(["analyze", str(out)]) == 0
+        issues = [line for line in capsys.readouterr().err.splitlines() if line.startswith("log issue: ")]
+        assert issues == [
+            f"log issue: {name}: missing run log",
+            f"log issue: {name}: incomplete log: repetitions missing {list(range(cfg['repetitions']))}, "
+            "unexpected []",
+        ]
+        with open(out / "ert_table.csv", newline="") as fh:
+            pairs = {(row["solver"], row["instance"]) for row in csv.DictReader(fh)}
+        assert ("rs-a", "sphere-d2") in pairs and ("rs-b", "sphere-d2") not in pairs
 
     def test_missing_directory_is_runtime_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "void")]) == 1

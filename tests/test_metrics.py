@@ -149,6 +149,42 @@ class TestErt:
             worse = ert(times + [math.inf], T)
             assert worse.ert >= base.ert
 
+    @pytest.mark.parametrize(
+        "times, T",
+        [
+            ([10.0], 10.0),  # one run, at T
+            ([math.inf], 10.0),  # one run, a miss
+            ([12.5], 10.0),  # one run, past T
+            ([10.0, 10.0 + 2**-49, 9.999999999999998, math.inf, 0.0], 10.0),  # at, just past and just below T
+            ([0.1] * 10 + [0.7, 1e-17, math.inf, 0.3], 1.0),  # 0.1 ten times sums to 0.9999999999999999
+            ([1e16, 1.0, 1.0, 1.0, 3e16, math.inf], 2e16),  # each 1.0 is lost to rounding, and T ends the sum
+            ([2.0**-1074, 1.0, -0.0], 0.5),  # a subnormal, a signed zero
+        ],
+    )
+    def test_sum_is_the_left_to_right_sum_of_min_t_T(self, times, T):
+        # the bits of Python's sum in run order, which a pairwise or
+        # reordered sum would change for the rounding cases
+        total = sum(min(t, T) for t in times)
+        successes = sum(1 for t in times if t <= T)
+        result = ert(times, T)
+        assert (result.successes, result.runs) == (successes, len(times))
+        expected = total / successes if successes else math.inf
+        assert result.ert.hex() == expected.hex()
+
+    def test_sum_rounds_as_the_left_to_right_sum_on_random_fixtures(self, rng):
+        for _ in range(300):
+            T = float(rng.uniform(0.5, 100.0))
+            n = int(rng.integers(1, 200))
+            times = rng.uniform(0.0, 1.5 * T, size=n)
+            times[rng.random(n) < 0.2] = math.inf
+            times[rng.random(n) < 0.1] = T
+            times = times.tolist()
+            successes = sum(1 for t in times if t <= T)
+            total = sum(min(t, T) for t in times)
+            result = ert(times, T)
+            assert result.successes == successes
+            assert result.ert.hex() == (total / successes if successes else math.inf).hex()
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             ert([], T=1.0)
@@ -321,6 +357,70 @@ class TestMedianTrajectory:
         curve = median_trajectory(RunColumns.of(records), grid, bootstrap_samples=B, confidence=0.9, seed=3)
         expected = median_oracle(records, grid, B, 0.9, 3)
         assert np.array([curve.median, curve.ci_lo, curve.ci_hi]).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("R, D", [(500, 5), (100, 17)])
+    def test_bootstrap_medians_at_restart_sweeps_shapes(self, rng, R, D):
+        # restart-sweep's pairs of 500 and 100 runs at B = 1,000, whose walk
+        # skips leading blocks and stops before the last
+        pool = np.array(EDGE_VALUES)
+        for seed, values in enumerate([np.round(rng.standard_normal((R, D)), 1), rng.choice(pool, size=(R, D))]):
+            med, boot_medians = _column_medians(values, 1000, seed)
+            assert med.tobytes() == np.median(values, axis=0).tobytes()
+            assert boot_medians.tobytes() == bootstrap_oracle(values, 1000, seed).tobytes()
+
+    def test_bootstrap_medians_when_the_walk_skips_and_stops_in_blocks_of_many_ranks(self, rng):
+        # R = 2,000 at B = 101 and 3 columns: blocks of 2**16 // 303 = 216
+        # ranks, the last one partial. Every lane's cumulative count stays at
+        # or below (R-1)//2 through the first blocks and passes R//2 before
+        # the last block starts, by counts drawn apart from metrics
+        R, D, B, seed = 2000, 3, 101, 5
+        values = np.round(rng.standard_normal((R, D)), 2)
+        idx = np.random.default_rng(seed).integers(0, R, size=(B, R))
+        counts = np.stack([np.bincount(row, minlength=R) for row in idx], axis=1)  # [run, resample]
+        cum = np.cumsum(counts[np.argsort(values, axis=0)], axis=0)  # [rank, column, resample]
+        step = 2**16 // (D * B)
+        ends = [*range(step - 1, R, step)]
+        assert 0 < R % step and ends[-1] < R - 1
+        assert cum[ends[1]].max() <= (R - 1) // 2  # two blocks skipped
+        assert cum[ends[-2]].min() > R // 2  # the walk is over before the last two blocks
+        med, boot_medians = _column_medians(values, B, seed)
+        assert med.tobytes() == np.median(values, axis=0).tobytes()
+        assert boot_medians.tobytes() == bootstrap_oracle(values, B, seed).tobytes()
+
+    def test_the_walk_skips_and_stops_at_the_middle_ranks_themselves(self, monkeypatch):
+        # one rank a block, and an even R: the first rank that is not
+        # skipped takes some lane's cumulative count to R//2 exactly, and one
+        # rank after every lane's count passes (R-1)//2, some lane's is
+        # still R//2. So a skip or a stop decided by the other middle rank
+        # would move a draw
+        monkeypatch.setattr(metrics, "_BOOTSTRAP_CHUNK", 1)
+        R, D, B, seed = 40, 2, 101, 9
+        values = np.round(np.random.default_rng(seed).standard_normal((R, D)), 2)
+        idx = np.random.default_rng(seed).integers(0, R, size=(B, R))
+        counts = np.stack([np.bincount(row, minlength=R) for row in idx], axis=1)  # [run, resample]
+        cum = np.cumsum(counts[np.argsort(values, axis=0)], axis=0)  # [rank, column, resample]
+        highest, lowest = cum.max(axis=(1, 2)), cum.min(axis=(1, 2))
+        assert highest[np.argmax(highest > (R - 1) // 2)] == R // 2
+        assert lowest[np.argmax(lowest > (R - 1) // 2) + 1] == R // 2
+        med, boot_medians = _column_medians(values, B, seed)
+        assert boot_medians.tobytes() == bootstrap_oracle(values, B, seed).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("B", [100, 1000, 5462])
+    @pytest.mark.parametrize("confidence", [0.5, 0.95, 0.999])
+    def test_interval_ranks_are_np_quantiles(self, rng, B, confidence):
+        # the order statistics that np.quantile's "lower" and "higher" pick,
+        # NaN included: two runs that end at -inf and two that never
+        # improve have a NaN median, and resamples of them too
+        grid = tuple(float(t) for t in range(1, 17))
+        nan_median = [make_record([(3.0, 1, -math.inf)])] * 2 + [make_record([])] * 2
+        for records in (edge_records(rng, 41, grid), nan_median):
+            curve = median_trajectory(RunColumns.of(records), grid, bootstrap_samples=B, confidence=confidence, seed=2)
+            expected = median_oracle(records, grid, B, confidence, 2)
+            assert np.array([curve.median, curve.ci_lo, curve.ci_hi]).tobytes() == np.array(expected).tobytes()
+        assert math.isnan(curve.ci_lo[-1]) and math.isnan(curve.ci_hi[-1])
 
     def test_best_so_far_matrix_is_the_bisect_oracles_bit_for_bit(self, rng):
         # empty runs, hits exactly on grid points, tied elapsed times and

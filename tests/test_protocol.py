@@ -627,6 +627,32 @@ class TestRunPlan:
         parallel = run_plan(plan, parallel=True)
         assert sequential == parallel
 
+    @pytest.mark.parametrize("cpus", [1, 3, 96, None])
+    def test_a_parallel_run_asks_for_no_more_workers_than_tasks(self, monkeypatch, cpus):
+        # a recording pool that maps in-process: no worker is started
+        import concurrent.futures
+
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers=None):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: cpus)
+        plan = scenario_plan(repetitions=2)  # 2 arms on 1 instance: 4 tasks
+        assert run_plan(plan, parallel=True) == run_plan(plan)
+        assert asked == [min(4, cpus or 1)]
+
     def test_each_arm_is_built_once(self, monkeypatch):
         # the plan's runs and the run headers' echo step and describe the
         # algorithm that the spec built when it was made

@@ -709,6 +709,30 @@ class TestLogIssues:
         assert log_issues(parsed, "alg", "sphere-d2", 2) == ["incomplete log: repetitions missing [1], unexpected []"]
 
 
+def test_run_dir_issues_name_missing_logs_in_plan_order_then_strays_in_path_order(tmp_path):
+    from types import SimpleNamespace
+
+    plan = SimpleNamespace(
+        algorithms=[SimpleNamespace(label="b"), SimpleNamespace(label="a")], instances=("sphere-d5", "sphere-d2")
+    )
+    for label, instance_id in [("b", "sphere-d5"), ("a", "sphere-d2"), ("z", "sphere-d2"), ("a", "ackley-d3")]:
+        path = report.run_log_path(tmp_path, label, instance_id)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("")
+    (tmp_path / "runs" / "a" / "notes.txt").write_text("")  # not a run log
+    assert report.run_dir_issues(tmp_path, plan) == [
+        "runs/b/sphere-d2.jsonl: missing run log",
+        "runs/a/sphere-d5.jsonl: missing run log",
+        "runs/a/ackley-d3.jsonl: stray run log: the plan has no such (algorithm, instance) pair",
+        "runs/z/sphere-d2.jsonl: stray run log: the plan has no such (algorithm, instance) pair",
+    ]
+    for label, instance_id in [("b", "sphere-d2"), ("a", "sphere-d5")]:
+        report.run_log_path(tmp_path, label, instance_id).write_text("")
+    (tmp_path / "runs" / "z" / "sphere-d2.jsonl").unlink()
+    (tmp_path / "runs" / "a" / "ackley-d3.jsonl").unlink()
+    assert report.run_dir_issues(tmp_path, plan) == []
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
