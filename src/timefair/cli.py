@@ -293,7 +293,7 @@ def cmd_analyze(args) -> int:
                      confidence=metric_options["confidence"], seed=subseed(plan.master_seed, 1))
     medians: dict[str, dict] = {instance_id: {} for instance_id in plan.instances}
     hits = {}  # (label, instance): first hits, [target, run]
-    dir_issues = report.run_dir_issues(out_dir, plan)  # each names its log
+    dir_issues = report.run_dir_issues(out_dir, plan)  # each names its log or the manifest
     if dir_issues and args.strict_logs:
         raise report.LogParseError(dir_issues[0])
     for msg in dir_issues:

@@ -342,21 +342,43 @@ def log_issues(parsed: ParseResult, label: str, instance_id: str, repetitions: i
 
 
 def run_dir_issues(out_dir: Path, plan) -> list[str]:
-    """The issues of `out_dir`'s set of run logs against `plan`, each
-    naming its log as ``runs/<label>/<instance>.jsonl``: every planned log
-    that is missing, in plan order, then every log on disk that no planned
-    (label, instance) pair writes, in path order."""
+    """The issues of `out_dir` against `plan`. If ``manifest.json`` exists
+    and item 8's config rule fails on it, that issue comes first, naming
+    the manifest: the plan was read from the stored effective config. Then,
+    each naming its log as ``runs/<label>/<instance>.jsonl``, every planned
+    log that is missing, in plan order, then every log on disk that no
+    planned (label, instance) pair writes, in path order."""
+    note = _manifest_config_issue(out_dir)
+    issues = [] if note is None else [f"{MANIFEST_NAME}: {note}"]
     planned = [
         str(run_log_path(out_dir, spec.label, instance_id).relative_to(out_dir))
         for spec in plan.algorithms
         for instance_id in plan.instances
     ]
     on_disk = run_logs_on_disk(out_dir)
-    return [f"{name}: missing run log" for name in planned if name not in on_disk] + [
+    return issues + [f"{name}: missing run log" for name in planned if name not in on_disk] + [
         f"{name}: stray run log: the plan has no such (algorithm, instance) pair"
         for name in on_disk
         if name not in planned
     ]
+
+
+def _manifest_config_issue(out_dir: Path) -> Optional[str]:
+    """Item 8's config rule against `out_dir`'s manifest: a note, or None if
+    the manifest's ``config_hash`` is the stored effective config's or there
+    is no manifest."""
+    try:
+        with open(out_dir / MANIFEST_NAME, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        return None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        return f"not valid JSON: {exc}"
+    try:
+        recorded = manifest["checklist"]["artifacts"]["config_hash"]
+    except (KeyError, TypeError):  # a missing key, or a section that is not an object
+        return "holds no checklist.artifacts.config_hash"
+    return _stored_config_issue(out_dir, recorded)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -630,10 +652,10 @@ class ChecklistItem:
     note: str = ""
 
 
-def _audit_artifacts(section: dict, out_dir: Path) -> Optional[str]:
-    """Returns a failure note, or None if `out_dir`'s own effective config
-    matches `config_hash` and `log_digests` lists exactly the run logs
-    under `out_dir`, each with its digest."""
+def _stored_config_issue(out_dir: Path, recorded_hash) -> Optional[str]:
+    """Item 8's config rule, which `report` and `analyze` both apply: a
+    failure note, or None if `out_dir`'s effective config is JSON whose
+    `config_hash` equals `recorded_hash`, the manifest's."""
     config_path = out_dir / EFFECTIVE_CONFIG_NAME
     if not config_path.exists():
         return f"effective config {EFFECTIVE_CONFIG_NAME} is missing"
@@ -642,8 +664,18 @@ def _audit_artifacts(section: dict, out_dir: Path) -> Optional[str]:
             stored = json.load(fh)
     except ValueError as exc:  # not JSON, or not UTF-8
         return f"effective config {EFFECTIVE_CONFIG_NAME} is not valid JSON: {exc}"
-    if config_hash(stored) != section["config_hash"]:
+    if config_hash(stored) != recorded_hash:
         return "config_hash does not match the stored effective config"
+    return None
+
+
+def _audit_artifacts(section: dict, out_dir: Path) -> Optional[str]:
+    """Returns a failure note, or None if `out_dir`'s own effective config
+    matches `config_hash` and `log_digests` lists exactly the run logs
+    under `out_dir`, each with its digest."""
+    note = _stored_config_issue(out_dir, section["config_hash"])
+    if note is not None:
+        return note
     if not isinstance(section["log_digests"], dict):
         return "log_digests is not a JSON object"
     listed, on_disk = set(section["log_digests"]), set(run_logs_on_disk(out_dir))

@@ -605,16 +605,25 @@ class TestCmdAnalyze:
         kept = report.parse_run_log(log).columns.runs
         assert runs == ({str(kept)} if kept else set())
 
-    @pytest.mark.parametrize("case", ["missing", "stray"])
+    @pytest.mark.parametrize("case", ["missing", "stray", "T=25", "T=100"])
     def test_strict_and_lenient_see_the_same_run_directory_issue(self, demo_run, tmp_path, capsys, case):
-        # a planned log deleted, or a log of no planned pair copied in:
-        # strict mode's error is lenient mode's first log issue
+        # a planned log deleted, a log of no planned pair copied in, or the
+        # stored config's T edited after the run (so the manifest's
+        # config_hash is not the config's, and analyze would read the logs
+        # against another T): strict mode's error is lenient mode's first
+        # log issue
         out = tmp_path / "out"
         shutil.copytree(demo_run, out)
         planned = report.run_log_path(out, "pso-heavy", "rastrigin-d10")
         if case == "missing":
             planned.unlink()
             name, msg = "runs/pso-heavy/rastrigin-d10.jsonl", "missing run log"
+        elif case.startswith("T="):
+            config = json.loads((out / report.EFFECTIVE_CONFIG_NAME).read_text(encoding="utf-8"))
+            assert config["budget"]["wall_time_limit"] == 50.0
+            config["budget"]["wall_time_limit"] = float(case[2:])
+            report.write_effective_config(config, out)
+            name, msg = "manifest.json", "config_hash does not match the stored effective config"
         else:
             stray = report.run_log_path(out, "ghost", "rastrigin-d10")
             stray.parent.mkdir()

@@ -196,3 +196,89 @@ def test_a_row_scores_the_same_bits_alone_and_in_a_batch(name):
             batch = [float(f).hex() for f in instance.evaluate_rows(xs)]
             alone = [float(instance.evaluate_rows(xs[i : i + 1])[0]).hex() for i in range(n)]
             assert batch == alone, (dimension, n)
+
+
+# The catalog objectives as plain numpy expressions: the kernels in
+# `problems` apply these operations in this order, so they must return the
+# same bits, and every log, curve and table with them.
+def _oracle_sphere(xs):
+    return np.sum(xs**2, axis=1)
+
+
+def _oracle_rastrigin(xs):
+    d = xs.shape[1]
+    return 10.0 * d + np.sum(xs**2 - 10.0 * np.cos(2.0 * np.pi * xs), axis=1)
+
+
+def _oracle_rosenbrock(xs):
+    a = xs[:, :-1]
+    b = xs[:, 1:]
+    return np.sum(100.0 * (b - a**2) ** 2 + (1.0 - a) ** 2, axis=1)
+
+
+def _oracle_ackley(xs):
+    d = xs.shape[1]
+    s1 = np.sum(xs**2, axis=1)
+    s2 = np.sum(np.cos(2.0 * np.pi * xs), axis=1)
+    return -20.0 * np.exp(-0.2 * np.sqrt(s1 / d)) - np.exp(s2 / d) + 20.0 + np.e
+
+
+ORACLES = {
+    "sphere": _oracle_sphere,
+    "rastrigin": _oracle_rastrigin,
+    "rosenbrock": _oracle_rosenbrock,
+    "ackley": _oracle_ackley,
+}
+# both zeros and the non-finite coordinates, which a caller can pass
+SPECIAL_COORDINATES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def oracle_batch(rng, instance, n):
+    """n rows: in-box draws, magnitudes 1e-300 to 1e150 of either sign,
+    and the special coordinates, mixed within rows."""
+    d = instance.dimension
+    magnitudes = np.copysign(10.0 ** rng.uniform(-300.0, 150.0, (n, d)), rng.uniform(-1.0, 1.0, (n, d)))
+    xs = np.where(rng.random((n, d)) < 0.5, instance.uniform(rng, n), magnitudes)
+    special = rng.random((n, d)) < 0.1
+    xs[special] = rng.choice(SPECIAL_COORDINATES, int(special.sum()))
+    return xs
+
+
+def same_bits(got, expected):
+    return got.shape == expected.shape and np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_every_catalog_objective_has_an_oracle():
+    assert list(ORACLES) == list(problems._CATALOG)
+
+
+@pytest.mark.parametrize("name", list(ORACLES))
+def test_each_objective_returns_its_oracles_bits(name):
+    rng = np.random.default_rng(11)
+    oracle = ORACLES[name]
+    with np.errstate(all="ignore"):  # inf - inf, cos(inf) and overflow are part of the check
+        for d in range(problems._CATALOG[name][2], 21):
+            instance = get_problem(f"{name}-d{d}")
+            for n in (0, 1, 4, 10, 40, 64, 1000):
+                xs = oracle_batch(rng, instance, n)
+                # a Fortran-ordered batch too: the kernels' scratch arrays
+                # take xs's layout as the expression's temporaries do
+                for batch in (xs, np.asfortranarray(xs)):
+                    assert same_bits(instance.evaluate_rows(batch), oracle(batch)), (d, n)
+                for row in xs[:64]:
+                    got = np.array([instance.evaluate(row)])
+                    assert same_bits(got, oracle(row[None, :])), (d, row)
+
+
+@pytest.mark.parametrize("name", list(ORACLES))
+def test_an_objective_leaves_a_read_only_input_and_its_first_result_alone(name):
+    instance = get_problem(f"{name}-d5")
+    xs = instance.uniform(np.random.default_rng(3), 40)
+    kept = xs.copy()
+    xs.setflags(write=False)
+    first = instance.evaluate_rows(xs)
+    expected = first.copy()
+    second = instance.evaluate_rows(xs)
+    assert same_bits(xs, kept)
+    assert same_bits(first, expected) and same_bits(second, expected)
+    assert not np.shares_memory(first, second) and not np.shares_memory(first, xs)

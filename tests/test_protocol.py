@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from timefair import protocol
+from timefair import problems, protocol
 from timefair.cli import demo_config, plan_from_config, validate_config
 from timefair.clock import ClockSpec, RealClock, VirtualClock
 from timefair.core import Budget, RunRecord, TargetSpec, Termination, validate
@@ -26,6 +26,7 @@ from timefair.protocol import (
 from timefair.report import write_run_log
 
 from conftest import columns, edge_config, evaluator_columns, run_values, time_to_target
+from test_problems import ORACLES
 
 VIRTUAL = ClockSpec(mode="virtual", cost_per_eval=0.0078125)
 
@@ -626,6 +627,46 @@ class TestRunPlan:
         sequential = run_plan(plan, parallel=False)
         parallel = run_plan(plan, parallel=True)
         assert sequential == parallel
+
+    def test_a_run_on_the_catalog_kernels_is_the_run_on_their_oracles(self, monkeypatch):
+        # restart-sweep's shape (short random-search, PSO and restarting PSO
+        # runs on every catalog problem) at a cost per evaluation that is not
+        # dyadic: the kernels return the oracle expressions' bits, so every
+        # run, its restarts and its stops are the same, field for field
+        config = {
+            "budget": {"wall_time_limit": 2.0},
+            "targets": {"kind": "relative", "values": [1e4, 1e3, 1e2, 10.0, 1.0, 0.1, 0.01]},
+            "repetitions": 2,
+            "master_seed": 3,
+            "clock": {"mode": "virtual", "cost_per_eval": 0.0031},
+            "algorithms": [
+                {"label": "random-search", "kind": "random-search", "params": {"max_iterations": 4}},
+                {"label": "pso", "kind": "pso", "params": {"swarm_size": 10, "max_iterations": 2}},
+                {
+                    "label": "pso-restart",
+                    "kind": "pso",
+                    "params": {"swarm_size": 10, "max_iterations": 8},
+                    "wrappers": {"stagnation_restart": {"plateau_window": 2, "plateau_epsilon": 1e-3}},
+                },
+            ],
+            "instances": ["sphere-d5", "rastrigin-d10", "rosenbrock-d10", "ackley-d20"],
+        }
+
+        def hexed_runs():
+            plan = plan_from_config(validate_config(config))
+            rows_fns = {instance_id.partition("-d")[0]: p.rows_fn for instance_id, p in plan.problems.items()}
+            grouped = run_plan(plan)
+            return rows_fns, {pair: [_hexed(dataclasses.astuple(r)) for r in records] for pair, records in grouped.items()}
+
+        kernels, runs = hexed_runs()
+        for name, oracle in ORACLES.items():
+            rows_fn, *rest = problems._CATALOG[name]
+            assert kernels[name] is rows_fn
+            monkeypatch.setitem(problems._CATALOG, name, (oracle, *rest))
+        oracles, oracle_runs = hexed_runs()
+        assert oracles == ORACLES
+        assert sum(map(len, runs.values())) > 100
+        assert runs == oracle_runs
 
     @pytest.mark.parametrize("cpus", [1, 3, 96, None])
     def test_a_parallel_run_asks_for_no_more_workers_than_tasks(self, monkeypatch, cpus):

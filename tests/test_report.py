@@ -733,6 +733,39 @@ def test_run_dir_issues_name_missing_logs_in_plan_order_then_strays_in_path_orde
     assert report.run_dir_issues(tmp_path, plan) == []
 
 
+@pytest.mark.parametrize(
+    "manifest, issue",
+    [
+        (None, None),  # no manifest: a rule of its own, not this one
+        ("same", None),
+        ("other", "config_hash does not match the stored effective config"),
+        ('{"checklist": ', "not valid JSON: "),
+        ("[]", "holds no checklist.artifacts.config_hash"),
+        ('{"checklist": {"artifacts": {"status": "NA"}}}', "holds no checklist.artifacts.config_hash"),
+    ],
+    ids=["no-manifest", "same-hash", "other-hash", "not-json", "not-an-object", "no-config-hash"],
+)
+def test_run_dir_issues_first_check_the_manifests_config_hash(tmp_path, manifest, issue):
+    # analyze reads T, the targets and R from effective_config.json, so it
+    # applies report's item 8 config rule before it trusts that file
+    from types import SimpleNamespace
+
+    config = {"budget": {"wall_time_limit": 50.0}}
+    report.write_effective_config(config, tmp_path)
+    hashes = {"same": report.config_hash(config), "other": report.config_hash({"budget": {"wall_time_limit": 25.0}})}
+    if manifest is not None:
+        if manifest in hashes:
+            manifest = json.dumps({"checklist": {"artifacts": {"config_hash": hashes[manifest]}}})
+        (tmp_path / report.MANIFEST_NAME).write_text(manifest)
+    plan = SimpleNamespace(algorithms=[SimpleNamespace(label="a")], instances=("sphere-d2",))
+    issues = report.run_dir_issues(tmp_path, plan)
+    assert issues[-1] == "runs/a/sphere-d2.jsonl: missing run log"
+    if issue is None:
+        assert len(issues) == 1
+    else:
+        assert len(issues) == 2 and issues[0].startswith(f"manifest.json: {issue}")
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
