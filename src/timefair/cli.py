@@ -303,9 +303,9 @@ def cmd_analyze(args) -> int:
     for label in labels:
         for instance_id in plan.instances:
             path = report.run_log_path(out_dir, label, instance_id)
-            parsed = report.parse_run_log(path) if path.exists() else report.ParseResult.empty()
+            parsed = report.parse_run_log(path) if path.exists() else report.ParseResult(metrics.RunColumns.of([]), [], 0)
             name = path.relative_to(out_dir)  # runs/<label>/<instance>.jsonl: one per arm
-            whole_log = report.log_issues(parsed, label, instance_id, plan.repetitions)
+            whole_log = report.log_issues(parsed.columns, label, instance_id, plan.repetitions)
             issues = parsed.issues + whole_log
             if issues and args.strict_logs:
                 raise report.LogParseError(f"{name}: {issues[0]}")
@@ -315,12 +315,10 @@ def cmd_analyze(args) -> int:
                 _progress(f"{name}: skipped {parsed.skipped_runs} malformed run(s)")
             for msg in whole_log:
                 _progress(f"log issue: {name}: {msg}")
-            columns = parsed.columns
-            del parsed
-            if columns.runs:
-                medians[instance_id][label] = metrics.median_trajectory(columns, grid, **bootstrap)
-            hits[(label, instance_id)] = metrics.first_hits(columns, plan.ladders[instance_id])
-            del columns  # freed before the next log is read
+            if parsed.columns.runs:
+                medians[instance_id][label] = metrics.median_trajectory(parsed.columns, grid, **bootstrap)
+            hits[(label, instance_id)] = metrics.first_hits(parsed.columns, plan.ladders[instance_id])
+            del parsed  # freed before the next log is read
 
     curves_dir = out_dir / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)

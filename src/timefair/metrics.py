@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import CostMatrix, ErtResult, RunRecord
+from .core import CostMatrix, ErtResult, RunRecord, Termination
 
 DEFAULT_RELATIVE_LADDER = (10.0, 1.0, 0.1, 0.01, 0.001)
 DEFAULT_GRID_POINTS = 64
@@ -121,31 +121,51 @@ class MedianCurve:
     ci_hi: tuple[float, ...]
 
 
+# RunRecord's fields besides its improvement columns: RunColumns holds each, one entry per run
+RUN_FIELDS = ("algorithm_id", "instance_id", "seed", "time_used", "evals_used", "termination",
+              "repetition", "run_index", "n_clamped", "max_step_seconds")
+
+
 @dataclass(frozen=True)
 class RunColumns:
-    """One pair's runs as flat columns, in run order: every improvement's
-    run index, elapsed time and best_f."""
+    """One pair's runs in run order, as ``report.parse_run_log`` and :meth:`of`
+    fill them: every improvement's `run` index, `elapsed`, `evals` and
+    `best_f`, and one entry per run of each of :data:`RUN_FIELDS`. Float
+    columns are float64 arrays; the others are lists of the values
+    themselves, so an integer of any size (a u64 seed) is kept as it is."""
 
     runs: int
     run: np.ndarray
     elapsed: np.ndarray
+    evals: list[int]
     best_f: np.ndarray
+    algorithm_id: list[str]
+    instance_id: list[str]
+    seed: list[int]
+    time_used: np.ndarray
+    evals_used: list[int]
+    termination: list[Termination]
+    repetition: list[int]
+    run_index: list[int]
+    n_clamped: list[int]
+    max_step_seconds: np.ndarray
 
     @classmethod
     def of(cls, records: Sequence[RunRecord]) -> RunColumns:
-        """Columns from records: their own columns, concatenated."""
+        """Columns from records: their improvement columns concatenated, and their other fields."""
         return cls.of_lists(
             [len(r.elapsed) for r in records],
-            [t for r in records for t in r.elapsed],
-            [f for r in records for f in r.best_f],
+            **{name: [value for r in records for value in getattr(r, name)] for name in ("elapsed", "evals", "best_f")},
+            **{name: [getattr(r, name) for r in records] for name in RUN_FIELDS},
         )
 
     @classmethod
-    def of_lists(cls, lengths: Sequence[int], elapsed: Sequence[float], best_f: Sequence[float]) -> RunColumns:
-        """Columns from each run's number of points and every point's
-        elapsed and best_f, in run order."""
-        run = np.repeat(np.arange(len(lengths)), lengths)
-        return cls(len(lengths), run, np.array(elapsed, dtype=float), np.array(best_f, dtype=float))
+    def of_lists(cls, lengths: Sequence[int], **columns: list) -> RunColumns:
+        """Columns from each run's number of points and, by name, a list per
+        column but `runs` and `run`, in run order."""
+        for name in ("elapsed", "best_f", "time_used", "max_step_seconds"):
+            columns[name] = np.array(columns[name], dtype=float)
+        return cls(len(lengths), np.repeat(np.arange(len(lengths)), lengths), **columns)
 
 
 def first_hits(columns: RunColumns, ladder: Sequence[float]) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .clock import CLOCK_SCHEME_ID
 from .core import ErtResult, RunRecord, Termination, validate
-from .metrics import TUNING_AMORTIZATION, EcdfCurve, MedianCurve, ProfileCurve, RunColumns
+from .metrics import RUN_FIELDS, TUNING_AMORTIZATION, EcdfCurve, MedianCurve, ProfileCurve, RunColumns
 from .seeds import SEED_SCHEME_ID
 
 
@@ -138,37 +138,25 @@ def write_run_log(
 
 @dataclass(eq=False)
 class ParseResult:
-    """A run log read back, its valid runs in log order as columns.
-
-    `columns` is the log's :class:`metrics.RunColumns`: the number of runs
-    and, for every improvement, its run index, elapsed and best_f. `evals`
-    holds every improvement's evals in the same order, and `run_fields`
-    each run's other :class:`RunRecord` fields, in their order without its
-    three improvement columns. `issues` holds one message per issue, in
-    line order; `skipped_runs` counts the runs they cost. `records` builds
-    the RunRecords each time it is read, slicing each run's columns out of
-    the log's.
-    """
+    """A run log read back: its valid runs in log order, as the pair's
+    :class:`metrics.RunColumns`, one message per issue, in line order, and
+    the number of runs the issues cost. `records` builds RunRecords anew."""
 
     columns: RunColumns
-    evals: list[int]
-    run_fields: list[tuple]
     issues: list[str]
     skipped_runs: int
-
-    @classmethod
-    def empty(cls) -> ParseResult:
-        """What a log without a line reads as."""
-        return cls(RunColumns.of_lists([], [], []), [], [], [], 0)
 
     @property
     def records(self) -> list[RunRecord]:
         columns = self.columns
-        elapsed, evals, best_f = columns.elapsed.tolist(), self.evals, columns.best_f.tolist()
+        elapsed, best_f = columns.elapsed.tolist(), columns.best_f.tolist()
+        fields = {name: getattr(columns, name) for name in RUN_FIELDS}
+        fields.update(time_used=columns.time_used.tolist(), max_step_seconds=columns.max_step_seconds.tolist())
         stops = np.cumsum(np.bincount(columns.run, minlength=columns.runs)).tolist()
         return [
-            RunRecord(*fields[:3], elapsed[start:stop], evals[start:stop], best_f[start:stop], *fields[3:])
-            for fields, start, stop in zip(self.run_fields, [0, *stops], stops)
+            RunRecord(elapsed=elapsed[start:stop], evals=columns.evals[start:stop], best_f=best_f[start:stop],
+                      **{name: values[k] for name, values in fields.items()})
+            for k, (start, stop) in enumerate(zip([0, *stops], stops))
         ]
 
 
@@ -229,8 +217,9 @@ def parse_run_log(path: Path) -> ParseResult:
     """
     issues: list[str] = []
     skipped_runs = 0
-    # the valid runs: points per run, every point's fields, each run's other fields
-    lengths, elapsed, evals, best_f, run_fields = [], [], [], [], []
+    # the valid runs: points per run, every point's fields, and each run's other fields by name
+    lengths, elapsed, evals, best_f = [], [], [], []
+    runs: dict[str, list] = {name: [] for name in RUN_FIELDS}
     header: Optional[dict] = None
     header_line = 0
     run_elapsed, run_evals, run_best_f = [], [], []  # the open run's points
@@ -281,25 +270,21 @@ def parse_run_log(path: Path) -> ParseResult:
                     skipped_runs += 1
                     header = None
                     continue
-                try:  # RunRecord's fields without its improvement columns, in its order
-                    fields = (
-                        _string(header["algorithm_id"]),
-                        _string(header["instance_id"]),
-                        _integer(header["seed"]),
-                        _number(obj["time_used"]),
-                        _integer(obj["evals_used"]),
-                        _TERMINATIONS[obj["termination"]],
-                        _integer(header["repetition"]),
-                        _integer(header["run_index"]),
-                        _integer(obj["n_clamped"]),
-                        _number(obj["max_step_seconds"]),
+                try:  # each of RUN_FIELDS, from the run's header or its run_end
+                    run = dict(
+                        algorithm_id=_string(header["algorithm_id"]), instance_id=_string(header["instance_id"]),
+                        seed=_integer(header["seed"]), repetition=_integer(header["repetition"]),
+                        run_index=_integer(header["run_index"]), termination=_TERMINATIONS[obj["termination"]],
+                        time_used=_number(obj["time_used"]), evals_used=_integer(obj["evals_used"]),
+                        n_clamped=_integer(obj["n_clamped"]), max_step_seconds=_number(obj["max_step_seconds"]),
                     )
                 except (KeyError, TypeError, ValueError, OverflowError):
                     issues.append(f"line {lineno}: malformed run_end for run {run_name(header)}")
                     skipped_runs += 1
                     header = None
                     continue
-                violations = validate(run_elapsed, run_evals, run_best_f, fields[3], fields[4], fields[9])
+                violations = validate(run_elapsed, run_evals, run_best_f,
+                                      run["time_used"], run["evals_used"], run["max_step_seconds"])
                 if violations:
                     issues.append(f"line {lineno}: invalid run {run_name(header)}: " + "; ".join(violations))
                     skipped_runs += 1
@@ -308,33 +293,35 @@ def parse_run_log(path: Path) -> ParseResult:
                     elapsed += run_elapsed
                     evals += run_evals
                     best_f += run_best_f
-                    run_fields.append(fields)
+                    for name, value in run.items():
+                        runs[name].append(value)
                 header = None
             else:
                 issues.append(f"line {lineno}: unknown record kind {kind!r}")
         if header is not None:
             issues.append(f"line {header_line}: run_end missing for run {run_name(header)}")
             skipped_runs += 1
-    return ParseResult(RunColumns.of_lists(lengths, elapsed, best_f), evals, run_fields, issues, skipped_runs)
+    columns = RunColumns.of_lists(lengths, elapsed=elapsed, evals=evals, best_f=best_f, **runs)
+    return ParseResult(columns, issues, skipped_runs)
 
 
-def log_issues(parsed: ParseResult, label: str, instance_id: str, repetitions: int) -> list[str]:
-    """The issues of the valid runs of `label`'s log on `instance_id` taken
-    together, in run order. `run` writes only that pair's runs, in
-    increasing (repetition, run_index) order, and at least one run for each
-    repetition 0..R-1; a gap that a skipped run left is not an issue."""
+def log_issues(columns: RunColumns, label: str, instance_id: str, repetitions: int) -> list[str]:
+    """The issues of the valid runs of `label`'s log on `instance_id`, its
+    parsed `columns`, taken together, in run order. `run` writes only that
+    pair's runs, in increasing (repetition, run_index) order, and at least
+    one run for each repetition 0..R-1; a gap that a skipped run left is
+    not an issue."""
     issues: list[str] = []
-    found = set()  # the valid runs' repetitions
     last = None  # the previous valid run's (repetition, run_index)
-    for algorithm_id, run_instance_id, _, _, _, _, repetition, run_index, _, _ in parsed.run_fields:
+    runs = zip(columns.algorithm_id, columns.instance_id, columns.repetition, columns.run_index)
+    for algorithm_id, run_instance_id, repetition, run_index in runs:
         if (algorithm_id, run_instance_id) != (label, instance_id):
             issues.append(f"run {algorithm_id}/{run_instance_id} rep={repetition} run={run_index} "
                           f"is not a run of {label}/{instance_id}")
         if last is not None and (repetition, run_index) <= last:
             issues.append(f"runs out of order: rep={repetition} run={run_index} after rep={last[0]} run={last[1]}")
-        found.add(repetition)
         last = repetition, run_index
-    expected = set(range(repetitions))
+    found, expected = set(columns.repetition), set(range(repetitions))
     if found != expected:
         issues.append(f"incomplete log: repetitions missing {sorted(expected - found)}, "
                       f"unexpected {sorted(found - expected)}")
@@ -514,22 +501,17 @@ def build_manifest(
     T = plan.budget.wall_time_limit
     completed: dict[str, float] = {}
     total_runs: dict[str, float] = {}
-    max_overshoot = 0.0
-    max_step = 0.0
+    max_overshoot = max_step = 0.0
     for (label, instance_id), records in grouped_records.items():
         key = f"{label}/{instance_id}"
-        n_completed = sum(
-            1 for r in records if r.termination is not Termination.BUDGET_EXHAUSTED
-        )
-        completed[key] = n_completed / plan.repetitions
-        total_runs[key] = len(records) / plan.repetitions
+        runs = RunColumns.of(records)
+        completed[key] = sum(t is not Termination.BUDGET_EXHAUSTED for t in runs.termination) / plan.repetitions
+        total_runs[key] = runs.runs / plan.repetitions
+        max_step = max([max_step, *runs.max_step_seconds.tolist()])
         by_rep: dict[int, float] = {}
-        for r in records:
-            by_rep[r.repetition] = by_rep.get(r.repetition, 0.0) + r.time_used
-            max_step = max(max_step, r.max_step_seconds)
-        for used in by_rep.values():
-            max_overshoot = max(max_overshoot, used - T)
-    max_overshoot = max(0.0, max_overshoot)
+        for repetition, used in zip(runs.repetition, runs.time_used.tolist()):
+            by_rep[repetition] = by_rep.get(repetition, 0.0) + used
+        max_overshoot = max([max_overshoot, *(used - T for used in by_rep.values())])
 
     metric_options = effective_config["metrics"]
     tuning = effective_config["tuning"]

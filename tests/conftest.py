@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -54,6 +55,18 @@ def hits_by_pair(grouped, targets_by_instance):
     """``metrics.analyze``'s input from each (solver, instance) pair's records."""
     columns = {pair: RunColumns.of(records) for pair, records in grouped.items()}
     return {pair: first_hits(runs, targets_by_instance[pair[1]]) for pair, runs in columns.items()}
+
+
+def assert_same_columns(got: RunColumns, want: RunColumns, context="") -> None:
+    """`got` holds `want`'s every field: its arrays by dtype and bytes, its
+    lists value by value, each value of the same type."""
+    for field in dataclasses.fields(RunColumns):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (context, field.name)
+        else:
+            assert [(type(v), v) for v in a] == [(type(v), v) for v in b] if isinstance(b, list) else a == b, (
+                context, field.name)
 
 
 def run_values(record: RunRecord) -> tuple:

@@ -530,7 +530,7 @@ class TestCmdAnalyze:
         peak_one = analysis_peak([largest], tmp_path / "one")
         one_log = report.run_log_path(tmp_path / "one", largest, "sphere-d2")
         assert one_log.read_bytes() == logs[largest]  # run seeds depend on the label, not on the plan
-        assert len(report.parse_run_log(one_log).evals) > 5000
+        assert len(report.parse_run_log(one_log).columns.evals) > 5000
         assert peak_all < 1.25 * peak_one, (peak_all, peak_one)
 
     def test_analysis_builds_no_trajectory_point_or_run_record(self, tmp_path, monkeypatch):

@@ -817,7 +817,7 @@ class TestAnalyze:
     def test_a_real_clock_hit_past_T_is_a_failure(self):
         # a real-clock run's last iteration can stamp its first hit past T:
         # the ERT counts that run as a failure, and the ECDF at T skips it
-        runs = RunColumns.of_lists([2, 2], [0.25, 0.5, 0.5, 1.25], [3.0, 0.5, 3.0, 0.5])
+        runs = RunColumns.of([make_record([(0.25, 1, 3.0), (0.5, 2, 0.5)]), make_record([(0.5, 1, 3.0), (1.25, 2, 0.5)])])
         targets = {"sphere-d2": (1.0,)}
         result = analyze({("A", "sphere-d2"): first_hits(runs, (1.0,))}, 1.0, targets, default_time_grid(1.0))
         got = result.ert[("A", "sphere-d2", 1.0)]

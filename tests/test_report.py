@@ -44,7 +44,7 @@ from timefair.report import (
     write_run_log,
 )
 
-from conftest import columns, pair_times, random_record, time_to_target
+from conftest import assert_same_columns, columns, pair_times, random_record, time_to_target
 
 
 class TestRoundTrip:
@@ -63,6 +63,29 @@ class TestRoundTrip:
         path = tmp_path_factory.mktemp("rt") / "log.jsonl"
         write_run_log(records, path)
         assert parse_run_log(path).records == records
+
+    @settings(max_examples=40)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=6))
+    def test_the_parser_and_of_fill_one_form(self, tmp_path_factory, seed, n):
+        # a log's parsed columns are RunColumns.of the records written to it,
+        # field by field: u64 seeds, empty runs and every termination
+        rng = np.random.default_rng(seed)
+        records = [random_record(rng) for _ in range(n)]
+        path = tmp_path_factory.mktemp("columns") / "log.jsonl"
+        write_run_log(records, path)
+        assert_same_columns(parse_run_log(path).columns, RunColumns.of(records))
+
+    def test_a_valid_run_keeps_integers_of_any_size(self, tmp_path):
+        # the writer never writes these, but a valid log may hold any JSON integer
+        record = RunRecord("a", "sphere-d2", 2**64 + 1, **columns([(0.5, 2**69, 3.0)]), time_used=1.0,
+                           evals_used=2**70, termination=Termination.INTERNAL_STOP, repetition=2**80,
+                           run_index=2**63, n_clamped=-(2**66))
+        path = tmp_path / "log.jsonl"
+        write_run_log([record], path)
+        parsed = parse_run_log(path)
+        assert parsed.issues == [] and parsed.records == [record]
+        assert (parsed.columns.seed, parsed.columns.evals_used, parsed.columns.evals) == ([2**64 + 1], [2**70], [2**69])
+        assert_same_columns(parsed.columns, RunColumns.of([record]))
 
     def test_empty_run_is_header_and_end_only(self, tmp_path):
         record = RunRecord(
@@ -612,11 +635,7 @@ class TestAgainstTheReferenceParser:
         assert parsed.issues == reference.issues, context
         assert parsed.skipped_runs == reference.skipped_runs, context
         assert parsed.records == reference.records, context
-        expected = RunColumns.of(reference.records)
-        assert parsed.columns.runs == expected.runs, context
-        for name in ("run", "elapsed", "best_f"):
-            got, want = getattr(parsed.columns, name), getattr(expected, name)
-            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (context, name)
+        assert_same_columns(parsed.columns, RunColumns.of(reference.records), context)
         return parsed
 
     def test_logs_of_real_runs(self, real_logs, rng, tmp_path):
@@ -695,8 +714,8 @@ class TestLogIssues:
             path,
         )
         parsed = parse_run_log(path)
-        assert parsed.issues == [] and len(parsed.run_fields) == len(runs)
-        assert log_issues(parsed, "alg", "sphere-d2", 2) == expected
+        assert parsed.issues == [] and parsed.columns.runs == len(runs)
+        assert log_issues(parsed.columns, "alg", "sphere-d2", 2) == expected
 
     def test_only_valid_runs_count(self, tmp_path):
         # a skipped run is the parser's issue alone: it leaves a gap, and
@@ -706,7 +725,7 @@ class TestLogIssues:
         write_run_log([dataclasses.replace(BASE, run_index=0), BASE, broken], path)
         parsed = parse_run_log(path)
         assert parsed.skipped_runs == 1 and len(parsed.issues) == 1
-        assert log_issues(parsed, "alg", "sphere-d2", 2) == ["incomplete log: repetitions missing [1], unexpected []"]
+        assert log_issues(parsed.columns, "alg", "sphere-d2", 2) == ["incomplete log: repetitions missing [1], unexpected []"]
 
 
 def test_run_dir_issues_name_missing_logs_in_plan_order_then_strays_in_path_order(tmp_path):
