@@ -305,7 +305,7 @@ def cmd_analyze(args) -> int:
             path = report.run_log_path(out_dir, label, instance_id)
             parsed = report.parse_run_log(path) if path.exists() else report.ParseResult(metrics.RunColumns.of([]), [], 0)
             name = path.relative_to(out_dir)  # runs/<label>/<instance>.jsonl: one per arm
-            whole_log = report.log_issues(parsed.columns, label, instance_id, plan.repetitions)
+            whole_log = report.log_issues(parsed.columns, label, instance_id, plan)
             issues = parsed.issues + whole_log
             if issues and args.strict_logs:
                 raise report.LogParseError(f"{name}: {issues[0]}")

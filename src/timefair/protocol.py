@@ -57,6 +57,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+_WARM_UP_SEED = 2**64  # above every u64 seed that derive_seed gives a run
+
 
 class PlanError(ValueError):
     """An experiment plan that cannot be executed as specified."""
@@ -400,6 +402,12 @@ def run_plan(
     come back in (repetition, run) order. Parallel execution is
     virtual-mode only (concurrent timed runs would contaminate real
     wall-clock measurements).
+
+    On a real clock, each pair first gets one untimed `init` and `step`,
+    with a fixed seed that is no run's and an evaluator that is thrown
+    away, so that a process's first use of an algorithm or objective
+    (numpy imports ``numpy.random`` on first use, 5-8 ms) is not charged
+    to the plan's first task.
     """
     if parallel and not plan.clock.is_virtual:
         raise PlanError("parallel execution is only available with the virtual clock")
@@ -407,6 +415,11 @@ def run_plan(
     P = len(pairs)
     tasks = [(*pairs[(r + k) % P], r) for r in range(plan.repetitions) for k in range(P)]
     grouped: dict[tuple[str, str], list[RunRecord]] = {pair: [] for pair in pairs}
+    if not plan.clock.is_virtual:
+        for label, instance_id in pairs:
+            spec, instance = plan.algorithm_spec(label), plan.problems[instance_id]
+            state = spec.algorithm.init(instance, _WARM_UP_SEED)
+            spec.algorithm.step(state, RunEvaluator(instance, plan.run_clock(spec)))
     with ExitStack() as stack:
         mapper = map
         if parallel and len(tasks) > 1:

@@ -305,12 +305,27 @@ def parse_run_log(path: Path) -> ParseResult:
     return ParseResult(columns, issues, skipped_runs)
 
 
-def log_issues(columns: RunColumns, label: str, instance_id: str, repetitions: int) -> list[str]:
+def _time_spent(columns: RunColumns) -> dict[int, float]:
+    """Each repetition's time: its runs' time_used, summed in run order as
+    the runner sums them."""
+    spent: dict[int, float] = {}
+    for repetition, used in zip(columns.repetition, columns.time_used.tolist()):
+        spent[repetition] = spent.get(repetition, 0.0) + used
+    return spent
+
+
+def log_issues(columns: RunColumns, label: str, instance_id: str, plan) -> list[str]:
     """The issues of the valid runs of `label`'s log on `instance_id`, its
-    parsed `columns`, taken together, in run order. `run` writes only that
-    pair's runs, in increasing (repetition, run_index) order, and at least
-    one run for each repetition 0..R-1; a gap that a skipped run left is
-    not an issue."""
+    parsed `columns`, taken together against `plan`: first those of each
+    run, in run order, then each repetition's budget, then the set of
+    repetitions. `run` writes only that pair's runs, in increasing
+    (repetition, run_index) order, and at least one run for each
+    repetition 0..R-1; a gap that a skipped run left is not an issue. A
+    repetition's time (:func:`_time_spent`) is at most T on the virtual
+    clock; on the real clock it is at most T plus its last run's
+    max_step_seconds, the one iteration that may overshoot, unless that
+    run evaluated nothing (the repetition's only run, whose `init`
+    outlasted T)."""
     issues: list[str] = []
     last = None  # the previous valid run's (repetition, run_index)
     runs = zip(columns.algorithm_id, columns.instance_id, columns.repetition, columns.run_index)
@@ -321,7 +336,17 @@ def log_issues(columns: RunColumns, label: str, instance_id: str, repetitions: i
         if last is not None and (repetition, run_index) <= last:
             issues.append(f"runs out of order: rep={repetition} run={run_index} after rep={last[0]} run={last[1]}")
         last = repetition, run_index
-    found, expected = set(columns.repetition), set(range(repetitions))
+    T, virtual = plan.budget.wall_time_limit, plan.clock.is_virtual
+    last_run = {repetition: k for k, repetition in enumerate(columns.repetition)}
+    max_step = columns.max_step_seconds.tolist()
+    for repetition, used in _time_spent(columns).items():
+        k = last_run[repetition]
+        if virtual and used > T:
+            issues.append(f"over budget: rep={repetition} spent {used!r} s, more than T={T!r} s")
+        elif not virtual and columns.evals_used[k] > 0 and used > T + max_step[k]:
+            issues.append(f"over budget: rep={repetition} spent {used!r} s, more than T={T!r} s "
+                          f"plus its last run's max_step_seconds {max_step[k]!r} s")
+    found, expected = set(columns.repetition), set(range(plan.repetitions))
     if found != expected:
         issues.append(f"incomplete log: repetitions missing {sorted(expected - found)}, "
                       f"unexpected {sorted(found - expected)}")
@@ -508,10 +533,7 @@ def build_manifest(
         completed[key] = sum(t is not Termination.BUDGET_EXHAUSTED for t in runs.termination) / plan.repetitions
         total_runs[key] = runs.runs / plan.repetitions
         max_step = max([max_step, *runs.max_step_seconds.tolist()])
-        by_rep: dict[int, float] = {}
-        for repetition, used in zip(runs.repetition, runs.time_used.tolist()):
-            by_rep[repetition] = by_rep.get(repetition, 0.0) + used
-        max_overshoot = max([max_overshoot, *(used - T for used in by_rep.values())])
+        max_overshoot = max([max_overshoot, *(used - T for used in _time_spent(runs).values())])
 
     metric_options = effective_config["metrics"]
     tuning = effective_config["tuning"]

@@ -391,7 +391,7 @@ def demo_run(tmp_path_factory):
 
 # every way a test below corrupts a log (see corrupt_pso_log)
 CORRUPTIONS = ["not-utf8", "malformed-line", "empty", "last-repetition", "renumbered",
-               "duplicated-run", "foreign-header", "malformed-line-and-duplicated-run"]
+               "duplicated-run", "foreign-header", "malformed-line-and-duplicated-run", "raised-time-used"]
 
 
 def corrupt_pso_log(case, text):
@@ -417,6 +417,16 @@ def corrupt_pso_log(case, text):
         end = next(i for i, line in enumerate(lines) if b'"run_end"' in line)
         last = json.loads(next(line for line in reversed(lines) if b'"run_header"' in line))
         return text + b"".join(lines[: end + 1]), f"runs out of order: rep=0 run=0 after rep=2 run={last['run_index']}"
+    if case == "raised-time-used":  # repetition 0's last run_end claims 1 s more, past T = 50
+        end = next(i for i, line in enumerate(lines) if b'"repetition":1,' in line) - 1
+        run_end = json.loads(lines[end])
+        raised = run_end["time_used"] + 1.0
+        lines[end] = lines[end].replace(f'"time_used":{run_end["time_used"]!r}'.encode(), f'"time_used":{raised!r}'.encode())
+        spent = 0.0
+        for line in lines[:end + 1]:
+            if b'"run_end"' in line:
+                spent += json.loads(line)["time_used"]
+        return b"".join(lines), f"over budget: rep=0 spent {spent!r} s, more than T=50.0 s"
     assert case == "foreign-header"  # the first run's header names another arm
     return (text.replace(b'"algorithm_id":"pso"', b'"algorithm_id":"random-search"', 1),
             "run random-search/rastrigin-d10 rep=0 run=0 is not a run of pso/rastrigin-d10")
@@ -636,7 +646,9 @@ class TestCmdAnalyze:
         assert main(["analyze", str(out)]) == 0
         issues = [line for line in capsys.readouterr().err.splitlines() if line.startswith("log issue: ")]
         assert issues[0] == f"log issue: {name}: {msg}"
-        assert len(issues) == (2 if case == "missing" else 1)
+        over = [line for line in issues[1:] if ": over budget: rep=" in line]
+        assert len(over) == (3 * 3 if case == "T=25" else 0)  # at T = 25, each arm's 3 repetitions spent 50 s
+        assert len(issues) == 1 + len(over) + (case == "missing")  # a missing log is also incomplete
 
     def test_a_valid_demo_prints_no_log_issue_in_either_mode(self, demo_run, tmp_path, capsys):
         outputs = []
@@ -662,11 +674,12 @@ class TestCmdAnalyze:
         out = Path(cfg["output_dir"])
         report.write_effective_config(validate_config(cfg), out)
         T = cfg["budget"]["wall_time_limit"]
-        # rep 0 hits 1.0 at 0.5; rep 1 hits it at 1.25 and ends at 1.5, both against T = 1
+        # rep 0 hits 1.0 at 0.5; rep 1 hits it at 1.25 and ends at 1.5, both
+        # against T = 1: its last stopping check, at 1.0, came 0.5 s before its end
         points = {0: ([(0.25, 1, 3.0), (0.5, 2, 0.5)], 0.75), 1: ([(0.5, 1, 3.0), (1.25, 2, 0.5)], 1.5)}
         records = [
             RunRecord("rs", "sphere-d2", rep, **columns(pts), time_used=used, evals_used=2,
-                      termination=Termination.BUDGET_EXHAUSTED, repetition=rep)
+                      termination=Termination.BUDGET_EXHAUSTED, repetition=rep, max_step_seconds=0.5)
             for rep, (pts, used) in points.items()
         ]
         assert T == 1.0 and records[1].time_used > T

@@ -1,6 +1,11 @@
+import ast
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +28,7 @@ from timefair.protocol import (
     run_plan,
     run_time_fair,
 )
-from timefair.report import write_run_log
+from timefair.report import log_issues, write_run_log
 
 from conftest import columns, edge_config, evaluator_columns, run_values, time_to_target
 from test_problems import ORACLES
@@ -756,6 +761,47 @@ class TestRunPlan:
         grouped = run_plan(plan, progress=progress)
         used = [sum(r.evals_used for r in grouped[(label, "sphere-d2")]) for label in "ab"]
         assert math.isclose(*used, rel_tol=0.1), used
+
+    def test_a_real_plan_uses_numpy_random_before_its_first_clock(self):
+        # numpy imports numpy.random on first use, 5-8 ms in a fresh
+        # interpreter: a real plan's warm-up pays it before any RealClock
+        # starts, so no task's budget is charged for it
+        script = """if True:
+            import sys
+            from timefair.clock import ClockSpec, RealClock
+            from timefair.core import Budget
+            from timefair.protocol import AlgorithmSpec, ExperimentPlan, run_plan
+
+            seen = []
+            start = RealClock.__init__
+            def recording(self):
+                seen.append("numpy.random" in sys.modules)
+                start(self)
+            RealClock.__init__ = recording
+            arms = (AlgorithmSpec("rs", "random-search"), AlgorithmSpec("pso", "pso", {"swarm_size": 4}))
+            run_plan(ExperimentPlan(algorithms=arms, instances=("sphere-d2",), budget=Budget(wall_time_limit=0.001),
+                                    targets=None, repetitions=2, master_seed=1, clock=ClockSpec(mode="real")))
+            print(seen)
+        """
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(Path(protocol.__file__).parents[1])})
+        seen = ast.literal_eval(out.stdout)
+        assert len(seen) >= 4 and all(seen), seen
+
+    def test_real_repetitions_pass_T_by_at_most_their_last_iteration(self):
+        # the budget rule that analyze applies, on 30 real plans' runs in the
+        # form the log parser fills: most repetitions pass T, none by more
+        # than their last run's max_step_seconds
+        arms = (AlgorithmSpec("rs", "random-search"), AlgorithmSpec("pso", "pso", {"swarm_size": 4}))
+        past_T = 0
+        for seed in range(30):
+            plan = ExperimentPlan(algorithms=arms, instances=("sphere-d2",), budget=Budget(wall_time_limit=0.002),
+                                  targets=None, repetitions=2, master_seed=seed, clock=ClockSpec(mode="real"))
+            for (label, instance_id), records in run_plan(plan).items():
+                assert log_issues(RunColumns.of(records), label, instance_id, plan) == [], (seed, label)
+                for rep in range(plan.repetitions):
+                    past_T += sum(r.time_used for r in records if r.repetition == rep) > 0.002
+        assert past_T > 60
 
     def test_parallel_requires_virtual_clock(self):
         plan = ExperimentPlan(

@@ -672,6 +672,23 @@ class TestAgainstTheReferenceParser:
         assert rule in message
 
 
+def _plan(T=10.0, mode="virtual"):
+    """A plan of arm `alg` on sphere-d2 at R = 2 whose budget is T on a `mode` clock."""
+    from timefair.clock import ClockSpec
+    from timefair.core import Budget
+    from timefair.protocol import AlgorithmSpec, ExperimentPlan
+
+    return ExperimentPlan(algorithms=(AlgorithmSpec("alg", "random-search"),), instances=("sphere-d2",),
+                          budget=Budget(T), targets=None, repetitions=2, master_seed=0,
+                          clock=ClockSpec(mode, 1.0 if mode == "virtual" else 0.0))
+
+
+def _spending(repetition, time_used, max_step_seconds=0.0, run_index=0):
+    """A run of `alg` on sphere-d2 with one point, at 0.0, that spent `time_used`."""
+    return dataclasses.replace(BASE, elapsed=(0.0,), evals=(1,), best_f=(1.0,), evals_used=1, repetition=repetition,
+                               run_index=run_index, time_used=time_used, max_step_seconds=max_step_seconds)
+
+
 class TestLogIssues:
     """log_issues: the rules that the valid runs of one arm's log on one
     instance meet together, each issue in run order."""
@@ -715,7 +732,7 @@ class TestLogIssues:
         )
         parsed = parse_run_log(path)
         assert parsed.issues == [] and parsed.columns.runs == len(runs)
-        assert log_issues(parsed.columns, "alg", "sphere-d2", 2) == expected
+        assert log_issues(parsed.columns, "alg", "sphere-d2", _plan()) == expected
 
     def test_only_valid_runs_count(self, tmp_path):
         # a skipped run is the parser's issue alone: it leaves a gap, and
@@ -725,7 +742,53 @@ class TestLogIssues:
         write_run_log([dataclasses.replace(BASE, run_index=0), BASE, broken], path)
         parsed = parse_run_log(path)
         assert parsed.skipped_runs == 1 and len(parsed.issues) == 1
-        assert log_issues(parsed.columns, "alg", "sphere-d2", 2) == ["incomplete log: repetitions missing [1], unexpected []"]
+        assert log_issues(parsed.columns, "alg", "sphere-d2", _plan()) == [
+            "incomplete log: repetitions missing [1], unexpected []"
+        ]
+
+    # (T, the clock mode, each run's (repetition, time_used, max_step_seconds),
+    # the issues): a repetition's runs spend at most T on the virtual clock,
+    # summed in run order, and at most T plus the last run's max_step_seconds
+    # on the real clock
+    BUDGETS = {
+        "virtual-at-T": (5.0, "virtual", [(0, 2.5, 0.0), (0, 2.5, 0.0), (1, 5.0, 0.0)], []),
+        "virtual-past-T-by-one-ulp": (
+            5.0, "virtual", [(0, 2.5, 0.0), (0, math.nextafter(5.0, 6.0) - 2.5, 0.0), (1, 5.0, 0.0)],
+            ["over budget: rep=0 spent 5.000000000000001 s, more than T=5.0 s"],
+        ),
+        "virtual-summed-in-run-order": (  # 0.1 + 0.2 + 0.3 is past 0.6, 0.3 + 0.2 + 0.1 is not
+            0.6, "virtual", [(0, 0.1, 0.0), (0, 0.2, 0.0), (0, 0.3, 0.0), (1, 0.3, 0.0), (1, 0.2, 0.0), (1, 0.1, 0.0)],
+            ["over budget: rep=0 spent 0.6000000000000001 s, more than T=0.6 s"],
+        ),
+        "virtual-in-each-repetition": (
+            5.0, "virtual", [(0, 6.0, 0.0), (1, 2.5, 0.0), (1, 3.0, 0.0)],
+            ["over budget: rep=0 spent 6.0 s, more than T=5.0 s", "over budget: rep=1 spent 5.5 s, more than T=5.0 s"],
+        ),
+        "real-within-one-iteration": (5.0, "real", [(0, 2.5, 0.5), (0, 2.75, 0.25), (1, 5.25, 0.25)], []),
+        "real-past-its-last-iteration": (  # the last run's max_step_seconds counts, not the largest
+            5.0, "real", [(0, 2.5, 0.5), (0, 2.75, 0.125), (1, 5.0, 0.0)],
+            ["over budget: rep=0 spent 5.25 s, more than T=5.0 s plus its last run's max_step_seconds 0.125 s"],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BUDGETS))
+    def test_the_budget(self, tmp_path, case):
+        T, mode, runs, expected = self.BUDGETS[case]
+        path = tmp_path / "log.jsonl"
+        write_run_log([_spending(rep, used, step, run) for run, (rep, used, step) in enumerate(runs)], path)
+        parsed = parse_run_log(path)
+        assert parsed.issues == [] and log_issues(parsed.columns, "alg", "sphere-d2", _plan(T, mode)) == expected
+
+    def test_a_real_repetition_that_evaluated_nothing_may_outlast_T(self, tmp_path):
+        # its only run's init outlasted T, and no stopping check bounds that
+        path = tmp_path / "log.jsonl"
+        empty = dataclasses.replace(BASE, **NO_POINTS, evals_used=0, run_index=0, time_used=7.0, max_step_seconds=0.0)
+        write_run_log([empty, _spending(1, 5.0)], path)
+        columns = parse_run_log(path).columns
+        assert log_issues(columns, "alg", "sphere-d2", _plan(5.0, "real")) == []
+        assert log_issues(columns, "alg", "sphere-d2", _plan(5.0, "virtual")) == [
+            "over budget: rep=0 spent 7.0 s, more than T=5.0 s"
+        ]
 
 
 def test_run_dir_issues_name_missing_logs_in_plan_order_then_strays_in_path_order(tmp_path):
