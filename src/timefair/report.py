@@ -19,6 +19,7 @@ import math
 import os
 import platform
 import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -175,9 +176,10 @@ def _number(value) -> float:
 
 
 def _string(value) -> str:
+    """A JSON string, interned: a log repeats its ids in every run's header."""
     if type(value) is not str:
         raise TypeError(f"not a string: {value!r}")
-    return value
+    return sys.intern(value)
 
 
 _scan_once = json.JSONDecoder().scan_once  # the C scanner that json.loads ends in
