@@ -299,11 +299,12 @@ def cmd_analyze(args) -> int:
     for msg in dir_issues:
         _progress(f"log issue: {msg}")
     # one pair at a time, label-major (pairs of equal run count in a row share
-    # their bootstrap counts); only a log's columns outlive its parse
+    # their bootstrap counts)
     for label in labels:
         for instance_id in plan.instances:
             path = report.run_log_path(out_dir, label, instance_id)
-            parsed = report.parse_run_log(path) if path.exists() else report.ParseResult(metrics.RunColumns.of([]), [], 0)
+            parsed = (report.parse_run_log(path) if path.exists()
+                      else report.ParseResult(metrics.RunColumns.of([]), [], 0))
             name = path.relative_to(out_dir)  # runs/<label>/<instance>.jsonl: one per arm
             whole_log = report.log_issues(parsed.columns, label, instance_id, plan)
             issues = parsed.issues + whole_log
