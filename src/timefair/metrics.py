@@ -130,9 +130,11 @@ RUN_FIELDS = ("algorithm_id", "instance_id", "seed", "time_used", "evals_used", 
 class RunColumns:
     """One pair's runs in run order, as ``report.parse_run_log`` and :meth:`of`
     fill them: every improvement's `run` index, `elapsed`, `evals` and
-    `best_f`, and one entry per run of each of :data:`RUN_FIELDS`. Float
-    columns are float64 arrays; the others are lists of the values
-    themselves, so an integer of any size (a u64 seed) is kept as it is."""
+    `best_f`, and one entry per run of each of :data:`RUN_FIELDS`. `elapsed`
+    and `best_f`, which :func:`first_hits` and :func:`median_trajectory`
+    vectorise, are float64 arrays and `run` is an index array; every per-run
+    column is a list of the values themselves, so an integer of any size (a
+    u64 seed) is kept as it is."""
 
     runs: int
     run: np.ndarray
@@ -142,13 +144,13 @@ class RunColumns:
     algorithm_id: list[str]
     instance_id: list[str]
     seed: list[int]
-    time_used: np.ndarray
+    time_used: list[float]
     evals_used: list[int]
     termination: list[Termination]
     repetition: list[int]
     run_index: list[int]
     n_clamped: list[int]
-    max_step_seconds: np.ndarray
+    max_step_seconds: list[float]
 
     @classmethod
     def of(cls, records: Sequence[RunRecord]) -> RunColumns:
@@ -163,7 +165,7 @@ class RunColumns:
     def of_lists(cls, lengths: Sequence[int], **columns: list) -> RunColumns:
         """Columns from each run's number of points and, by name, a list per
         column but `runs` and `run`, in run order."""
-        for name in ("elapsed", "best_f", "time_used", "max_step_seconds"):
+        for name in ("elapsed", "best_f"):
             columns[name] = np.array(columns[name], dtype=float)
         return cls(len(lengths), np.repeat(np.arange(len(lengths)), lengths), **columns)
 

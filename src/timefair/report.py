@@ -141,24 +141,11 @@ def write_run_log(
 class ParseResult:
     """A run log read back: its valid runs in log order, as the pair's
     :class:`metrics.RunColumns`, one message per issue, in line order, and
-    the number of runs the issues cost. `records` builds RunRecords anew."""
+    the number of runs the issues cost."""
 
     columns: RunColumns
     issues: list[str]
     skipped_runs: int
-
-    @property
-    def records(self) -> list[RunRecord]:
-        columns = self.columns
-        elapsed, best_f = columns.elapsed.tolist(), columns.best_f.tolist()
-        fields = {name: getattr(columns, name) for name in RUN_FIELDS}
-        fields.update(time_used=columns.time_used.tolist(), max_step_seconds=columns.max_step_seconds.tolist())
-        stops = np.cumsum(np.bincount(columns.run, minlength=columns.runs)).tolist()
-        return [
-            RunRecord(elapsed=elapsed[start:stop], evals=columns.evals[start:stop], best_f=best_f[start:stop],
-                      **{name: values[k] for name, values in fields.items()})
-            for k, (start, stop) in enumerate(zip([0, *stops], stops))
-        ]
 
 
 def _integer(value) -> int:
@@ -214,8 +201,7 @@ def parse_run_log(path: Path) -> ParseResult:
     skipped. The whole log is read and no issue raises: each malformed line
     and invariant violation is reported with its line number, in line order,
     and the run it affects is skipped and counted. Each run's points are
-    checked and kept as plain lists, and no RunRecord is built (see
-    :class:`ParseResult`).
+    checked and kept as plain lists, and no RunRecord is built.
     """
     issues: list[str] = []
     skipped_runs = 0
@@ -311,7 +297,7 @@ def _time_spent(columns: RunColumns) -> dict[int, float]:
     """Each repetition's time: its runs' time_used, summed in run order as
     the runner sums them."""
     spent: dict[int, float] = {}
-    for repetition, used in zip(columns.repetition, columns.time_used.tolist()):
+    for repetition, used in zip(columns.repetition, columns.time_used):
         spent[repetition] = spent.get(repetition, 0.0) + used
     return spent
 
@@ -340,14 +326,14 @@ def log_issues(columns: RunColumns, label: str, instance_id: str, plan) -> list[
         last = repetition, run_index
     T, virtual = plan.budget.wall_time_limit, plan.clock.is_virtual
     last_run = {repetition: k for k, repetition in enumerate(columns.repetition)}
-    max_step = columns.max_step_seconds.tolist()
     for repetition, used in _time_spent(columns).items():
         k = last_run[repetition]
+        max_step = columns.max_step_seconds[k]
         if virtual and used > T:
             issues.append(f"over budget: rep={repetition} spent {used!r} s, more than T={T!r} s")
-        elif not virtual and columns.evals_used[k] > 0 and used > T + max_step[k]:
+        elif not virtual and columns.evals_used[k] > 0 and used > T + max_step:
             issues.append(f"over budget: rep={repetition} spent {used!r} s, more than T={T!r} s "
-                          f"plus its last run's max_step_seconds {max_step[k]!r} s")
+                          f"plus its last run's max_step_seconds {max_step!r} s")
     found, expected = set(columns.repetition), set(range(plan.repetitions))
     if found != expected:
         issues.append(f"incomplete log: repetitions missing {sorted(expected - found)}, "
@@ -534,7 +520,7 @@ def build_manifest(
         runs = RunColumns.of(records)
         completed[key] = sum(t is not Termination.BUDGET_EXHAUSTED for t in runs.termination) / plan.repetitions
         total_runs[key] = runs.runs / plan.repetitions
-        max_step = max([max_step, *runs.max_step_seconds.tolist()])
+        max_step = max([max_step, *runs.max_step_seconds])
         max_overshoot = max([max_overshoot, *(used - T for used in _time_spent(runs).values())])
 
     metric_options = effective_config["metrics"]

@@ -57,16 +57,22 @@ def hits_by_pair(grouped, targets_by_instance):
     return {pair: first_hits(runs, targets_by_instance[pair[1]]) for pair, runs in columns.items()}
 
 
+def _exact(value) -> tuple:
+    """A list column's value, compared by type and value; a float by its
+    bits (``float.hex``), so -0.0 is not 0.0."""
+    return type(value), value.hex() if type(value) is float else value
+
+
 def assert_same_columns(got: RunColumns, want: RunColumns, context="") -> None:
     """`got` holds `want`'s every field: its arrays by dtype and bytes, its
-    lists value by value, each value of the same type."""
+    lists value by value, each value of the same type and a float of the
+    same bits."""
     for field in dataclasses.fields(RunColumns):
         a, b = getattr(got, field.name), getattr(want, field.name)
         if isinstance(b, np.ndarray):
             assert isinstance(a, np.ndarray) and (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (context, field.name)
         else:
-            assert [(type(v), v) for v in a] == [(type(v), v) for v in b] if isinstance(b, list) else a == b, (
-                context, field.name)
+            assert [*map(_exact, a)] == [*map(_exact, b)] if isinstance(b, list) else a == b, (context, field.name)
 
 
 def run_values(record: RunRecord) -> tuple:

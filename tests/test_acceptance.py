@@ -16,15 +16,17 @@ import pytest
 from timefair.cli import demo_config, main, scenario_plan
 from timefair.core import CostMatrix, Termination
 from timefair.metrics import (
+    RunColumns,
     anytime_ecdf,
     ert,
+    first_hits,
     performance_profile,
 )
 from timefair.problems import get_problem
 from timefair.protocol import best_of_restarts, run_plan, run_time_fair
 from timefair.report import parse_run_log, write_run_log
 
-from conftest import CATALOG_OPTIMA, optimum_point, pair_times, random_record, time_to_target
+from conftest import CATALOG_OPTIMA, assert_same_columns, optimum_point, pair_times, random_record, time_to_target
 
 
 def _report(number: int, detail: str) -> None:
@@ -296,21 +298,17 @@ def test_criterion_8_roundtrip(tmp_path):
         path = tmp_path / "big.jsonl"
         write_run_log(records, path)
         result = parse_run_log(path)
-        assert result.records == records
+        assert_same_columns(result.columns, RunColumns.of(records))
         assert result.skipped_runs == 0 and result.issues == []
 
-        def ert_table(recs):
-            groups = {}
-            for r in recs:
-                groups.setdefault((r.algorithm_id, r.instance_id), []).append(r)
-            T = 25.0
-            table = {}
-            for key, rs in sorted(groups.items()):
-                for q in (60.0, 30.0, 5.0):
-                    table[key + (q,)] = ert([time_to_target(r, q) for r in rs], T)
-            return table
-
-        assert ert_table(records) == ert_table(result.records)
+        # the ERT of each (algorithm, instance) pair, from the records and from the parsed columns
+        ladder, T = (60.0, 30.0, 5.0), 25.0
+        pairs = [(r.algorithm_id, r.instance_id) for r in records]
+        hits = first_hits(result.columns, ladder)
+        for pair in sorted(set(pairs)):
+            runs = [k for k, p in enumerate(pairs) if p == pair]
+            for q, row in zip(ladder, hits):
+                assert ert([time_to_target(records[k], q) for k in runs], T) == ert(row[runs], T)
     assert sw.elapsed < 5.0
     _report(8, f"10^4 records round-tripped with identical ERT tables in {sw.elapsed:.2f}s")
 

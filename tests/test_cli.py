@@ -494,7 +494,7 @@ class TestCmdAnalyze:
         out = Path(cfg["output_dir"])
         assert main(["run", "--config", str(path)]) == 0
         runs = [
-            len(report.parse_run_log(report.run_log_path(out, a["label"], i)).records)
+            report.parse_run_log(report.run_log_path(out, a["label"], i)).columns.runs
             for a in cfg["algorithms"]
             for i in cfg["instances"]
         ]
@@ -557,8 +557,8 @@ class TestCmdAnalyze:
         assert main(["analyze", str(out)]) == 0
         assert main(["analyze", "--strict-logs", str(out)]) == 0
         assert built == []
-        assert report.parse_run_log(report.run_log_path(out, "rs-a", "sphere-d2")).records  # the count sees a view
-        assert "RunRecord" in built
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "again")]) == 0
+        assert "RunRecord" in built  # the count sees the runner's records
 
     def test_each_logs_issues_are_reported_as_it_is_read(self, tmp_path, capsys):
         # analyze reads rs-a's logs before rs-b's: each log's issue is on
@@ -757,13 +757,14 @@ class TestCmdAnalyze:
         assert sorted(p.name for p in out.glob("curves/profile_target_*.csv")) == sorted(names)
         plan = plan_from_config(validate_config(cfg))
         T = plan.budget.wall_time_limit
-        grouped = {
-            (spec.label, i): report.parse_run_log(report.run_log_path(out, spec.label, i)).records
+        targets = {i: plan.targets.resolve() for i in plan.instances}  # absolute ladder
+        hits = {
+            (spec.label, i): metrics.first_hits(report.parse_run_log(report.run_log_path(out, spec.label, i)).columns,
+                                                targets[i])
             for spec in plan.algorithms
             for i in plan.instances
         }
-        targets = {i: plan.targets.resolve() for i in plan.instances}  # absolute ladder
-        analysis = metrics.analyze(hits_by_pair(grouped, targets), T, targets, metrics.default_time_grid(T))
+        analysis = metrics.analyze(hits, T, targets, metrics.default_time_grid(T))
         for name, curves in zip(names, analysis.profiles):
             report.emit_profile_csv(curves, tmp_path / "expected.csv")
             assert (out / "curves" / name).read_bytes() == (tmp_path / "expected.csv").read_bytes()
