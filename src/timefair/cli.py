@@ -211,8 +211,8 @@ def plan_from_config(config: dict) -> ExperimentPlan:
             master_seed=config["master_seed"],
             clock=ClockSpec(**config["clock"]),
         )
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc)) from exc
+    except (ValueError, KeyError) as exc:  # a KeyError's str() is its message's repr
+        raise ConfigError(*exc.args) from exc
 
 
 def _read_config(path) -> dict:
@@ -303,8 +303,12 @@ def cmd_analyze(args) -> int:
     for label in labels:
         for instance_id in plan.instances:
             path = report.run_log_path(out_dir, label, instance_id)
-            parsed = (report.parse_run_log(path) if path.exists()
-                      else report.ParseResult(metrics.RunColumns.of([]), [], 0))
+            try:
+                parsed = report.parse_run_log(path)
+            except FileNotFoundError:  # the missing log that run_dir_issues named
+                parsed = report.ParseResult(metrics.RunColumns.of([]), [], 0)
+            except OSError as exc:
+                parsed = report.ParseResult(metrics.RunColumns.of([]), [f"cannot be read: {exc.strerror}"], 0)
             name = path.relative_to(out_dir)  # runs/<label>/<instance>.jsonl: one per arm
             whole_log = report.log_issues(parsed.columns, label, instance_id, plan)
             issues = parsed.issues + whole_log

@@ -342,13 +342,14 @@ def log_issues(columns: RunColumns, label: str, instance_id: str, plan) -> list[
 
 
 def run_dir_issues(out_dir: Path, plan) -> list[str]:
-    """The issues of `out_dir` against `plan`. If ``manifest.json`` exists
-    and item 8's config rule fails on it, that issue comes first, naming
-    the manifest: the plan was read from the stored effective config. Then,
-    each naming its log as ``runs/<label>/<instance>.jsonl``, every planned
-    log that is missing, in plan order, then every log on disk that no
-    planned (label, instance) pair writes, in path order."""
-    note = _manifest_config_issue(out_dir)
+    """The issues of `out_dir` against `plan`. If ``manifest.json`` is
+    missing or unreadable, or item 8's config rule fails on it, that issue
+    comes first, naming the manifest: the plan was read from the stored
+    effective config. Then, each naming its log as
+    ``runs/<label>/<instance>.jsonl``, every planned log that is missing, in
+    plan order, then every log on disk that no planned (label, instance)
+    pair writes, in path order."""
+    note = _manifest_issue(out_dir)
     issues = [] if note is None else [f"{MANIFEST_NAME}: {note}"]
     planned = [
         str(run_log_path(out_dir, spec.label, instance_id).relative_to(out_dir))
@@ -363,15 +364,16 @@ def run_dir_issues(out_dir: Path, plan) -> list[str]:
     ]
 
 
-def _manifest_config_issue(out_dir: Path) -> Optional[str]:
-    """Item 8's config rule against `out_dir`'s manifest: a note, or None if
-    the manifest's ``config_hash`` is the stored effective config's or there
-    is no manifest."""
+def _manifest_issue(out_dir: Path) -> Optional[str]:
+    """A note on `out_dir`'s manifest, or None if it holds a ``config_hash``
+    that is the stored effective config's (item 8's config rule)."""
     try:
         with open(out_dir / MANIFEST_NAME, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except FileNotFoundError:
-        return None
+        return "missing (run writes it last, so the run did not finish)"
+    except OSError as exc:
+        return f"cannot be read: {exc.strerror}"
     except ValueError as exc:  # not JSON, or not UTF-8
         return f"not valid JSON: {exc}"
     try:
@@ -648,12 +650,13 @@ def _stored_config_issue(out_dir: Path, recorded_hash) -> Optional[str]:
     """Item 8's config rule, which `report` and `analyze` both apply: a
     failure note, or None if `out_dir`'s effective config is JSON whose
     `config_hash` equals `recorded_hash`, the manifest's."""
-    config_path = out_dir / EFFECTIVE_CONFIG_NAME
-    if not config_path.exists():
-        return f"effective config {EFFECTIVE_CONFIG_NAME} is missing"
     try:
-        with open(config_path, encoding="utf-8") as fh:
+        with open(out_dir / EFFECTIVE_CONFIG_NAME, encoding="utf-8") as fh:
             stored = json.load(fh)
+    except FileNotFoundError:
+        return f"effective config {EFFECTIVE_CONFIG_NAME} is missing"
+    except OSError as exc:
+        return f"effective config {EFFECTIVE_CONFIG_NAME} cannot be read: {exc.strerror}"
     except ValueError as exc:  # not JSON, or not UTF-8
         return f"effective config {EFFECTIVE_CONFIG_NAME} is not valid JSON: {exc}"
     if config_hash(stored) != recorded_hash:
@@ -676,8 +679,11 @@ def _audit_artifacts(section: dict, out_dir: Path) -> Optional[str]:
     if on_disk - listed:
         return f"run log(s) not in log_digests: {', '.join(sorted(on_disk - listed))}"
     for rel, digest in section["log_digests"].items():
-        if sha256_file(out_dir / rel) != digest:
-            return f"log digest mismatch for {rel}"
+        try:
+            if sha256_file(out_dir / rel) != digest:
+                return f"log digest mismatch for {rel}"
+        except OSError as exc:
+            return f"log file {rel} cannot be read: {exc.strerror}"
     return None
 
 

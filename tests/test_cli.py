@@ -210,6 +210,18 @@ class TestCmdRun:
         assert "malformed instance id 'rastrigin-d010'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda c: c["algorithms"][0].update(kind="foo"), "unknown algorithm kind 'foo'; available: random-search, pso"),
+        (lambda c: c.update(instances=["nope-d2"]),
+         "unknown problem 'nope'; catalog: sphere, rastrigin, rosenbrock, ackley"),
+        (lambda c: c.update(instances=["sphere-d0"]), "sphere requires dimension >= 1"),
+    ], ids=["kind", "problem", "dimension"])
+    def test_a_config_error_prints_its_message(self, tmp_path, capsys, mutate, message):
+        # the message itself, not its repr, which str() of a KeyError gives
+        path, _ = write_config(tmp_path, mutate)
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -391,13 +403,17 @@ def demo_run(tmp_path_factory):
 
 # every way a test below corrupts a log (see corrupt_pso_log)
 CORRUPTIONS = ["not-utf8", "malformed-line", "empty", "last-repetition", "renumbered",
-               "duplicated-run", "foreign-header", "malformed-line-and-duplicated-run", "raised-time-used"]
+               "duplicated-run", "foreign-header", "malformed-line-and-duplicated-run", "raised-time-used",
+               "unreadable"]
 
 
 def corrupt_pso_log(case, text):
     """The demo's ``runs/pso/rastrigin-d10.jsonl`` (R = 3), `text`, corrupted
-    as `case` names, and the first issue that analyze finds in it."""
+    as `case` names, and the first issue that analyze finds in it; None for
+    the text of an unreadable log, a directory in the log's place."""
     lines = text.splitlines(keepends=True)
+    if case == "unreadable":
+        return None, "cannot be read: Is a directory"
     if case == "malformed-line-and-duplicated-run":  # a parse issue comes before a log-wide one
         garbled, msg = corrupt_pso_log("malformed-line", text)
         return garbled + corrupt_pso_log("duplicated-run", text)[0][len(text):], msg
@@ -600,7 +616,11 @@ class TestCmdAnalyze:
         shutil.copytree(demo_run, out)
         log = report.run_log_path(out, "pso", "rastrigin-d10")
         text, msg = corrupt_pso_log(case, log.read_bytes())
-        log.write_bytes(text)
+        if text is None:
+            log.unlink()
+            log.mkdir()
+        else:
+            log.write_bytes(text)
         name = "runs/pso/rastrigin-d10.jsonl"
         capsys.readouterr()
         assert main(["analyze", "--strict-logs", str(out)]) == 1
@@ -612,22 +632,29 @@ class TestCmdAnalyze:
         assert (f"{name}: skipped 1 malformed run(s)" in err) == ("malformed" in case or case == "not-utf8")
         with open(out / "ert_table.csv", newline="") as fh:
             runs = {row["runs"] for row in csv.DictReader(fh) if row["solver"] == "pso"}
-        kept = report.parse_run_log(log).columns.runs
+        kept = 0 if text is None else report.parse_run_log(log).columns.runs
         assert runs == ({str(kept)} if kept else set())
 
-    @pytest.mark.parametrize("case", ["missing", "stray", "T=25", "T=100"])
+    @pytest.mark.parametrize("case", ["missing", "stray", "T=25", "T=100", "no-manifest", "unreadable-manifest"])
     def test_strict_and_lenient_see_the_same_run_directory_issue(self, demo_run, tmp_path, capsys, case):
-        # a planned log deleted, a log of no planned pair copied in, or the
+        # a planned log deleted, a log of no planned pair copied in, the
         # stored config's T edited after the run (so the manifest's
         # config_hash is not the config's, and analyze would read the logs
-        # against another T): strict mode's error is lenient mode's first
-        # log issue
+        # against another T), or the manifest missing (the run did not
+        # finish) or a directory: strict mode's error is lenient mode's
+        # first log issue
         out = tmp_path / "out"
         shutil.copytree(demo_run, out)
         planned = report.run_log_path(out, "pso-heavy", "rastrigin-d10")
         if case == "missing":
             planned.unlink()
             name, msg = "runs/pso-heavy/rastrigin-d10.jsonl", "missing run log"
+        elif case.endswith("-manifest"):
+            (out / report.MANIFEST_NAME).unlink()
+            if case == "unreadable-manifest":
+                (out / report.MANIFEST_NAME).mkdir()
+            name, msg = "manifest.json", ("missing (run writes it last, so the run did not finish)"
+                                          if case == "no-manifest" else "cannot be read: Is a directory")
         elif case.startswith("T="):
             config = json.loads((out / report.EFFECTIVE_CONFIG_NAME).read_text(encoding="utf-8"))
             assert config["budget"]["wall_time_limit"] == 50.0
@@ -672,7 +699,8 @@ class TestCmdAnalyze:
 
         _, cfg = write_config(tmp_path, mutate=real)
         out = Path(cfg["output_dir"])
-        report.write_effective_config(validate_config(cfg), out)
+        config = validate_config(cfg)
+        report.write_effective_config(config, out)
         T = cfg["budget"]["wall_time_limit"]
         # rep 0 hits 1.0 at 0.5; rep 1 hits it at 1.25 and ends at 1.5, both
         # against T = 1: its last stopping check, at 1.0, came 0.5 s before its end
@@ -684,6 +712,8 @@ class TestCmdAnalyze:
         ]
         assert T == 1.0 and records[1].time_used > T
         report.write_run_log(records, report.run_log_path(out, "rs", "sphere-d2"))
+        manifest = report.build_manifest(plan_from_config(config), {("rs", "sphere-d2"): records}, out, config)
+        report.write_manifest(manifest, out)  # last, as run writes it
         assert main(["analyze", "--strict-logs", str(out)]) == 0
         with open(out / "ert_table.csv", newline="") as fh:
             (row,) = csv.DictReader(fh)
@@ -1038,6 +1068,25 @@ class TestCmdReport:
         assert (
             "item 8 (reproducibility artifacts): FAIL — effective config effective_config.json is missing\n"
         ) in stdout
+
+    @pytest.mark.parametrize("target, note", [
+        ("effective_config.json", "effective config effective_config.json cannot be read: Is a directory"),
+        ("runs/rs-a/sphere-d2.jsonl", "log file runs/rs-a/sphere-d2.jsonl cannot be read: Is a directory"),
+    ], ids=["config", "log"])
+    def test_an_unreadable_file_fails_item_8_only(self, tmp_path, capsys, target, note):
+        # a directory where the file should be: item 8's note names the
+        # file, and the other items are still audited
+        path, cfg = write_config(tmp_path)
+        out = Path(cfg["output_dir"])
+        assert main(["run", "--config", str(path)]) == 0
+        (out / target).unlink()
+        (out / target).mkdir()
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[7] == f"item 8 (reproducibility artifacts): FAIL — {note}"
+        assert [line.split(": ")[1] for line in lines[:7]] == ["PASS"] * 6 + ["NA — no tuning performed"]
+        assert lines[8:] == ["checklist verdict: FAIL"]
 
     def test_item_8_reads_the_run_directorys_own_config(self, tmp_path, capsys):
         # an edited effective config, and a manifest whose config_file points

@@ -809,6 +809,9 @@ def test_run_dir_issues_name_missing_logs_in_plan_order_then_strays_in_path_orde
     plan = SimpleNamespace(
         algorithms=[SimpleNamespace(label="b"), SimpleNamespace(label="a")], instances=("sphere-d5", "sphere-d2")
     )
+    # a finished run: its effective config, and the manifest that run writes last
+    report.write_effective_config({}, tmp_path)
+    report.write_manifest({"checklist": {"artifacts": {"config_hash": report.config_hash({})}}}, tmp_path)
     for label, instance_id in [("b", "sphere-d5"), ("a", "sphere-d2"), ("z", "sphere-d2"), ("a", "ackley-d3")]:
         path = report.run_log_path(tmp_path, label, instance_id)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -830,14 +833,15 @@ def test_run_dir_issues_name_missing_logs_in_plan_order_then_strays_in_path_orde
 @pytest.mark.parametrize(
     "manifest, issue",
     [
-        (None, None),  # no manifest: a rule of its own, not this one
+        (None, "missing (run writes it last, so the run did not finish)"),
+        ("<directory>", "cannot be read: Is a directory"),
         ("same", None),
         ("other", "config_hash does not match the stored effective config"),
         ('{"checklist": ', "not valid JSON: "),
         ("[]", "holds no checklist.artifacts.config_hash"),
         ('{"checklist": {"artifacts": {"status": "NA"}}}', "holds no checklist.artifacts.config_hash"),
     ],
-    ids=["no-manifest", "same-hash", "other-hash", "not-json", "not-an-object", "no-config-hash"],
+    ids=["no-manifest", "unreadable", "same-hash", "other-hash", "not-json", "not-an-object", "no-config-hash"],
 )
 def test_run_dir_issues_first_check_the_manifests_config_hash(tmp_path, manifest, issue):
     # analyze reads T, the targets and R from effective_config.json, so it
@@ -847,7 +851,9 @@ def test_run_dir_issues_first_check_the_manifests_config_hash(tmp_path, manifest
     config = {"budget": {"wall_time_limit": 50.0}}
     report.write_effective_config(config, tmp_path)
     hashes = {"same": report.config_hash(config), "other": report.config_hash({"budget": {"wall_time_limit": 25.0}})}
-    if manifest is not None:
+    if manifest == "<directory>":
+        (tmp_path / report.MANIFEST_NAME).mkdir()
+    elif manifest is not None:
         if manifest in hashes:
             manifest = json.dumps({"checklist": {"artifacts": {"config_hash": hashes[manifest]}}})
         (tmp_path / report.MANIFEST_NAME).write_text(manifest)
