@@ -10,7 +10,9 @@ the virtual-mode runner predict whether the next step still fits the
 budget. An algorithm that evaluates one point per iteration, none of
 them depending on an evaluation, may also show its drawn points (`drawn`)
 and count them (`advance`), so that a virtual-clock runner scores several
-iterations per objective call.
+iterations per objective call. An algorithm whose runs can be stacked
+(`lanes`: a bare PSO) lets a virtual-clock runner step several runs at
+once, with one update and one objective call for all of them.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ class Algorithm:
 
     evals_per_step: int = 1
     drawn = None  # None: stepped one iteration at a time (see RandomSearch.drawn)
+    lanes = None  # None: each run stepped on its own (see PSO.lanes)
 
     def __init__(self, max_iterations: Optional[int] = None):
         if max_iterations is not None and not (
@@ -144,6 +147,29 @@ class RandomSearch(Algorithm):
         return self._count(state)
 
 
+def _move(x, v, attract, r, diff, operands) -> None:
+    """PSO's velocity and position update, in place, with the operations
+    and their order of
+    v = w*v + (c1*r1)*(pbest - x) + (c2*r2)*(best - x), x = x + v,
+    each clipped. `r` holds the draws r1 and r2 (on its first axis) and
+    `diff` is scratch, both of `attract`'s shape; `operands` are
+    `PSO._constants`. One swarm is (n, d) with `attract` (2, n, d); lanes
+    stack swarms as (L, n, d) with `attract` (2, L, n, d), and the
+    constants broadcast over the lanes. Every operation is elementwise, so
+    a lane gets a lone swarm's bits."""
+    inertia, coefficients, neg_vmax, vmax, lower, upper = operands
+    np.subtract(attract, x, out=diff)
+    r *= coefficients
+    r *= diff
+    v *= inertia
+    v += r[0]
+    v += r[1]
+    # the method np.clip calls, without its dispatch layer
+    v.clip(neg_vmax, vmax, out=v)
+    x += v
+    x.clip(lower, upper, out=x)
+
+
 @dataclass
 class PsoState:
     rng: np.random.Generator
@@ -209,6 +235,10 @@ class PSO(Algorithm):
             self._constants_for = (instance, constants)
         return constants
 
+    def lanes(self, instance: ProblemInstance, count: int) -> "PsoLanes":
+        """`count` runs of this PSO on `instance`, to be stepped in lockstep."""
+        return PsoLanes(self, instance, count)
+
     def init(self, instance: ProblemInstance, seed: int) -> PsoState:
         rng = _generator(seed)
         x = instance.uniform(rng, self.params.swarm_size)
@@ -228,21 +258,8 @@ class PSO(Algorithm):
     def step(self, state: PsoState, evaluator) -> bool:
         x, v, attract = state.x, state.v, state.attract
         if state.iterations > 0:
-            # in place, with the operations and their order of
-            # v = w*v + (c1*r1)*(pbest - x) + (c2*r2)*(best - x)
-            inertia, coefficients, neg_vmax, vmax, lower, upper = self._constants(evaluator.instance)
-            r = state.r
-            state.rng.random(out=r)  # r1, then r2
-            np.subtract(attract, x, out=state.diff)
-            r *= coefficients
-            r *= state.diff
-            v *= inertia
-            v += r[0]
-            v += r[1]
-            # the method np.clip calls, without its dispatch layer
-            v.clip(neg_vmax, vmax, out=v)
-            x += v
-            x.clip(lower, upper, out=x)
+            state.rng.random(out=state.r)  # r1, then r2
+            _move(x, v, attract, state.r, state.diff, self._constants(evaluator.instance))
         fs = evaluator.evaluate_rows(x)
         improved = fs < state.pbest_f
         np.copyto(state.pbest_x, x, where=improved[:, None])
@@ -252,6 +269,98 @@ class PSO(Algorithm):
             state.best_f = float(state.pbest_f[i])
             attract[1] = state.pbest_x[i]
         return self._count(state)
+
+
+class PsoLanes:
+    """`count` runs of one PSO on one instance, stacked as lanes so that
+    one `_move` updates, and one objective call can score, every lane's
+    swarm; the runner starts each lane's runs and scores them.
+
+    Lane i holds what a run's `PsoState` holds: at [i] its swarm `x`,
+    velocities `v`, personal-best values `pbest_f`, swarm best `best_f`,
+    generator and iteration count, and at [:, i] its `attract` and
+    `diff`; `draws[i]` is its (2, n, d) r1 and r2, which it draws from its
+    own generator. So a lane's run is, bit for bit, the run that
+    `PSO.step` gives from the same seed.
+    """
+
+    def __init__(self, pso: PSO, instance: ProblemInstance, count: int):
+        self.pso = pso
+        self.instance = instance
+        n, d = pso.params.swarm_size, instance.dimension
+        # every lane begins a run, which sets its values, at its first `move`
+        self.x = np.empty((count, n, d))
+        self.v = np.empty_like(self.x)
+        self.attract = np.empty((2, count, n, d))
+        self.draws = np.empty((count, 2, n, d))
+        self.pbest_f = np.empty((count, n))
+        self.best_f = np.empty(count)
+        self.rngs: list = [None] * count
+        self.iterations = [0] * count
+        # a run's constants, (c1, c2) as (2, 1, n, d) to broadcast over the lanes
+        inertia, coefficients, *rest = pso._constants(instance)
+        self.operands = (inertia, coefficients[:, None], *rest)
+        self._views()
+
+    def _views(self) -> None:
+        self.pbest_x = self.attract[0]
+        self.r = self.draws.transpose(1, 0, 2, 3)  # (2, count, n, d): every lane's r1, then r2
+        self.diff = np.empty_like(self.attract)
+
+    def keep(self, slots: list[int]) -> None:
+        """Keep only the lanes at `slots`, in that order."""
+        self.x, self.v, self.draws = self.x[slots], self.v[slots], self.draws[slots]
+        self.attract = self.attract[:, slots]
+        self.pbest_f, self.best_f = self.pbest_f[slots], self.best_f[slots]
+        self.rngs = [self.rngs[i] for i in slots]
+        self.iterations = [self.iterations[i] for i in slots]
+        self._views()
+
+    def move(self, seeds: list) -> np.ndarray:
+        """Step every lane up to its evaluation, and return all lanes'
+        (count, n, d) swarms.
+
+        A lane whose seed is None goes on with its run: it draws r1 and
+        r2 and is moved. A lane with a seed begins a new run: the one
+        `_move` of all lanes moves it too, and then its swarm is drawn from
+        the seed as `PSO.init` draws it. Its draws are zeroed, so that a
+        lane which begins runs on consecutive ticks is moved by zero pulls,
+        not by pulls multiplied tick after tick into overflow."""
+        moving = False
+        for seed, rng, draws in zip(seeds, self.rngs, self.draws):
+            if seed is None:
+                rng.random(out=draws)
+                moving = True
+        if moving:
+            _move(self.x, self.v, self.attract, self.r, self.diff, self.operands)
+        for i, seed in enumerate(seeds):
+            if seed is not None:
+                rng = _generator(seed)
+                x = self.instance.uniform(rng, self.pso.params.swarm_size)
+                self.rngs[i], self.iterations[i] = rng, 0
+                self.x[i] = x
+                self.attract[:, i] = x
+                self.v[i] = self.draws[i] = 0.0
+                self.pbest_f[i] = self.best_f[i] = math.inf
+        return self.x
+
+    def tell(self, fs: np.ndarray) -> list[bool]:
+        """Keep each lane's personal and swarm bests as `PSO.step` does,
+        with `fs` the (count, n) values of `move`'s swarms, and count the
+        iteration; for each lane, True once its algorithm is done."""
+        improved = fs < self.pbest_f
+        np.copyto(self.pbest_x, self.x, where=improved[..., None])
+        np.copyto(self.pbest_f, fs, where=improved)
+        index = np.arange(len(fs))
+        best = self.pbest_f.argmin(axis=1)  # each lane's first best particle
+        values = self.pbest_f[index, best]
+        better = values < self.best_f
+        if np.count_nonzero(better):
+            self.best_f[better] = values[better]
+            self.attract[1, better] = self.pbest_x[index[better], best[better]][:, None]
+        limit = self.pso.max_iterations
+        iterations = self.iterations = [i + 1 for i in self.iterations]
+        return [limit is not None and i >= limit for i in iterations]
 
 
 @dataclass

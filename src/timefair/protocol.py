@@ -23,6 +23,17 @@ that rule but not the one step per iteration. It admits the points that
 in one evaluator call as one-evaluation iterations that end at the first
 row reaching the hardest target, and counts them with `advance`; its
 records are those stepping would give.
+
+A virtual plan's algorithm whose runs stack (one with `lanes`: a bare
+PSO) runs a pair's repetitions side by side, as lanes in lockstep: each
+tick gives every lane the same budget check, then one swarm update and
+one objective call cover all of them, and each lane's rows go through its
+own run's evaluator. A lane begins its next run, or ends its repetition,
+where the per-run loop would, so its records are `run_time_fair`'s, bit
+for bit. `run_time_fair` stays the one path of the real clock, whose time
+is charged run by run, and of wrapped arms. `run_plan` runs a virtual
+plan pair by pair, so `run`'s progress lines come pair by pair too, each
+with the text it had (`simulate` prints none of them).
 """
 
 from __future__ import annotations
@@ -58,6 +69,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _WARM_UP_SEED = 2**64  # above every u64 seed that derive_seed gives a run
+# lanes stepped together hold about a dozen arrays of lanes * n * d
+# doubles; at most this many doubles per array keeps a pair's memory
+# bounded however many repetitions it has (about 3 MB in all)
+_LANE_DOUBLES = 2**15
 
 
 class PlanError(ValueError):
@@ -177,7 +192,9 @@ class ExperimentPlan:
 class RunEvaluator:
     """Counting wrapper around one run's objective evaluations.
 
-    `evaluate_rows` is the one entry point. It rejects batches of the
+    `evaluate_rows` is the one entry point of a run's steps (`account`
+    is its second half, which a lockstep runner calls for each lane's rows
+    of one shared call). It rejects batches of the
     wrong shape before anything is counted, clamps out-of-bounds queries
     (counted in `n_clamped`), counts FEs, and appends each best-so-far
     improvement's stamp, count and value to `stamps`, `counts` and
@@ -234,6 +251,17 @@ class RunEvaluator:
             clipped = xs.clip(*instance.bounds(n))
             changed = clipped != xs
             fs = instance.evaluate_rows(clipped)
+        return self.account(fs, changed, stop)
+
+    def account(
+        self, fs: np.ndarray, changed: Optional[np.ndarray] = None, stop: Optional[float] = None
+    ) -> np.ndarray:
+        """Count, tally the clamped rows of, and scan for improvements the
+        rows that `evaluate_rows` scored as `fs`; `changed` is its clip's
+        (n, d) mask of moved coordinates (None: nothing was clipped) and
+        `stop` its block's. A lockstep runner, which scores every lane's
+        rows in one call, accounts each lane's rows here."""
+        n = len(fs)
         iteration = self.iterations
         if stop is not None:
             reached = fs <= stop
@@ -390,6 +418,152 @@ def best_of_restarts(records) -> float:
     return best
 
 
+def _lockstep(
+    plan: ExperimentPlan,
+    algorithm_label: str,
+    instance_id: str,
+    repetitions: range,
+) -> list[list[RunRecord]]:
+    """`run_time_fair`'s records for each of `repetitions`, from a virtual
+    plan's algorithm with `lanes`: the repetitions run side by side as its
+    lanes, and each tick steps every lane once.
+
+    Each tick, every lane gets `run_time_fair`'s budget check, ending its
+    run (and starting the next, or ending the repetition) where that check
+    fails; one `lanes.move` updates the lanes' swarms, one clip and one
+    objective call score them all, and each lane's rows go through its
+    own evaluator's `account`. A lane's run then ends, and its next one
+    starts, where the per-run loop's would. Each lane's runs are the
+    per-run loop's, bit for bit.
+    """
+    spec = plan.algorithm_spec(algorithm_label)
+    algorithm = spec.algorithm
+    instance = plan.problems[instance_id]
+    T = plan.budget.wall_time_limit
+    ladder = plan.ladders[instance_id]
+    stop = ladder[-1] if ladder else math.nan  # hardest target; no value is at or below NaN
+    eval_cap = math.inf if plan.budget.eval_cap is None else plan.budget.eval_cap
+    n = algorithm.evals_per_step
+    clock = plan.run_clock(spec)  # a virtual clock holds no state, so every run shares one
+    at = clock.at
+
+    class Lane:
+        """One repetition: its logged runs, their totals, and its current run."""
+
+        def __init__(self, repetition: int):
+            self.repetition = repetition
+            self.records: list[RunRecord] = []
+            self.total_used = 0.0
+            self.total_evals = 0
+            self.begin(0)
+
+        def begin(self, run_index: int) -> None:
+            self.run_index = run_index
+            self.seed = derive_seed(plan.master_seed, algorithm_label, instance_id, self.repetition, run_index)
+            self.evaluator = RunEvaluator(instance, clock)
+            self.max_step = 0.0
+            self.last = self.evaluator.elapsed()
+            self.headroom = eval_cap - self.total_evals - n
+            self.begins = True  # its swarm is drawn at its first move
+
+        def admits(self) -> bool:
+            """`run_time_fair`'s stopping rule: True, with the iteration
+            counted, if the run's next iteration fits."""
+            evaluator = self.evaluator
+            stamp = at(evaluator.count + n, evaluator.iterations + 1)
+            if evaluator.count > self.headroom or self.total_used + stamp > T:
+                return False
+            if stamp - self.last > self.max_step:
+                self.max_step = stamp - self.last
+            self.last = stamp
+            evaluator.iterations += 1
+            return True
+
+        def end(self, termination: Termination) -> bool:
+            """Log the current run and begin the next; True, with nothing
+            begun, when the run had no iteration and so ends the repetition."""
+            evaluator = self.evaluator
+            time_used = evaluator.elapsed()
+            record = RunRecord(
+                algorithm_id=algorithm_label,
+                instance_id=instance_id,
+                seed=self.seed,
+                elapsed=evaluator.stamps,
+                evals=evaluator.counts,
+                best_f=evaluator.values,
+                time_used=time_used,
+                evals_used=evaluator.count,
+                termination=termination,
+                repetition=self.repetition,
+                run_index=self.run_index,
+                n_clamped=evaluator.n_clamped,
+                max_step_seconds=max(self.max_step, time_used - self.last),
+            )
+            if evaluator.iterations == 0:
+                self.records = self.records or [record]
+                return True
+            self.records.append(record)
+            self.total_used += time_used
+            self.total_evals += evaluator.count
+            self.begin(self.run_index + 1)
+            return False
+
+        def steps(self) -> bool:
+            """Admit the next iteration, in a new run if the current one's
+            budget is spent; False once the repetition is over."""
+            while not self.admits():
+                if self.end(Termination.BUDGET_EXHAUSTED):
+                    return False
+            return True
+
+    lanes = [Lane(repetition) for repetition in repetitions]
+    swarms = algorithm.lanes(instance, len(lanes))
+    live = lanes
+    while True:
+        slots = [slot for slot, lane in enumerate(live) if lane.steps()]
+        if not slots:
+            return [lane.records for lane in lanes]
+        if len(slots) < len(live):
+            live = [live[slot] for slot in slots]
+            swarms.keep(slots)
+        xs = swarms.move([lane.seed if lane.begins else None for lane in live])
+        # the evaluator's clip and objective call, once for every lane's
+        # (n, d) swarm; the bounds broadcast over the lanes
+        clipped = xs.clip(*instance.bounds(n))
+        changed = clipped != xs
+        fs = instance.evaluate_rows(clipped.reshape(-1, instance.dimension)).reshape(len(live), n)
+        if not np.count_nonzero(changed):
+            changed = None
+        for slot, lane in enumerate(live):
+            lane.begins = False
+            lane.evaluator.account(fs[slot], None if changed is None else changed[slot])
+        for lane, done in zip(live, swarms.tell(fs)):
+            if lane.evaluator.best_f <= stop:
+                lane.end(Termination.TARGET_REACHED)
+            elif done:
+                lane.end(Termination.INTERNAL_STOP)
+
+
+def _repetitions(
+    plan: ExperimentPlan,
+    algorithm_label: str,
+    instance_id: str,
+    repetitions: range,
+) -> list[list[RunRecord]]:
+    """Each of `repetitions`' records: in lockstep for a virtual plan's
+    algorithm with `lanes`, as many lanes at a time as `_LANE_DOUBLES`
+    allows, else from one `run_time_fair` call each."""
+    algorithm = plan.algorithm_spec(algorithm_label).algorithm
+    if plan.clock.is_virtual and algorithm.lanes is not None:
+        size = max(1, _LANE_DOUBLES // (algorithm.evals_per_step * plan.problems[instance_id].dimension))
+        return [
+            records
+            for start in range(0, len(repetitions), size)
+            for records in _lockstep(plan, algorithm_label, instance_id, repetitions[start : start + size])
+        ]
+    return [run_time_fair(plan, algorithm_label, instance_id, r) for r in repetitions]
+
+
 def run_plan(
     plan: ExperimentPlan,
     parallel: bool = False,
@@ -397,11 +571,15 @@ def run_plan(
 ) -> dict[tuple[str, str], list[RunRecord]]:
     """Run the whole plan, grouping records by (algorithm, instance).
 
-    Repetition r runs each of the P pairs once, from pair r mod P on, so
-    a slow spell of a real clock's host is shared by the arms; records
-    come back in (repetition, run) order. Parallel execution is
-    virtual-mode only (concurrent timed runs would contaminate real
-    wall-clock measurements).
+    On a real clock, repetition r runs each of the P pairs once, from
+    pair r mod P on, so a slow spell of the host is shared by the arms.
+    On a virtual clock, each pair runs its repetitions in one group, or
+    with `parallel` in up to one contiguous group per worker, so that a
+    one-pair plan still uses every worker; a group of a bare PSO runs in
+    lockstep (see `_lockstep`). Either way, records come back in
+    (repetition, run) order, one `progress` line per repetition. Parallel
+    execution is virtual-mode only (concurrent timed runs would
+    contaminate real wall-clock measurements).
 
     On a real clock, each pair first gets one untimed `init` and `step`,
     with a fixed seed that is no run's and an evaluator that is thrown
@@ -412,14 +590,19 @@ def run_plan(
     if parallel and not plan.clock.is_virtual:
         raise PlanError("parallel execution is only available with the virtual clock")
     pairs = [(spec.label, instance_id) for spec in plan.algorithms for instance_id in plan.instances]
-    P = len(pairs)
-    tasks = [(*pairs[(r + k) % P], r) for r in range(plan.repetitions) for k in range(P)]
-    grouped: dict[tuple[str, str], list[RunRecord]] = {pair: [] for pair in pairs}
-    if not plan.clock.is_virtual:
+    P, R = len(pairs), plan.repetitions
+    cpus = os.cpu_count() or 1
+    if plan.clock.is_virtual:
+        k = min(R, cpus) if parallel else 1
+        groups = [range(R * g // k, R * (g + 1) // k) for g in range(k)]
+        tasks = [(label, instance_id, group) for label, instance_id in pairs for group in groups]
+    else:
+        tasks = [(*pairs[(r + k) % P], range(r, r + 1)) for r in range(R) for k in range(P)]
         for label, instance_id in pairs:
             spec, instance = plan.algorithm_spec(label), plan.problems[instance_id]
             state = spec.algorithm.init(instance, _WARM_UP_SEED)
             spec.algorithm.step(state, RunEvaluator(instance, plan.run_clock(spec)))
+    grouped: dict[tuple[str, str], list[RunRecord]] = {pair: [] for pair in pairs}
     with ExitStack() as stack:
         mapper = map
         if parallel and len(tasks) > 1:
@@ -427,11 +610,12 @@ def run_plan(
             from concurrent.futures import ProcessPoolExecutor
 
             # one worker per task at most: a pool forks all of its workers at the first submit
-            workers = min(len(tasks), os.cpu_count() or 1)
+            workers = min(len(tasks), cpus)
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        run = functools.partial(run_time_fair, plan)
-        for (label, instance_id, repetition), records in zip(tasks, mapper(run, *zip(*tasks))):
-            grouped[(label, instance_id)].extend(records)
-            if progress is not None:
-                progress(f"{label} on {instance_id} rep {repetition}: {len(records)} run(s)")
+        run = functools.partial(_repetitions, plan)
+        for (label, instance_id, group), results in zip(tasks, mapper(run, *zip(*tasks))):
+            for repetition, records in zip(group, results):
+                grouped[(label, instance_id)].extend(records)
+                if progress is not None:
+                    progress(f"{label} on {instance_id} rep {repetition}: {len(records)} run(s)")
     return grouped

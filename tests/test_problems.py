@@ -259,7 +259,7 @@ def test_each_objective_returns_its_oracles_bits(name):
     with np.errstate(all="ignore"):  # inf - inf, cos(inf) and overflow are part of the check
         for d in range(problems._CATALOG[name][2], 21):
             instance = get_problem(f"{name}-d{d}")
-            for n in (0, 1, 4, 10, 40, 64, 1000):
+            for n in (0, 1, 4, 10, 40, 64, 1000, 9000):  # 9000: above numpy's 8,192-element buffer
                 xs = oracle_batch(rng, instance, n)
                 # a Fortran-ordered batch too: the kernels' scratch arrays
                 # take xs's layout as the expression's temporaries do
@@ -268,6 +268,22 @@ def test_each_objective_returns_its_oracles_bits(name):
                 for row in xs[:64]:
                     got = np.array([instance.evaluate(row)])
                     assert same_bits(got, oracle(row[None, :])), (d, row)
+
+
+@pytest.mark.parametrize("name", list(ORACLES))
+def test_a_stacked_batch_scores_each_row_as_its_own_batch_does(name):
+    # a virtual PSO pair scores its K lanes' (n, d) swarms in one (K*n, d)
+    # call; its logs are the per-run loop's only if rows score independently,
+    # also past numpy's 8,192-element buffer
+    rng = np.random.default_rng(13)
+    with np.errstate(all="ignore"):
+        for d in sorted({problems._CATALOG[name][2], 2, 5, 10, 20}):
+            instance = get_problem(f"{name}-d{d}")
+            for n in (8, 10, 40):
+                K = 8192 // n + 2
+                xs = oracle_batch(rng, instance, K * n)
+                parts = np.concatenate([instance.evaluate_rows(xs[k * n : k * n + n]) for k in range(K)])
+                assert same_bits(instance.evaluate_rows(xs), parts), (d, n)
 
 
 @pytest.mark.parametrize("name", list(ORACLES))

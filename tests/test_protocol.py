@@ -487,6 +487,99 @@ class TestBlockPath:
                 assert type(column) is tuple and {type(value) for value in column} <= {kind}, name
 
 
+def _pso_config(repetitions: int, budget: dict | None = None) -> dict:
+    """edge_config()'s PSO arm (swarm 8, max_iterations 5) and the same
+    arm with ``synthetic_overhead``, at `repetitions`, on its instances,
+    its non-dyadic cost per evaluation and its budget unless one is given."""
+    config = edge_config()
+    pso = config["algorithms"][-1]
+    config["algorithms"] = [pso, {**pso, "label": "pso-heavy", "wrappers": {"synthetic_overhead": 0.0017}}]
+    config["repetitions"] = repetitions
+    if budget is not None:
+        config["budget"] = budget
+    return config
+
+
+def _lockstep_runs(config: dict, monkeypatch) -> dict:
+    """Each (label, instance, repetition)'s records, having checked that
+    `run_plan` gives each pair `run_time_fair`'s, field by field, floats by
+    their bits, and that each tick made one objective call for every lane
+    that stepped, scoring only evaluations that count."""
+    calls = _objective_calls(monkeypatch)
+    plan = plan_from_config(validate_config(config))
+    assert all(spec.algorithm.lanes is not None for spec in plan.algorithms)
+    grouped = run_plan(plan)
+    lockstep_calls = list(calls)
+    runs = {(*pair, rep): run_time_fair(plan, *pair, rep) for pair in grouped for rep in range(plan.repetitions)}
+    # in (repetition, run) order
+    per_run = {pair: [r for rep in range(plan.repetitions) for r in runs[(*pair, rep)]] for pair in grouped}
+    assert _bits(grouped) == _bits(per_run)
+    # a pair's lanes step together, as many at a time as _LANE_DOUBLES
+    # allows: one call a tick until the group's longest repetition ends,
+    # and every row scored is a counted evaluation
+    ticks = 0
+    for label, instance_id in grouped:
+        swarm = plan.algorithm_spec(label).algorithm.evals_per_step
+        lanes = max(1, protocol._LANE_DOUBLES // (swarm * plan.problems[instance_id].dimension))
+        steps = [sum(r.evals_used for r in runs[(label, instance_id, rep)]) // swarm for rep in range(plan.repetitions)]
+        ticks += sum(max(steps[k : k + lanes]) for k in range(0, len(steps), lanes))
+    assert len(lockstep_calls) == ticks
+    assert sum(lockstep_calls) == sum(r.evals_used for records in grouped.values() for r in records)
+    return runs
+
+
+class TestLockstep:
+    """A virtual bare-PSO pair runs its repetitions side by side as lanes;
+    `run_time_fair`, which runs one repetition alone, is the oracle."""
+
+    @pytest.mark.parametrize("repetitions", [1, 4, 7])
+    def test_lanes_equal_the_per_run_loop(self, monkeypatch, repetitions):
+        runs = _lockstep_runs(_pso_config(repetitions), monkeypatch)
+        records = [r for records in runs.values() for r in records]
+        # the eval cap of 700 ends every repetition inside a run (87 steps of 8)
+        assert {sum(r.evals_used for r in rs) for rs in runs.values()} == {696}
+        assert any(r.termination is Termination.BUDGET_EXHAUSTED and 0 < r.evals_used < 40 for r in records)
+        for label in ("pso", "pso-heavy"):
+            for rep in range(repetitions):
+                # only some runs reach sphere-d1's hardest target
+                ends = {r.termination for r in runs[(label, "sphere-d1", rep)]}
+                assert Termination.TARGET_REACHED in ends and Termination.INTERNAL_STOP in ends
+        if repetitions > 1:
+            # lanes restart on different ticks
+            assert len({len(runs[("pso", "sphere-d1", rep)]) for rep in range(repetitions)}) > 1
+
+    def test_lanes_that_retire_on_different_ticks(self, monkeypatch):
+        # T is 48 steps' cost as one product; summed run by run, the cost of
+        # the same steps rounds to either side of it
+        runs = _lockstep_runs(_pso_config(7, {"wall_time_limit": 48 * 8 * 0.0031}), monkeypatch)
+        for instance_id in ("sphere-d1", "sphere-d2"):
+            spent = {sum(r.evals_used for r in runs[("pso", instance_id, rep)]) for rep in range(7)}
+            assert spent == {376, 384}, instance_id
+
+    @pytest.mark.parametrize("doubles", [1, 40])
+    def test_lanes_past_the_memory_bound_run_group_after_group(self, monkeypatch, doubles):
+        # swarms of 8 in d = 1, 2, 3: 1 lane at a time, or 5, 2 and 1
+        monkeypatch.setattr(protocol, "_LANE_DOUBLES", doubles)
+        _lockstep_runs(_pso_config(7), monkeypatch)
+
+    def test_a_budget_below_one_iteration_gives_each_lane_its_only_run_empty(self, monkeypatch):
+        runs = _lockstep_runs(_pso_config(3, {"wall_time_limit": 0.003}), monkeypatch)
+        for records in runs.values():
+            assert len(records) == 1 and records[0].evals_used == 0 and records[0].elapsed == ()
+
+    def test_virtual_progress_lines_come_pair_by_pair(self):
+        config = edge_config()
+        config["repetitions"] = 2
+        plan = plan_from_config(validate_config(config))
+        lines = []
+        grouped = run_plan(plan, progress=lines.append)
+        assert lines == [
+            f"{label} on {instance_id} rep {rep}: {sum(r.repetition == rep for r in records)} run(s)"
+            for (label, instance_id), records in grouped.items()
+            for rep in range(2)
+        ]
+
+
 class TestBestOfRestarts:
     def _with_final(self, final, run_index=0):
         return RunRecord(
@@ -619,6 +712,30 @@ class TestPlanValidation:
             )
 
 
+def _recording_pool(monkeypatch) -> list:
+    """Replace the process pool by one that maps in-process, so no worker
+    is started; returns the list of the `max_workers` each pool asked for."""
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return asked
+
+
 class TestRunPlan:
     def test_grouping_covers_all_pairs(self):
         plan = scenario_plan(repetitions=2)
@@ -675,29 +792,35 @@ class TestRunPlan:
 
     @pytest.mark.parametrize("cpus", [1, 3, 96, None])
     def test_a_parallel_run_asks_for_no_more_workers_than_tasks(self, monkeypatch, cpus):
-        # a recording pool that maps in-process: no worker is started
-        import concurrent.futures
-
-        asked = []
-
-        class RecordingPool:
-            def __init__(self, max_workers=None):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        asked = _recording_pool(monkeypatch)
         monkeypatch.setattr(protocol.os, "cpu_count", lambda: cpus)
         plan = scenario_plan(repetitions=2)  # 2 arms on 1 instance: 4 tasks
         assert run_plan(plan, parallel=True) == run_plan(plan)
         assert asked == [min(4, cpus or 1)]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_parallel_lane_groups_equal_the_sequential_run(self, monkeypatch, cpus):
+        # each pair's 7 repetitions in one contiguous group per worker, run
+        # in lockstep (PSO) or one by one (random search)
+        asked = _recording_pool(monkeypatch)
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: cpus)
+        groups = []
+        repetitions = protocol._repetitions
+
+        def recording(plan, label, instance_id, group):
+            groups.append(group)
+            return repetitions(plan, label, instance_id, group)
+
+        monkeypatch.setattr(protocol, "_repetitions", recording)
+        config = edge_config()
+        config["repetitions"] = 7
+        plan = plan_from_config(validate_config(config))
+        sequential = run_plan(plan)
+        assert groups == [range(7)] * 12
+        del groups[:]
+        assert _bits(run_plan(plan, parallel=True)) == _bits(sequential)
+        assert groups == [range(7 * g // cpus, 7 * (g + 1) // cpus) for g in range(cpus)] * 12
+        assert asked == [cpus]  # 12 tasks or more
 
     def test_each_arm_is_built_once(self, monkeypatch):
         # the plan's runs and the run headers' echo step and describe the
